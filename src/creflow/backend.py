@@ -1,37 +1,46 @@
-"""Numeric hot kernels with a numba fast path and a pure-numpy fallback.
-
-The two kernels here dominate runtime: Gaussian log-weight enumeration over
-discrete-support atoms (called per grid point and per Monte Carlo batch) and
-swept-disc rasterization (called per entity per rollout in the online loop).
-Backend selection is controlled by the ``CREFLOW_BACKEND`` environment
-variable: ``numba`` (default when importable), ``numpy`` to force the
-fallback, or ``auto``. ``benchmarks/bench_backend.py`` compares the two.
+"""Numeric hot kernels in plain numpy: Gaussian log-weight enumeration over
+discrete-support atoms and swept-disc rasterization on a unit-cell grid.
 """
 
 import math
-import os
 
 import numpy as np
 
 _LOG_2PI = math.log(2.0 * math.pi)
 
+# Read by the benchmark harness's machine facts; numpy is the only backend.
+BACKEND = "numpy"
 
-def _gauss_logweights_np(x0s, logp, xt, t):
-    # logp_a + log N(xt; (1-t) x0_a, t^2 I), shape (A,)
+
+def gauss_logweights(x0s, logp, xt, t):
+    """Log posterior weights log p_a + log N(xt; (1-t) x0_a, t^2 I) over atoms."""
+    x0s = np.ascontiguousarray(x0s, dtype=np.float64)
+    logp = np.ascontiguousarray(logp, dtype=np.float64)
+    xt = np.ascontiguousarray(xt, dtype=np.float64)
+    t = float(t)
     d = xt.shape[0]
     diff = xt[None, :] - (1.0 - t) * x0s
     sq = np.sum(diff * diff, axis=1)
     return logp - 0.5 * sq / (t * t) - d * math.log(t) - 0.5 * d * _LOG_2PI
 
 
-def _gauss_logweights_batch_np(x0s, logp, xts, t):
+def gauss_logweights_batch(x0s, logp, xts, t):
+    """Batched variant over query points: returns (B, A)."""
+    x0s = np.ascontiguousarray(x0s, dtype=np.float64)
+    logp = np.ascontiguousarray(logp, dtype=np.float64)
+    xts = np.ascontiguousarray(xts, dtype=np.float64)
+    t = float(t)
     d = xts.shape[1]
     diff = xts[:, None, :] - (1.0 - t) * x0s[None, :, :]
     sq = np.sum(diff * diff, axis=2)
     return logp[None, :] - 0.5 * sq / (t * t) - d * math.log(t) - 0.5 * d * _LOG_2PI
 
 
-def _sweep_disc_mask_np(positions, radii, h, w):
+def sweep_disc_mask(positions, radii, h, w):
+    """Union over frames of rasterized discs on an (h, w) grid of unit cells."""
+    positions = np.ascontiguousarray(positions, dtype=np.float64)
+    radii = np.ascontiguousarray(radii, dtype=np.float64)
+    h, w = int(h), int(w)
     # cell (i, j) has center (j + 0.5, i + 0.5); set iff within radius at some frame
     cx = np.arange(w, dtype=np.float64) + 0.5
     cy = np.arange(h, dtype=np.float64) + 0.5
@@ -39,107 +48,3 @@ def _sweep_disc_mask_np(positions, radii, h, w):
     dy = cy[None, :, None] - positions[:, 1][:, None, None]
     hit = dx * dx + dy * dy <= (radii * radii)[:, None, None]
     return np.any(hit, axis=0)
-
-
-_ENV = os.environ.get("CREFLOW_BACKEND", "auto").lower()
-
-if _ENV not in ("auto", "numba", "numpy"):
-    raise ValueError(f"CREFLOW_BACKEND must be auto|numba|numpy, got {_ENV!r}")
-
-_numba_impls = None
-if _ENV in ("auto", "numba"):
-    try:
-        from numba import njit
-
-        @njit(cache=True)
-        def _gauss_logweights_nb(x0s, logp, xt, t):  # pragma: no cover - jitted
-            a, d = x0s.shape
-            out = np.empty(a, dtype=np.float64)
-            c = 1.0 - t
-            norm = d * math.log(t) + 0.5 * d * _LOG_2PI
-            for k in range(a):
-                sq = 0.0
-                for j in range(d):
-                    diff = xt[j] - c * x0s[k, j]
-                    sq += diff * diff
-                out[k] = logp[k] - 0.5 * sq / (t * t) - norm
-            return out
-
-        @njit(cache=True)
-        def _gauss_logweights_batch_nb(x0s, logp, xts, t):  # pragma: no cover
-            b = xts.shape[0]
-            a = x0s.shape[0]
-            out = np.empty((b, a), dtype=np.float64)
-            for i in range(b):
-                out[i] = _gauss_logweights_nb(x0s, logp, xts[i], t)
-            return out
-
-        @njit(cache=True)
-        def _sweep_disc_mask_nb(positions, radii, h, w):  # pragma: no cover
-            out = np.zeros((h, w), dtype=np.bool_)
-            n = positions.shape[0]
-            for k in range(n):
-                px = positions[k, 0]
-                py = positions[k, 1]
-                r2 = radii[k] * radii[k]
-                for i in range(h):
-                    dy = (i + 0.5) - py
-                    for j in range(w):
-                        if not out[i, j]:
-                            dx = (j + 0.5) - px
-                            if dx * dx + dy * dy <= r2:
-                                out[i, j] = True
-            return out
-
-        _numba_impls = {
-            "gauss_logweights": _gauss_logweights_nb,
-            "gauss_logweights_batch": _gauss_logweights_batch_nb,
-            "sweep_disc_mask": _sweep_disc_mask_nb,
-        }
-    except ImportError:
-        if _ENV == "numba":
-            raise
-        _numba_impls = None
-
-_numpy_impls = {
-    "gauss_logweights": _gauss_logweights_np,
-    "gauss_logweights_batch": _gauss_logweights_batch_np,
-    "sweep_disc_mask": _sweep_disc_mask_np,
-}
-
-if _numba_impls is not None and _ENV in ("auto", "numba"):
-    BACKEND = "numba"
-    _active = _numba_impls
-else:
-    BACKEND = "numpy"
-    _active = _numpy_impls
-
-
-def gauss_logweights(x0s, logp, xt, t):
-    """Log posterior weights log p_a + log N(xt; (1-t) x0_a, t^2 I) over atoms."""
-    return _active["gauss_logweights"](
-        np.ascontiguousarray(x0s, dtype=np.float64),
-        np.ascontiguousarray(logp, dtype=np.float64),
-        np.ascontiguousarray(xt, dtype=np.float64),
-        float(t),
-    )
-
-
-def gauss_logweights_batch(x0s, logp, xts, t):
-    """Batched variant over query points: returns (B, A)."""
-    return _active["gauss_logweights_batch"](
-        np.ascontiguousarray(x0s, dtype=np.float64),
-        np.ascontiguousarray(logp, dtype=np.float64),
-        np.ascontiguousarray(xts, dtype=np.float64),
-        float(t),
-    )
-
-
-def sweep_disc_mask(positions, radii, h, w):
-    """Union over frames of rasterized discs on an (h, w) grid of unit cells."""
-    return _active["sweep_disc_mask"](
-        np.ascontiguousarray(positions, dtype=np.float64),
-        np.ascontiguousarray(radii, dtype=np.float64),
-        int(h),
-        int(w),
-    )

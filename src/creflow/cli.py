@@ -23,10 +23,18 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 
 
-def _setup_logging():
-    level = os.environ.get("CREFLOW_LOG", "WARNING").upper()
-    logging.basicConfig(level=getattr(logging, level, logging.WARNING),
-                        format="%(levelname)s %(name)s: %(message)s")
+LOG_LEVELS = ("DEBUG", "INFO", "WARNING", "ERROR", "CRITICAL")
+
+
+def _setup_logging() -> bool:
+    """Apply CREFLOW_LOG; report and return False if it names no level."""
+    value = os.environ.get("CREFLOW_LOG", "WARNING")
+    if value.upper() not in LOG_LEVELS:
+        print(f"error: CREFLOW_LOG must be one of {', '.join(LOG_LEVELS)}, got {value!r}",
+              file=sys.stderr)
+        return False
+    logging.basicConfig(level=value.upper(), format="%(levelname)s %(name)s: %(message)s")
+    return True
 
 
 def _emit(payload, out_path):
@@ -116,9 +124,7 @@ def cmd_train(args) -> int:
     except NonFiniteLoss as err:
         dump_path = os.path.join(cfg.out_dir, "diagnostic_dump.json")
         fileio.write_json(
-            dump_path,
-            {"error": str(err), "world": {k: (list(v) if isinstance(v, tuple) else v)
-                                          for k, v in vars(cfg.world).items()}},
+            dump_path, {"error": str(err), "world": fileio.world_config_dict(cfg.world)}
         )
         print(f"error: {err} (diagnostics: {dump_path})", file=sys.stderr)
         return EXIT_FAIL
@@ -210,7 +216,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    _setup_logging()
+    if not _setup_logging():
+        return EXIT_USAGE
     args = build_parser().parse_args(argv)
     return args.func(args)
 

@@ -8,7 +8,7 @@ CSV with a versioned, append-only column set.
 
 import csv
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import yaml
@@ -184,23 +184,26 @@ class ExperimentConfig:
     loss: LossConfig
     out_dir: str = "out"
     spec_path: str = None  # default: built from the world template
-    mask_enabled: bool = True
     corrective_enabled: bool = True
-    weight_scheme: str = "uniform"
 
     def effective_loss_config(self) -> LossConfig:
-        return LossConfig(
-            beta=self.loss.beta,
-            lambda_cr=self.loss.lambda_cr if self.corrective_enabled else 0.0,
-            lambda_kl=self.loss.lambda_kl,
-            weight_scheme=self.weight_scheme,
-            kernel_tau=self.loss.kernel_tau,
-            mask_enabled=self.mask_enabled,
-        )
+        return replace(self.loss, lambda_cr=self.loss.lambda_cr if self.corrective_enabled else 0.0)
+
+
+# Loss switches that exist only under ``loss:``; at top level they are rejected.
+LOSS_ONLY_KEYS = ("mask_enabled", "weight_scheme")
+
+
+def world_config_dict(world: WorldConfig) -> dict:
+    """Plain-data form of a world config (tuples as lists) for YAML and JSON."""
+    return {k: (list(v) if isinstance(v, tuple) else v) for k, v in vars(world).items()}
 
 
 def load_experiment_config(path) -> ExperimentConfig:
     doc = _load_yaml(path, "experiment")
+    for key in LOSS_ONLY_KEYS:
+        if key in doc:
+            raise SchemaError(f"{path}: {key!r} belongs under 'loss:', not at top level")
     try:
         world_doc = dict(_require(doc, "world", path))
         for key in ("grid", "container_half_extents", "hidden"):
@@ -213,25 +216,20 @@ def load_experiment_config(path) -> ExperimentConfig:
             loss=loss,
             out_dir=doc.get("out_dir", "out"),
             spec_path=doc.get("spec_path"),
-            mask_enabled=bool(doc.get("mask_enabled", True)),
             corrective_enabled=bool(doc.get("corrective_enabled", True)),
-            weight_scheme=doc.get("weight_scheme", "uniform"),
         )
     except (KeyError, TypeError, ValueError) as err:
         raise SchemaError(f"{path}: {err!r}") from err
 
 
 def save_experiment_config(path, cfg: ExperimentConfig):
-    world = {k: (list(v) if isinstance(v, tuple) else v) for k, v in vars(cfg.world).items()}
     doc = {
         "schema_version": SCHEMA_VERSION,
         "kind": "experiment",
         "out_dir": cfg.out_dir,
         **({"spec_path": cfg.spec_path} if cfg.spec_path else {}),
-        "mask_enabled": cfg.mask_enabled,
         "corrective_enabled": cfg.corrective_enabled,
-        "weight_scheme": cfg.weight_scheme,
-        "world": world,
+        "world": world_config_dict(cfg.world),
         "loss": vars(cfg.loss).copy(),
     }
     with open(path, "w") as fh:
@@ -291,11 +289,11 @@ def train_summary(series: MetricsSeries, cfg: ExperimentConfig) -> dict:
         "metrics_version": METRICS_VERSION,
         "columns": list(METRIC_COLUMNS),
         "summary": series.summary,
-        "world": {k: (list(v) if isinstance(v, tuple) else v) for k, v in vars(cfg.world).items()},
+        "world": world_config_dict(cfg.world),
         "loss": vars(loss_cfg).copy(),
         "mode": {
-            "mask_enabled": cfg.mask_enabled,
+            "mask_enabled": cfg.loss.mask_enabled,
             "corrective_enabled": cfg.corrective_enabled,
-            "weight_scheme": cfg.weight_scheme,
+            "weight_scheme": cfg.loss.weight_scheme,
         },
     }

@@ -89,33 +89,29 @@ class LinearVelocity:
             raise DimMismatch(f"expected {self.n_params} params, got {theta.shape}")
         self.weights = theta.reshape(self.weights.shape).copy()
 
-    def features(self, xt, t, cond=None):
+    def _features(self, xt, t, cond):
+        """Batched phi = [x_t, t, t^2, condition, 1] and whether xt was one point."""
         x, tv, c, single = _prep_batch(xt, t, cond, self.dim, self.cond_dim)
         phi = np.concatenate(
             [x, tv[:, None], (tv * tv)[:, None], c, np.ones((x.shape[0], 1))], axis=1
         )
+        return phi, single
+
+    def features(self, xt, t, cond=None):
+        phi, single = self._features(xt, t, cond)
         return phi[0] if single else phi
 
     def velocity_batch(self, xt, t, cond=None):
-        x, tv, c, single = _prep_batch(xt, t, cond, self.dim, self.cond_dim)
-        phi = np.concatenate(
-            [x, tv[:, None], (tv * tv)[:, None], c, np.ones((x.shape[0], 1))], axis=1
-        )
+        phi, single = self._features(xt, t, cond)
         out = phi @ self.weights.T
         return out[0] if single else out
 
-    def velocity(self, xt, t, cond=None):
-        return self.velocity_batch(xt, t, cond)
-
     def vjp_batch(self, xt, t, cond, adjoints):
         """Sum over the batch of adjoint^T dv/dtheta, as a flat vector."""
-        x, tv, c, single = _prep_batch(xt, t, cond, self.dim, self.cond_dim)
+        phi, single = self._features(xt, t, cond)
         a = np.asarray(adjoints, dtype=np.float64)
         if single:
             a = a[None, :]
-        phi = np.concatenate(
-            [x, tv[:, None], (tv * tv)[:, None], c, np.ones((x.shape[0], 1))], axis=1
-        )
         return (a.T @ phi).ravel()
 
     def clone(self):
@@ -175,9 +171,6 @@ class MLPVelocity:
         out = self._forward(x, tv, c)[-1]
         return out[0] if single else out
 
-    def velocity(self, xt, t, cond=None):
-        return self.velocity_batch(xt, t, cond)
-
     def vjp_batch(self, xt, t, cond, adjoints):
         x, tv, c, single = _prep_batch(xt, t, cond, self.dim, self.cond_dim)
         a = np.asarray(adjoints, dtype=np.float64)
@@ -197,11 +190,6 @@ class MLPVelocity:
         other = MLPVelocity(self.dim, self.cond_dim, self.hidden)
         other.set_params(self.get_params())
         return other
-
-
-def grad_model(model, xt, t, cond, loss_adjoint):
-    """Exact parameter gradient of adjoint . v_theta(xt, t, cond)."""
-    return model.vjp_batch(xt, t, cond, loss_adjoint)
 
 
 def model_jacobian(model, xt, t, cond=None):

@@ -628,7 +628,7 @@ def verify_variance(
         pp = population_point(world, xt, t)
         jac = model_jacobian(model, xt, t)
         gram = jac @ jac.T
-        v_theta = model.velocity(xt, t)
+        v_theta = model.velocity_batch(xt, t)
 
         sig_xi = sigma_xi**2 * float(np.sum(np.diag(gram)[mask]))
         sig0 = float(np.sum(pcp_pos * gram))
@@ -734,7 +734,7 @@ def verify_variance(
     for m in (group_size, 2 * group_size):
         jac = model_jacobian(model, xt, t_mid)
         gram_mid = jac @ jac.T
-        v_theta = model.velocity(xt, t_mid)
+        v_theta = model.velocity_batch(xt, t_mid)
         pidx = world.sample_positive_atoms(rng, (mc_samples, m))
         xbar = world.x0s[pidx].mean(axis=1)
         res = (v_theta[None, :] - (xt[None, :] - xbar) / t_mid) * mask

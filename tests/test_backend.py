@@ -1,55 +1,51 @@
-import importlib.util
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 import numpy as np
-import pytest
 
-import creflow
 from creflow import backend
 
 
-requires_numba = pytest.mark.skipif(
-    backend._numba_impls is None, reason="numba not importable"
-)
+def sweep_disc_mask_loop(positions, radii, h, w):
+    """Per-cell reference: cell (i, j) is set iff its center lies in some disc."""
+    out = np.zeros((h, w), dtype=bool)
+    for (px, py), r in zip(positions, radii):
+        for i in range(h):
+            for j in range(w):
+                dx = (j + 0.5) - px
+                dy = (i + 0.5) - py
+                if dx * dx + dy * dy <= r * r:
+                    out[i, j] = True
+    return out
 
 
-class TestKernelAgreement:
-    @requires_numba
-    def test_gauss_logweights(self):
-        rng = np.random.default_rng(0)
+class TestKernelReference:
+    def test_sweep_disc_mask_matches_cell_loop(self):
+        rng = np.random.default_rng(2)
         for _ in range(20):
-            a, d = rng.integers(1, 20), rng.integers(1, 8)
+            t = rng.integers(1, 12)
+            h, w = rng.integers(1, 14, size=2)
+            # discs may sit partly or wholly off the grid
+            positions = rng.uniform(-4.0, 18.0, (t, 2))
+            radii = rng.uniform(0.0, 3.0, t)
+            radii[rng.random(t) < 0.3] = 0.0
+            # radius 0 hits only a cell whose center it sits on exactly
+            positions[0] = rng.integers(0, [w, h]) + 0.5
+            radii[0] = 0.0
+            got = backend.sweep_disc_mask(positions, radii, h, w)
+            assert got.dtype == bool and got.shape == (h, w)
+            assert np.array_equal(got, sweep_disc_mask_loop(positions, radii, h, w))
+
+    def test_batch_rows_match_single_point(self):
+        rng = np.random.default_rng(1)
+        for _ in range(20):
+            a, d, b = rng.integers(1, 20), rng.integers(1, 8), rng.integers(1, 40)
             x0s = rng.standard_normal((a, d))
             logp = np.log(rng.dirichlet(np.ones(a)))
-            xt = rng.standard_normal(d)
+            xts = rng.standard_normal((b, d))
             t = rng.uniform(0.01, 1.0)
-            got_nb = backend._numba_impls["gauss_logweights"](x0s, logp, xt, t)
-            got_np = backend._numpy_impls["gauss_logweights"](x0s, logp, xt, t)
-            assert np.allclose(got_nb, got_np, rtol=1e-12, atol=1e-12)
-
-    @requires_numba
-    def test_gauss_logweights_batch(self):
-        rng = np.random.default_rng(1)
-        x0s = rng.standard_normal((6, 3))
-        logp = np.log(rng.dirichlet(np.ones(6)))
-        xts = rng.standard_normal((40, 3))
-        got_nb = backend._numba_impls["gauss_logweights_batch"](x0s, logp, xts, 0.37)
-        got_np = backend._numpy_impls["gauss_logweights_batch"](x0s, logp, xts, 0.37)
-        assert np.allclose(got_nb, got_np, rtol=1e-12, atol=1e-12)
-
-    @requires_numba
-    def test_sweep_disc_mask(self):
-        rng = np.random.default_rng(2)
-        for _ in range(10):
-            t = rng.integers(1, 12)
-            positions = rng.uniform(-2, 14, (t, 2))
-            radii = rng.uniform(0.0, 3.0, t)
-            got_nb = backend._numba_impls["sweep_disc_mask"](positions, radii, 12, 12)
-            got_np = backend._numpy_impls["sweep_disc_mask"](positions, radii, 12, 12)
-            assert np.array_equal(np.asarray(got_nb, bool), got_np)
+            batch = backend.gauss_logweights_batch(x0s, logp, xts, t)
+            assert batch.shape == (b, a)
+            for i in range(b):
+                single = backend.gauss_logweights(x0s, logp, xts[i], t)
+                assert np.allclose(batch[i], single, rtol=1e-12, atol=1e-12)
 
 
 class TestSemantics:
@@ -76,41 +72,3 @@ class TestSemantics:
                 - np.log(2 * np.pi)
             )
             assert np.isclose(got[k], direct)
-
-
-# The numba rule for ``auto``, decided without reading this process's own
-# CREFLOW_BACKEND: numba when it can be imported, else the numpy fallback.
-AUTO_EXPECTED = "numba" if importlib.util.find_spec("numba") is not None else "numpy"
-
-# Directory holding the creflow package under test (``src`` in a checkout).
-PACKAGE_ROOT = Path(creflow.__file__).resolve().parents[1]
-
-
-def run_with_flag(flag, code):
-    """Run ``code`` in a fresh interpreter that imports this same creflow."""
-    env = dict(os.environ, CREFLOW_BACKEND=flag)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(PACKAGE_ROOT), env.get("PYTHONPATH")) if p
-    )
-    return subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env
-    )
-
-
-class TestEnvFlag:
-    @pytest.mark.parametrize("flag,expected", [("numpy", "numpy"), ("auto", AUTO_EXPECTED)])
-    def test_backend_selection(self, flag, expected):
-        proc = run_with_flag(
-            flag, "from creflow import backend; print(backend.BACKEND); print(backend.__file__)"
-        )
-        assert proc.returncode == 0, proc.stderr
-        selected, module_file = proc.stdout.splitlines()
-        assert Path(module_file).resolve() == Path(backend.__file__).resolve()
-        assert selected == expected
-
-    def test_invalid_flag_rejected(self):
-        proc = run_with_flag("fortran", "import creflow.backend")
-        assert proc.returncode != 0
-        assert proc.stderr.strip().splitlines()[-1] == (
-            "ValueError: CREFLOW_BACKEND must be auto|numba|numpy, got 'fortran'"
-        )

@@ -5,6 +5,7 @@ import sys
 
 import numpy as np
 import pytest
+import yaml
 
 from creflow import fileio, simworld
 from creflow.cli import main
@@ -87,6 +88,10 @@ class TestFileIO:
             fileio.load_trace(workdir["spec"])
 
     def test_experiment_round_trip(self, workdir):
+        with open(workdir["experiment"]) as fh:
+            doc = yaml.safe_load(fh)
+        assert "mask_enabled" not in doc and "weight_scheme" not in doc
+        assert doc["loss"]["mask_enabled"] is True
         cfg = fileio.load_experiment_config(workdir["experiment"])
         assert cfg.world.iterations == 8
         assert cfg.loss.lambda_cr == 1.0
@@ -149,6 +154,24 @@ class TestCliExitCodes:
 
     def test_train_missing_config(self, tmp_path):
         assert main(["train", "--config", str(tmp_path / "nope.yaml")]) == 2
+
+    @pytest.mark.parametrize("key,value", [("mask_enabled", "false"), ("weight_scheme", "uniform")])
+    def test_train_rejects_top_level_loss_flag(self, workdir, tmp_path, capsys, key, value):
+        path = tmp_path / "top_level.yaml"
+        with open(workdir["experiment"]) as fh:
+            path.write_text(fh.read() + f"{key}: {value}\n")
+        assert main(["train", "--config", str(path), "--dry-run"]) == 2
+        err = capsys.readouterr().err
+        assert f"{key!r} belongs under 'loss:', not at top level" in err
+
+    @pytest.mark.parametrize("value", ["LOUD", "BASIC_FORMAT"])
+    def test_invalid_log_level_rejected(self, workdir, monkeypatch, capsys, value):
+        monkeypatch.setenv("CREFLOW_LOG", value)
+        assert main(["train", "--config", workdir["experiment"], "--dry-run"]) == 2
+        assert capsys.readouterr().err == (
+            "error: CREFLOW_LOG must be one of DEBUG, INFO, WARNING, ERROR, CRITICAL, "
+            f"got {value!r}\n"
+        )
 
     def test_train_and_compare(self, workdir, capsys):
         out_a = str(workdir["root"] / "run_a")

@@ -9,7 +9,6 @@ from creflow.flow import (
     LinearVelocity,
     MLPVelocity,
     ModelBundle,
-    grad_model,
     interpolate,
     load_model,
     model_jacobian,
@@ -154,7 +153,7 @@ class TestGradients:
             t = rng.uniform(0.1, 1.0)
             cond = rng.standard_normal(2)
             adjoint = rng.standard_normal(3)
-            analytic = grad_model(model, xt, t, cond, adjoint)
+            analytic = model.vjp_batch(xt, t, cond, adjoint)
             theta0 = model.get_params()
             fd = np.empty_like(theta0)
             h = 1e-5
@@ -162,9 +161,9 @@ class TestGradients:
                 step = np.zeros_like(theta0)
                 step[i] = h
                 model.set_params(theta0 + step)
-                up = adjoint @ model.velocity(xt, t, cond)
+                up = adjoint @ model.velocity_batch(xt, t, cond)
                 model.set_params(theta0 - step)
-                down = adjoint @ model.velocity(xt, t, cond)
+                down = adjoint @ model.velocity_batch(xt, t, cond)
                 fd[i] = (up - down) / (2 * h)
             model.set_params(theta0)
             assert rel_error(analytic, fd) < 1e-5
@@ -174,13 +173,13 @@ class TestGradients:
         model = LinearVelocity(3, cond_dim=1, rng=rng, scale=0.3)
         xt, t, cond = rng.standard_normal(3), 0.5, rng.standard_normal(1)
         adjoint = rng.standard_normal(3)
-        grad = grad_model(model, xt, t, cond, adjoint).reshape(3, -1)
+        grad = model.vjp_batch(xt, t, cond, adjoint).reshape(3, -1)
         phi = model.features(xt, t, cond)
         assert np.allclose(grad, np.outer(adjoint, phi))
 
     def test_zero_adjoint_zero_gradient(self):
         model = MLPVelocity(3, hidden=(4,), rng=np.random.default_rng(0))
-        g = grad_model(model, np.ones(3), 0.5, None, np.zeros(3))
+        g = model.vjp_batch(np.ones(3), 0.5, None, np.zeros(3))
         assert not g.any()
 
     def test_jacobian_matches_vjp(self):
@@ -190,7 +189,7 @@ class TestGradients:
         jac = model_jacobian(model, xt, 0.4)
         assert jac.shape == (3, model.n_params)
         adjoint = rng.standard_normal(3)
-        assert np.allclose(jac.T @ adjoint, grad_model(model, xt, 0.4, None, adjoint))
+        assert np.allclose(jac.T @ adjoint, model.vjp_batch(xt, 0.4, None, adjoint))
 
 
 class TestBundle:
@@ -225,4 +224,4 @@ class TestCheckpoint:
         save_model(path, model)
         loaded = load_model(path)
         xt, t, cond = rng.standard_normal(4), 0.3, rng.standard_normal(3)
-        assert np.array_equal(loaded.velocity(xt, t, cond), model.velocity(xt, t, cond))
+        assert np.array_equal(loaded.velocity_batch(xt, t, cond), model.velocity_batch(xt, t, cond))
