@@ -22,7 +22,7 @@ from .ltlf import (
     print_formula,
 )
 from .mask import CreditMask, LatentLayout, apply_mask, build_group_mask
-from .monitor import Verdict, run_monitor
+from .monitor import Verdict, run_group_monitor, run_monitor
 from .objectives import (
     LossConfig,
     RolloutGroup,
@@ -35,7 +35,14 @@ from .objectives import (
     nft_branches,
 )
 from .oracle import DiscreteWorld, PopulationPoint, population_point
-from .simworld import WorldConfig, decode_trace, run_online_loop
-from .trace import TaskSpec, Trace, build_atlas, eval_predicate
+from .simworld import RolloutDecoder, WorldConfig, decode_trace, run_online_loop
+from .trace import (
+    TaskSpec,
+    Trace,
+    TraceGroup,
+    build_atlas,
+    eval_group_predicate,
+    eval_predicate,
+)
 
 __version__ = "0.1.0"

@@ -192,6 +192,8 @@ class ExperimentConfig:
 
 # Loss switches that exist only under ``loss:``; at top level they are rejected.
 LOSS_ONLY_KEYS = ("mask_enabled", "weight_scheme")
+EXPERIMENT_KEYS = ("schema_version", "kind", "out_dir", "spec_path", "corrective_enabled",
+                   "world", "loss")
 
 
 def world_config_dict(world: WorldConfig) -> dict:
@@ -204,6 +206,12 @@ def load_experiment_config(path) -> ExperimentConfig:
     for key in LOSS_ONLY_KEYS:
         if key in doc:
             raise SchemaError(f"{path}: {key!r} belongs under 'loss:', not at top level")
+    for key in doc:
+        if key not in EXPERIMENT_KEYS:
+            raise SchemaError(f"{path}: unknown top-level key {key!r}")
+    corrective = doc.get("corrective_enabled", True)
+    if not isinstance(corrective, bool):
+        raise SchemaError(f"{path}: 'corrective_enabled' must be true or false, got {corrective!r}")
     try:
         world_doc = dict(_require(doc, "world", path))
         for key in ("grid", "container_half_extents", "hidden"):
@@ -216,7 +224,7 @@ def load_experiment_config(path) -> ExperimentConfig:
             loss=loss,
             out_dir=doc.get("out_dir", "out"),
             spec_path=doc.get("spec_path"),
-            corrective_enabled=bool(doc.get("corrective_enabled", True)),
+            corrective_enabled=corrective,
         )
     except (KeyError, TypeError, ValueError) as err:
         raise SchemaError(f"{path}: {err!r}") from err

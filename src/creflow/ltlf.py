@@ -5,7 +5,9 @@ operators ``!`` (not), ``&``, ``|``, ``->``, ``G`` (globally), ``F``
 (finally) and ``U`` (strong until).  Precedence, tightest to loosest:
 ``!``/``G``/``F`` > ``U`` > ``&`` > ``|`` > ``->`` with ``->`` and ``U``
 right-associative.  Truth is evaluated at frame 1 of a length-T trace;
-``p U q`` requires q to eventually hold.
+``p U q`` requires q to eventually hold.  A group of N traces is evaluated
+at once from (N, T) streams: every operator applies the finite-trace
+recurrences (De Giacomo & Vardi, IJCAI 2013) along the last axis.
 
 Failed clauses additionally yield a violation witness: a set of
 (entity, frame) pairs extracted by template-specific rules for the four
@@ -370,49 +372,55 @@ def classify_template(f: Formula) -> TemplateFamily:
 # Evaluation
 # --------------------------------------------------------------------------
 
-def _stream_for(atom: Atom, streams, horizon: int) -> np.ndarray:
+def _stream_for(atom: Atom, streams, shape) -> np.ndarray:
     if atom not in streams:
         raise MissingStream(f"no stream for atom {atom}")
     values = np.asarray(streams[atom], dtype=bool)
-    if values.shape != (horizon,):
+    if values.shape != shape:
         raise HorizonMismatch(
-            f"stream for {atom} has length {values.shape}, horizon is {horizon}"
+            f"stream for {atom} has length {values.shape}, horizon is {shape[-1]}"
         )
     return values
 
 
-def _sat(f: Formula, streams, horizon: int) -> np.ndarray:
-    """Satisfaction vector: sat[t] is truth of f at frame t+1 (0-indexed)."""
+def _sat(f: Formula, streams, shape) -> np.ndarray:
+    """Satisfaction array: sat[..., t] is the truth of f at frame t+1 (0-indexed).
+
+    ``shape`` is the stream shape, (T,) for one trace or (N, T) for a group;
+    every operator works along the last axis.
+    """
     if isinstance(f, Atom):
-        return _stream_for(f, streams, horizon)
+        return _stream_for(f, streams, shape)
     if isinstance(f, Not):
-        return ~_sat(f.child, streams, horizon)
+        return ~_sat(f.child, streams, shape)
     if isinstance(f, And):
-        return _sat(f.left, streams, horizon) & _sat(f.right, streams, horizon)
+        return _sat(f.left, streams, shape) & _sat(f.right, streams, shape)
     if isinstance(f, Or):
-        return _sat(f.left, streams, horizon) | _sat(f.right, streams, horizon)
+        return _sat(f.left, streams, shape) | _sat(f.right, streams, shape)
     if isinstance(f, Implies):
-        return ~_sat(f.left, streams, horizon) | _sat(f.right, streams, horizon)
+        return ~_sat(f.left, streams, shape) | _sat(f.right, streams, shape)
     if isinstance(f, Globally):
-        child = _sat(f.child, streams, horizon)
-        return np.logical_and.accumulate(child[::-1])[::-1]
+        child = _sat(f.child, streams, shape)
+        return np.logical_and.accumulate(child[..., ::-1], axis=-1)[..., ::-1]
     if isinstance(f, Finally):
-        child = _sat(f.child, streams, horizon)
-        return np.logical_or.accumulate(child[::-1])[::-1]
+        child = _sat(f.child, streams, shape)
+        return np.logical_or.accumulate(child[..., ::-1], axis=-1)[..., ::-1]
     if isinstance(f, Until):
-        a = _sat(f.left, streams, horizon)
-        b = _sat(f.right, streams, horizon)
-        out = np.empty(horizon, dtype=bool)
-        out[-1] = b[-1]
-        for t in range(horizon - 2, -1, -1):
-            out[t] = b[t] or (a[t] and out[t + 1])
-        return out
+        a = _sat(f.left, streams, shape)
+        b = _sat(f.right, streams, shape)
+        # reverse scans for the next frame where b holds and where a fails:
+        # a U b holds at t iff b holds at some j >= t and a holds on [t, j)
+        horizon = shape[-1]
+        frame = np.arange(horizon)
+        next_b = np.minimum.accumulate(np.where(b, frame, horizon)[..., ::-1], axis=-1)[..., ::-1]
+        next_not_a = np.minimum.accumulate(np.where(a, horizon, frame)[..., ::-1], axis=-1)[..., ::-1]
+        return (next_b < horizon) & (next_b <= next_not_a)
     raise TypeError(f"unknown node {type(f).__name__}")
 
 
 def eval_bruteforce(f: Formula, streams, horizon: int) -> bool:
     """Independent oracle: recursive expansion of the semantics, no vector ops."""
-    atom_values = {a: _stream_for(a, streams, horizon) for a in f.atoms()}
+    atom_values = {a: _stream_for(a, streams, (horizon,)) for a in f.atoms()}
     memo = {}
 
     def ev(node, t):
@@ -450,11 +458,7 @@ def eval_bruteforce(f: Formula, streams, horizon: int) -> bool:
 # Witness extraction
 # --------------------------------------------------------------------------
 
-def _pairs(entities, frames_0idx):
-    return frozenset((e, int(t) + 1) for e in entities for t in frames_0idx)
-
-
-def _polarity_witness(f: Formula, streams, horizon: int) -> frozenset:
+def _polarity_parts(f: Formula, streams, shape):
     # conservative rule: frames where an atom's value differs from the value
     # its occurrence polarity would need; atoms under both polarities get all frames
     polarities = {}
@@ -474,46 +478,84 @@ def _polarity_witness(f: Formula, streams, horizon: int) -> frozenset:
             visit(node.child, pol)
 
     visit(f, True)
-    pairs = set()
+    parts = []
     for atom, pols in polarities.items():
-        values = _stream_for(atom, streams, horizon)
+        values = _stream_for(atom, streams, shape)
         if len(pols) == 2:
-            frames = range(horizon)
+            frames = np.ones(shape, dtype=bool)
         elif True in pols:
-            frames = np.nonzero(~values)[0]
+            frames = ~values
         else:
-            frames = np.nonzero(values)[0]
-        pairs.update(_pairs(atom.args, frames))
-    return frozenset(pairs)
+            frames = values
+        parts.append((atom.args, frames))
+    return parts
 
 
-def _extract_witness(f, family, streams, horizon, stability_window):
+def _witness_parts(f, family, streams, shape, stability_window):
+    """A failed clause's witness as (entities, frames) parts.
+
+    ``frames`` has the stream shape; a row's witness is the union over parts
+    of entities x the frames set in that row.
+    """
+    horizon = shape[-1]
     if family is TemplateFamily.PERSISTENCE:
         p = f.child
-        bp = _sat(p, streams, horizon)
-        return _pairs(sorted(p.entities()), np.nonzero(~bp)[0])
+        return [(sorted(p.entities()), ~_sat(p, streams, shape))]
     if family is TemplateFamily.CAUSAL_COUPLING:
         p, q = f.child.left, f.child.right
-        bp = _sat(p, streams, horizon)
-        bq = _sat(q, streams, horizon)
-        ents = sorted(p.entities() | q.entities())
-        return _pairs(ents, np.nonzero(bp & ~bq)[0])
+        frames = _sat(p, streams, shape) & ~_sat(q, streams, shape)
+        return [(sorted(p.entities() | q.entities()), frames)]
     if family is TemplateFamily.TERMINAL_PLACEMENT:
         p = f.child.child
-        bp = _sat(p, streams, horizon)
-        k = min(stability_window, horizon)
-        tail = np.arange(horizon - k, horizon)
-        return _pairs(sorted(p.entities()), tail[~bp[tail]])
+        tail = horizon - min(stability_window, horizon)
+        frames = np.zeros(shape, dtype=bool)
+        frames[..., tail:] = ~_sat(p, streams, shape)[..., tail:]
+        return [(sorted(p.entities()), frames)]
     if family is TemplateFamily.ORDERING:
         p, q = f.left, f.right
-        bp = _sat(p, streams, horizon)
-        bq = _sat(q, streams, horizon)
-        q_seen = np.maximum.accumulate(bq)
-        broken = np.nonzero(~bp & ~q_seen)[0]
-        t_break = int(broken[0]) if broken.size else 0
-        ents = sorted(p.entities() | q.entities())
-        return _pairs(ents, range(t_break, horizon))
-    return _polarity_witness(f, streams, horizon)
+        q_seen = np.logical_or.accumulate(_sat(q, streams, shape), axis=-1)
+        broken = ~_sat(p, streams, shape) & ~q_seen
+        t_break = np.where(broken.any(axis=-1), broken.argmax(axis=-1), 0)
+        frames = np.arange(horizon) >= t_break[..., None]
+        return [(sorted(p.entities() | q.entities()), frames)]
+    return _polarity_parts(f, streams, shape)
+
+
+def eval_clause_group(
+    f: Formula,
+    streams,
+    shape,
+    stability_window: int = DEFAULT_STABILITY_WINDOW,
+):
+    """Evaluate a clause at frame 1 on every row of (..., T) streams of ``shape``.
+
+    Returns (truths, witnesses): a flat Boolean array with one entry per row
+    and one Witness per row. Satisfied rows get the empty witness; failed
+    ones follow the clause's template family (the tail window of a failed
+    terminal placement covers the last ``stability_window`` frames, clamped
+    to the horizon).
+    """
+    horizon = shape[-1]
+    if horizon < 1:
+        raise HorizonMismatch(f"horizon must be >= 1, got {horizon}")
+    truths = _sat(f, streams, shape)[..., 0].reshape(-1)
+    witnesses = [EMPTY_WITNESS] * truths.size
+    if truths.all():
+        return truths, witnesses
+    parts = [
+        (entities, frames.reshape(-1, horizon).tolist())
+        for entities, frames in _witness_parts(
+            f, classify_template(f), streams, shape, stability_window
+        )
+    ]
+    for i in np.flatnonzero(~truths).tolist():
+        witnesses[i] = Witness(frozenset(
+            (e, t + 1)
+            for entities, frames in parts
+            for t, hit in enumerate(frames[i]) if hit
+            for e in entities
+        ))
+    return truths, witnesses
 
 
 def eval_clause(
@@ -522,17 +564,9 @@ def eval_clause(
     horizon: int,
     stability_window: int = DEFAULT_STABILITY_WINDOW,
 ):
-    """Evaluate a clause at frame 1 and extract its violation witness.
+    """Evaluate a clause at frame 1 of one trace and extract its violation witness.
 
-    Returns (truth, Witness). Satisfied clauses always return the empty
-    witness; for failed ones the witness follows the clause's template
-    family (the tail window of a failed terminal placement covers the last
-    ``stability_window`` frames, clamped to the horizon).
+    Returns (truth, Witness); see eval_clause_group.
     """
-    if horizon < 1:
-        raise HorizonMismatch(f"horizon must be >= 1, got {horizon}")
-    truth = bool(_sat(f, streams, horizon)[0])
-    if truth:
-        return True, EMPTY_WITNESS
-    family = classify_template(f)
-    return False, Witness(_extract_witness(f, family, streams, horizon, stability_window))
+    truths, witnesses = eval_clause_group(f, streams, (horizon,), stability_window)
+    return bool(truths[0]), witnesses[0]

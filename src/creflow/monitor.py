@@ -1,18 +1,40 @@
-"""Compositional constraint monitor: trace in, (reward, violations, atlas) out."""
+"""Compositional constraint monitor: traces in, (reward, violations, atlas) out.
 
-from dataclasses import dataclass
+A rollout group is scored as one set of arrays; scoring one trace is the
+same code on a group of one.
+"""
+
+import numpy as np
 
 from . import ltlf
 from .errors import CreflowError
-from .trace import Atlas, TaskSpec, Trace, build_atlas, eval_predicate
+from .trace import Atlas, TaskSpec, Trace, TraceGroup, build_atlas, eval_group_predicate
 
 
-@dataclass
 class Verdict:
-    reward: int  # 1 iff every clause is satisfied
-    violations: list  # one (clause id, Witness) entry per clause, in spec order
-    atlas: Atlas
-    horizon: int
+    """One trace's reward, per-clause witnesses and entity atlas.
+
+    The atlas is rasterised from the trace on first read, since only pixel
+    layouts and reports read it; it can also be given or assigned.
+    """
+
+    def __init__(self, reward, violations, atlas=None, horizon=None, source=None):
+        self.reward = reward  # 1 iff every clause is satisfied
+        self.violations = violations  # one (clause id, Witness) entry per clause, in spec order
+        self.horizon = horizon
+        self._atlas = atlas
+        self._source = source  # (TraceGroup, row, entity ids) the atlas is built from
+
+    @property
+    def atlas(self) -> Atlas:
+        if self._atlas is None:
+            group, row, entity_ids = self._source
+            self._atlas = build_atlas(group.trace(row), entity_ids)
+        return self._atlas
+
+    @atlas.setter
+    def atlas(self, value: Atlas):
+        self._atlas = value
 
     def witness(self, clause_id) -> ltlf.Witness:
         for cid, w in self.violations:
@@ -21,20 +43,20 @@ class Verdict:
         raise KeyError(clause_id)
 
 
-def run_monitor(
-    spec: TaskSpec, trace: Trace, stability_window=ltlf.DEFAULT_STABILITY_WINDOW
-) -> Verdict:
-    """Evaluate every clause of the spec against the trace.
+def run_group_monitor(
+    spec: TaskSpec, group: TraceGroup, stability_window=ltlf.DEFAULT_STABILITY_WINDOW
+) -> list:
+    """Evaluate every clause of the spec against every trace of the group.
 
-    Predicate streams are computed once per distinct atom and shared across
-    clauses. The reward is the conjunction of the per-clause truths; the
-    violation list carries one witness per clause (empty when satisfied).
-    Errors from predicate or clause evaluation are annotated with the id of
-    the clause being processed.
+    Predicate streams are computed once per distinct atom, as (N, T) arrays,
+    and shared across clauses. A trace's reward is the conjunction of its
+    per-clause truths; its violation list carries one witness per clause
+    (empty when satisfied). Errors from predicate or clause evaluation are
+    annotated with the id of the clause being processed. Returns one
+    Verdict per row.
     """
-    for t in range(trace.horizon):
-        for eid in spec.entity_ids():
-            trace._state(t, eid)
+    entity_ids = spec.entity_ids()
+    group.require(entity_ids)
 
     streams = {}
     for clause in spec.clauses:
@@ -43,22 +65,32 @@ def run_monitor(
                 continue
             decl = spec.predicate(atom.name)
             try:
-                streams[atom] = eval_predicate(decl, trace, atom, spec)
+                streams[atom] = eval_group_predicate(decl, group, atom, spec)
             except CreflowError as err:
                 raise type(err)(f"clause {clause.id!r}: {err}") from err
 
-    reward = 1
-    violations = []
+    shape = (len(group), group.horizon)
+    rewards = np.ones(len(group), dtype=bool)
+    per_clause = []
     for clause in spec.clauses:
         try:
-            truth, witness = ltlf.eval_clause(
-                clause.formula, streams, trace.horizon, stability_window
+            truths, witnesses = ltlf.eval_clause_group(
+                clause.formula, streams, shape, stability_window
             )
         except CreflowError as err:
             raise type(err)(f"clause {clause.id!r}: {err}") from err
-        if not truth:
-            reward = 0
-        violations.append((clause.id, witness))
+        rewards &= truths
+        per_clause.append((clause.id, witnesses))
 
-    atlas = build_atlas(trace, spec.entity_ids())
-    return Verdict(reward, violations, atlas, trace.horizon)
+    return [
+        Verdict(int(rewards[i]), [(cid, witnesses[i]) for cid, witnesses in per_clause],
+                horizon=group.horizon, source=(group, i, entity_ids))
+        for i in range(len(group))
+    ]
+
+
+def run_monitor(
+    spec: TaskSpec, trace: Trace, stability_window=ltlf.DEFAULT_STABILITY_WINDOW
+) -> Verdict:
+    """Evaluate every clause of the spec against one trace (a group of one)."""
+    return run_group_monitor(spec, trace.group, stability_window)[0]

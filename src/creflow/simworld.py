@@ -4,7 +4,8 @@ Rollout latents are (T, sites, 2) tensors: one site per task entity plus a
 reserved row whose two channels carry the arms' gripper scalars (>0 means
 closed). Decoding reads arm positions directly; objects follow the nearest
 grasping arm while the grasp condition holds and stay put otherwise, and the
-container is static at its layout position. World coordinates are an affine
+container is static at its layout position. A rollout group is decoded at
+once into a TraceGroup. World coordinates are an affine
 rescale of latent units so that latents live at unit scale.
 
 The reference policy is pretrained by plain flow matching on scripted
@@ -23,7 +24,7 @@ from .errors import NonFiniteLoss, SpecValidationError
 from .flow import LinearVelocity, MLPVelocity, ModelBundle, sample_rollout_group
 from .ltlf import parse_formula
 from .mask import LatentLayout, build_group_mask
-from .monitor import run_monitor
+from .monitor import run_group_monitor
 from .objectives import (
     LossConfig,
     RolloutGroup,
@@ -33,15 +34,16 @@ from .objectives import (
 from .trace import (
     ClauseDecl,
     EntityDecl,
-    EntityState,
     TaskSpec,
     Trace,
+    TraceGroup,
     make_condition,
     make_predicate_decl,
 )
 
 TEMPLATES = ("pick_place", "ordered_stack", "persist_hold")
 AUX_SITE = "grip_aux"
+ARMS = ("arm_left", "arm_right")
 LATENT_SCALE = 6.0
 
 METRIC_COLUMNS = [
@@ -95,7 +97,9 @@ class WorldConfig:
         if not 1 <= self.n_objects <= 3:
             raise SpecValidationError("n_objects must be in [1, 3]")
         if self.template == "ordered_stack" and self.n_objects < 2:
-            self.n_objects = 2
+            raise SpecValidationError(
+                f"ordered_stack needs n_objects >= 2, got {self.n_objects}"
+            )
 
 
 def object_ids(config):
@@ -113,7 +117,7 @@ def container_id(config):
 
 
 def world_entities(config):
-    ents = [EntityDecl("arm_left", "arm"), EntityDecl("arm_right", "arm")]
+    ents = [EntityDecl(arm, "arm") for arm in ARMS]
     ents += [EntityDecl(oid, "object") for oid in object_ids(config)]
     ents.append(
         EntityDecl(container_id(config), "container", tuple(config.container_half_extents))
@@ -244,59 +248,93 @@ def latent_from_flat(flat, config) -> RolloutLatent:
     return RolloutLatent(np.asarray(flat, dtype=np.float64).reshape(layout.tensor_shape()), layout)
 
 
+def _carry(arm_xy, closed, start, reach):
+    """Object paths (N, T, objects, 2) under the carry rule.
+
+    An object moves with an arm iff the grasp condition (near + closed) held
+    at the previous frame and the gripper stays closed; distances are measured
+    before the arm moves, so carrying does not depend on the carry speed. The
+    left arm is tried first and the right arm takes over on a distance no
+    larger, so the right arm wins a tie. Vectorised over rollouts, objects and
+    arms; only the recurrence loops over frames.
+    """
+    n, t_count = arm_xy.shape[:2]
+    path = np.empty((n, t_count) + start.shape)
+    path[:, 0] = start
+    held = closed[:, 1:] & closed[:, :-1]  # (N, T-1, arms)
+    for t, any_held in enumerate(held.any(axis=(0, 2)).tolist(), start=1):
+        if not any_held:  # no gripper stays closed into frame t: nothing moves
+            path[:, t] = path[:, t - 1]
+            continue
+        gap = arm_xy[:, t - 1, None, :, :] - path[:, t - 1, :, None, :]  # (N, objects, arms, 2)
+        # vecdot is the BLAS dot np.linalg.norm uses for a single vector; an
+        # axis-wise norm sums the squares differently and can flip a tie in
+        # the last bit, so the distances here are the single-vector ones
+        d = np.sqrt(np.vecdot(gap, gap))
+        ok = held[:, t - 1, None, :] & (d <= reach)
+        right = ok[..., 1] & (~ok[..., 0] | (d[..., 1] <= d[..., 0]))
+        left = ok[..., 0] & ~right
+        path[:, t] = np.where(
+            right[..., None], arm_xy[:, t, None, 1],
+            np.where(left[..., None], arm_xy[:, t, None, 0], path[:, t - 1]),
+        )
+    return path
+
+
+class RolloutDecoder:
+    """Lifts rollout latents to traces; the site layout is resolved once."""
+
+    def __init__(self, config: WorldConfig):
+        self.config = config
+        sites = site_ids(config)
+        self.latent_shape = world_layout(config).tensor_shape()
+        self.arm_sites = [sites.index(arm) for arm in ARMS]
+        self.aux_site = sites.index(AUX_SITE)
+        self.objects = object_ids(config)
+        self.container = container_id(config)
+        self.entity_ids = tuple(e.id for e in world_entities(config))
+        self.radius = np.array(
+            [config.arm_radius] * len(ARMS)
+            + [config.object_radius] * len(self.objects)
+            + [config.container_radius]
+        )
+
+    def __call__(self, latents, condition) -> TraceGroup:
+        """Decode N latents (flat (N, D) or (N, T, sites, 2)) into a TraceGroup."""
+        config = self.config
+        z = np.asarray(latents, dtype=np.float64).reshape((-1,) + self.latent_shape)
+        n, t_count = z.shape[:2]
+        arm_xy = latent_to_world(z[:, :, self.arm_sites, :], config)  # (N, T, arms, 2)
+        closed = z[:, :, self.aux_site, :] > 0.0  # channel k is arm k's gripper
+        start = np.array([condition.position(oid) for oid in self.objects])
+        obj_xy = _carry(arm_xy, closed, start, config.grasp_distance)
+        cont_xy = np.broadcast_to(condition.position(self.container), (n, t_count, 1, 2))
+        hx, hy = config.container_half_extents
+        delta = np.abs(obj_xy - cont_xy)
+        inside = (delta[..., 0] <= hx) & (delta[..., 1] <= hy)
+
+        arms, objs = len(ARMS), len(self.objects)
+        shape = (n, t_count, len(self.entity_ids))
+        gripper = np.full(shape, -1, dtype=np.int8)
+        gripper[:, :, :arms] = closed
+        flags = np.full(shape + (1,), -1, dtype=np.int8)
+        flags[:, :, arms:arms + objs, 0] = inside
+        return TraceGroup(
+            horizon=t_count,
+            grid=tuple(config.grid),
+            entity_ids=self.entity_ids,
+            xy=np.concatenate([arm_xy, obj_xy, cont_xy], axis=2),
+            radius=np.broadcast_to(self.radius, shape),
+            gripper=gripper,
+            flag_names=("in_container",),
+            flags=flags,
+            present=np.ones(shape, dtype=bool),
+        )
+
+
 def decode_trace(latent: RolloutLatent, config: WorldConfig, condition) -> Trace:
-    """Deterministically lift a latent to a per-entity state trace."""
-    sites = site_ids(config)
-    z = latent.values
-    t_count = config.horizon
-    cont = container_id(config)
-    aux = z[:, sites.index(AUX_SITE), :]
-    arm_pos = {
-        arm: latent_to_world(z[:, sites.index(arm), :], config)
-        for arm in ("arm_left", "arm_right")
-    }
-    closed = {"arm_left": aux[:, 0] > 0.0, "arm_right": aux[:, 1] > 0.0}
-    cont_pos = np.repeat(condition.position(cont)[None, :], t_count, axis=0)
-
-    obj_pos = {}
-    for oid in object_ids(config):
-        path = np.empty((t_count, 2))
-        path[0] = condition.position(oid)
-        for t in range(1, t_count):
-            # carried iff the grasp condition (near + closed) held at the
-            # previous frame and the gripper stays closed; distances are
-            # measured before the arm moves, so carrying does not depend on
-            # the carry speed
-            carrier, best = None, config.grasp_distance
-            for arm in ("arm_left", "arm_right"):
-                if not (closed[arm][t] and closed[arm][t - 1]):
-                    continue
-                d = float(np.linalg.norm(arm_pos[arm][t - 1] - path[t - 1]))
-                if d <= best:
-                    carrier, best = arm, d
-            path[t] = arm_pos[carrier][t] if carrier else path[t - 1]
-        obj_pos[oid] = path
-
-    hx, hy = config.container_half_extents
-    frames = []
-    for t in range(t_count):
-        frame = {}
-        for arm in ("arm_left", "arm_right"):
-            frame[arm] = EntityState(
-                position=arm_pos[arm][t],
-                radius=config.arm_radius,
-                gripper_closed=bool(closed[arm][t]),
-            )
-        for oid in object_ids(config):
-            delta = np.abs(obj_pos[oid][t] - cont_pos[t])
-            frame[oid] = EntityState(
-                position=obj_pos[oid][t],
-                radius=config.object_radius,
-                attribute_flags={"in_container": bool(delta[0] <= hx and delta[1] <= hy)},
-            )
-        frame[cont] = EntityState(position=cont_pos[t], radius=config.container_radius)
-        frames.append(frame)
-    return Trace(horizon=t_count, frames=frames, grid=tuple(config.grid))
+    """Deterministically lift one latent to a per-entity state trace."""
+    return RolloutDecoder(config)(latent.values, condition).trace(0)
 
 
 # --------------------------------------------------------------------------
@@ -512,6 +550,7 @@ def run_online_loop(config: WorldConfig, spec: TaskSpec, bundle: ModelBundle,
     clause_entities = spec.clause_entities()
     n = config.group_size
     dim = layout.dim
+    decode = RolloutDecoder(config)
 
     # fixed probe points for the off-mask drift metric
     probe_rng = np.random.default_rng((config.seed, 202))
@@ -543,10 +582,7 @@ def run_online_loop(config: WorldConfig, spec: TaskSpec, bundle: ModelBundle,
                 f"behavior policy produced non-finite rollouts at iteration {iteration}"
             )
 
-        verdicts = []
-        for i in range(n):
-            trace = decode_trace(latent_from_flat(x0s[i], config), config, condition)
-            verdicts.append(run_monitor(spec, trace))
+        verdicts = run_group_monitor(spec, decode(x0s, condition))
         rewards = np.array([v.reward for v in verdicts])
 
         group_mask = build_group_mask(verdicts, layout, clause_entities)
@@ -606,13 +642,14 @@ def sample_decoded_rollouts(config: WorldConfig, bundle: ModelBundle, count, spe
     if spec is None:
         spec = build_task_spec(config)
     rng = np.random.default_rng((config.seed, 404))
+    decode = RolloutDecoder(config)
     out = []
     for _ in range(count):
         condition = sample_condition(config, rng)
         embed = condition_embedding(config, condition)
         eps = rng.standard_normal((1, world_layout(config).dim))
         with np.errstate(over="ignore", invalid="ignore"):
-            x0 = sample_rollout_group(bundle, embed, config.rollout_steps, eps)[0]
-        trace = decode_trace(latent_from_flat(x0, config), config, condition)
-        out.append((trace, run_monitor(spec, trace).reward))
+            x0s = sample_rollout_group(bundle, embed, config.rollout_steps, eps)
+        traces = decode(x0s, condition)
+        out.append((traces.trace(0), run_group_monitor(spec, traces)[0].reward))
     return out

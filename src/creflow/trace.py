@@ -1,11 +1,13 @@
 """Task specifications, per-entity state traces, predicate streams, atlases.
 
-Predicates are evaluated on ground-truth geometric state. The built-in
-evaluators are ``near`` (distance threshold), ``inside`` (axis-aligned box
-attached to a container entity), ``grasp`` (near + closed gripper),
-``flag`` (boolean attribute) and ``moving`` (frame-to-frame displacement).
-Each entity also has a swept-disc raster on the trace grid; the union over
-frames forms its atlas mask.
+Traces are arrays: a TraceGroup holds N traces' positions, radii, gripper
+bits and flags, and a Trace is a group of one. Predicates are evaluated on
+ground-truth geometric state, one (N, T) Boolean array per atom over a whole
+group. The built-in evaluators are ``near`` (distance threshold), ``inside``
+(axis-aligned box attached to a container entity), ``grasp`` (near + closed
+gripper), ``flag`` (boolean attribute) and ``moving`` (frame-to-frame
+displacement). Each entity also has a swept-disc raster on the trace grid;
+the union over frames forms its atlas mask.
 """
 
 from dataclasses import dataclass, field
@@ -16,6 +18,7 @@ from . import backend, ltlf
 from .errors import (
     HorizonMismatch,
     MissingAttribute,
+    ShapeMismatch,
     SpecValidationError,
     UnknownEntity,
     UnknownEvaluator,
@@ -140,38 +143,155 @@ class TaskSpec:
 
 @dataclass
 class EntityState:
+    """One entity at one frame: the per-frame form traces are built from and viewed as."""
+
     position: np.ndarray  # world units, shape (2,)
     radius: float
     gripper_closed: bool = None  # arms only
     attribute_flags: dict = field(default_factory=dict)
 
 
-@dataclass
-class Trace:
+@dataclass(eq=False)
+class TraceGroup:
+    """N traces over one entity set, horizon and grid, stored as arrays.
+
+    Entity ``entity_ids[e]`` is column ``e``. Absent entries (an entity missing
+    from a frame, an entity without a gripper, a flag not set on an entity)
+    are marked in ``present`` and by -1 in ``gripper`` and ``flags``; they
+    raise when a predicate or the monitor reads them.
+    """
+
     horizon: int
-    frames: list  # per frame: entity id -> EntityState
     grid: tuple  # (H, W)
+    entity_ids: tuple
+    xy: np.ndarray  # (N, T, E, 2) world units
+    radius: np.ndarray  # (N, T, E)
+    gripper: np.ndarray  # (N, T, E) int8: 1 closed, 0 open, -1 no gripper
+    flag_names: tuple
+    flags: np.ndarray  # (N, T, E, len(flag_names)) int8: 1 set, 0 clear, -1 absent
+    present: np.ndarray  # (N, T, E) bool
 
     def __post_init__(self):
-        if self.horizon < 1 or len(self.frames) != self.horizon:
-            raise HorizonMismatch(
-                f"trace has {len(self.frames)} frames, horizon {self.horizon}"
-            )
+        frames = self.xy.shape[1]
+        if self.horizon < 1 or frames != self.horizon:
+            raise HorizonMismatch(f"trace has {frames} frames, horizon {self.horizon}")
         h, w = self.grid
         if h < 4 or w < 4:
             raise SpecValidationError(f"grid must be at least 4x4, got {self.grid}")
+        self._columns = {eid: e for e, eid in enumerate(self.entity_ids)}
+        # ids present in every frame of every row; the arrays are not modified later
+        everywhere = self.present.all(axis=(0, 1)).tolist()
+        self._complete = {eid for eid, ok in zip(self.entity_ids, everywhere) if ok}
+
+    @classmethod
+    def from_frames(cls, horizon, frames, grid):
+        """A group of one trace from per-frame dicts of entity id -> EntityState."""
+        ids = tuple(dict.fromkeys(eid for frame in frames for eid in frame))
+        names = tuple(dict.fromkeys(
+            k for frame in frames for s in frame.values() for k in s.attribute_flags))
+        columns = {eid: e for e, eid in enumerate(ids)}
+        slots = {name: k for k, name in enumerate(names)}
+        shape = (1, len(frames), len(ids))
+        xy = np.zeros(shape + (2,))
+        radius = np.zeros(shape)
+        gripper = np.full(shape, -1, dtype=np.int8)
+        flags = np.full(shape + (len(names),), -1, dtype=np.int8)
+        present = np.zeros(shape, dtype=bool)
+        for t, frame in enumerate(frames):
+            for eid, s in frame.items():
+                e = columns[eid]
+                present[0, t, e] = True
+                xy[0, t, e] = s.position
+                radius[0, t, e] = s.radius
+                if s.gripper_closed is not None:
+                    gripper[0, t, e] = bool(s.gripper_closed)
+                for name, value in s.attribute_flags.items():
+                    flags[0, t, e, slots[name]] = bool(value)
+        return cls(horizon, grid, ids, xy, radius, gripper, names, flags, present)
+
+    def __len__(self):
+        return self.xy.shape[0]
+
+    def row(self, i) -> "TraceGroup":
+        """Row ``i`` as a group of one (array views, no copy)."""
+        s = slice(i, i + 1)
+        return TraceGroup(self.horizon, self.grid, self.entity_ids, self.xy[s], self.radius[s],
+                          self.gripper[s], self.flag_names, self.flags[s], self.present[s])
+
+    def trace(self, i) -> "Trace":
+        return Trace.of(self.row(i))
+
+    def require(self, entity_ids):
+        """Raise UnknownEntity for the earliest frame, then the first id, absent in a row."""
+        if self._complete.issuperset(entity_ids):
+            return
+        cols = [self._columns.get(eid) for eid in entity_ids]
+        absent = np.stack(
+            [np.ones(self.horizon, bool) if c is None else ~self.present[..., c].all(axis=0)
+             for c in cols], axis=1)
+        t, k = np.argwhere(absent)[0]
+        raise UnknownEntity(f"entity {entity_ids[k]!r} absent from frame {t + 1}")
+
+    def column(self, entity_id) -> int:
+        """Column of an entity that is present in every frame of every row."""
+        if entity_id not in self._complete:
+            self.require([entity_id])
+        return self._columns[entity_id]
+
+
+class Trace:
+    """One per-entity state trace: a TraceGroup of one row.
+
+    ``frames`` (per frame: entity id -> EntityState) is built from the arrays
+    on each read; construct from frames with ``Trace(horizon, frames, grid)``.
+    """
+
+    def __init__(self, horizon, frames, grid):
+        self.group = TraceGroup.from_frames(horizon, frames, grid)
+
+    @classmethod
+    def of(cls, group: TraceGroup) -> "Trace":
+        if len(group) != 1:
+            raise ShapeMismatch(f"a trace is a group of one row, got {len(group)}")
+        trace = cls.__new__(cls)
+        trace.group = group
+        return trace
+
+    @property
+    def horizon(self):
+        return self.group.horizon
+
+    @property
+    def grid(self):
+        return self.group.grid
+
+    @property
+    def frames(self):
+        g = self.group
+        present, xy, radius = g.present[0].tolist(), g.xy[0], g.radius[0].tolist()
+        gripper, flags = g.gripper[0].tolist(), g.flags[0].tolist()
+        frames = []
+        for t in range(g.horizon):
+            frame = {}
+            for e, eid in enumerate(g.entity_ids):
+                if not present[t][e]:
+                    continue
+                closed = gripper[t][e]
+                frame[eid] = EntityState(
+                    position=xy[t, e],
+                    radius=radius[t][e],
+                    gripper_closed=None if closed < 0 else bool(closed),
+                    attribute_flags={name: bool(v) for name, v in zip(g.flag_names, flags[t][e])
+                                     if v >= 0},
+                )
+            frames.append(frame)
+        return frames
 
     def positions(self, entity_id) -> np.ndarray:
-        return np.array([self._state(t, entity_id).position for t in range(self.horizon)])
+        return self.group.xy[0, :, self.group.column(entity_id)].copy()
 
     def radii(self, entity_id) -> np.ndarray:
-        return np.array([self._state(t, entity_id).radius for t in range(self.horizon)])
-
-    def _state(self, t, entity_id) -> EntityState:
-        frame = self.frames[t]
-        if entity_id not in frame:
-            raise UnknownEntity(f"entity {entity_id!r} absent from frame {t + 1}")
-        return frame[entity_id]
+        return self.group.radius[0, :, self.group.column(entity_id)].copy()
 
 
 @dataclass
@@ -183,20 +303,25 @@ class Atlas:
 # Predicate evaluation
 # --------------------------------------------------------------------------
 
-def eval_predicate(decl: PredicateDecl, trace: Trace, atom: ltlf.Atom, entities=None):
-    """Evaluate one entity-grounded predicate into a length-T Boolean stream.
+def _first_frame(bad):
+    """1-indexed first frame that is bad in some row of an (N, T) mask."""
+    return int(bad.any(axis=0).argmax()) + 1
+
+
+def eval_group_predicate(decl: PredicateDecl, group: TraceGroup, atom: ltlf.Atom, entities=None):
+    """Evaluate one entity-grounded predicate on every row: an (N, T) Boolean array.
 
     ``entities`` maps entity id to EntityDecl and is required by evaluators
     that read declaration-level geometry (``inside``).
     """
     if len(atom.args) != decl.arity:
         raise SpecValidationError(f"atom {atom} does not match arity {decl.arity}")
-    t_count = trace.horizon
+    xy = group.xy
     if decl.evaluator == "near":
         d = float(decl.param("distance"))
-        p1 = trace.positions(atom.args[0])
-        p2 = trace.positions(atom.args[1])
-        return np.linalg.norm(p1 - p2, axis=1) <= d
+        p1 = xy[:, :, group.column(atom.args[0])]
+        p2 = xy[:, :, group.column(atom.args[1])]
+        return np.linalg.norm(p1 - p2, axis=-1) <= d
     if decl.evaluator == "inside":
         inner, outer = atom.args
         if entities is None:
@@ -205,38 +330,49 @@ def eval_predicate(decl: PredicateDecl, trace: Trace, atom: ltlf.Atom, entities=
         if outer_decl.half_extents is None:
             raise MissingAttribute(f"entity {outer!r} has no half_extents box")
         hx, hy = outer_decl.half_extents
-        delta = np.abs(trace.positions(inner) - trace.positions(outer))
-        return (delta[:, 0] <= hx) & (delta[:, 1] <= hy)
+        delta = np.abs(xy[:, :, group.column(inner)] - xy[:, :, group.column(outer)])
+        return (delta[..., 0] <= hx) & (delta[..., 1] <= hy)
     if decl.evaluator == "grasp":
         d = float(decl.param("distance"))
         arm, obj = atom.args
-        near = np.linalg.norm(trace.positions(arm) - trace.positions(obj), axis=1) <= d
-        closed = np.empty(t_count, dtype=bool)
-        for t in range(t_count):
-            state = trace._state(t, arm)
-            if state.gripper_closed is None:
-                raise MissingAttribute(f"entity {arm!r} has no gripper state at frame {t + 1}")
-            closed[t] = state.gripper_closed
-        return near & closed
+        a = group.column(arm)
+        near = np.linalg.norm(xy[:, :, a] - xy[:, :, group.column(obj)], axis=-1) <= d
+        closed = group.gripper[:, :, a]
+        if (closed < 0).any():
+            raise MissingAttribute(
+                f"entity {arm!r} has no gripper state at frame {_first_frame(closed < 0)}")
+        return near & (closed > 0)
     if decl.evaluator == "flag":
         flag = str(decl.param("flag"))
         (eid,) = atom.args
-        out = np.empty(t_count, dtype=bool)
-        for t in range(t_count):
-            flags = trace._state(t, eid).attribute_flags
-            if flag not in flags:
-                raise MissingAttribute(f"flag {flag!r} absent on {eid!r} at frame {t + 1}")
-            out[t] = flags[flag]
-        return out
+        e = group._columns.get(eid)
+        if e is None:
+            raise UnknownEntity(f"entity {eid!r} absent from frame 1")
+        if flag in group.flag_names:
+            values = group.flags[:, :, e, group.flag_names.index(flag)]
+        else:
+            values = np.full(group.present.shape[:2], -1)
+        if (values < 0).any():
+            # the earliest bad frame decides: a missing entity, else a missing flag
+            t = _first_frame(values < 0)
+            if not group.present[:, t - 1, e].all():
+                raise UnknownEntity(f"entity {eid!r} absent from frame {t}")
+            raise MissingAttribute(f"flag {flag!r} absent on {eid!r} at frame {t}")
+        return values > 0
     if decl.evaluator == "moving":
         v = float(decl.param("speed"))
         (eid,) = atom.args
-        pos = trace.positions(eid)
-        if t_count == 1:
-            return np.zeros(1, dtype=bool)
-        step = np.linalg.norm(np.diff(pos, axis=0), axis=1) > v
-        return np.concatenate([[step[0]], step])
+        pos = xy[:, :, group.column(eid)]
+        if group.horizon == 1:
+            return np.zeros((len(group), 1), dtype=bool)
+        step = np.linalg.norm(np.diff(pos, axis=1), axis=-1) > v
+        return np.concatenate([step[:, :1], step], axis=1)
     raise UnknownEvaluator(f"unknown evaluator {decl.evaluator!r}")
+
+
+def eval_predicate(decl: PredicateDecl, trace: Trace, atom: ltlf.Atom, entities=None):
+    """Evaluate one entity-grounded predicate on one trace: a length-T Boolean stream."""
+    return eval_group_predicate(decl, trace.group, atom, entities)[0]
 
 
 def build_atlas(trace: Trace, entity_ids) -> Atlas:

@@ -164,6 +164,23 @@ class TestCliExitCodes:
         err = capsys.readouterr().err
         assert f"{key!r} belongs under 'loss:', not at top level" in err
 
+    @pytest.mark.parametrize("key,value,message", [
+        ("corective_enabled", False, "unknown top-level key 'corective_enabled'"),
+        ("corrective_enabled", "false",
+         "'corrective_enabled' must be true or false, got 'false'"),
+    ])
+    def test_train_rejects_bad_top_level_key(self, workdir, tmp_path, capsys, key, value,
+                                             message):
+        with open(workdir["experiment"]) as fh:
+            doc = yaml.safe_load(fh)
+        doc[key] = value
+        path = tmp_path / "bad_key.yaml"
+        path.write_text(yaml.safe_dump(doc, sort_keys=False))
+        with pytest.raises(SchemaError, match=message):
+            fileio.load_experiment_config(str(path))
+        assert main(["train", "--config", str(path), "--dry-run"]) == 2
+        assert message in capsys.readouterr().err
+
     @pytest.mark.parametrize("value", ["LOUD", "BASIC_FORMAT"])
     def test_invalid_log_level_rejected(self, workdir, monkeypatch, capsys, value):
         monkeypatch.setenv("CREFLOW_LOG", value)

@@ -1,19 +1,25 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from creflow import ltlf
 from creflow.errors import FormulaSyntaxError, HorizonMismatch, MissingStream
 from creflow.ltlf import (
+    And,
     Atom,
     Finally,
     Globally,
     Implies,
     Not,
+    Or,
     TemplateFamily,
     Until,
     classify_template,
     eval_bruteforce,
     eval_clause,
+    eval_clause_group,
     parse_formula,
     print_formula,
 )
@@ -219,3 +225,52 @@ class TestWitnesses:
             for e, t in witness.pairs:
                 assert 1 <= t <= horizon
                 assert e in entities
+
+
+# Formulas over all seven operators, nested to any depth the leaf budget allows.
+FORMULAS = st.recursive(
+    st.sampled_from(ATOMS),
+    lambda sub: st.one_of(
+        st.builds(Not, sub),
+        st.builds(Globally, sub),
+        st.builds(Finally, sub),
+        st.builds(And, sub, sub),
+        st.builds(Or, sub, sub),
+        st.builds(Implies, sub, sub),
+        st.builds(Until, sub, sub),
+    ),
+    max_leaves=8,
+)
+
+
+@st.composite
+def group_streams(draw):
+    """(N, T) streams for every atom, N in 1..4 and T in 1..12."""
+    rows = draw(st.integers(1, 4))
+    horizon = draw(st.integers(1, 12))
+    values = draw(arrays(bool, (len(ATOMS), rows, horizon)))
+    return {atom: values[k] for k, atom in enumerate(ATOMS)}, (rows, horizon)
+
+
+class TestBatchedSemantics:
+    @settings(max_examples=300, deadline=None)
+    @given(FORMULAS, group_streams())
+    def test_rows_match_bruteforce_at_every_frame(self, f, streams_shape):
+        streams, shape = streams_shape
+        sat = ltlf._sat(f, streams, shape)
+        assert sat.shape == shape
+        rows, horizon = shape
+        for i in range(rows):
+            for t in range(horizon):
+                suffix = {atom: s[i, t:] for atom, s in streams.items()}
+                assert sat[i, t] == eval_bruteforce(f, suffix, horizon - t)
+
+    @settings(max_examples=300, deadline=None)
+    @given(FORMULAS, group_streams())
+    def test_group_clause_matches_each_row(self, f, streams_shape):
+        streams, shape = streams_shape
+        truths, witnesses = eval_clause_group(f, streams, shape)
+        assert truths.shape == (shape[0],) and len(witnesses) == shape[0]
+        for i in range(shape[0]):
+            row = {atom: s[i] for atom, s in streams.items()}
+            assert (truths[i], witnesses[i]) == eval_clause(f, row, shape[1])

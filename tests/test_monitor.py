@@ -1,15 +1,18 @@
 import numpy as np
 import pytest
 
-from creflow.errors import SpecValidationError
-from creflow.ltlf import eval_bruteforce, parse_formula
-from creflow.monitor import run_monitor
+from creflow import simworld
+from creflow.errors import SpecValidationError, UnknownEntity
+from creflow.ltlf import TemplateFamily, classify_template, eval_bruteforce, parse_formula
+from creflow.monitor import run_group_monitor, run_monitor
 from creflow.trace import (
+    Atlas,
     ClauseDecl,
     EntityDecl,
     EntityState,
     TaskSpec,
     Trace,
+    TraceGroup,
     eval_predicate,
     make_condition,
     make_predicate_decl,
@@ -111,3 +114,83 @@ class TestMonitor:
                 eval_bruteforce(c.formula, streams, horizon) for c in spec.clauses
             )
             assert verdict.reward == int(expected)
+
+
+def toy_group(arm_paths, present=None):
+    """The toy traces of ``arm_paths`` (N, T, 2), built as arrays."""
+    n, horizon = arm_paths.shape[:2]
+    xy = np.empty((n, horizon, 2, 2))
+    xy[:, :, 0] = arm_paths
+    xy[:, :, 1] = (4.0, 4.0)
+    return TraceGroup(
+        horizon=horizon,
+        grid=(8, 8),
+        entity_ids=("arm", "cup"),
+        xy=xy,
+        radius=np.full((n, horizon, 2), 0.5),
+        gripper=np.tile(np.array([0, -1], np.int8), (n, horizon, 1)),
+        flag_names=(),
+        flags=np.zeros((n, horizon, 2, 0), np.int8),
+        present=np.ones((n, horizon, 2), bool) if present is None else present,
+    )
+
+
+def same_verdict(a, b):
+    return (
+        a.reward == b.reward
+        and a.horizon == b.horizon
+        and [(cid, w.pairs) for cid, w in a.violations] == [(cid, w.pairs) for cid, w in b.violations]
+        and a.atlas.masks.keys() == b.atlas.masks.keys()
+        and all(np.array_equal(a.atlas.masks[e], b.atlas.masks[e]) for e in a.atlas.masks)
+    )
+
+
+class TestGroupScoring:
+    @pytest.mark.parametrize("template", simworld.TEMPLATES)
+    def test_group_equals_each_rollout_alone(self, template):
+        config = simworld.WorldConfig(
+            template=template, n_objects=2 if template == "ordered_stack" else 1, seed=0
+        )
+        spec = simworld.build_task_spec(config)
+        decode = simworld.RolloutDecoder(config)
+        rng = np.random.default_rng(31)
+        rewards = []
+        for _ in range(3):
+            cond = simworld.sample_condition(config, rng)
+            latents = np.stack([simworld.scripted_demo(config, cond, rng) for _ in range(8)])
+            verdicts = run_group_monitor(spec, decode(latents, cond))
+            for z, verdict in zip(latents, verdicts):
+                alone = simworld.decode_trace(simworld.latent_from_flat(z, config), config, cond)
+                assert same_verdict(verdict, run_monitor(spec, alone))
+            rewards += [v.reward for v in verdicts]
+        assert 0 < sum(rewards) < len(rewards)  # both rewards, so witnesses were compared
+
+    def test_polarity_witnesses_group_equals_alone(self):
+        sources = ["F near(arm, cup)", "G !(near(arm, cup) & moving(arm))", "G F moving(arm)"]
+        spec = build_spec(sources)
+        assert all(classify_template(c.formula) is TemplateFamily.OTHER for c in spec.clauses)
+        paths = np.random.default_rng(4).uniform(2, 7, (16, 6, 2))
+        paths[:4, 2:] = 4.0  # reach the cup and stop there
+        verdicts = run_group_monitor(spec, toy_group(paths))
+        for path, verdict in zip(paths, verdicts):
+            assert same_verdict(verdict, run_monitor(spec, toy_trace(path)))
+        failed = {cid for v in verdicts for cid, w in v.violations if w}
+        assert failed == {"k0", "k1", "k2"}
+
+    def test_group_names_first_absent_entity(self):
+        present = np.ones((2, 3, 2), bool)
+        present[1, 2, 1] = False
+        group = toy_group(np.zeros((2, 3, 2)), present)
+        with pytest.raises(UnknownEntity, match="'cup' absent from frame 3"):
+            run_group_monitor(build_spec(["F near(arm, cup)"]), group)
+
+    def test_atlas_is_lazy_and_assignable(self):
+        spec = build_spec(["G near(arm, cup)"])
+        verdict = run_monitor(spec, toy_trace([(4.5, 4.5), (2.5, 2.5)]))
+        assert verdict._atlas is None
+        masks = verdict.atlas.masks
+        assert masks["arm"][4, 4] and masks["arm"][2, 2] and masks["arm"].sum() == 2
+        assert verdict.atlas.masks is masks  # built once
+        replacement = Atlas({})
+        verdict.atlas = replacement
+        assert verdict.atlas is replacement

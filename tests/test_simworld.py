@@ -6,6 +6,7 @@ from creflow.monitor import run_monitor
 from creflow.objectives import LossConfig
 from creflow.simworld import (
     AUX_SITE,
+    RolloutDecoder,
     WorldConfig,
     build_task_spec,
     condition_embedding,
@@ -18,6 +19,7 @@ from creflow.simworld import (
     scripted_demo,
     site_ids,
     world_layout,
+    world_to_latent,
 )
 from creflow.trace import make_condition
 
@@ -46,8 +48,9 @@ class TestConfig:
             WorldConfig(template="juggling")
 
     def test_ordered_stack_needs_two_objects(self):
-        config = WorldConfig(template="ordered_stack", n_objects=1)
-        assert config.n_objects == 2
+        with pytest.raises(SpecValidationError, match="ordered_stack needs n_objects >= 2"):
+            WorldConfig(template="ordered_stack", n_objects=1)
+        assert WorldConfig(template="ordered_stack", n_objects=2).n_objects == 2
 
 
 class TestDecode:
@@ -82,7 +85,9 @@ class TestDecode:
 
     @pytest.mark.parametrize("template", ["pick_place", "ordered_stack", "persist_hold"])
     def test_clean_demos_succeed_perturbed_fail(self, template):
-        config = WorldConfig(template=template, seed=0, fail_fraction=0.0, demo_noise=0.0)
+        n_objects = 2 if template == "ordered_stack" else 1
+        config = WorldConfig(template=template, n_objects=n_objects, seed=0,
+                             fail_fraction=0.0, demo_noise=0.0)
         spec = build_task_spec(config)
         rng = np.random.default_rng(4)
         for _ in range(20):
@@ -90,7 +95,8 @@ class TestDecode:
             z = scripted_demo(config, cond, rng)
             trace = decode_trace(latent_from_flat(z, config), config, cond)
             assert run_monitor(spec, trace).reward == 1
-        config_fail = WorldConfig(template=template, seed=0, fail_fraction=1.0, demo_noise=0.0)
+        config_fail = WorldConfig(template=template, n_objects=n_objects, seed=0,
+                                  fail_fraction=1.0, demo_noise=0.0)
         failures = 0
         for _ in range(20):
             cond = sample_condition(config_fail, rng)
@@ -98,6 +104,99 @@ class TestDecode:
             trace = decode_trace(latent_from_flat(z, config_fail), config_fail, cond)
             failures += 1 - run_monitor(spec, trace).reward
         assert failures >= 18
+
+    def test_hand_computed_object_paths(self):
+        # all coordinates are multiples of 1.5 world units (0.25 latent units),
+        # so the latent <-> world rescale is exact and paths compare with ==
+        config = WorldConfig(template="pick_place", horizon=8, grid=(24, 24))
+        cond = make_condition("t", {"cube": (12.0, 12.0), "bin": (21.0, 12.0)})
+        sites = list(site_ids(config))
+        t = np.arange(8)
+
+        def latent(left, right, left_closed, right_closed):
+            z = np.zeros(world_layout(config).tensor_shape())
+            z[:, sites.index("arm_left")] = world_to_latent(left, config)
+            z[:, sites.index("arm_right")] = world_to_latent(right, config)
+            z[:, sites.index(AUX_SITE), 0] = np.where(left_closed, 1.0, -1.0)
+            z[:, sites.index(AUX_SITE), 1] = np.where(right_closed, 1.0, -1.0)
+            return z.ravel()
+
+        still_left = np.tile([10.5, 12.0], (8, 1))  # 1.5 left of the cube
+        sweep_right = np.stack([13.5 + 1.5 * t, np.full(8, 12.0)], axis=1)  # 1.5 right, moving
+        closed = np.ones(8, bool)
+        # tie at frame 1 (both arms 1.5 away, both closed): the right arm carries
+        tie = latent(still_left, sweep_right, closed, closed)
+        # the right gripper opens at frame 5 (index 4): the cube stays where it was left
+        release = latent(still_left, sweep_right, closed, t < 4)
+        # the left gripper sits on the cube but is closed for one frame only: no carry
+        on_cube = np.where((t < 3)[:, None], [12.0, 12.0], [15.0, 12.0])
+        blink = latent(on_cube, np.tile([18.0, 12.0], (8, 1)), t == 2, np.zeros(8, bool))
+
+        expected = {
+            "tie": np.concatenate([[[12.0, 12.0]], sweep_right[1:]]),
+            "release": np.concatenate([[[12.0, 12.0]], sweep_right[1:4],
+                                       np.tile(sweep_right[3], (4, 1))]),
+            "blink": np.tile([12.0, 12.0], (8, 1)),
+        }
+        group = RolloutDecoder(config)(np.stack([tie, release, blink]), cond)
+        for i, (name, z) in enumerate(zip(expected, (tie, release, blink))):
+            alone = decode_trace(latent_from_flat(z, config), config, cond)
+            assert np.array_equal(group.trace(i).positions("cube"), expected[name]), name
+            assert np.array_equal(alone.positions("cube"), expected[name]), name
+        assert group.trace(0).frames[1]["arm_right"].gripper_closed
+        assert not group.trace(1).frames[4]["arm_right"].gripper_closed
+        assert group.trace(2).frames[0]["cube"].gripper_closed is None
+
+    def test_near_tie_uses_single_vector_distance(self):
+        # the arms' gaps to the cube are (u, v) and (v, u): an axis-wise norm
+        # ties them exactly, while the single-vector np.linalg.norm the carry
+        # rule is defined by can put one arm an ulp nearer (it does with
+        # OpenBLAS on x86-64, where the left arm is nearer)
+        config = WorldConfig(template="pick_place", horizon=8, grid=(24, 24))
+        cond = make_condition("t", {"cube": (12.0, 12.0), "bin": (21.0, 12.0)})
+        sites = list(site_ids(config))
+        z = np.zeros(world_layout(config).tensor_shape())
+        z[:, sites.index("arm_left")] = (1 / 97, 8 / 89)
+        z[:, sites.index("arm_right")] = (8 / 89, 1 / 97)
+        z[:, sites.index(AUX_SITE)] = 1.0
+        trace = decode_trace(latent_from_flat(z.ravel(), config), config, cond)
+        d_left, d_right = (float(np.linalg.norm(trace.positions(arm)[0] - (12.0, 12.0)))
+                           for arm in ("arm_left", "arm_right"))
+        carrier = "arm_right" if d_right <= d_left else "arm_left"
+        assert np.array_equal(trace.positions("cube")[1:], trace.positions(carrier)[1:])
+
+    def test_group_carry_matches_per_frame_loop(self):
+        # reference: the carry rule one rollout, object and arm at a time
+        def reference_path(arm_pos, closed, start, reach):
+            path = [np.asarray(start, float)]
+            for t in range(1, len(arm_pos)):
+                carrier, best = None, reach
+                for arm in (0, 1):
+                    if not (closed[t, arm] and closed[t - 1, arm]):
+                        continue
+                    d = float(np.linalg.norm(arm_pos[t - 1, arm] - path[t - 1]))
+                    if d <= best:
+                        carrier, best = arm, d
+                path.append(arm_pos[t, carrier] if carrier is not None else path[t - 1])
+            return np.array(path)
+
+        config = WorldConfig(template="ordered_stack", n_objects=3, horizon=16, grid=(12, 12))
+        cond = sample_condition(config, np.random.default_rng(6))
+        rng = np.random.default_rng(7)
+        # arms wander over the objects' band with grippers that often stay closed
+        latents = 0.4 * rng.standard_normal((32,) + world_layout(config).tensor_shape())
+        latents[:, :, list(site_ids(config)).index(AUX_SITE)] += 0.5
+        group = RolloutDecoder(config)(latents, cond)
+        moved = 0
+        for i, z in enumerate(latents):
+            trace = group.trace(i)
+            arm_pos = np.stack([trace.positions("arm_left"), trace.positions("arm_right")], axis=1)
+            closed = z[:, list(site_ids(config)).index(AUX_SITE)] > 0.0
+            for oid in ("cube_a", "cube_b", "cube_c"):
+                expected = reference_path(arm_pos, closed, cond.position(oid), config.grasp_distance)
+                assert np.array_equal(trace.positions(oid), expected)
+                moved += int(not np.array_equal(expected, expected[:1].repeat(16, axis=0)))
+        assert moved > 10  # the rule was exercised, not only the resting branch
 
     def test_rollouts_always_monitorable(self):
         config = small_config()
@@ -156,7 +255,8 @@ class TestLoop:
 
     @pytest.mark.parametrize("template", ["ordered_stack", "persist_hold"])
     def test_other_templates_run(self, template):
-        config = small_config(template=template, iterations=6)
+        n_objects = 2 if template == "ordered_stack" else 1
+        config = small_config(template=template, n_objects=n_objects, iterations=6)
         series = run_experiment(config, LossConfig(lambda_cr=1.0))
         assert len(series.rows) == 6
 

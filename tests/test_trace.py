@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 from creflow.errors import (
+    HorizonMismatch,
     MissingAttribute,
     SpecValidationError,
+    UnknownEntity,
     UnknownEvaluator,
 )
 from creflow.ltlf import Atom
@@ -140,6 +142,41 @@ class TestPredicates:
         decl = make_predicate_decl("weird", 1, "telepathy", {})
         with pytest.raises(UnknownEvaluator):
             eval_predicate(decl, trace, Atom("weird", ("cup",)))
+
+
+class TestArrays:
+    def test_frames_view_round_trips(self):
+        frames = [
+            {
+                "arm": state(1.0, 2.0 + t, closed=t % 2 == 0),
+                "cup": state(3.0, 4.0, radius=0.25 * t, flags={"full": t > 0}),
+            }
+            for t in range(3)
+        ]
+        trace = Trace(3, frames, (8, 8))
+        assert trace.group.xy.shape == (1, 3, 2, 2)
+        assert trace.group.flags.shape == (1, 3, 2, 1)
+        for given, view in zip(frames, trace.frames):
+            assert given.keys() == view.keys()
+            for eid, s in given.items():
+                v = view[eid]
+                assert np.array_equal(s.position, v.position) and s.radius == v.radius
+                assert s.gripper_closed == v.gripper_closed
+                assert s.attribute_flags == v.attribute_flags
+
+    def test_absent_entity_named_at_its_frame(self):
+        frames = [{"cup": state(0, 0), "box": state(1, 1)}, {"cup": state(0, 0), "box": state(1, 1)},
+                  {"box": state(1, 1)}]
+        trace = Trace(3, frames, (8, 8))
+        assert "cup" not in trace.frames[2]
+        decl = make_predicate_decl("moving", 1, "moving", {"speed": 0.5})
+        with pytest.raises(UnknownEntity, match="'cup' absent from frame 3"):
+            eval_predicate(decl, trace, Atom("moving", ("cup",)))
+        assert not eval_predicate(decl, trace, Atom("moving", ("box",))).any()
+
+    def test_frame_count_must_match_horizon(self):
+        with pytest.raises(HorizonMismatch):
+            Trace(3, [{"cup": state(0, 0)}] * 2, (8, 8))
 
 
 class TestAtlas:
