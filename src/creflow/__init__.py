@@ -38,7 +38,6 @@ from .oracle import DiscreteWorld, PopulationPoint, population_point
 from .simworld import RolloutDecoder, WorldConfig, decode_trace, run_online_loop
 from .trace import (
     TaskSpec,
-    Trace,
     TraceGroup,
     build_atlas,
     eval_group_predicate,

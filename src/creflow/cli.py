@@ -101,6 +101,9 @@ def cmd_verify(args) -> int:
 
 
 def cmd_train(args) -> int:
+    if args.dump_traces < 0:
+        print(f"error: --dump-traces must be >= 0, got {args.dump_traces}", file=sys.stderr)
+        return EXIT_USAGE
     try:
         cfg = fileio.load_experiment_config(args.config)
         if args.seed is not None:
@@ -154,8 +157,17 @@ def cmd_compare(args) -> int:
         except (OSError, json.JSONDecodeError) as err:
             print(f"error: {path}: {err}", file=sys.stderr)
             return EXIT_USAGE
+        if not isinstance(doc, dict):
+            print(f"error: {path}: expected a JSON object, got {type(doc).__name__}",
+                  file=sys.stderr)
+            return EXIT_USAGE
         s = doc.get("summary", {})
         mode = doc.get("mode", {})
+        for key, value in (("summary", s), ("mode", mode)):
+            if not isinstance(value, dict):
+                print(f"error: {path}: {key!r} must be a JSON object, got {type(value).__name__}",
+                      file=sys.stderr)
+                return EXIT_USAGE
         rows.append(
             (
                 path,

@@ -8,12 +8,13 @@ CSV with a versioned, append-only column set.
 
 import csv
 import json
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 import yaml
 
-from .errors import SchemaError
+from .errors import HorizonMismatch, SchemaError, SpecValidationError
 from .ltlf import parse_formula
 from .mask import CreditMask, LatentLayout
 from .objectives import LossConfig
@@ -23,10 +24,15 @@ from .trace import (
     EntityDecl,
     EntityState,
     TaskSpec,
-    Trace,
+    TraceGroup,
     make_condition,
     make_predicate_decl,
 )
+
+try:
+    from yaml import CSafeDumper as YamlDumper, CSafeLoader as YamlLoader
+except ImportError:  # PyYAML built without libyaml
+    from yaml import SafeDumper as YamlDumper, SafeLoader as YamlLoader
 
 SCHEMA_VERSION = 1
 
@@ -34,8 +40,8 @@ SCHEMA_VERSION = 1
 def _load_yaml(path, kind):
     try:
         with open(path) as fh:
-            doc = yaml.safe_load(fh)
-    except yaml.YAMLError as err:
+            doc = yaml.load(fh, Loader=YamlLoader)
+    except (yaml.YAMLError, UnicodeDecodeError) as err:
         raise SchemaError(f"{path}: malformed YAML: {err}") from err
     if not isinstance(doc, dict):
         raise SchemaError(f"{path}: expected a mapping at top level")
@@ -48,10 +54,34 @@ def _load_yaml(path, kind):
     return doc
 
 
+def _dump_yaml(path, doc):
+    with open(path, "w") as fh:
+        yaml.dump(doc, fh, Dumper=YamlDumper, sort_keys=False)
+
+
 def _require(doc, key, path):
     if key not in doc:
         raise SchemaError(f"{path}: missing required field {key!r}")
     return doc[key]
+
+
+def _mapping(value, where):
+    if not isinstance(value, dict):
+        raise SchemaError(f"{where}: expected a mapping, got {value!r}")
+    return value
+
+
+def _entries(doc, key, path):
+    """The list under ``key``, every entry checked to be a mapping."""
+    entries = _require(doc, key, path)
+    if not isinstance(entries, list):
+        raise SchemaError(f"{path}: {key!r} must be a list, got {entries!r}")
+    return [_mapping(entry, f"{path}: {key}[{i}]") for i, entry in enumerate(entries)]
+
+
+def _finite(value):
+    """A finite YAML int or float (a YAML boolean is not a number)."""
+    return type(value) in (int, float) and math.isfinite(value)
 
 
 # --------------------------------------------------------------------------
@@ -67,18 +97,20 @@ def load_task_spec(path) -> TaskSpec:
                 e["kind"],
                 tuple(e["half_extents"]) if e.get("half_extents") else None,
             )
-            for e in _require(doc, "entities", path)
+            for e in _entries(doc, "entities", path)
         ]
         predicates = [
-            make_predicate_decl(p["name"], int(p["arity"]), p["evaluator"], p.get("params"))
-            for p in _require(doc, "predicates", path)
+            make_predicate_decl(p["name"], int(p["arity"]), p["evaluator"],
+                                _mapping(p.get("params") or {}, f"{path}: {p['name']!r} params"))
+            for p in _entries(doc, "predicates", path)
         ]
         clauses = [
             ClauseDecl(c["id"], c["formula"], parse_formula(c["formula"]))
-            for c in _require(doc, "clauses", path)
+            for c in _entries(doc, "clauses", path)
         ]
-        cond = _require(doc, "condition", path)
-        condition = make_condition(cond.get("instruction", ""), cond.get("layout", {}))
+        cond = _mapping(_require(doc, "condition", path), f"{path}: condition")
+        layout = _mapping(cond.get("layout", {}), f"{path}: condition layout")
+        condition = make_condition(cond.get("instruction", ""), layout)
         return TaskSpec(
             task_id=_require(doc, "task_id", path),
             entities=entities,
@@ -118,38 +150,50 @@ def save_task_spec(path, spec: TaskSpec):
             "layout": {k: list(v) for k, v in spec.condition.layout},
         },
     }
-    with open(path, "w") as fh:
-        yaml.safe_dump(doc, fh, sort_keys=False)
+    _dump_yaml(path, doc)
 
 
 # --------------------------------------------------------------------------
 # Traces
 # --------------------------------------------------------------------------
 
-def load_trace(path) -> Trace:
+def _entity_state(state, where) -> EntityState:
+    """One entity's state from a trace file; every field is checked, none coerced."""
+    _mapping(state, where)
+    position = _require(state, "position", where)
+    if not (isinstance(position, list) and len(position) == 2 and all(map(_finite, position))):
+        raise SchemaError(f"{where}: 'position' must be two finite numbers, got {position!r}")
+    radius = _require(state, "radius", where)
+    if not (_finite(radius) and radius >= 0):
+        raise SchemaError(f"{where}: 'radius' must be a finite number >= 0, got {radius!r}")
+    closed = state.get("gripper_closed")
+    if "gripper_closed" in state and not isinstance(closed, bool):
+        raise SchemaError(f"{where}: 'gripper_closed' must be true or false, got {closed!r}")
+    flags = _mapping(state.get("flags", {}), f"{where}: flags")
+    for name, value in flags.items():
+        if not isinstance(value, bool):
+            raise SchemaError(f"{where}: flag {name!r} must be true or false, got {value!r}")
+    return EntityState(np.asarray(position, dtype=float), float(radius), closed, dict(flags))
+
+
+def load_trace(path) -> TraceGroup:
+    """A trace file as a group of one row."""
     doc = _load_yaml(path, "trace")
+    horizon, grid = _require(doc, "horizon", path), _require(doc, "grid", path)
+    if type(horizon) is not int or not (
+            isinstance(grid, list) and len(grid) == 2 and all(type(n) is int for n in grid)):
+        raise SchemaError(f"{path}: 'horizon' must be an integer and 'grid' two integers, "
+                          f"got {horizon!r} and {grid!r}")
+    frames = [{eid: _entity_state(state, f"{path}: frames[{t}][{eid!r}]")
+               for eid, state in frame.items()}
+              for t, frame in enumerate(_entries(doc, "frames", path))]
     try:
-        frames = []
-        for t, frame_doc in enumerate(_require(doc, "frames", path)):
-            frame = {}
-            for eid, state in frame_doc.items():
-                frame[eid] = EntityState(
-                    position=np.asarray(state["position"], dtype=float),
-                    radius=float(state["radius"]),
-                    gripper_closed=state.get("gripper_closed"),
-                    attribute_flags=dict(state.get("flags", {})),
-                )
-            frames.append(frame)
-        return Trace(
-            horizon=int(_require(doc, "horizon", path)),
-            frames=frames,
-            grid=tuple(_require(doc, "grid", path)),
-        )
-    except (KeyError, TypeError, ValueError) as err:
-        raise SchemaError(f"{path}: {err!r}") from err
+        return TraceGroup.from_frames(horizon, frames, tuple(grid))
+    except (HorizonMismatch, SpecValidationError) as err:
+        raise SchemaError(f"{path}: {err}") from err
 
 
-def save_trace(path, trace: Trace):
+def save_trace(path, trace: TraceGroup):
     frames = []
     for frame in trace.frames:
         frame_doc = {}
@@ -170,8 +214,7 @@ def save_trace(path, trace: Trace):
         "grid": list(trace.grid),
         "frames": frames,
     }
-    with open(path, "w") as fh:
-        yaml.safe_dump(doc, fh, sort_keys=False)
+    _dump_yaml(path, doc)
 
 
 # --------------------------------------------------------------------------
@@ -240,8 +283,7 @@ def save_experiment_config(path, cfg: ExperimentConfig):
         "world": world_config_dict(cfg.world),
         "loss": vars(cfg.loss).copy(),
     }
-    with open(path, "w") as fh:
-        yaml.safe_dump(doc, fh, sort_keys=False)
+    _dump_yaml(path, doc)
 
 
 # --------------------------------------------------------------------------

@@ -13,7 +13,6 @@ import numpy as np
 
 from .errors import LayoutMismatch, ShapeMismatch
 
-VECTOR = "vector"
 FRAME_SITE = "frame_site"
 PIXEL_SITES = "pixel"
 ENTITY_SITES = "entity"
@@ -21,23 +20,17 @@ ENTITY_SITES = "entity"
 
 @dataclass(frozen=True)
 class LatentLayout:
-    kind: str
     dim: int
-    horizon: int = 1
-    site_kind: str = None
+    horizon: int
+    site_kind: str
     grid: tuple = None  # pixel sites: (H, W)
     entity_ids: tuple = None  # entity sites, in site order
     channels: int = 1
 
     @classmethod
-    def vector(cls, dim):
-        return cls(kind=VECTOR, dim=int(dim))
-
-    @classmethod
     def pixel(cls, horizon, grid, channels=1):
         h, w = grid
         return cls(
-            kind=FRAME_SITE,
             dim=horizon * h * w * channels,
             horizon=horizon,
             site_kind=PIXEL_SITES,
@@ -49,7 +42,6 @@ class LatentLayout:
     def entity(cls, horizon, entity_ids, channels=2):
         ids = tuple(entity_ids)
         return cls(
-            kind=FRAME_SITE,
             dim=horizon * len(ids) * channels,
             horizon=horizon,
             site_kind=ENTITY_SITES,
@@ -59,20 +51,14 @@ class LatentLayout:
 
     @property
     def sites(self):
-        if self.kind == VECTOR:
-            return self.dim
         if self.site_kind == PIXEL_SITES:
             return self.grid[0] * self.grid[1]
         return len(self.entity_ids)
 
     def tensor_shape(self):
-        if self.kind == VECTOR:
-            return (self.dim,)
         return (self.horizon, self.sites, self.channels)
 
     def describe(self):
-        if self.kind == VECTOR:
-            return {"kind": VECTOR, "dim": self.dim}
         out = {
             "kind": FRAME_SITE,
             "horizon": self.horizon,
@@ -100,28 +86,13 @@ class CreditMask:
 
     @classmethod
     def ones(cls, layout: LatentLayout):
-        if layout.kind == VECTOR:
-            return cls.from_axes(np.ones(1, bool), np.ones(layout.dim, bool))
         return cls.from_axes(np.ones(layout.horizon, bool), np.ones(layout.sites, bool))
-
-    @classmethod
-    def from_dense(cls, bits):
-        """Vector-layout mask: one bit per latent coordinate."""
-        bits = np.asarray(bits, dtype=bool)
-        return cls.from_axes(np.ones(1, bool), bits)
 
     def density(self):
         return float(np.mean(self.full))
 
     def flat(self, layout: LatentLayout) -> np.ndarray:
         """Per-coordinate 0/1 vector of length layout.dim (channel broadcast)."""
-        if layout.kind == VECTOR:
-            if self.full.shape != (1, layout.dim):
-                raise LayoutMismatch(
-                    f"vector layout of dim {layout.dim} needs a precomputed "
-                    f"{layout.dim}-bit mask, got {self.full.shape}"
-                )
-            return self.full.ravel().astype(np.float64)
         if self.full.shape != (layout.horizon, layout.sites):
             raise LayoutMismatch(
                 f"mask shape {self.full.shape} does not match layout "
@@ -139,8 +110,6 @@ def build_group_mask(verdicts, layout: LatentLayout, clause_entities=None) -> Cr
     entity atlases of all rollouts regardless of reward; for entity sites it
     selects the ids in ``clause_entities``.
     """
-    if layout.kind != FRAME_SITE:
-        raise LayoutMismatch("group masks require a frame-site layout")
     if not verdicts:
         raise LayoutMismatch("need at least one verdict")
     t_count = layout.horizon

@@ -8,7 +8,7 @@ import numpy as np
 
 from . import ltlf
 from .errors import CreflowError
-from .trace import Atlas, TaskSpec, Trace, TraceGroup, build_atlas, eval_group_predicate
+from .trace import Atlas, TaskSpec, TraceGroup, build_atlas, eval_group_predicate
 
 
 class Verdict:
@@ -29,7 +29,7 @@ class Verdict:
     def atlas(self) -> Atlas:
         if self._atlas is None:
             group, row, entity_ids = self._source
-            self._atlas = build_atlas(group.trace(row), entity_ids)
+            self._atlas = build_atlas(group.row(row), entity_ids)
         return self._atlas
 
     @atlas.setter
@@ -90,7 +90,7 @@ def run_group_monitor(
 
 
 def run_monitor(
-    spec: TaskSpec, trace: Trace, stability_window=ltlf.DEFAULT_STABILITY_WINDOW
+    spec: TaskSpec, trace: TraceGroup, stability_window=ltlf.DEFAULT_STABILITY_WINDOW
 ) -> Verdict:
-    """Evaluate every clause of the spec against one trace (a group of one)."""
-    return run_group_monitor(spec, trace.group, stability_window)[0]
+    """Evaluate every clause of the spec against one trace (a group of one row)."""
+    return run_group_monitor(spec, trace.single(), stability_window)[0]

@@ -24,7 +24,7 @@ from .errors import NonFiniteLoss, SpecValidationError
 from .flow import LinearVelocity, MLPVelocity, ModelBundle, sample_rollout_group
 from .ltlf import parse_formula
 from .mask import LatentLayout, build_group_mask
-from .monitor import run_group_monitor
+from .monitor import run_group_monitor, run_monitor
 from .objectives import (
     LossConfig,
     RolloutGroup,
@@ -35,7 +35,6 @@ from .trace import (
     ClauseDecl,
     EntityDecl,
     TaskSpec,
-    Trace,
     TraceGroup,
     make_condition,
     make_predicate_decl,
@@ -237,15 +236,9 @@ def sample_condition(config, rng):
 # Decoding
 # --------------------------------------------------------------------------
 
-@dataclass
-class RolloutLatent:
-    values: np.ndarray  # (T, sites, 2)
-    layout: LatentLayout
-
-
-def latent_from_flat(flat, config) -> RolloutLatent:
-    layout = world_layout(config)
-    return RolloutLatent(np.asarray(flat, dtype=np.float64).reshape(layout.tensor_shape()), layout)
+def latent_from_flat(flat, config) -> np.ndarray:
+    """One flat rollout latent as its (T, sites, 2) tensor."""
+    return np.asarray(flat, dtype=np.float64).reshape(world_layout(config).tensor_shape())
 
 
 def _carry(arm_xy, closed, start, reach):
@@ -332,9 +325,9 @@ class RolloutDecoder:
         )
 
 
-def decode_trace(latent: RolloutLatent, config: WorldConfig, condition) -> Trace:
-    """Deterministically lift one latent to a per-entity state trace."""
-    return RolloutDecoder(config)(latent.values, condition).trace(0)
+def decode_trace(latent, config: WorldConfig, condition) -> TraceGroup:
+    """Deterministically lift one (T, sites, 2) latent to a trace (a group of one row)."""
+    return RolloutDecoder(config)(latent, condition).single()
 
 
 # --------------------------------------------------------------------------
@@ -455,8 +448,7 @@ def scripted_demo(config, condition, rng):
     z[:, sites.index(AUX_SITE), 1] = -0.8
 
     # objects: encode the decoded trajectory so latent rows are self-consistent
-    partial = RolloutLatent(z, world_layout(config))
-    trace = decode_trace(partial, config, condition)
+    trace = RolloutDecoder(config)(z, condition)
     for oid in object_ids(config):
         z[:, sites.index(oid), :] = world_to_latent(trace.positions(oid), config)
     z[:, sites.index(cont), :] = world_to_latent(
@@ -650,6 +642,6 @@ def sample_decoded_rollouts(config: WorldConfig, bundle: ModelBundle, count, spe
         eps = rng.standard_normal((1, world_layout(config).dim))
         with np.errstate(over="ignore", invalid="ignore"):
             x0s = sample_rollout_group(bundle, embed, config.rollout_steps, eps)
-        traces = decode(x0s, condition)
-        out.append((traces.trace(0), run_group_monitor(spec, traces)[0].reward))
+        trace = decode(x0s, condition)
+        out.append((trace, run_monitor(spec, trace).reward))
     return out

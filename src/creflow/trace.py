@@ -1,12 +1,12 @@
 """Task specifications, per-entity state traces, predicate streams, atlases.
 
 Traces are arrays: a TraceGroup holds N traces' positions, radii, gripper
-bits and flags, and a Trace is a group of one. Predicates are evaluated on
-ground-truth geometric state, one (N, T) Boolean array per atom over a whole
-group. The built-in evaluators are ``near`` (distance threshold), ``inside``
-(axis-aligned box attached to a container entity), ``grasp`` (near + closed
-gripper), ``flag`` (boolean attribute) and ``moving`` (frame-to-frame
-displacement). Each entity also has a swept-disc raster on the trace grid;
+bits and flags, and a single trace is a TraceGroup of one row. Predicates
+are evaluated on ground-truth geometric state, one (N, T) Boolean array per
+atom over a whole group. The built-in evaluators are ``near`` (distance
+threshold), ``inside`` (axis-aligned box attached to a container entity),
+``grasp`` (near + closed gripper), ``flag`` (boolean attribute) and
+``moving`` (frame-to-frame displacement). Each entity also has a swept-disc raster on the trace grid;
 the union over frames forms its atlas mask.
 """
 
@@ -158,7 +158,9 @@ class TraceGroup:
     Entity ``entity_ids[e]`` is column ``e``. Absent entries (an entity missing
     from a frame, an entity without a gripper, a flag not set on an entity)
     are marked in ``present`` and by -1 in ``gripper`` and ``flags``; they
-    raise when a predicate or the monitor reads them.
+    raise when a predicate or the monitor reads them. A single trace is a
+    group of one row; ``frames``, ``positions`` and ``radii`` read that row
+    and raise ShapeMismatch on any other row count.
     """
 
     horizon: int
@@ -218,9 +220,6 @@ class TraceGroup:
         return TraceGroup(self.horizon, self.grid, self.entity_ids, self.xy[s], self.radius[s],
                           self.gripper[s], self.flag_names, self.flags[s], self.present[s])
 
-    def trace(self, i) -> "Trace":
-        return Trace.of(self.row(i))
-
     def require(self, entity_ids):
         """Raise UnknownEntity for the earliest frame, then the first id, absent in a row."""
         if self._complete.issuperset(entity_ids):
@@ -238,42 +237,22 @@ class TraceGroup:
             self.require([entity_id])
         return self._columns[entity_id]
 
-
-class Trace:
-    """One per-entity state trace: a TraceGroup of one row.
-
-    ``frames`` (per frame: entity id -> EntityState) is built from the arrays
-    on each read; construct from frames with ``Trace(horizon, frames, grid)``.
-    """
-
-    def __init__(self, horizon, frames, grid):
-        self.group = TraceGroup.from_frames(horizon, frames, grid)
-
-    @classmethod
-    def of(cls, group: TraceGroup) -> "Trace":
-        if len(group) != 1:
-            raise ShapeMismatch(f"a trace is a group of one row, got {len(group)}")
-        trace = cls.__new__(cls)
-        trace.group = group
-        return trace
-
-    @property
-    def horizon(self):
-        return self.group.horizon
-
-    @property
-    def grid(self):
-        return self.group.grid
+    def single(self) -> "TraceGroup":
+        """This group, checked to hold one trace: a trace is a group of one row."""
+        if len(self) != 1:
+            raise ShapeMismatch(f"a trace is a group of one row, got {len(self)}")
+        return self
 
     @property
     def frames(self):
-        g = self.group
-        present, xy, radius = g.present[0].tolist(), g.xy[0], g.radius[0].tolist()
-        gripper, flags = g.gripper[0].tolist(), g.flags[0].tolist()
+        """Per frame: entity id -> EntityState, built from the arrays on each read."""
+        self.single()
+        present, xy, radius = self.present[0].tolist(), self.xy[0], self.radius[0].tolist()
+        gripper, flags = self.gripper[0].tolist(), self.flags[0].tolist()
         frames = []
-        for t in range(g.horizon):
+        for t in range(self.horizon):
             frame = {}
-            for e, eid in enumerate(g.entity_ids):
+            for e, eid in enumerate(self.entity_ids):
                 if not present[t][e]:
                     continue
                 closed = gripper[t][e]
@@ -281,17 +260,17 @@ class Trace:
                     position=xy[t, e],
                     radius=radius[t][e],
                     gripper_closed=None if closed < 0 else bool(closed),
-                    attribute_flags={name: bool(v) for name, v in zip(g.flag_names, flags[t][e])
+                    attribute_flags={name: bool(v) for name, v in zip(self.flag_names, flags[t][e])
                                      if v >= 0},
                 )
             frames.append(frame)
         return frames
 
     def positions(self, entity_id) -> np.ndarray:
-        return self.group.xy[0, :, self.group.column(entity_id)].copy()
+        return self.single().xy[0, :, self.column(entity_id)].copy()
 
     def radii(self, entity_id) -> np.ndarray:
-        return self.group.radius[0, :, self.group.column(entity_id)].copy()
+        return self.single().radius[0, :, self.column(entity_id)].copy()
 
 
 @dataclass
@@ -370,12 +349,12 @@ def eval_group_predicate(decl: PredicateDecl, group: TraceGroup, atom: ltlf.Atom
     raise UnknownEvaluator(f"unknown evaluator {decl.evaluator!r}")
 
 
-def eval_predicate(decl: PredicateDecl, trace: Trace, atom: ltlf.Atom, entities=None):
+def eval_predicate(decl: PredicateDecl, trace: TraceGroup, atom: ltlf.Atom, entities=None):
     """Evaluate one entity-grounded predicate on one trace: a length-T Boolean stream."""
-    return eval_group_predicate(decl, trace.group, atom, entities)[0]
+    return eval_group_predicate(decl, trace.single(), atom, entities)[0]
 
 
-def build_atlas(trace: Trace, entity_ids) -> Atlas:
+def build_atlas(trace: TraceGroup, entity_ids) -> Atlas:
     """Swept-disc rasters: cell set iff its center is within radius at some frame."""
     h, w = trace.grid
     masks = {}

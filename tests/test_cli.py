@@ -1,16 +1,21 @@
 import json
+import math
 import os
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
 import yaml
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from creflow import fileio, simworld
 from creflow.cli import main
 from creflow.errors import SchemaError
 from creflow.objectives import LossConfig
+from creflow.trace import EntityState, TraceGroup
 
 
 @pytest.fixture(scope="module")
@@ -99,6 +104,171 @@ class TestFileIO:
         assert effective.mask_enabled and effective.lambda_cr == 1.0
         cfg.corrective_enabled = False
         assert cfg.effective_loss_config().lambda_cr == 0.0
+
+
+def same_frames(a, b):
+    """Field-by-field equality of two traces' frames views."""
+    if a.horizon != b.horizon or tuple(a.grid) != tuple(b.grid):
+        return False
+    for fa, fb in zip(a.frames, b.frames, strict=True):
+        if fa.keys() != fb.keys():
+            return False
+        for eid, sa in fa.items():
+            sb = fb[eid]
+            if not (np.array_equal(sa.position, sb.position) and sa.radius == sb.radius
+                    and sa.gripper_closed == sb.gripper_closed
+                    and sa.attribute_flags == sb.attribute_flags):
+                return False
+    return True
+
+
+# ids and flag names that YAML would read as other scalars unless quoted
+NAMES = ["cube", "arm_left", "yes", "null", "1", "on", "x y"]
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def trace_groups(draw):
+    """Groups of one with absent entities, unset flags and entities without a gripper."""
+    horizon = draw(st.integers(1, 5))
+    frames = []
+    for _ in range(horizon):
+        ids = draw(st.lists(st.sampled_from(NAMES), unique=True, max_size=4))
+        frames.append({
+            eid: EntityState(
+                position=np.array([draw(FINITE), draw(FINITE)]),
+                radius=draw(st.floats(min_value=0.0, allow_infinity=False)),
+                gripper_closed=draw(st.sampled_from([None, True, False])),
+                attribute_flags=draw(st.dictionaries(st.sampled_from(NAMES), st.booleans(),
+                                                     max_size=3)),
+            )
+            for eid in ids
+        })
+    grid = (draw(st.integers(4, 64)), draw(st.integers(4, 64)))
+    return TraceGroup.from_frames(horizon, frames, grid)
+
+
+class TestTraceFileRoundTrip:
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(trace_groups())
+    def test_load_save_round_trip(self, trace):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "trace.yaml")
+            fileio.save_trace(path, trace)
+            again = fileio.load_trace(path)
+        assert same_frames(again, trace)
+
+    def test_libyaml_used_when_built_in(self):
+        if yaml.__with_libyaml__:
+            assert fileio.YamlLoader is yaml.CSafeLoader
+            assert fileio.YamlDumper is yaml.CSafeDumper
+        else:
+            assert fileio.YamlLoader is yaml.SafeLoader
+
+
+def _edit_trace(source, dest, edit):
+    """Copy a trace file with ``edit`` applied to its parsed document."""
+    with open(source) as fh:
+        doc = yaml.safe_load(fh)
+    edit(doc["frames"])
+    with open(dest, "w") as fh:
+        yaml.safe_dump(doc, fh, sort_keys=False)
+
+
+def _set(frame, eid, key, value):
+    def edit(frames):
+        frames[frame][eid][key] = value
+    return edit
+
+
+def _set_flag(frames):
+    frames[2]["cube"]["flags"]["in_container"] = "false"
+
+
+def _frame_not_mapping(frames):
+    frames[3] = ["arm_left", "cube"]
+
+
+def _state_not_mapping(frames):
+    frames[1]["cube"] = "here"
+
+
+class TestMalformedTraceFiles:
+    @pytest.mark.parametrize("edit,message", [
+        (_set(0, "arm_left", "gripper_closed", "no"),
+         "frames[0]['arm_left']: 'gripper_closed' must be true or false, got 'no'"),
+        (_set_flag, "frames[2]['cube']: flag 'in_container' must be true or false, got 'false'"),
+        (_frame_not_mapping, "frames[3]: expected a mapping, got ['arm_left', 'cube']"),
+        (_state_not_mapping, "frames[1]['cube']: expected a mapping, got 'here'"),
+        (_set(4, "cube", "position", [math.nan, 1.0]),
+         "frames[4]['cube']: 'position' must be two finite numbers, got [nan, 1.0]"),
+        (_set(5, "bin", "radius", -0.5),
+         "frames[5]['bin']: 'radius' must be a finite number >= 0, got -0.5"),
+    ], ids=["gripper_string", "flag_string", "frame_not_mapping", "state_not_mapping",
+            "nan_position", "negative_radius"])
+    def test_monitor_rejects(self, workdir, tmp_path, capsys, edit, message):
+        path = str(tmp_path / "bad_trace.yaml")
+        _edit_trace(workdir["clean"], path, edit)
+        with pytest.raises(SchemaError) as err:
+            fileio.load_trace(path)
+        assert str(err.value) == f"{path}: {message}"
+        assert main(["monitor", "--spec", workdir["spec"], "--trace", path]) == 2
+        assert capsys.readouterr().err == f"error: {path}: {message}\n"
+
+    @pytest.mark.parametrize("key,value,message", [
+        ("horizon", "12", "'horizon' must be an integer and 'grid' two integers, "
+                          "got '12' and [24, 24]"),
+        ("grid", [24], "'horizon' must be an integer and 'grid' two integers, got 12 and [24]"),
+        ("horizon", 11, "trace has 12 frames, horizon 11"),
+    ])
+    def test_monitor_rejects_header(self, workdir, tmp_path, capsys, key, value, message):
+        with open(workdir["clean"]) as fh:
+            doc = yaml.safe_load(fh)
+        doc[key] = value
+        path = tmp_path / "bad_header.yaml"
+        path.write_text(yaml.safe_dump(doc, sort_keys=False))
+        assert main(["monitor", "--spec", workdir["spec"], "--trace", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {path}: {message}\n"
+
+    def test_malformed_yaml(self, workdir, tmp_path, capsys):
+        path = tmp_path / "broken.yaml"
+        path.write_text("schema_version: 1\nkind: trace\nframes: [\n")
+        assert main(["monitor", "--spec", workdir["spec"], "--trace", str(path)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {path}: malformed YAML: ")
+
+
+class TestMalformedInputs:
+    @pytest.mark.parametrize("key,message", [
+        ("condition", "condition: expected a mapping, got 'put the cube away'"),
+        ("entities", "entities[1]: expected a mapping, got 'put the cube away'"),
+        ("predicates", "predicates[1]: expected a mapping, got 'put the cube away'"),
+        ("clauses", "clauses[1]: expected a mapping, got 'put the cube away'"),
+    ])
+    def test_spec_entry_not_mapping(self, workdir, tmp_path, capsys, key, message):
+        with open(workdir["spec"]) as fh:
+            doc = yaml.safe_load(fh)
+        if key == "condition":
+            doc[key] = "put the cube away"
+        else:
+            doc[key][1] = "put the cube away"
+        path = tmp_path / "bad_spec.yaml"
+        path.write_text(yaml.safe_dump(doc, sort_keys=False))
+        assert main(["monitor", "--spec", str(path), "--trace", workdir["clean"]]) == 2
+        assert capsys.readouterr().err == f"error: {path}: {message}\n"
+
+    @pytest.mark.parametrize("payload,message", [
+        ([1, 2], "expected a JSON object, got list"),
+        ({"summary": [0.5]}, "'summary' must be a JSON object, got list"),
+    ])
+    def test_compare_rejects_non_object(self, tmp_path, capsys, payload, message):
+        path = tmp_path / "summary.json"
+        path.write_text(json.dumps(payload))
+        assert main(["compare", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {path}: {message}\n"
+
+    def test_negative_dump_traces(self, workdir, capsys):
+        assert main(["train", "--config", workdir["experiment"], "--dump-traces", "-2"]) == 2
+        assert capsys.readouterr().err == "error: --dump-traces must be >= 0, got -2\n"
 
 
 class TestCliExitCodes:

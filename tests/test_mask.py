@@ -83,11 +83,6 @@ class TestBuildGroupMask:
         with pytest.raises(LayoutMismatch):
             build_group_mask(verdicts, PIXEL_LAYOUT)
 
-    def test_vector_layout_rejected(self):
-        verdicts = [make_verdict(0, [1], [(0, 0)])]
-        with pytest.raises(LayoutMismatch):
-            build_group_mask(verdicts, LatentLayout.vector(12))
-
 
 class TestApplyMask:
     def test_identity_and_zero(self):
@@ -118,13 +113,6 @@ class TestApplyMask:
         once = apply_mask(mask, residual, ENTITY_LAYOUT)
         twice = apply_mask(mask, once, ENTITY_LAYOUT)
         assert np.array_equal(once, twice)
-
-    def test_vector_layout_dense_mask(self):
-        layout = LatentLayout.vector(5)
-        bits = np.array([1, 0, 1, 0, 1], bool)
-        mask = CreditMask.from_dense(bits)
-        out = apply_mask(mask, np.ones(5), layout)
-        assert out.tolist() == [1.0, 0.0, 1.0, 0.0, 1.0]
 
     def test_shape_mismatch(self):
         mask = CreditMask.ones(ENTITY_LAYOUT)

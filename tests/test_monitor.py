@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from creflow import simworld
-from creflow.errors import SpecValidationError, UnknownEntity
+from creflow.errors import ShapeMismatch, SpecValidationError, UnknownEntity
 from creflow.ltlf import TemplateFamily, classify_template, eval_bruteforce, parse_formula
 from creflow.monitor import run_group_monitor, run_monitor
 from creflow.trace import (
@@ -11,7 +11,6 @@ from creflow.trace import (
     EntityDecl,
     EntityState,
     TaskSpec,
-    Trace,
     TraceGroup,
     eval_predicate,
     make_condition,
@@ -41,7 +40,7 @@ def build_spec(clause_sources):
 
 def toy_trace(arm_path):
     frames = [{"arm": state(*p, closed=False), "cup": state(4.0, 4.0)} for p in arm_path]
-    return Trace(len(arm_path), frames, (8, 8))
+    return TraceGroup.from_frames(len(arm_path), frames, (8, 8))
 
 
 class TestMonitor:
@@ -183,6 +182,14 @@ class TestGroupScoring:
         group = toy_group(np.zeros((2, 3, 2)), present)
         with pytest.raises(UnknownEntity, match="'cup' absent from frame 3"):
             run_group_monitor(build_spec(["F near(arm, cup)"]), group)
+
+    def test_run_monitor_scores_one_row_only(self):
+        spec = build_spec(["F near(arm, cup)"])
+        with pytest.raises(ShapeMismatch, match="a trace is a group of one row, got 2"):
+            run_monitor(spec, toy_group(np.zeros((2, 3, 2))))
+        with pytest.raises(ShapeMismatch, match="got 2"):
+            eval_predicate(spec.predicate("near"), toy_group(np.zeros((2, 3, 2))),
+                           spec.clauses[0].formula.atoms()[0], spec)
 
     def test_atlas_is_lazy_and_assignable(self):
         spec = build_spec(["G near(arm, cup)"])

@@ -141,11 +141,11 @@ class TestDecode:
         group = RolloutDecoder(config)(np.stack([tie, release, blink]), cond)
         for i, (name, z) in enumerate(zip(expected, (tie, release, blink))):
             alone = decode_trace(latent_from_flat(z, config), config, cond)
-            assert np.array_equal(group.trace(i).positions("cube"), expected[name]), name
+            assert np.array_equal(group.row(i).positions("cube"), expected[name]), name
             assert np.array_equal(alone.positions("cube"), expected[name]), name
-        assert group.trace(0).frames[1]["arm_right"].gripper_closed
-        assert not group.trace(1).frames[4]["arm_right"].gripper_closed
-        assert group.trace(2).frames[0]["cube"].gripper_closed is None
+        assert group.row(0).frames[1]["arm_right"].gripper_closed
+        assert not group.row(1).frames[4]["arm_right"].gripper_closed
+        assert group.row(2).frames[0]["cube"].gripper_closed is None
 
     def test_near_tie_uses_single_vector_distance(self):
         # the arms' gaps to the cube are (u, v) and (v, u): an axis-wise norm
@@ -189,7 +189,7 @@ class TestDecode:
         group = RolloutDecoder(config)(latents, cond)
         moved = 0
         for i, z in enumerate(latents):
-            trace = group.trace(i)
+            trace = group.row(i)
             arm_pos = np.stack([trace.positions("arm_left"), trace.positions("arm_right")], axis=1)
             closed = z[:, list(site_ids(config)).index(AUX_SITE)] > 0.0
             for oid in ("cube_a", "cube_b", "cube_c"):

@@ -4,6 +4,7 @@ import pytest
 from creflow.errors import (
     HorizonMismatch,
     MissingAttribute,
+    ShapeMismatch,
     SpecValidationError,
     UnknownEntity,
     UnknownEvaluator,
@@ -14,7 +15,7 @@ from creflow.trace import (
     EntityDecl,
     EntityState,
     TaskSpec,
-    Trace,
+    TraceGroup,
     build_atlas,
     eval_predicate,
     make_condition,
@@ -41,7 +42,7 @@ def two_entity_trace(arm_xy, cup_xy, closed, horizon=8, grid=(16, 16)):
                 "cup": state(*cup_xy[t]),
             }
         )
-    return Trace(horizon=horizon, frames=frames, grid=grid)
+    return TraceGroup.from_frames(horizon=horizon, frames=frames, grid=grid)
 
 
 ENTITIES = {
@@ -91,7 +92,8 @@ class TestPredicates:
 
     def test_grasp_needs_gripper_state(self):
         xy = [(2.0, 2.0)] * 4
-        trace = Trace(4, [{"a": state(1, 1), "b": state(1, 1)} for _ in range(4)], (8, 8))
+        frames = [{"a": state(1, 1), "b": state(1, 1)} for _ in range(4)]
+        trace = TraceGroup.from_frames(4, frames, (8, 8))
         decl = make_predicate_decl("grasp", 2, "grasp", {"distance": 1.0})
         with pytest.raises(MissingAttribute):
             eval_predicate(decl, trace, Atom("grasp", ("a", "b")))
@@ -105,7 +107,7 @@ class TestPredicates:
                     "box": state(6.0, 5.0),
                 }
             )
-        trace = Trace(4, frames, (16, 16))
+        trace = TraceGroup.from_frames(4, frames, (16, 16))
         decl = make_predicate_decl("inside", 2, "inside", {})
         stream = eval_predicate(decl, trace, Atom("inside", ("cup", "box")), ENTITIES)
         # |dx| <= 1.5 at t=0,1,2 (dx = -1, 0, 1); t=3 gives dx=2
@@ -113,14 +115,14 @@ class TestPredicates:
 
     def test_inside_all_false_when_far(self):
         frames = [{"cup": state(0, 0), "box": state(10, 10)} for _ in range(4)]
-        trace = Trace(4, frames, (16, 16))
+        trace = TraceGroup.from_frames(4, frames, (16, 16))
         decl = make_predicate_decl("inside", 2, "inside", {})
         stream = eval_predicate(decl, trace, Atom("inside", ("cup", "box")), ENTITIES)
         assert not stream.any()
 
     def test_flag_and_missing_flag(self):
         frames = [{"cup": state(0, 0, flags={"full": t >= 2})} for t in range(4)]
-        trace = Trace(4, frames, (8, 8))
+        trace = TraceGroup.from_frames(4, frames, (8, 8))
         decl = make_predicate_decl("is_full", 1, "flag", {"flag": "full"})
         stream = eval_predicate(decl, trace, Atom("is_full", ("cup",)))
         assert stream.astype(int).tolist() == [0, 0, 1, 1]
@@ -131,14 +133,14 @@ class TestPredicates:
     def test_moving_first_frame_copies_second(self):
         xs = [0.0, 2.0, 2.0, 2.0, 5.0]
         frames = [{"cup": state(x, 0)} for x in xs]
-        trace = Trace(5, frames, (8, 8))
+        trace = TraceGroup.from_frames(5, frames, (8, 8))
         decl = make_predicate_decl("moving", 1, "moving", {"speed": 0.5})
         stream = eval_predicate(decl, trace, Atom("moving", ("cup",)))
         assert stream.astype(int).tolist() == [1, 1, 0, 0, 1]
 
     def test_unknown_evaluator(self):
         frames = [{"cup": state(0, 0)}]
-        trace = Trace(1, frames, (8, 8))
+        trace = TraceGroup.from_frames(1, frames, (8, 8))
         decl = make_predicate_decl("weird", 1, "telepathy", {})
         with pytest.raises(UnknownEvaluator):
             eval_predicate(decl, trace, Atom("weird", ("cup",)))
@@ -153,9 +155,9 @@ class TestArrays:
             }
             for t in range(3)
         ]
-        trace = Trace(3, frames, (8, 8))
-        assert trace.group.xy.shape == (1, 3, 2, 2)
-        assert trace.group.flags.shape == (1, 3, 2, 1)
+        trace = TraceGroup.from_frames(3, frames, (8, 8))
+        assert trace.xy.shape == (1, 3, 2, 2)
+        assert trace.flags.shape == (1, 3, 2, 1)
         for given, view in zip(frames, trace.frames):
             assert given.keys() == view.keys()
             for eid, s in given.items():
@@ -167,23 +169,36 @@ class TestArrays:
     def test_absent_entity_named_at_its_frame(self):
         frames = [{"cup": state(0, 0), "box": state(1, 1)}, {"cup": state(0, 0), "box": state(1, 1)},
                   {"box": state(1, 1)}]
-        trace = Trace(3, frames, (8, 8))
+        trace = TraceGroup.from_frames(3, frames, (8, 8))
         assert "cup" not in trace.frames[2]
         decl = make_predicate_decl("moving", 1, "moving", {"speed": 0.5})
         with pytest.raises(UnknownEntity, match="'cup' absent from frame 3"):
             eval_predicate(decl, trace, Atom("moving", ("cup",)))
         assert not eval_predicate(decl, trace, Atom("moving", ("box",))).any()
 
+    def test_single_trace_accessors_need_one_row(self):
+        trace = TraceGroup.from_frames(2, [{"cup": state(1, 2)}, {"cup": state(3, 4)}], (8, 8))
+        assert trace.positions("cup").tolist() == [[1.0, 2.0], [3.0, 4.0]]
+        pair = TraceGroup(2, (8, 8), trace.entity_ids, np.concatenate([trace.xy] * 2),
+                          np.concatenate([trace.radius] * 2), np.concatenate([trace.gripper] * 2),
+                          trace.flag_names, np.concatenate([trace.flags] * 2),
+                          np.concatenate([trace.present] * 2))
+        assert pair.row(1).radii("cup").tolist() == [0.5, 0.5]
+        for read in (lambda g: g.frames, lambda g: g.positions("cup"), lambda g: g.radii("cup"),
+                     lambda g: build_atlas(g, ["cup"])):
+            with pytest.raises(ShapeMismatch, match="a trace is a group of one row, got 2"):
+                read(pair)
+
     def test_frame_count_must_match_horizon(self):
         with pytest.raises(HorizonMismatch):
-            Trace(3, [{"cup": state(0, 0)}] * 2, (8, 8))
+            TraceGroup.from_frames(3, [{"cup": state(0, 0)}] * 2, (8, 8))
 
 
 class TestAtlas:
     def test_radius_zero_exact_cell(self):
         # position exactly at the center of cell (2, 3)
         frames = [{"cup": state(3.5, 2.5, radius=0.0)} for _ in range(3)]
-        trace = Trace(3, frames, (8, 8))
+        trace = TraceGroup.from_frames(3, frames, (8, 8))
         atlas = build_atlas(trace, ["cup"])
         assert atlas.masks["cup"].sum() == 1
         assert atlas.masks["cup"][2, 3]
@@ -191,7 +206,7 @@ class TestAtlas:
     def test_moving_entity_union_monotone(self):
         def prefix_trace(k):
             frames = [{"cup": state(1.5 + t, 4.5, radius=0.6)} for t in range(k)]
-            return Trace(k, frames, (10, 10))
+            return TraceGroup.from_frames(k, frames, (10, 10))
 
         previous = np.zeros((10, 10), bool)
         for k in range(1, 8):
@@ -202,7 +217,7 @@ class TestAtlas:
     def test_determinism(self):
         rng = np.random.default_rng(5)
         frames = [{"cup": state(*rng.uniform(0, 10, 2), radius=1.0)} for _ in range(6)]
-        trace = Trace(6, frames, (12, 12))
+        trace = TraceGroup.from_frames(6, frames, (12, 12))
         a = build_atlas(trace, ["cup"]).masks["cup"]
         b = build_atlas(trace, ["cup"]).masks["cup"]
         assert np.array_equal(a, b)
