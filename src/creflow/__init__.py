@@ -3,7 +3,6 @@ flow-matching RL, with an exact discrete-support verification oracle and a
 synthetic manipulation world for end-to-end online training."""
 
 from .flow import (
-    FlowSample,
     LinearVelocity,
     MLPVelocity,
     ModelBundle,

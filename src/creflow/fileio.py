@@ -9,7 +9,7 @@ CSV with a versioned, append-only column set.
 import csv
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 import yaml
@@ -72,11 +72,21 @@ def _mapping(value, where):
 
 
 def _entries(doc, key, path):
-    """The list under ``key``, every entry checked to be a mapping."""
+    """(where, entry) for the list under ``key``, every entry checked to be a mapping."""
     entries = _require(doc, key, path)
     if not isinstance(entries, list):
         raise SchemaError(f"{path}: {key!r} must be a list, got {entries!r}")
-    return [_mapping(entry, f"{path}: {key}[{i}]") for i, entry in enumerate(entries)]
+    checked = []
+    for i, entry in enumerate(entries):
+        where = f"{path}: {key}[{i}]"
+        checked.append((where, _mapping(entry, where)))
+    return checked
+
+
+def _key(entry, key, where):
+    if key not in entry:
+        raise SchemaError(f"{where}: missing key {key!r}")
+    return entry[key]
 
 
 def _finite(value):
@@ -93,20 +103,22 @@ def load_task_spec(path) -> TaskSpec:
     try:
         entities = [
             EntityDecl(
-                e["id"],
-                e["kind"],
+                _key(e, "id", where),
+                _key(e, "kind", where),
                 tuple(e["half_extents"]) if e.get("half_extents") else None,
             )
-            for e in _entries(doc, "entities", path)
+            for where, e in _entries(doc, "entities", path)
         ]
         predicates = [
-            make_predicate_decl(p["name"], int(p["arity"]), p["evaluator"],
-                                _mapping(p.get("params") or {}, f"{path}: {p['name']!r} params"))
-            for p in _entries(doc, "predicates", path)
+            make_predicate_decl(_key(p, "name", where), int(_key(p, "arity", where)),
+                                _key(p, "evaluator", where),
+                                _mapping(p.get("params") or {}, f"{where}: params"))
+            for where, p in _entries(doc, "predicates", path)
         ]
         clauses = [
-            ClauseDecl(c["id"], c["formula"], parse_formula(c["formula"]))
-            for c in _entries(doc, "clauses", path)
+            ClauseDecl(_key(c, "id", where), _key(c, "formula", where),
+                       parse_formula(c["formula"]))
+            for where, c in _entries(doc, "clauses", path)
         ]
         cond = _mapping(_require(doc, "condition", path), f"{path}: condition")
         layout = _mapping(cond.get("layout", {}), f"{path}: condition layout")
@@ -184,9 +196,8 @@ def load_trace(path) -> TraceGroup:
             isinstance(grid, list) and len(grid) == 2 and all(type(n) is int for n in grid)):
         raise SchemaError(f"{path}: 'horizon' must be an integer and 'grid' two integers, "
                           f"got {horizon!r} and {grid!r}")
-    frames = [{eid: _entity_state(state, f"{path}: frames[{t}][{eid!r}]")
-               for eid, state in frame.items()}
-              for t, frame in enumerate(_entries(doc, "frames", path))]
+    frames = [{eid: _entity_state(state, f"{where}[{eid!r}]") for eid, state in frame.items()}
+              for where, frame in _entries(doc, "frames", path)]
     try:
         return TraceGroup.from_frames(horizon, frames, tuple(grid))
     except (HorizonMismatch, SpecValidationError) as err:
@@ -239,6 +250,39 @@ EXPERIMENT_KEYS = ("schema_version", "kind", "out_dir", "spec_path", "corrective
                    "world", "loss")
 
 
+def _list_of(value, check, length=None):
+    return (isinstance(value, list) and (length is None or len(value) == length)
+            and all(map(check, value)))
+
+
+# What each annotated field type accepts, checked before a config is built.
+_FIELD_KINDS = {
+    int: (lambda v: type(v) is int, "an integer"),
+    float: (_finite, "a finite number"),
+    str: (lambda v: isinstance(v, str), "a string"),
+    bool: (lambda v: isinstance(v, bool), "true or false"),
+}
+_TUPLE_FIELDS = {
+    "grid": (lambda v: _list_of(v, lambda n: type(n) is int, 2), "two integers"),
+    "container_half_extents": (lambda v: _list_of(v, _finite, 2), "two finite numbers"),
+    "hidden": (lambda v: _list_of(v, lambda n: type(n) is int), "a list of integers"),
+}
+
+
+def _config_section(doc, key, cls, path):
+    """Keyword arguments for ``cls`` from the ``key:`` mapping; every key known, every value typed."""
+    section = _mapping(doc.get(key, {}), f"{path}: {key}")
+    kinds = {f.name: _TUPLE_FIELDS[f.name] if f.type is tuple else _FIELD_KINDS[f.type]
+             for f in fields(cls)}
+    for name, value in section.items():
+        if name not in kinds:
+            raise SchemaError(f"{path}: unknown key {name!r} under '{key}:'")
+        check, expected = kinds[name]
+        if not check(value):
+            raise SchemaError(f"{path}: '{key}.{name}' must be {expected}, got {value!r}")
+    return {name: tuple(v) if isinstance(v, list) else v for name, v in section.items()}
+
+
 def world_config_dict(world: WorldConfig) -> dict:
     """Plain-data form of a world config (tuples as lists) for YAML and JSON."""
     return {k: (list(v) if isinstance(v, tuple) else v) for k, v in vars(world).items()}
@@ -255,13 +299,15 @@ def load_experiment_config(path) -> ExperimentConfig:
     corrective = doc.get("corrective_enabled", True)
     if not isinstance(corrective, bool):
         raise SchemaError(f"{path}: 'corrective_enabled' must be true or false, got {corrective!r}")
+    for key in ("out_dir", "spec_path"):
+        if key in doc and not isinstance(doc[key], str):
+            raise SchemaError(f"{path}: {key!r} must be a string, got {doc[key]!r}")
+    _require(doc, "world", path)
+    world_args = _config_section(doc, "world", WorldConfig, path)
+    loss_args = _config_section(doc, "loss", LossConfig, path)
     try:
-        world_doc = dict(_require(doc, "world", path))
-        for key in ("grid", "container_half_extents", "hidden"):
-            if key in world_doc:
-                world_doc[key] = tuple(world_doc[key])
-        world = WorldConfig(**world_doc)
-        loss = LossConfig(**doc.get("loss", {}))
+        world = WorldConfig(**world_args)
+        loss = LossConfig(**loss_args)
         return ExperimentConfig(
             world=world,
             loss=loss,
@@ -269,7 +315,7 @@ def load_experiment_config(path) -> ExperimentConfig:
             spec_path=doc.get("spec_path"),
             corrective_enabled=corrective,
         )
-    except (KeyError, TypeError, ValueError) as err:
+    except ValueError as err:  # a LossConfig range check
         raise SchemaError(f"{path}: {err!r}") from err
 
 

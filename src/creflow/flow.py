@@ -7,158 +7,177 @@ feature vector [x_t, t, t^2, condition, 1] and a tanh MLP over
 [x_t, t, condition]. Both expose exact vector-Jacobian products over their
 flat parameter vectors; gradients are checked against central finite
 differences in the test suite.
+
+Each model has one evaluation path. ``encode`` checks a batch's inputs and
+builds its feature rows once; ``forward`` runs the model on those rows and
+returns every layer's activations, the velocity last; ``vjp`` takes those
+activations back to a parameter gradient. Features depend only on the
+inputs, so the current, behavior and reference snapshots of one model share
+them, and ``refresh`` rewrites just the x/t columns when only those change.
+``velocity_batch``/``vjp_batch`` compose the path for one-off callers and
+keep the single-point form. Parameters live in one flat vector, ``params``,
+that the weight arrays view, so updates happen in place.
 """
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimMismatch, SchemaError, TOutOfRange
+from .errors import DimMismatch, TOutOfRange
 
 T_MIN = 1e-3
-CHECKPOINT_VERSION = 1
 
 
-@dataclass(frozen=True)
-class FlowSample:
-    x0: np.ndarray
-    eps: np.ndarray
-    t: float
-    xt: np.ndarray
-    v_target: np.ndarray
+def interpolate(x0, eps, t):
+    """Noise clean latents to time t along the straight-line path.
 
-
-def interpolate(x0, eps, t) -> FlowSample:
-    """Noise a clean latent to time t along the straight-line path."""
+    ``x0`` and ``eps`` share a shape (one latent or a batch); ``t`` is one
+    time or one per latent.
+    """
     x0 = np.asarray(x0, dtype=np.float64)
     eps = np.asarray(eps, dtype=np.float64)
     if x0.shape != eps.shape:
         raise DimMismatch(f"x0 {x0.shape} vs eps {eps.shape}")
-    t = float(t)
-    if not (T_MIN <= t <= 1.0):
+    tv = np.asarray(t, dtype=np.float64)
+    if tv.ndim and tv.shape != x0.shape[:-1]:
+        raise DimMismatch(f"t batch {tv.shape} vs latents {x0.shape[:-1]}")
+    if not np.all((T_MIN <= tv) & (tv <= 1.0)):
         raise TOutOfRange(f"t={t} outside [{T_MIN}, 1]")
-    xt = (1.0 - t) * x0 + t * eps
-    return FlowSample(x0, eps, t, xt, eps - x0)
+    return (1.0 - tv)[..., None] * x0 + tv[..., None] * eps
 
 
-def _prep_batch(xt, t, cond, dim, cond_dim):
+def _check_batch(xt, t, cond, dim, cond_dim):
+    """Validated (x (B, dim), t (B,) or scalar, condition (B, cond_dim) or (cond_dim,))."""
     x = np.asarray(xt, dtype=np.float64)
-    single = x.ndim == 1
-    if single:
+    if x.ndim == 1:
         x = x[None, :]
-    if x.shape[1] != dim:
-        raise DimMismatch(f"latent dim {x.shape[1]}, model dim {dim}")
+    if x.ndim != 2 or x.shape[1] != dim:
+        raise DimMismatch(f"latents {x.shape}, model dim {dim}")
     b = x.shape[0]
     tv = np.asarray(t, dtype=np.float64)
-    tv = np.full(b, float(tv)) if tv.ndim == 0 else tv
-    if tv.shape != (b,):
+    if tv.ndim and tv.shape != (b,):
         raise DimMismatch(f"t batch {tv.shape} vs latents {b}")
     c = np.asarray(cond, dtype=np.float64) if cond is not None else np.zeros(0)
-    if c.ndim == 1:
-        c = np.broadcast_to(c, (b, c.shape[0]))
-    if c.shape != (b, cond_dim):
+    if c.shape != (cond_dim,) and c.shape != (b, cond_dim):
         raise DimMismatch(f"condition {c.shape}, expected ({b}, {cond_dim})")
-    return x, tv, c, single
+    return x, tv, c
 
 
-class LinearVelocity:
-    """v = W phi with phi = [x_t, t, t^2, condition, 1]."""
+def _one_point(xt, out):
+    """The wrappers return one row for a one-point (1-D) input."""
+    return out[0] if np.ndim(xt) == 1 else out
 
-    kind = "linear"
 
-    def __init__(self, dim, cond_dim=0, rng=None, scale=0.0):
-        self.dim = int(dim)
-        self.cond_dim = int(cond_dim)
-        self.n_features = self.dim + self.cond_dim + 3
-        if rng is None or scale == 0.0:
-            self.weights = np.zeros((self.dim, self.n_features))
-        else:
-            self.weights = scale * rng.standard_normal((self.dim, self.n_features))
+class _VelocityModel:
+    """What both model kinds share: flat parameters, ``encode`` and the wrappers.
+
+    Feature rows are [x_t, time columns, condition, constant columns]; each
+    kind sets ``n_time`` and ``n_inputs`` and writes the x_t/time columns in
+    ``refresh``.
+    """
 
     @property
     def n_params(self):
-        return self.weights.size
+        return self.params.size
 
     def get_params(self):
-        return self.weights.ravel().copy()
+        return self.params.copy()
 
     def set_params(self, theta):
         theta = np.asarray(theta, dtype=np.float64)
         if theta.shape != (self.n_params,):
             raise DimMismatch(f"expected {self.n_params} params, got {theta.shape}")
-        self.weights = theta.reshape(self.weights.shape).copy()
+        self.params[:] = theta
 
-    def _features(self, xt, t, cond):
-        """Batched phi = [x_t, t, t^2, condition, 1] and whether xt was one point."""
-        x, tv, c, single = _prep_batch(xt, t, cond, self.dim, self.cond_dim)
-        phi = np.concatenate(
-            [x, tv[:, None], (tv * tv)[:, None], c, np.ones((x.shape[0], 1))], axis=1
-        )
-        return phi, single
-
-    def features(self, xt, t, cond=None):
-        phi, single = self._features(xt, t, cond)
-        return phi[0] if single else phi
+    def encode(self, xt, t, cond=None):
+        """Checked feature rows (B, n_inputs) for a batch; the single validation point."""
+        x, tv, c = _check_batch(xt, t, cond, self.dim, self.cond_dim)
+        feats = np.empty((x.shape[0], self.n_inputs))
+        cond_end = self.dim + self.n_time + self.cond_dim
+        feats[:, cond_end - self.cond_dim:cond_end] = c
+        feats[:, cond_end:] = 1.0
+        self.refresh(feats, x, tv)
+        return feats
 
     def velocity_batch(self, xt, t, cond=None):
-        phi, single = self._features(xt, t, cond)
-        out = phi @ self.weights.T
-        return out[0] if single else out
+        return _one_point(xt, self.forward(self.encode(xt, t, cond))[-1])
 
     def vjp_batch(self, xt, t, cond, adjoints):
         """Sum over the batch of adjoint^T dv/dtheta, as a flat vector."""
-        phi, single = self._features(xt, t, cond)
-        a = np.asarray(adjoints, dtype=np.float64)
-        if single:
-            a = a[None, :]
-        return (a.T @ phi).ravel()
+        acts = self.forward(self.encode(xt, t, cond))
+        return self.vjp(acts, np.atleast_2d(np.asarray(adjoints, dtype=np.float64)))
+
+
+class LinearVelocity(_VelocityModel):
+    """v = W phi with phi = [x_t, t, t^2, condition, 1]."""
+
+    kind = "linear"
+    n_time = 2  # t and t^2; the last column is the constant 1
+
+    def __init__(self, dim, cond_dim=0, rng=None, scale=0.0):
+        self.dim = int(dim)
+        self.cond_dim = int(cond_dim)
+        self.n_inputs = self.dim + self.cond_dim + 3
+        shape = (self.dim, self.n_inputs)
+        if rng is None or scale == 0.0:
+            self.params = np.zeros(self.dim * self.n_inputs)
+        else:
+            self.params = (scale * rng.standard_normal(shape)).ravel()
+        self.weights = self.params.reshape(shape)
+
+    def refresh(self, feats, x, t):
+        """Rewrite the x_t, t and t^2 columns of encoded rows in place."""
+        d = self.dim
+        feats[:, :d] = x
+        feats[:, d] = t
+        np.multiply(feats[:, d], feats[:, d], out=feats[:, d + 1])
+
+    def forward(self, feats):
+        """Activations [phi, v] for encoded rows."""
+        return [feats, feats @ self.weights.T]
+
+    def vjp(self, acts, adjoints):
+        """Sum over the rows of adjoint^T dv/dtheta from a forward pass's activations."""
+        return (adjoints.T @ acts[0]).ravel()
 
     def clone(self):
         other = LinearVelocity(self.dim, self.cond_dim)
-        other.weights = self.weights.copy()
+        other.set_params(self.params)
         return other
 
 
-class MLPVelocity:
+class MLPVelocity(_VelocityModel):
     """Tanh MLP over [x_t, t, condition] with a linear output layer."""
 
     kind = "mlp"
+    n_time = 1  # t; biases replace the constant column
 
     def __init__(self, dim, cond_dim=0, hidden=(32,), rng=None, scale=0.5):
         self.dim = int(dim)
         self.cond_dim = int(cond_dim)
         self.hidden = tuple(int(h) for h in hidden)
-        sizes = [self.dim + 1 + self.cond_dim, *self.hidden, self.dim]
-        self.layers = []
-        for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
-            if rng is None:
-                w = np.zeros((fan_out, fan_in))
-            else:
-                w = scale * rng.standard_normal((fan_out, fan_in)) / np.sqrt(fan_in)
-            self.layers.append([w, np.zeros(fan_out)])
-
-    @property
-    def n_params(self):
-        return sum(w.size + b.size for w, b in self.layers)
-
-    def get_params(self):
-        return np.concatenate([np.concatenate([w.ravel(), b]) for w, b in self.layers])
-
-    def set_params(self, theta):
-        theta = np.asarray(theta, dtype=np.float64)
-        if theta.shape != (self.n_params,):
-            raise DimMismatch(f"expected {self.n_params} params, got {theta.shape}")
+        self.n_inputs = self.dim + 1 + self.cond_dim
+        sizes = [self.n_inputs, *self.hidden, self.dim]
+        shapes = list(zip(sizes[1:], sizes[:-1]))  # (fan_out, fan_in) per layer
+        self.params = np.zeros(sum(fan_out * (fan_in + 1) for fan_out, fan_in in shapes))
+        self.layers = []  # (weights, biases) views into params, in params order
         pos = 0
-        for layer in self.layers:
-            w, b = layer
-            layer[0] = theta[pos : pos + w.size].reshape(w.shape).copy()
+        for fan_out, fan_in in shapes:
+            w = self.params[pos:pos + fan_out * fan_in].reshape(fan_out, fan_in)
             pos += w.size
-            layer[1] = theta[pos : pos + b.size].copy()
-            pos += b.size
+            if rng is not None:
+                w[:] = scale * rng.standard_normal((fan_out, fan_in)) / np.sqrt(fan_in)
+            self.layers.append((w, self.params[pos:pos + fan_out]))
+            pos += fan_out
 
-    def _forward(self, x, tv, c):
-        act = np.concatenate([x, tv[:, None], c], axis=1)
+    def refresh(self, feats, x, t):
+        """Rewrite the x_t and t columns of encoded rows in place."""
+        feats[:, :self.dim] = x
+        feats[:, self.dim] = t
+
+    def forward(self, feats):
+        """Activations [input, hidden..., v] for encoded rows."""
+        act = feats
         activations = [act]
         for k, (w, b) in enumerate(self.layers):
             z = act @ w.T + b
@@ -166,19 +185,10 @@ class MLPVelocity:
             activations.append(act)
         return activations
 
-    def velocity_batch(self, xt, t, cond=None):
-        x, tv, c, single = _prep_batch(xt, t, cond, self.dim, self.cond_dim)
-        out = self._forward(x, tv, c)[-1]
-        return out[0] if single else out
-
-    def vjp_batch(self, xt, t, cond, adjoints):
-        x, tv, c, single = _prep_batch(xt, t, cond, self.dim, self.cond_dim)
-        a = np.asarray(adjoints, dtype=np.float64)
-        if single:
-            a = a[None, :]
-        acts = self._forward(x, tv, c)
+    def vjp(self, acts, adjoints):
+        """Sum over the rows of adjoint^T dv/dtheta from a forward pass's activations."""
         grads = [None] * len(self.layers)
-        delta = a
+        delta = adjoints
         for k in range(len(self.layers) - 1, -1, -1):
             w, _ = self.layers[k]
             grads[k] = (delta.T @ acts[k], delta.sum(axis=0))
@@ -188,7 +198,7 @@ class MLPVelocity:
 
     def clone(self):
         other = MLPVelocity(self.dim, self.cond_dim, self.hidden)
-        other.set_params(self.get_params())
+        other.set_params(self.params)
         return other
 
 
@@ -214,10 +224,11 @@ class ModelBundle:
         return cls(model, model.clone(), model.clone(), ema_rate)
 
     def ema_sync(self):
-        """theta_old <- (1 - eta) theta_old + eta theta."""
+        """theta_old <- (1 - eta) theta_old + eta theta, in place."""
         eta = self.ema_rate
-        mixed = (1.0 - eta) * self.behavior.get_params() + eta * self.current.get_params()
-        self.behavior.set_params(mixed)
+        theta_old = self.behavior.params
+        theta_old *= 1.0 - eta
+        theta_old += eta * self.current.params
 
 
 def predict_x0(model, xt, t, cond=None):
@@ -234,11 +245,14 @@ def sample_rollout_group(bundle: ModelBundle, condition, steps, eps):
     """Euler-integrate the behavior field from t=1 down to T_MIN for a batch."""
     if steps < 1:
         raise ValueError("steps must be >= 1")
+    model = bundle.behavior
     x = np.array(eps, dtype=np.float64, copy=True)
+    rows = np.atleast_2d(x)  # a view: updating rows updates x
+    feats = model.encode(rows, 1.0, condition)
     dt = (1.0 - T_MIN) / steps
     for k in range(steps):
-        t = 1.0 - k * dt
-        x -= dt * bundle.behavior.velocity_batch(x, t, condition)
+        model.refresh(feats, rows, 1.0 - k * dt)
+        rows -= dt * model.forward(feats)[-1]
     return x
 
 
@@ -246,32 +260,3 @@ def sample_rollout(bundle: ModelBundle, condition, steps, rng):
     """Single reproducible rollout: draws eps from rng, then integrates."""
     eps = rng.standard_normal(bundle.behavior.dim)
     return sample_rollout_group(bundle, condition, steps, eps[None, :])[0]
-
-
-def save_model(path, model):
-    payload = {
-        "version": CHECKPOINT_VERSION,
-        "kind": model.kind,
-        "dim": model.dim,
-        "cond_dim": model.cond_dim,
-        "params": model.get_params().tolist(),
-    }
-    if model.kind == "mlp":
-        payload["hidden"] = list(model.hidden)
-    with open(path, "w") as fh:
-        json.dump(payload, fh)
-
-
-def load_model(path):
-    with open(path) as fh:
-        payload = json.load(fh)
-    if payload.get("version") != CHECKPOINT_VERSION:
-        raise SchemaError(f"unsupported checkpoint version {payload.get('version')}")
-    if payload["kind"] == "linear":
-        model = LinearVelocity(payload["dim"], payload["cond_dim"])
-    elif payload["kind"] == "mlp":
-        model = MLPVelocity(payload["dim"], payload["cond_dim"], payload["hidden"])
-    else:
-        raise SchemaError(f"unknown model kind {payload['kind']!r}")
-    model.set_params(np.array(payload["params"], dtype=np.float64))
-    return model

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import EmptyGroup, LayoutMismatch
-from .flow import T_MIN, ModelBundle
+from .flow import T_MIN, ModelBundle, interpolate
 from .mask import CreditMask, LatentLayout
 
 WEIGHT_SCHEMES = ("uniform", "kernel")
@@ -93,8 +93,7 @@ def draw_sample_batch(group: RolloutGroup, rng) -> SampleBatch:
     n, d = group.rollouts.shape
     t = rng.uniform(T_MIN, 1.0, size=n)
     eps = rng.standard_normal((n, d))
-    xt = (1.0 - t)[:, None] * group.rollouts + t[:, None] * eps
-    return SampleBatch(t, eps, xt, group.condition)
+    return SampleBatch(t, eps, interpolate(group.rollouts, eps, t), group.condition)
 
 
 def nft_branches(v_theta, v_old, beta):
@@ -114,12 +113,18 @@ def _mask_flat(group: RolloutGroup, config: LossConfig):
     return np.ones(group.layout.dim)
 
 
-def _nft_impl(group, bundle, batch, config, m):
+def _encode(bundle, batch):
+    """batch.xt as feature rows, checked once and shared by every snapshot and term."""
+    return bundle.current.encode(batch.xt, batch.t, batch.condition)
+
+
+def _nft_impl(group, bundle, batch, config, m, feats, current):
+    """``current`` is the current model's forward pass on ``feats``."""
     if group.size == 0:
         raise EmptyGroup("cannot evaluate a reward loss on an empty group")
     beta = config.beta
-    v_theta = bundle.current.velocity_batch(batch.xt, batch.t, batch.condition)
-    v_old = bundle.behavior.velocity_batch(batch.xt, batch.t, batch.condition)
+    v_theta = current[-1]
+    v_old = bundle.behavior.forward(feats)[-1]
     v = batch.eps - group.rollouts
     v_plus, v_minus = nft_branches(v_theta, v_old, beta)
     res_p = (v_plus - v) * m
@@ -128,27 +133,25 @@ def _nft_impl(group, bundle, batch, config, m):
     n = group.size
     loss = float(np.sum(r * res_p * res_p + (1.0 - r) * res_m * res_m) / n)
     adjoints = (r * (2.0 * beta) * res_p * m - (1.0 - r) * (2.0 * beta) * res_m * m) / n
-    grad = bundle.current.vjp_batch(batch.xt, batch.t, batch.condition, adjoints)
+    grad = bundle.current.vjp(current, adjoints)
     return loss, grad
 
 
 def loss_nft(group: RolloutGroup, bundle: ModelBundle, batch: SampleBatch, config: LossConfig):
     """Reward-gated branch regression, unmasked (full latent support)."""
-    return _nft_impl(group, bundle, batch, config, np.ones(group.layout.dim))
+    feats = _encode(bundle, batch)
+    return _nft_impl(group, bundle, batch, config, np.ones(group.layout.dim),
+                     feats, bundle.current.forward(feats))
 
 
 def loss_nft_credit_aware(group, bundle, batch, config):
     """Branch regression with both residuals gated by the group credit mask."""
-    return _nft_impl(group, bundle, batch, config, _mask_flat(group, config))
+    feats = _encode(bundle, batch)
+    return _nft_impl(group, bundle, batch, config, _mask_flat(group, config),
+                     feats, bundle.current.forward(feats))
 
 
-def loss_corrective_reflow(group, bundle, batch, config, form="x0"):
-    """Regress negatives' one-step x0 prediction toward the positive mean.
-
-    ``form`` selects the x0-space expression or the algebraically equal
-    velocity-space one t^2 ||M (v_theta - (x_t - mean)/t)||^2; the two are
-    implemented independently and agree to rounding.
-    """
+def _corrective_reflow_impl(group, bundle, batch, config, form, feats):
     zeros = np.zeros(bundle.current.n_params)
     xbar = group.positive_mean
     neg = group.negatives
@@ -157,7 +160,8 @@ def loss_corrective_reflow(group, bundle, batch, config, form="x0"):
     m = _mask_flat(group, config)
     t = batch.t[neg]
     xt = batch.xt[neg]
-    v_theta = bundle.current.velocity_batch(xt, t, batch.condition)
+    acts = bundle.current.forward(feats[neg])
+    v_theta = acts[-1]
     n_neg = neg.size
     if form == "x0":
         xhat = xt - t[:, None] * v_theta
@@ -171,8 +175,18 @@ def loss_corrective_reflow(group, bundle, batch, config, form="x0"):
         adjoints = 2.0 * (t * t)[:, None] * dv * m / n_neg
     else:
         raise ValueError(f"unknown form {form!r}")
-    grad = bundle.current.vjp_batch(xt, t, batch.condition, adjoints)
+    grad = bundle.current.vjp(acts, adjoints)
     return loss, grad
+
+
+def loss_corrective_reflow(group, bundle, batch, config, form="x0"):
+    """Regress negatives' one-step x0 prediction toward the positive mean.
+
+    ``form`` selects the x0-space expression or the algebraically equal
+    velocity-space one t^2 ||M (v_theta - (x_t - mean)/t)||^2; the two are
+    implemented independently and agree to rounding.
+    """
+    return _corrective_reflow_impl(group, bundle, batch, config, form, _encode(bundle, batch))
 
 
 def corrective_weights(group: RolloutGroup, config: LossConfig):
@@ -190,8 +204,7 @@ def corrective_weights(group: RolloutGroup, config: LossConfig):
     return w / w.sum(axis=1, keepdims=True)
 
 
-def loss_corrective_weighted(group, bundle, batch, config):
-    """Weighted-ERM corrective variant: per-negative weighted sum over positives."""
+def _corrective_weighted_impl(group, bundle, batch, config, feats):
     zeros = np.zeros(bundle.current.n_params)
     pos, neg = group.positives, group.negatives
     if pos.size == 0 or neg.size == 0:
@@ -200,45 +213,59 @@ def loss_corrective_weighted(group, bundle, batch, config):
     w = corrective_weights(group, config)
     t = batch.t[neg]
     xt = batch.xt[neg]
-    v_theta = bundle.current.velocity_batch(xt, t, batch.condition)
-    xhat = xt - t[:, None] * v_theta
+    acts = bundle.current.forward(feats[neg])
+    xhat = xt - t[:, None] * acts[-1]
     diff = (xhat[:, None, :] - group.rollouts[pos][None, :, :]) * m
     loss = float(np.sum(w[:, :, None] * diff * diff) / neg.size)
     barycenter = w @ group.rollouts[pos]
     adjoints = (-2.0 * t[:, None]) * ((xhat - barycenter) * m) * m / neg.size
-    grad = bundle.current.vjp_batch(xt, t, batch.condition, adjoints)
+    grad = bundle.current.vjp(acts, adjoints)
+    return loss, grad
+
+
+def loss_corrective_weighted(group, bundle, batch, config):
+    """Weighted-ERM corrective variant: per-negative weighted sum over positives."""
+    return _corrective_weighted_impl(group, bundle, batch, config, _encode(bundle, batch))
+
+
+def _kl_impl(bundle, batch, feats, current):
+    v_ref = bundle.reference.forward(feats)[-1]
+    diff = current[-1] - v_ref
+    n = batch.xt.shape[0]
+    loss = float(np.sum(diff * diff) / n)
+    grad = bundle.current.vjp(current, 2.0 * diff / n)
     return loss, grad
 
 
 def loss_kl(bundle: ModelBundle, batch: SampleBatch, config: LossConfig):
     """Velocity-MSE surrogate to the frozen reference, unmasked."""
-    v_theta = bundle.current.velocity_batch(batch.xt, batch.t, batch.condition)
-    v_ref = bundle.reference.velocity_batch(batch.xt, batch.t, batch.condition)
-    diff = v_theta - v_ref
-    n = batch.xt.shape[0]
-    loss = float(np.sum(diff * diff) / n)
-    grad = bundle.current.vjp_batch(batch.xt, batch.t, batch.condition, 2.0 * diff / n)
-    return loss, grad
+    feats = _encode(bundle, batch)
+    return _kl_impl(bundle, batch, feats, bundle.current.forward(feats))
 
 
 def loss_total(group, bundle, batch, config):
     """Masked branch loss + lambda_cr corrective + lambda_kl KL.
 
     Returns (loss, gradient, components) where components maps each term's
-    name to its unweighted scalar value.
+    name to its unweighted scalar value. batch.xt is encoded once; the
+    current model's forward pass on it serves the branch and KL terms, and
+    the corrective term runs on the negatives' rows of the same features.
     """
-    total, grad = loss_nft_credit_aware(group, bundle, batch, config)
+    feats = _encode(bundle, batch)
+    current = bundle.current.forward(feats)
+    total, grad = _nft_impl(group, bundle, batch, config, _mask_flat(group, config),
+                            feats, current)
     parts = {"nft": total, "cr": 0.0, "kl": 0.0}
     if config.lambda_cr > 0:
         if config.weight_scheme == "kernel":
-            cr_l, cr_g = loss_corrective_weighted(group, bundle, batch, config)
+            cr_l, cr_g = _corrective_weighted_impl(group, bundle, batch, config, feats)
         else:
-            cr_l, cr_g = loss_corrective_reflow(group, bundle, batch, config)
+            cr_l, cr_g = _corrective_reflow_impl(group, bundle, batch, config, "x0", feats)
         parts["cr"] = cr_l
         total += config.lambda_cr * cr_l
         grad = grad + config.lambda_cr * cr_g
     if config.lambda_kl > 0:
-        kl_l, kl_g = loss_kl(bundle, batch, config)
+        kl_l, kl_g = _kl_impl(bundle, batch, feats, current)
         parts["kl"] = kl_l
         total += config.lambda_kl * kl_l
         grad = grad + config.lambda_kl * kl_g

@@ -107,9 +107,6 @@ class DiscreteWorld:
         centered = self.x0s - mu
         return (centered * w[:, None]).T @ centered
 
-    def sample_atoms(self, rng, size):
-        return rng.choice(self.x0s.shape[0], size=size, p=self.probs)
-
     def sample_posterior_atoms(self, rng, xt, t, size):
         return rng.choice(self.x0s.shape[0], size=size, p=self.posterior(xt, t))
 

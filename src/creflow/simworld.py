@@ -21,7 +21,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NonFiniteLoss, SpecValidationError
-from .flow import LinearVelocity, MLPVelocity, ModelBundle, sample_rollout_group
+from .flow import (
+    T_MIN,
+    LinearVelocity,
+    MLPVelocity,
+    ModelBundle,
+    interpolate,
+    sample_rollout_group,
+)
 from .ltlf import parse_formula
 from .mask import LatentLayout, build_group_mask
 from .monitor import run_group_monitor, run_monitor
@@ -242,7 +249,7 @@ def latent_from_flat(flat, config) -> np.ndarray:
 
 
 def _carry(arm_xy, closed, start, reach):
-    """Object paths (N, T, objects, 2) under the carry rule.
+    """Object paths (N, T, objects, 2) from starts (objects, 2) or (N, objects, 2).
 
     An object moves with an arm iff the grasp condition (near + closed) held
     at the previous frame and the gripper stays closed; distances are measured
@@ -252,7 +259,7 @@ def _carry(arm_xy, closed, start, reach):
     arms; only the recurrence loops over frames.
     """
     n, t_count = arm_xy.shape[:2]
-    path = np.empty((n, t_count) + start.shape)
+    path = np.empty((n, t_count) + start.shape[-2:])
     path[:, 0] = start
     held = closed[:, 1:] & closed[:, :-1]  # (N, T-1, arms)
     for t, any_held in enumerate(held.any(axis=(0, 2)).tolist(), start=1):
@@ -377,8 +384,12 @@ def _script_arm(config, pickup, target, t_grab, t_place):
     return path
 
 
-def scripted_demo(config, condition, rng):
-    """One demonstration latent; perturbed variants fail the task on purpose."""
+def _script_demo(config, condition, rng):
+    """Arm and gripper rows of one demo latent, and its noise, drawn from rng.
+
+    Perturbed variants fail the task on purpose. Object and container rows
+    are left for ``_finish_demos``, which decodes many scripts at once.
+    """
     t_count = config.horizon
     sites = site_ids(config)
     z = np.zeros((t_count, len(sites), 2))
@@ -446,35 +457,68 @@ def scripted_demo(config, condition, rng):
         z[:, sites.index(arm), :] = world_to_latent(path, config)
     z[:, sites.index(AUX_SITE), 0] = np.where(closed_left, 0.8, -0.8)
     z[:, sites.index(AUX_SITE), 1] = -0.8
+    return z, config.demo_noise * rng.standard_normal(z.shape)
 
-    # objects: encode the decoded trajectory so latent rows are self-consistent
-    trace = RolloutDecoder(config)(z, condition)
-    for oid in object_ids(config):
-        z[:, sites.index(oid), :] = world_to_latent(trace.positions(oid), config)
-    z[:, sites.index(cont), :] = world_to_latent(
-        np.repeat(cont_pos[None, :], t_count, axis=0), config
-    )
 
-    z += config.demo_noise * rng.standard_normal(z.shape)
-    return z.ravel()
+def _finish_demos(config, conditions, scripts):
+    """Flat demo latents (N, D) from scripts: objects decoded at once, noise added.
+
+    Object rows hold the objects' decoded paths, so the latents are
+    self-consistent; the container row holds its fixed position.
+    """
+    z = np.stack([script for script, _ in scripts])
+    decode = RolloutDecoder(config)
+    sites = site_ids(config)
+    start = np.array([[c.position(oid) for oid in decode.objects] for c in conditions])
+    arm_xy = latent_to_world(z[:, :, decode.arm_sites, :], config)
+    obj_xy = _carry(arm_xy, z[:, :, decode.aux_site, :] > 0.0, start, config.grasp_distance)
+    for k, oid in enumerate(decode.objects):
+        z[:, :, sites.index(oid), :] = world_to_latent(obj_xy[:, :, k], config)
+    cont = np.array([c.position(decode.container) for c in conditions])
+    z[:, :, sites.index(decode.container), :] = world_to_latent(cont[:, None, :], config)
+    z += np.stack([noise for _, noise in scripts])
+    return z.reshape(len(scripts), -1)
+
+
+def scripted_demo(config, condition, rng):
+    """One demonstration latent; perturbed variants fail the task on purpose."""
+    return _finish_demos(config, [condition], [_script_demo(config, condition, rng)])[0]
 
 
 class Adam:
-    """Minimal Adam updater over a flat parameter vector."""
+    """Minimal Adam updater over a flat parameter vector, in place.
+
+    Every step is m = b1 m + (1-b1) g, v = b2 v + ((1-b2) g) g and
+    params -= (lr (m/c1)) / (sqrt(v/c2) + eps), evaluated in that order into
+    preallocated buffers, so it allocates nothing.
+    """
 
     def __init__(self, n_params, lr, beta1=0.9, beta2=0.999, eps=1e-8):
         self.lr, self.b1, self.b2, self.eps = lr, beta1, beta2, eps
         self.m = np.zeros(n_params)
         self.v = np.zeros(n_params)
+        self._num = np.empty(n_params)
+        self._den = np.empty(n_params)
         self.step_count = 0
 
     def step(self, params, grad):
+        """Update ``params`` in place by one Adam step on ``grad``."""
         self.step_count += 1
-        self.m = self.b1 * self.m + (1 - self.b1) * grad
-        self.v = self.b2 * self.v + (1 - self.b2) * grad * grad
-        mhat = self.m / (1 - self.b1**self.step_count)
-        vhat = self.v / (1 - self.b2**self.step_count)
-        return params - self.lr * mhat / (np.sqrt(vhat) + self.eps)
+        m, v, num, den = self.m, self.v, self._num, self._den
+        m *= self.b1
+        np.multiply(grad, 1 - self.b1, out=num)
+        m += num
+        v *= self.b2
+        np.multiply(grad, 1 - self.b2, out=num)
+        num *= grad
+        v += num
+        np.divide(m, 1 - self.b1**self.step_count, out=num)
+        num *= self.lr
+        np.divide(v, 1 - self.b2**self.step_count, out=den)
+        np.sqrt(den, out=den)
+        den += self.eps
+        num /= den
+        params -= num
 
 
 def make_model(config, rng):
@@ -486,17 +530,15 @@ def make_model(config, rng):
 
 def pretrain_reference(config, rng=None) -> ModelBundle:
     """Flow-match a fresh model on scripted demos; bundle clones it three ways."""
-    from .flow import T_MIN
-
     if rng is None:
         rng = np.random.default_rng((config.seed, 101))
-    demos, conds = [], []
+    conditions, scripts = [], []
     for _ in range(config.demo_count):
         condition = sample_condition(config, rng)
-        demos.append(scripted_demo(config, condition, rng))
-        conds.append(condition_embedding(config, condition))
-    demos = np.array(demos)
-    conds = np.array(conds)
+        conditions.append(condition)
+        scripts.append(_script_demo(config, condition, rng))
+    demos = _finish_demos(config, conditions, scripts)
+    conds = np.array([condition_embedding(config, c) for c in conditions])
 
     model = make_model(config, rng)
     opt = Adam(model.n_params, config.pretrain_lr)
@@ -507,12 +549,9 @@ def pretrain_reference(config, rng=None) -> ModelBundle:
         cond = conds[idx]
         t = rng.uniform(T_MIN, 1.0, size=config.pretrain_batch)
         eps = rng.standard_normal(x0.shape)
-        xt = (1.0 - t)[:, None] * x0 + t[:, None] * eps
-        v_target = eps - x0
-        v = model.velocity_batch(xt, t, cond)
-        adj = 2.0 * (v - v_target) / config.pretrain_batch
-        grad = model.vjp_batch(xt, t, cond, adj)
-        model.set_params(opt.step(model.get_params(), grad))
+        acts = model.forward(model.encode(interpolate(x0, eps, t), t, cond))
+        adj = 2.0 * (acts[-1] - (eps - x0)) / config.pretrain_batch
+        opt.step(model.params, model.vjp(acts, adj))
     return ModelBundle.from_model(model, ema_rate=config.ema_rate)
 
 
@@ -553,7 +592,10 @@ def run_online_loop(config: WorldConfig, spec: TaskSpec, bundle: ModelBundle,
         [scripted_demo(config, c, probe_rng) for c in probe_conditions]
     )
     probe_t = probe_rng.uniform(0.05, 0.95, size=config.probe_count)
-    probe_xt = (1.0 - probe_t)[:, None] * probe_x0 + probe_t[:, None] * probe_eps
+    probe_feats = bundle.current.encode(
+        interpolate(probe_x0, probe_eps, probe_t), probe_t, probe_embeds
+    )
+    probe_v_ref = bundle.reference.forward(probe_feats)[-1]  # the reference is frozen
 
     rows = []
     for iteration in range(config.iterations):
@@ -587,13 +629,12 @@ def run_online_loop(config: WorldConfig, spec: TaskSpec, bundle: ModelBundle,
             raise NonFiniteLoss(
                 f"non-finite loss at iteration {iteration}: total={total}"
             )
-        bundle.current.set_params(bundle.current.get_params() - config.learning_rate * grad)
+        bundle.current.params -= config.learning_rate * grad
         bundle.ema_sync()
 
         inv_mask = 1.0 - group_mask.flat(layout)
-        v_cur = bundle.current.velocity_batch(probe_xt, probe_t, probe_embeds)
-        v_ref = bundle.reference.velocity_batch(probe_xt, probe_t, probe_embeds)
-        drift = float(np.mean(np.linalg.norm((v_cur - v_ref) * inv_mask, axis=1)))
+        v_cur = bundle.current.forward(probe_feats)[-1]
+        drift = float(np.mean(np.linalg.norm((v_cur - probe_v_ref) * inv_mask, axis=1)))
 
         rows.append(
             {

@@ -256,6 +256,45 @@ class TestMalformedInputs:
         assert main(["monitor", "--spec", str(path), "--trace", workdir["clean"]]) == 2
         assert capsys.readouterr().err == f"error: {path}: {message}\n"
 
+    @pytest.mark.parametrize("section,key,value,message", [
+        ("world", "learning_rate", "0.0003",
+         "'world.learning_rate' must be a finite number, got '0.0003'"),
+        ("world", "demo_noise", True, "'world.demo_noise' must be a finite number, got True"),
+        ("world", "horizon", 12.0, "'world.horizon' must be an integer, got 12.0"),
+        ("world", "grid", [24, 24, 24], "'world.grid' must be two integers, got [24, 24, 24]"),
+        ("world", "container_half_extents", [3.0, "3"],
+         "'world.container_half_extents' must be two finite numbers, got [3.0, '3']"),
+        ("world", "hidden", 64, "'world.hidden' must be a list of integers, got 64"),
+        ("world", "model_kind", None, "'world.model_kind' must be a string, got None"),
+        ("world", "sed", 0, "unknown key 'sed' under 'world:'"),
+        ("loss", "beta", "1.0", "'loss.beta' must be a finite number, got '1.0'"),
+        ("loss", "weight_scheme", 1, "'loss.weight_scheme' must be a string, got 1"),
+        ("loss", "mask_enabled", "false", "'loss.mask_enabled' must be true or false, got 'false'"),
+    ])
+    def test_experiment_value_types(self, workdir, tmp_path, capsys, section, key, value,
+                                    message):
+        with open(workdir["experiment"]) as fh:
+            doc = yaml.safe_load(fh)
+        doc[section][key] = value
+        path = tmp_path / "typed.yaml"
+        path.write_text(yaml.safe_dump(doc, sort_keys=False))
+        assert main(["train", "--config", str(path), "--dry-run"]) == 2
+        assert capsys.readouterr().err == f"error: {path}: {message}\n"
+
+    @pytest.mark.parametrize("key,field,message", [
+        ("entities", "id", "entities[0]: missing key 'id'"),
+        ("predicates", "evaluator", "predicates[0]: missing key 'evaluator'"),
+        ("clauses", "formula", "clauses[0]: missing key 'formula'"),
+    ])
+    def test_spec_entry_missing_key(self, workdir, tmp_path, capsys, key, field, message):
+        with open(workdir["spec"]) as fh:
+            doc = yaml.safe_load(fh)
+        doc[key][0]["name_" + field] = doc[key][0].pop(field)
+        path = tmp_path / "missing_key.yaml"
+        path.write_text(yaml.safe_dump(doc, sort_keys=False))
+        assert main(["monitor", "--spec", str(path), "--trace", workdir["clean"]]) == 2
+        assert capsys.readouterr().err == f"error: {path}: {message}\n"
+
     @pytest.mark.parametrize("payload,message", [
         ([1, 2], "expected a JSON object, got list"),
         ({"summary": [0.5]}, "'summary' must be a JSON object, got list"),
@@ -338,6 +377,8 @@ class TestCliExitCodes:
         ("corective_enabled", False, "unknown top-level key 'corective_enabled'"),
         ("corrective_enabled", "false",
          "'corrective_enabled' must be true or false, got 'false'"),
+        ("out_dir", 5, "'out_dir' must be a string, got 5"),
+        ("spec_path", True, "'spec_path' must be a string, got True"),
     ])
     def test_train_rejects_bad_top_level_key(self, workdir, tmp_path, capsys, key, value,
                                              message):

@@ -1,5 +1,3 @@
-import os
-
 import numpy as np
 import pytest
 
@@ -10,12 +8,10 @@ from creflow.flow import (
     MLPVelocity,
     ModelBundle,
     interpolate,
-    load_model,
     model_jacobian,
     predict_x0,
     sample_rollout,
     sample_rollout_group,
-    save_model,
 )
 
 from conftest import rel_error
@@ -28,24 +24,31 @@ class TestInterpolate:
             x0 = rng.standard_normal(6)
             eps = rng.standard_normal(6)
             t = rng.uniform(T_MIN, 1.0)
-            s = interpolate(x0, eps, t)
-            assert np.allclose(s.xt, (1 - t) * x0 + t * eps)
-            assert np.allclose((s.xt - x0) / t, s.v_target, atol=1e-9)
+            xt = interpolate(x0, eps, t)
+            assert np.allclose(xt, (1 - t) * x0 + t * eps)
+            assert np.allclose((xt - x0) / t, eps - x0, atol=1e-9)
+
+    def test_batch_rows_equal_single_points(self):
+        rng = np.random.default_rng(1)
+        x0 = rng.standard_normal((7, 5))
+        eps = rng.standard_normal((7, 5))
+        t = rng.uniform(T_MIN, 1.0, size=7)
+        batch = interpolate(x0, eps, t)
+        assert np.array_equal(batch, (1.0 - t)[:, None] * x0 + t[:, None] * eps)
+        for i in range(7):
+            assert np.array_equal(batch[i], interpolate(x0[i], eps[i], t[i]))
 
     def test_boundaries(self):
         x0 = np.array([1.0, -2.0])
         eps = np.array([0.5, 0.5])
         near_zero = interpolate(x0, eps, T_MIN)
-        assert np.allclose(near_zero.xt, x0, atol=1e-2)
+        assert np.allclose(near_zero, x0, atol=1e-2)
         at_one = interpolate(x0, eps, 1.0)
-        assert np.array_equal(at_one.xt, eps)
-        assert np.array_equal(at_one.v_target, eps - x0)
+        assert np.array_equal(at_one, eps)
 
     def test_fixed_point(self):
         x = np.array([0.3, 0.7])
-        s = interpolate(x, x, 0.5)
-        assert np.allclose(s.xt, x)
-        assert np.allclose(s.v_target, 0)
+        assert np.allclose(interpolate(x, x, 0.5), x)
 
     def test_errors(self):
         with pytest.raises(DimMismatch):
@@ -54,6 +57,10 @@ class TestInterpolate:
             interpolate(np.zeros(3), np.zeros(3), 0.0)
         with pytest.raises(TOutOfRange):
             interpolate(np.zeros(3), np.zeros(3), 1.2)
+        with pytest.raises(TOutOfRange):
+            interpolate(np.zeros((2, 3)), np.zeros((2, 3)), np.array([0.5, 0.0]))
+        with pytest.raises(DimMismatch):
+            interpolate(np.zeros((2, 3)), np.zeros((2, 3)), np.full(3, 0.5))
 
 
 class TestPredictX0:
@@ -68,8 +75,8 @@ class TestPredictX0:
                     if np.asarray(xt).ndim == 1 else np.broadcast_to(eps - x0, np.asarray(xt).shape)
 
         for t in (T_MIN, 0.4, 1.0):
-            s = interpolate(x0, eps, t)
-            assert np.allclose(predict_x0(Exact(), s.xt, t), x0, atol=1e-12)
+            xt = interpolate(x0, eps, t)
+            assert np.allclose(predict_x0(Exact(), xt, t), x0, atol=1e-12)
 
     def test_zero_model_returns_xt(self):
         model = LinearVelocity(4)
@@ -78,16 +85,27 @@ class TestPredictX0:
 
 
 class PointMassVelocity:
-    """Exact conditional velocity when all mass sits at one point."""
+    """Exact conditional velocity when all mass sits at one point.
+
+    Feature rows are [x_t, t]; the sampler refreshes them on each step.
+    """
 
     def __init__(self, target):
         self.target = np.asarray(target, float)
         self.dim = self.target.size
 
-    def velocity_batch(self, xt, t, cond=None):
+    def encode(self, xt, t, cond=None):
         xt = np.atleast_2d(np.asarray(xt, float))
-        t = np.atleast_1d(np.asarray(t, float))
-        return (xt - self.target) / t[:, None]
+        feats = np.empty((xt.shape[0], self.dim + 1))
+        self.refresh(feats, xt, t)
+        return feats
+
+    def refresh(self, feats, x, t):
+        feats[:, :self.dim] = x
+        feats[:, self.dim] = t
+
+    def forward(self, feats):
+        return [(feats[:, :self.dim] - self.target) / feats[:, self.dim:]]
 
 
 class TestSampler:
@@ -174,7 +192,7 @@ class TestGradients:
         xt, t, cond = rng.standard_normal(3), 0.5, rng.standard_normal(1)
         adjoint = rng.standard_normal(3)
         grad = model.vjp_batch(xt, t, cond, adjoint).reshape(3, -1)
-        phi = model.features(xt, t, cond)
+        phi = model.encode(xt, t, cond)[0]
         assert np.allclose(grad, np.outer(adjoint, phi))
 
     def test_zero_adjoint_zero_gradient(self):
@@ -212,16 +230,104 @@ class TestBundle:
         assert not bundle.reference.get_params().any()
 
 
-class TestCheckpoint:
-    @pytest.mark.parametrize("kind", ["linear", "mlp"])
-    def test_round_trip(self, tmp_path, kind):
-        rng = np.random.default_rng(6)
-        if kind == "linear":
-            model = LinearVelocity(4, cond_dim=3, rng=rng, scale=0.4)
-        else:
-            model = MLPVelocity(4, cond_dim=3, hidden=(6,), rng=rng, scale=0.6)
-        path = os.path.join(tmp_path, "model.json")
-        save_model(path, model)
-        loaded = load_model(path)
-        xt, t, cond = rng.standard_normal(4), 0.3, rng.standard_normal(3)
-        assert np.array_equal(loaded.velocity_batch(xt, t, cond), model.velocity_batch(xt, t, cond))
+def make_model(kind, dim=4, cond_dim=3, seed=0):
+    rng = np.random.default_rng((seed, 31))
+    if kind == "linear":
+        return LinearVelocity(dim, cond_dim, rng=rng, scale=0.4)
+    return MLPVelocity(dim, cond_dim, hidden=(6, 5), rng=rng, scale=0.8)
+
+
+def concatenated_inputs(model, x, t, c):
+    """The feature rows as separate arrays joined side by side (the reference layout)."""
+    b = x.shape[0]
+    tv = np.full(b, t) if np.ndim(t) == 0 else t
+    c = np.broadcast_to(c, (b, model.cond_dim))
+    if model.kind == "linear":
+        return np.concatenate([x, tv[:, None], (tv * tv)[:, None], c, np.ones((b, 1))], axis=1)
+    return np.concatenate([x, tv[:, None], c], axis=1)
+
+
+@pytest.mark.parametrize("kind", ["linear", "mlp"])
+class TestSharedPath:
+    def test_encode_matches_concatenated_inputs(self, kind):
+        model = make_model(kind)
+        rng = np.random.default_rng(1)
+        x, t = rng.standard_normal((5, 4)), rng.uniform(T_MIN, 1.0, 5)
+        for cond in (rng.standard_normal(3), rng.standard_normal((5, 3))):
+            assert np.array_equal(model.encode(x, t, cond), concatenated_inputs(model, x, t, cond))
+        assert np.array_equal(model.encode(x, 0.3, cond), concatenated_inputs(model, x, 0.3, cond))
+
+    def test_wrappers_equal_shared_features(self, kind):
+        model = make_model(kind)
+        rng = np.random.default_rng(2)
+        x, t, cond = rng.standard_normal((6, 4)), rng.uniform(T_MIN, 1.0, 6), rng.standard_normal(3)
+        adjoints = rng.standard_normal((6, 4))
+        acts = model.forward(model.encode(x, t, cond))
+        assert np.array_equal(model.velocity_batch(x, t, cond), acts[-1])
+        assert np.array_equal(model.vjp_batch(x, t, cond, adjoints), model.vjp(acts, adjoints))
+        # one point: 1-D latent, scalar t, 1-D adjoint
+        one = model.forward(model.encode(x[:1], t[0], cond))
+        v = model.velocity_batch(x[0], t[0], cond)
+        assert v.shape == (4,) and np.array_equal(v, one[-1][0])
+        assert np.array_equal(model.vjp_batch(x[0], t[0], cond, adjoints[0]),
+                              model.vjp(one, adjoints[:1]))
+
+    def test_forward_on_rows_equals_rows_of_inputs(self, kind):
+        # the corrective term runs on the negatives' rows of the shared features
+        model = make_model(kind)
+        rng = np.random.default_rng(3)
+        x, t, cond = rng.standard_normal((7, 4)), rng.uniform(T_MIN, 1.0, 7), rng.standard_normal(3)
+        rows = np.array([1, 4, 5])
+        feats = model.encode(x, t, cond)
+        assert np.array_equal(model.forward(feats[rows])[-1],
+                              model.velocity_batch(x[rows], t[rows], cond))
+
+    def test_euler_sampler_equals_step_by_step_loop(self, kind):
+        model = make_model(kind)
+        bundle = ModelBundle.from_model(model)
+        rng = np.random.default_rng(4)
+        cond, eps = rng.standard_normal(3), rng.standard_normal((8, 4))
+        for steps in (1, 5, 16):
+            x = eps.copy()
+            dt = (1.0 - T_MIN) / steps
+            for k in range(steps):
+                x -= dt * bundle.behavior.velocity_batch(x, 1.0 - k * dt, cond)
+            assert np.array_equal(sample_rollout_group(bundle, cond, steps, eps), x)
+
+    def test_dim_mismatch_at_public_edge(self, kind):
+        model = make_model(kind)
+        bundle = ModelBundle.from_model(model)
+        x, cond = np.zeros((3, 4)), np.zeros(3)
+        bad = [
+            (np.zeros((3, 5)), 0.5, cond),  # latent dim
+            (x, np.full(2, 0.5), cond),  # t batch
+            (x, 0.5, np.zeros(2)),  # condition width
+            (x, 0.5, np.zeros((2, 3))),  # condition rows
+        ]
+        for xt, t, c in bad:
+            with pytest.raises(DimMismatch):
+                model.encode(xt, t, c)
+            with pytest.raises(DimMismatch):
+                model.velocity_batch(xt, t, c)
+            with pytest.raises(DimMismatch):
+                model.vjp_batch(xt, t, c, np.zeros((3, 4)))
+        with pytest.raises(DimMismatch):
+            sample_rollout_group(bundle, cond, 4, np.zeros((3, 5)))
+        with pytest.raises(DimMismatch):
+            sample_rollout_group(bundle, np.zeros(2), 4, x)
+
+    def test_in_place_updates_match_copies(self, kind):
+        rng = np.random.default_rng(5)
+        model = make_model(kind)
+        for eta in (0.25, 1.0):
+            bundle = ModelBundle.from_model(model, ema_rate=eta)
+            bundle.behavior.set_params(model.get_params() + rng.standard_normal(model.n_params))
+            expected = (1.0 - eta) * bundle.behavior.get_params() + eta * model.get_params()
+            bundle.ema_sync()
+            assert np.array_equal(bundle.behavior.get_params(), expected)
+        grad = rng.standard_normal(model.n_params)
+        expected = model.get_params() - 3e-4 * grad
+        v_before = model.velocity_batch(np.ones(4), 0.5, np.ones(3))
+        model.params -= 3e-4 * grad
+        assert np.array_equal(model.get_params(), expected)
+        assert not np.array_equal(model.velocity_batch(np.ones(4), 0.5, np.ones(3)), v_before)

@@ -68,11 +68,12 @@ class TestNftLoss:
 
         class Oracle:
             n_params = bundle.current.n_params
+            encode = bundle.current.encode  # feature rows the behavior snapshot reads
 
-            def velocity_batch(self, xt, t, cond=None):
-                return batch.eps - group.rollouts
+            def forward(self, feats):
+                return [feats, batch.eps - group.rollouts]
 
-            def vjp_batch(self, xt, t, cond, adjoints):
+            def vjp(self, acts, adjoints):
                 return np.zeros(self.n_params)
 
         bundle_exact = make_bundle("linear", layout)
@@ -266,6 +267,30 @@ class TestTotal:
         l3, g3 = loss_kl(bundle, batch, CONFIG)
         assert np.isclose(total, l1 + CONFIG.lambda_cr * l2 + CONFIG.lambda_kl * l3)
         assert np.allclose(grad, g1 + CONFIG.lambda_cr * g2 + CONFIG.lambda_kl * g3)
+
+
+    @pytest.mark.parametrize("kind", ["linear", "mlp"])
+    @pytest.mark.parametrize("scheme", ["uniform", "kernel"])
+    def test_parts_and_gradient_equal_single_terms_bit_for_bit(self, kind, scheme):
+        # loss_total shares one encoding of batch.xt across its terms; every
+        # part and the summed gradient must equal the public single terms
+        layout = tiny_layout()
+        config = LossConfig(beta=1.3, lambda_cr=0.7, lambda_kl=0.3, weight_scheme=scheme)
+        corrective = loss_corrective_weighted if scheme == "kernel" else loss_corrective_reflow
+        for seed in range(10):
+            group = make_group(seed, n=6)
+            bundle = make_bundle(kind, layout, seed=seed)
+            batch = make_batch(group, seed)
+            total, grad, parts = loss_total(group, bundle, batch, config)
+            l1, g1 = loss_nft_credit_aware(group, bundle, batch, config)
+            l2, g2 = corrective(group, bundle, batch, config)
+            l3, g3 = loss_kl(bundle, batch, config)
+            assert parts == {"nft": l1, "cr": l2, "kl": l3}
+            expected = l1
+            expected += config.lambda_cr * l2
+            expected += config.lambda_kl * l3
+            assert total == expected
+            assert np.array_equal(grad, g1 + config.lambda_cr * g2 + config.lambda_kl * g3)
 
 
 class TestGradientChecks:

@@ -6,6 +6,7 @@ from creflow.monitor import run_monitor
 from creflow.objectives import LossConfig
 from creflow.simworld import (
     AUX_SITE,
+    Adam,
     RolloutDecoder,
     WorldConfig,
     build_task_spec,
@@ -17,6 +18,8 @@ from creflow.simworld import (
     run_online_loop,
     sample_condition,
     scripted_demo,
+    _finish_demos,
+    _script_demo,
     site_ids,
     world_layout,
     world_to_latent,
@@ -265,3 +268,34 @@ class TestLoop:
         series = run_experiment(config, LossConfig(lambda_cr=1.0))
         for row in series.rows:
             assert np.isfinite(row["offmask_drift"]) and row["offmask_drift"] >= 0.0
+
+
+class TestPretrain:
+    def test_adam_equals_textbook_formula(self):
+        rng = np.random.default_rng(0)
+        n, lr, b1, b2, eps = 64, 0.02, 0.9, 0.999, 1e-8
+        opt = Adam(n, lr)
+        params = rng.standard_normal(n)
+        ref, m, v = params.copy(), np.zeros(n), np.zeros(n)
+        buffers = (opt.m, opt.v, params)
+        for k in range(1, 201):
+            grad = rng.standard_normal(n) * 10.0 ** rng.uniform(-4, 1)
+            opt.step(params, grad)
+            m = b1 * m + (1 - b1) * grad
+            v = b2 * v + (1 - b2) * grad * grad
+            ref = ref - lr * (m / (1 - b1**k)) / (np.sqrt(v / (1 - b2**k)) + eps)
+            assert np.array_equal(params, ref)
+        assert (opt.m, opt.v, params) == buffers  # updated in place
+
+    @pytest.mark.parametrize("template", ["pick_place", "ordered_stack", "persist_hold"])
+    def test_demo_batch_equals_one_at_a_time(self, template):
+        config = small_config(template=template, n_objects=2 if template == "ordered_stack" else 1)
+        rng_a, rng_b = np.random.default_rng(9), np.random.default_rng(9)
+        conditions, scripts, one_by_one = [], [], []
+        for _ in range(12):
+            condition = sample_condition(config, rng_a)
+            one_by_one.append(scripted_demo(config, condition, rng_a))
+            assert sample_condition(config, rng_b).layout == condition.layout
+            conditions.append(condition)
+            scripts.append(_script_demo(config, condition, rng_b))
+        assert np.array_equal(_finish_demos(config, conditions, scripts), np.array(one_by_one))
