@@ -82,7 +82,17 @@ def cmd_mask(args) -> int:
     return EXIT_OK
 
 
+def _negative_seed(seed) -> bool:
+    """Report and return True if --seed was given a negative value."""
+    if seed is not None and seed < 0:
+        print(f"error: --seed must be >= 0, got {seed}", file=sys.stderr)
+        return True
+    return False
+
+
 def cmd_verify(args) -> int:
+    if _negative_seed(args.seed):
+        return EXIT_USAGE
     if args.suite != "all" and args.suite not in oracle.SUITES:
         print(
             f"error: unknown suite {args.suite!r}; "
@@ -104,6 +114,8 @@ def cmd_train(args) -> int:
     if args.dump_traces < 0:
         print(f"error: --dump-traces must be >= 0, got {args.dump_traces}", file=sys.stderr)
         return EXIT_USAGE
+    if _negative_seed(args.seed):
+        return EXIT_USAGE
     try:
         cfg = fileio.load_experiment_config(args.config)
         if args.seed is not None:
@@ -121,6 +133,7 @@ def cmd_train(args) -> int:
         log.info("config and spec validated")
         return EXIT_OK
     os.makedirs(cfg.out_dir, exist_ok=True)
+    fileio.save_run_inputs(cfg, spec)
     bundle = simworld.pretrain_reference(cfg.world)
     try:
         series = simworld.run_online_loop(cfg.world, spec, bundle, cfg.effective_loss_config())

@@ -9,6 +9,7 @@ CSV with a versioned, append-only column set.
 import csv
 import json
 import math
+import os
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -304,6 +305,8 @@ def load_experiment_config(path) -> ExperimentConfig:
             raise SchemaError(f"{path}: {key!r} must be a string, got {doc[key]!r}")
     _require(doc, "world", path)
     world_args = _config_section(doc, "world", WorldConfig, path)
+    if world_args.get("seed", 0) < 0:
+        raise SchemaError(f"{path}: 'world.seed' must be >= 0, got {world_args['seed']}")
     loss_args = _config_section(doc, "loss", LossConfig, path)
     try:
         world = WorldConfig(**world_args)
@@ -330,6 +333,25 @@ def save_experiment_config(path, cfg: ExperimentConfig):
         "loss": vars(cfg.loss).copy(),
     }
     _dump_yaml(path, doc)
+
+
+# What a training run writes next to metrics.csv and summary.json.
+RUN_CONFIG_FILE = "experiment.yaml"
+RUN_SPEC_FILE = "task_spec.yaml"
+
+
+def save_run_inputs(cfg: ExperimentConfig, spec: TaskSpec):
+    """Write a run's resolved config and its task spec into its ``out_dir``.
+
+    The config carries the effective seed and output directory. If the run
+    read its spec from a file, the config points at the saved copy (by
+    absolute path); otherwise the spec is rebuilt from the world template.
+    ``creflow train --config <out_dir>/experiment.yaml`` repeats the run.
+    """
+    spec_file = os.path.join(cfg.out_dir, RUN_SPEC_FILE)
+    save_task_spec(spec_file, spec)
+    resolved = replace(cfg, spec_path=os.path.abspath(spec_file) if cfg.spec_path else None)
+    save_experiment_config(os.path.join(cfg.out_dir, RUN_CONFIG_FILE), resolved)
 
 
 # --------------------------------------------------------------------------

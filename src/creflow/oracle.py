@@ -90,30 +90,21 @@ class DiscreteWorld:
 
     def positive_cov(self):
         pos = self.positives
-        w = self.probs[pos] / self.probs[pos].sum()
-        mu = w @ self.x0s[pos]
-        centered = self.x0s[pos] - mu
-        return (centered * w[:, None]).T @ centered
+        return _weighted_cov(self.x0s[pos], self.probs[pos] / self.probs[pos].sum())
 
     def posterior_logweights(self, xt, t):
         return backend.gauss_logweights(self.x0s, self.log_probs, xt, t)
-
-    def posterior(self, xt, t):
-        return _softmax(self.posterior_logweights(xt, t))
-
-    def posterior_cov_x0(self, xt, t):
-        w = self.posterior(xt, t)
-        mu = w @ self.x0s
-        centered = self.x0s - mu
-        return (centered * w[:, None]).T @ centered
-
-    def sample_posterior_atoms(self, rng, xt, t, size):
-        return rng.choice(self.x0s.shape[0], size=size, p=self.posterior(xt, t))
 
     def sample_positive_atoms(self, rng, size):
         pos = self.positives
         w = self.probs[pos] / self.probs[pos].sum()
         return rng.choice(pos, size=size, p=w)
+
+
+def _weighted_cov(points, w):
+    """Covariance of the rows of ``points`` under the normalised weights ``w``."""
+    centered = points - w @ points
+    return (centered * w[:, None]).T @ centered
 
 
 @dataclass
@@ -122,6 +113,8 @@ class PopulationPoint:
 
     xt: np.ndarray
     t: float
+    logw: np.ndarray  # (A,) posterior log-weights, unnormalised
+    w: np.ndarray  # (A,) posterior weights
     alpha: float
     v_old: np.ndarray
     v_plus: np.ndarray  # None for a world without positives
@@ -129,6 +122,10 @@ class PopulationPoint:
     delta: np.ndarray  # v_plus - v_old
     bar_v_plus: np.ndarray  # marginal-prototype velocity (xt - E+[x0]) / t
     bar_delta: np.ndarray  # bar_v_plus - v_old
+
+    def sample_atoms(self, rng, size):
+        """Atom indices drawn from the posterior at this point."""
+        return rng.choice(self.w.shape[0], size=size, p=self.w)
 
 
 def population_point(world: DiscreteWorld, xt, t, require_two_sided=False) -> PopulationPoint:
@@ -160,7 +157,8 @@ def population_point(world: DiscreteWorld, xt, t, require_two_sided=False) -> Po
     else:
         v_minus = None
 
-    return PopulationPoint(xt, t, alpha, v_old, v_plus, v_minus, delta, bar_v_plus, bar_delta)
+    return PopulationPoint(xt, t, logw, w, alpha, v_old, v_plus, v_minus, delta, bar_v_plus,
+                           bar_delta)
 
 
 # --------------------------------------------------------------------------
@@ -211,34 +209,48 @@ class VerifyReport:
 # Pointwise objectives and the independent numeric minimizer
 # --------------------------------------------------------------------------
 
-def population_nft_objective(world, xt, t, beta, v, mask_bits=None):
-    """Exact conditional branch objective at (xt, t) as a function of v."""
-    xt = np.asarray(xt, dtype=np.float64)
-    w = world.posterior(xt, t)
-    pp_targets = (xt[None, :] - world.x0s) / t  # per-atom velocity targets
-    mean_old = w @ world.x0s
-    v_old = (xt - mean_old) / t
-    v_plus = (1.0 - beta) * v_old + beta * v
-    v_minus = (1.0 + beta) * v_old - beta * v
-    m = np.ones(world.dim) if mask_bits is None else np.asarray(mask_bits, dtype=np.float64)
+def population_nft_objective(world, point: PopulationPoint, beta, mask_bits=None):
+    """Exact conditional branch objective at one noised point, as a function of v.
+
+    Everything fixed by (world, xt, t) -- the posterior, the per-atom velocity
+    targets and the behavior velocity -- is built once here; each call of the
+    returned objective runs only the residual arithmetic.
+    """
+    w = point.w
+    targets = (point.xt[None, :] - world.x0s) / point.t  # per-atom velocity targets
+    keep = (1.0 - beta) * point.v_old
+    push = (1.0 + beta) * point.v_old
+    m = None if mask_bits is None else np.asarray(mask_bits, dtype=np.float64)
     r = world.rewards.astype(np.float64)
-    res_p = (v_plus[None, :] - pp_targets) * m
-    res_m = (v_minus[None, :] - pp_targets) * m
-    per_atom = r * np.sum(res_p * res_p, axis=1) + (1.0 - r) * np.sum(res_m * res_m, axis=1)
-    return float(w @ per_atom)
+    not_r = 1.0 - r
+
+    def objective(v):
+        res_p = (keep + beta * v)[None, :] - targets
+        res_m = (push - beta * v)[None, :] - targets
+        if m is not None:
+            res_p *= m
+            res_m *= m
+        per_atom = r * (res_p * res_p).sum(axis=1) + not_r * (res_m * res_m).sum(axis=1)
+        return float(w @ per_atom)
+
+    return objective
 
 
 def parabola_argmin(f, base, coords):
-    """Coordinate-wise exact minimizer of a separable quadratic via 3-point fits."""
+    """Coordinate-wise exact minimizer of a separable quadratic via 3-point fits.
+
+    Calls ``f`` once at ``base`` and twice per coordinate.
+    """
     base = np.asarray(base, dtype=np.float64)
     out = base.copy()
+    probe = base.copy()
+    f0 = f(probe)
     for idx in coords:
-        probe = base.copy()
-        f0 = f(probe)
         probe[idx] = base[idx] + 1.0
         fp = f(probe)
         probe[idx] = base[idx] - 1.0
         fm = f(probe)
+        probe[idx] = base[idx]
         curv = 0.5 * (fp + fm - 2.0 * f0)
         slope = 0.5 * (fp - fm)
         if curv <= 0:
@@ -262,9 +274,7 @@ def verify_nft_optimum(world, grid, beta, report=None) -> VerifyReport:
         pp = population_point(world, xt, t)
         closed = pp.v_old + (2.0 * pp.alpha / beta) * pp.delta
         numeric = parabola_argmin(
-            lambda v: population_nft_objective(world, xt, t, beta, v),
-            pp.v_old,
-            range(world.dim),
+            population_nft_objective(world, pp, beta), pp.v_old, range(world.dim)
         )
         worst = max(worst, float(np.max(np.abs(closed - numeric))))
     report.add("nft_optimum_max_deviation", worst < 1e-8, worst, 1e-8)
@@ -283,10 +293,7 @@ def verify_masked_optimum(world, grid, beta, mask_bits, rng, report=None) -> Ver
     for xt, t in grid:
         pp = population_point(world, xt, t)
         closed = pp.v_old + (2.0 * pp.alpha / beta) * pp.delta
-
-        def objective(v):
-            return population_nft_objective(world, xt, t, beta, v, mask_bits)
-
+        objective = population_nft_objective(world, pp, beta, mask_bits)
         if on.size:
             numeric = parabola_argmin(objective, pp.v_old, on)
             worst_on = max(worst_on, float(np.max(np.abs(closed[on] - numeric[on]))))
@@ -378,23 +385,20 @@ def verify_reward_locality(
     t = 0.6
     xt = (1.0 - t) * (world.probs @ world.x0s)
     pp = population_point(world, xt, t)
-    logw = world.posterior_logweights(xt, t)
+    targets = (xt[None, :] - world.x0s) / t  # per-atom velocity targets
+    off_sq = np.sum((targets[:, off] - pp.v_old[off]) ** 2, axis=1)
     for branch, sel, alpha_mass in (
         ("pos", world.positives, pp.alpha),
         ("neg", world.negatives, 1.0 - pp.alpha),
     ):
-        wsel = _softmax(logw[sel])
-        targets = (np.asarray(xt)[None, :] - world.x0s[sel]) / t
-        mean_v = wsel @ targets
-        centered = (targets - mean_v)[:, off]
+        wsel = _softmax(pp.logw[sel])
+        mean_v = wsel @ targets[sel]
+        centered = (targets[sel] - mean_v)[:, off]
         exact = alpha_mass * float(np.sum(wsel * np.sum(centered * centered, axis=1)))
 
-        idx = world.sample_posterior_atoms(rng, xt, t, mc_samples)
-        v_s = (np.asarray(xt)[None, :] - world.x0s[idx]) / t
-        indicator = (
-            world.rewards[idx] == (1 if branch == "pos" else 0)
-        ).astype(np.float64)
-        summand = indicator * np.sum((v_s[:, off] - pp.v_old[off]) ** 2, axis=1)
+        # each posterior draw contributes its atom's summand
+        in_branch = (world.rewards == (1 if branch == "pos" else 0)).astype(np.float64)
+        summand = (in_branch * off_sq)[pp.sample_atoms(rng, mc_samples)]
         mc = float(summand.mean())
         se = float(summand.std(ddof=1) / math.sqrt(mc_samples))
         dev = abs(mc - exact)
@@ -413,26 +417,68 @@ def verify_reward_locality(
 # Corrective target
 # --------------------------------------------------------------------------
 
+def _group_means(x0s, idx):
+    """``x0s[idx].mean(axis=1)`` for an (N, m) index array, bit for bit.
+
+    The m atom rows of each group are added column by column onto the
+    gathered first column, in numpy's reduction order; ``x0s + 0.0`` gives
+    that first term the sign numpy's reduction gives it (it starts from 0.0).
+    """
+    atoms = x0s + 0.0
+    total = np.take(atoms, idx[:, 0], axis=0)
+    for j in range(1, idx.shape[1]):
+        total += np.take(atoms, idx[:, j], axis=0)
+    total /= idx.shape[1]
+    return total
+
+
+def _corrective_residuals(x0s, idx, xt, t, v_theta, mask):
+    """``(v_theta - (xt - group mean) / t) * mask`` per row of ``idx``, built in place."""
+    res = _group_means(x0s, idx)
+    np.subtract(xt, res, out=res)
+    res /= t
+    np.subtract(v_theta, res, out=res)
+    if mask is not None:
+        res *= mask
+    return res
+
+
 def verify_corrective_target(
     world, xt, t, group_sizes=(1, 4), mc_samples=100_000, rng=None, report=None
 ) -> VerifyReport:
-    """Monte Carlo moments of the corrective velocity target vs enumeration."""
+    """Monte Carlo moments of the corrective velocity target vs enumeration.
+
+    When the positive atoms all coincide (a world with one positive atom) the
+    positive covariance is zero and the target is deterministic: the mean is
+    then checked sample by sample at float tolerance, and the shrinkage ratio,
+    a ratio of two roundoff traces, is reported as not applicable.
+    """
     if report is None:
         report = VerifyReport("corrective", -1)
-    if world.positives.size == 0:
+    pos = world.positives
+    if pos.size == 0:
         raise DegenerateWorld("corrective target needs positive atoms")
     xt = np.asarray(xt, dtype=np.float64)
     t = float(t)
     bar_v = (xt - world.positive_mean()) / t
     cov_trace = float(np.trace(world.positive_cov()))
+    deterministic = bool(np.all(world.x0s[pos] == world.x0s[pos[0]]))
 
     traces = {}
     for m in group_sizes:
         idx = world.sample_positive_atoms(rng, (mc_samples, m))
-        xbar = world.x0s[idx].mean(axis=1)
-        z = (xt[None, :] - xbar) / t
+        z = _group_means(world.x0s, idx)
+        np.subtract(xt, z, out=z)
+        z /= t
+        if deterministic:
+            dev = float(np.max(np.abs(z - bar_v)))
+            tol = 1e-12 * max(1.0, float(np.max(np.abs(bar_v))))
+            report.add(f"corrective_mean_unbiased_m{m}", dev <= tol, dev, tol,
+                       "zero positive covariance: max |z - bar_v| over all samples")
+            continue
         mean_z = z.mean(axis=0)
-        se = z.std(axis=0, ddof=1) / math.sqrt(mc_samples)
+        var_z = z.var(axis=0, ddof=1)
+        se = np.sqrt(var_z) / math.sqrt(mc_samples)
         dev = np.abs(mean_z - bar_v)
         ok = bool(np.all(dev <= 3.0 * se + 1e-15))
         report.add(
@@ -441,7 +487,7 @@ def verify_corrective_target(
             float(np.max(dev)),
             float(np.max(3.0 * se)),
         )
-        mc_trace = float(np.sum(z.var(axis=0, ddof=1)))
+        mc_trace = float(np.sum(var_z))
         exact_trace = cov_trace / (m * t * t)
         traces[m] = mc_trace
         if exact_trace > 0:
@@ -451,7 +497,10 @@ def verify_corrective_target(
                 f"mc={mc_trace:.6g} exact={exact_trace:.6g}",
             )
 
-    if len(group_sizes) >= 2 and traces[group_sizes[0]] > 0:
+    if len(group_sizes) >= 2 and deterministic:
+        report.add("corrective_shrinkage_ratio", True, float("nan"), 0.05,
+                   "not applicable: zero positive covariance, both traces are roundoff")
+    elif len(group_sizes) >= 2 and traces[group_sizes[0]] > 0:
         m0, m1 = group_sizes[0], group_sizes[1]
         ratio = traces[m0] / traces[m1]
         expected = m1 / m0
@@ -573,10 +622,24 @@ class VarianceReport:
         }
 
 
+def _row_sums(a):
+    """``np.sum(a, axis=1)`` bit for bit when ``a`` has fewer than 8 columns.
+
+    numpy adds a short row left to right onto 0.0; this adds whole columns in
+    that order, which is several times faster for an (N, 3) array.
+    """
+    total = a[:, 0] + 0.0
+    for j in range(1, a.shape[1]):
+        total += a[:, j]
+    return total
+
+
 def _trace_cov_through(jac_gram, residuals):
-    """Sample trace covariance of J^T r over the rows of ``residuals``."""
-    centered = residuals - residuals.mean(axis=0)
-    quad = np.sum((centered @ jac_gram) * centered, axis=1)
+    """Sample trace covariance of J^T r over the rows of ``residuals`` (centred in place)."""
+    residuals -= residuals.mean(axis=0)
+    through = residuals @ jac_gram
+    through *= residuals
+    quad = _row_sums(through)
     n = residuals.shape[0]
     trace = float(quad.sum() / (n - 1))
     se = float(quad.std(ddof=1) / math.sqrt(n))
@@ -614,6 +677,7 @@ def verify_variance(
         xt = world.positive_mean() * 0.9
     xt = np.asarray(xt, dtype=np.float64)
     mask = np.ones(d, bool) if mask_bits is None else np.asarray(mask_bits, dtype=bool)
+    res_mask = None if mask.all() else mask  # multiplying by ones changes nothing
     pos_cov = world.positive_cov()
     pcp_pos = np.where(mask[:, None] & mask[None, :], pos_cov, 0.0)
 
@@ -629,26 +693,30 @@ def verify_variance(
 
         sig_xi = sigma_xi**2 * float(np.sum(np.diag(gram)[mask]))
         sig0 = float(np.sum(pcp_pos * gram))
-        cov_x0 = world.posterior_cov_x0(xt, t) / (t * t)
+        cov_x0 = _weighted_cov(world.x0s, pp.w) / (t * t)
         pcp_v = np.where(mask[:, None] & mask[None, :], cov_x0, 0.0)
         exact_nft = 4.0 * beta**2 * float(np.sum(pcp_v * gram)) + 4.0 * beta**2 * (beta + 1.0) ** 2 * sig_xi
         exact_cr = 4.0 * lambda_cr**2 * t * t * sig0 / group_size
 
-        # reflection-branch samples: posterior draw + injected plug-in noise
-        idx = world.sample_posterior_atoms(rng, xt, t, mc_samples)
-        v_s = (xt[None, :] - world.x0s[idx]) / t
-        xi = sigma_xi * rng.standard_normal((mc_samples, d))
-        z_nft = ((beta + 1.0) / beta) * (pp.v_old[None, :] + xi) - v_s / beta
-        res = (v_theta[None, :] - z_nft) * mask
+        # reflection-branch samples: posterior draw + injected plug-in noise,
+        # v_theta - (((beta+1)/beta) (v_old + xi) - v_atom / beta)
+        scaled_targets = (xt[None, :] - world.x0s) / t / beta  # v_atom / beta per atom
+        idx = pp.sample_atoms(rng, mc_samples)
+        res = rng.standard_normal((mc_samples, d))
+        res *= sigma_xi
+        res += pp.v_old
+        res *= (beta + 1.0) / beta
+        res -= np.take(scaled_targets, idx, axis=0)
+        np.subtract(v_theta, res, out=res)
+        if res_mask is not None:
+            res *= res_mask
         trace_nft, se_nft = _trace_cov_through(gram, res)
         trace_nft *= 4.0 * beta**4
         se_nft *= 4.0 * beta**4
 
         # corrective-branch samples: within-group positive means
         pidx = world.sample_positive_atoms(rng, (mc_samples, group_size))
-        xbar = world.x0s[pidx].mean(axis=1)
-        z_cr = (xt[None, :] - xbar) / t
-        res = (v_theta[None, :] - z_cr) * mask
+        res = _corrective_residuals(world.x0s, pidx, xt, t, v_theta, res_mask)
         trace_cr, se_cr = _trace_cov_through(gram, res)
         trace_cr *= 4.0 * lambda_cr**2 * t**4
         se_cr *= 4.0 * lambda_cr**2 * t**4
@@ -726,15 +794,13 @@ def verify_variance(
 
     # doubling the positive count halves the corrective covariance
     t_mid = float(t_grid[len(t_grid) // 2])
-    gram_mid = None
+    jac = model_jacobian(model, xt, t_mid)
+    gram_mid = jac @ jac.T
+    v_theta = model.velocity_batch(xt, t_mid)
     traces_by_m = {}
     for m in (group_size, 2 * group_size):
-        jac = model_jacobian(model, xt, t_mid)
-        gram_mid = jac @ jac.T
-        v_theta = model.velocity_batch(xt, t_mid)
         pidx = world.sample_positive_atoms(rng, (mc_samples, m))
-        xbar = world.x0s[pidx].mean(axis=1)
-        res = (v_theta[None, :] - (xt[None, :] - xbar) / t_mid) * mask
+        res = _corrective_residuals(world.x0s, pidx, xt, t_mid, v_theta, res_mask)
         trace, _ = _trace_cov_through(gram_mid, res)
         traces_by_m[m] = trace * 4.0 * lambda_cr**2 * t_mid**4
     shrink = traces_by_m[group_size] / traces_by_m[2 * group_size]

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 from creflow import fileio, simworld
 from creflow.cli import main
 from creflow.errors import SchemaError
-from creflow.objectives import LossConfig
+from creflow.objectives import WEIGHT_SCHEMES, LossConfig
 from creflow.trace import EntityState, TraceGroup
 
 
@@ -104,6 +105,54 @@ class TestFileIO:
         assert effective.mask_enabled and effective.lambda_cr == 1.0
         cfg.corrective_enabled = False
         assert cfg.effective_loss_config().lambda_cr == 0.0
+
+
+FLOATS = st.floats(allow_nan=False, allow_infinity=False)
+POSITIVE = st.floats(min_value=1e-6, max_value=1e6)
+
+
+@st.composite
+def experiment_configs(draw):
+    """Valid experiment configs; every world field drawn, constrained ones in range."""
+    world = {}
+    for f in fields(simworld.WorldConfig):
+        if f.type is int:
+            world[f.name] = draw(st.integers(0, 2**40))
+        elif f.type is float:
+            world[f.name] = draw(FLOATS)
+    template = draw(st.sampled_from(simworld.TEMPLATES))
+    world.update(
+        template=template,
+        horizon=draw(st.integers(8, 32)),
+        group_size=draw(st.integers(2, 64)),
+        n_objects=draw(st.integers(2 if template == "ordered_stack" else 1, 3)),
+        grid=(draw(st.integers(1, 256)), draw(st.integers(1, 256))),
+        container_half_extents=(draw(FLOATS), draw(FLOATS)),
+        hidden=tuple(draw(st.lists(st.integers(1, 512), max_size=3))),
+        model_kind=draw(st.sampled_from(["linear", "mlp"])),
+    )
+    loss = LossConfig(
+        beta=draw(POSITIVE), lambda_cr=draw(st.floats(0.0, 1e6)),
+        lambda_kl=draw(st.floats(0.0, 1e6)), weight_scheme=draw(st.sampled_from(WEIGHT_SCHEMES)),
+        kernel_tau=draw(POSITIVE), mask_enabled=draw(st.booleans()),
+    )
+    return fileio.ExperimentConfig(
+        world=simworld.WorldConfig(**world),
+        loss=loss,
+        out_dir=draw(st.text(min_size=1)),
+        spec_path=draw(st.none() | st.text(min_size=1)),
+        corrective_enabled=draw(st.booleans()),
+    )
+
+
+class TestExperimentFileRoundTrip:
+    @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(experiment_configs())
+    def test_load_save_round_trip(self, cfg):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "experiment.yaml")
+            fileio.save_experiment_config(path, cfg)
+            assert fileio.load_experiment_config(path) == cfg
 
 
 def same_frames(a, b):
@@ -267,6 +316,7 @@ class TestMalformedInputs:
         ("world", "hidden", 64, "'world.hidden' must be a list of integers, got 64"),
         ("world", "model_kind", None, "'world.model_kind' must be a string, got None"),
         ("world", "sed", 0, "unknown key 'sed' under 'world:'"),
+        ("world", "seed", -1, "'world.seed' must be >= 0, got -1"),
         ("loss", "beta", "1.0", "'loss.beta' must be a finite number, got '1.0'"),
         ("loss", "weight_scheme", 1, "'loss.weight_scheme' must be a string, got 1"),
         ("loss", "mask_enabled", "false", "'loss.mask_enabled' must be true or false, got 'false'"),
@@ -308,6 +358,14 @@ class TestMalformedInputs:
     def test_negative_dump_traces(self, workdir, capsys):
         assert main(["train", "--config", workdir["experiment"], "--dump-traces", "-2"]) == 2
         assert capsys.readouterr().err == "error: --dump-traces must be >= 0, got -2\n"
+
+    def test_verify_negative_seed(self, capsys):
+        assert main(["verify", "--seed", "-1"]) == 2
+        assert capsys.readouterr().err == "error: --seed must be >= 0, got -1\n"
+
+    def test_train_negative_seed(self, workdir, capsys):
+        assert main(["train", "--config", workdir["experiment"], "--seed", "-1", "--dry-run"]) == 2
+        assert capsys.readouterr().err == "error: --seed must be >= 0, got -1\n"
 
 
 class TestCliExitCodes:
@@ -418,6 +476,26 @@ class TestCliExitCodes:
         assert code == 0
         table = capsys.readouterr().out
         assert "first" in table and table.count("run_") == 2
+
+    def test_run_directory_reproduces_the_run(self, workdir, capsys):
+        first = str(workdir["root"] / "run_seed1")
+        again = str(workdir["root"] / "run_seed1_again")
+        assert main(["train", "--config", workdir["experiment"], "--seed", "1",
+                     "--out-dir", first]) == 0
+        assert sorted(os.listdir(first)) == [
+            "experiment.yaml", "metrics.csv", "summary.json", "task_spec.yaml"]
+        saved = fileio.load_experiment_config(os.path.join(first, fileio.RUN_CONFIG_FILE))
+        assert saved.world.seed == 1 and saved.out_dir == first
+        assert saved.spec_path == os.path.abspath(os.path.join(first, fileio.RUN_SPEC_FILE))
+        spec = fileio.load_task_spec(saved.spec_path)
+        assert [c.source for c in spec.clauses] == [
+            c.source for c in fileio.load_task_spec(workdir["spec"]).clauses]
+        assert main(["train", "--config", os.path.join(first, fileio.RUN_CONFIG_FILE),
+                     "--out-dir", again]) == 0
+        capsys.readouterr()
+        with open(os.path.join(first, "metrics.csv"), "rb") as fa, \
+                open(os.path.join(again, "metrics.csv"), "rb") as fb:
+            assert fa.read() == fb.read()
 
     def test_train_nonfinite_dump(self, workdir, capsys):
         cfg = fileio.load_experiment_config(workdir["experiment"])

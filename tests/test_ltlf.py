@@ -243,6 +243,32 @@ FORMULAS = st.recursive(
 )
 
 
+# Identifiers the tokenizer reads as one name: not an operator letter.
+NAMES = st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,7}", fullmatch=True).filter(
+    lambda name: name not in ("G", "F", "U"))
+NAMED_ATOMS = st.builds(Atom, NAMES, st.lists(NAMES, min_size=1, max_size=2).map(tuple))
+NAMED_FORMULAS = st.recursive(
+    NAMED_ATOMS,
+    lambda sub: st.one_of(
+        st.builds(Not, sub),
+        st.builds(Globally, sub),
+        st.builds(Finally, sub),
+        st.builds(And, sub, sub),
+        st.builds(Or, sub, sub),
+        st.builds(Implies, sub, sub),
+        st.builds(Until, sub, sub),
+    ),
+    max_leaves=12,
+)
+
+
+class TestPrintParseProperty:
+    @settings(max_examples=300, deadline=None)
+    @given(NAMED_FORMULAS)
+    def test_parse_inverts_print(self, f):
+        assert parse_formula(print_formula(f)) == f
+
+
 @st.composite
 def group_streams(draw):
     """(N, T) streams for every atom, N in 1..4 and T in 1..12."""

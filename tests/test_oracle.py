@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -10,11 +12,15 @@ from creflow.errors import (
 from creflow.flow import LinearVelocity
 from creflow.oracle import (
     DiscreteWorld,
+    _group_means,
+    _row_sums,
+    _softmax,
     QuadraticProbe,
     check_factored,
     default_grid,
     make_factored_world,
     parabola_argmin,
+    population_nft_objective,
     population_point,
     random_world,
     run_suite,
@@ -125,6 +131,73 @@ class TestParabolaArgmin:
         with pytest.raises(SingularSystem):
             parabola_argmin(lambda v: float(v[0] ** 2), np.zeros(2), [1])
 
+    @pytest.mark.parametrize("coords", [[], [2], [0, 1, 3]])
+    def test_calls_f_once_at_base_and_twice_per_coordinate(self, coords):
+        calls = []
+
+        def f(v):
+            calls.append(v.copy())
+            return float(np.sum((v - 1.0) ** 2))
+
+        parabola_argmin(f, np.zeros(4), coords)
+        assert len(calls) == 1 + 2 * len(coords)
+        assert np.array_equal(calls[0], np.zeros(4))
+
+
+def same_bits(a, b):
+    """Equal shapes and byte-identical float64 values (so -0.0 differs from 0.0)."""
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def reference_nft_objective(world, xt, t, beta, v, mask_bits=None):
+    """The branch objective as it was evaluated before its setup was hoisted."""
+    xt = np.asarray(xt, dtype=np.float64)
+    w = _softmax(world.posterior_logweights(xt, t))
+    pp_targets = (xt[None, :] - world.x0s) / t
+    mean_old = w @ world.x0s
+    v_old = (xt - mean_old) / t
+    v_plus = (1.0 - beta) * v_old + beta * v
+    v_minus = (1.0 + beta) * v_old - beta * v
+    m = np.ones(world.dim) if mask_bits is None else np.asarray(mask_bits, dtype=np.float64)
+    r = world.rewards.astype(np.float64)
+    res_p = (v_plus[None, :] - pp_targets) * m
+    res_m = (v_minus[None, :] - pp_targets) * m
+    per_atom = r * np.sum(res_p * res_p, axis=1) + (1.0 - r) * np.sum(res_m * res_m, axis=1)
+    return float(w @ per_atom)
+
+
+class TestHoistedArithmetic:
+    """The hoisted oracle paths give the bits of the per-call/per-sample forms."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_objective_matches_per_call_reference(self, seed):
+        rng = np.random.default_rng((seed, 12))
+        world = random_world(rng, 6, 3)
+        for xt, t in default_grid(world, rng, n_x=2, n_t=3):
+            pp = population_point(world, xt, t)
+            for mask in (None, rng.integers(0, 2, 3).astype(bool), np.zeros(3, bool)):
+                beta = float(rng.uniform(0.25, 4.0))
+                objective = population_nft_objective(world, pp, beta, mask)
+                for _ in range(4):
+                    v = pp.v_old + rng.standard_normal(3) * rng.uniform(0.1, 10.0)
+                    assert objective(v) == reference_nft_objective(world, xt, t, beta, v, mask)
+
+    @pytest.mark.parametrize("m", [1, 2, 4, 8])
+    def test_group_means_match_numpy_mean(self, m):
+        rng = np.random.default_rng((m, 13))
+        x0s = rng.standard_normal((6, 3)) * rng.uniform(0.01, 100.0, (6, 1))
+        x0s[0] = -0.0  # a group of this atom alone sums to +0.0 in numpy
+        idx = rng.integers(0, 6, (4000, m))
+        idx[:5] = 0
+        assert same_bits(_group_means(x0s, idx), x0s[idx].mean(axis=1))
+
+    @pytest.mark.parametrize("cols", range(1, 8))
+    def test_row_sums_match_numpy_sum(self, cols):
+        rng = np.random.default_rng((cols, 14))
+        a = rng.standard_normal((4000, cols)) * rng.uniform(1e-3, 1e3, (4000, cols))
+        a[:3] = -0.0
+        assert same_bits(_row_sums(a), np.sum(a, axis=1))
+
 
 class TestSuites:
     def test_nft_suite(self):
@@ -203,6 +276,45 @@ class TestCorrectiveTarget:
         )
         mean_check = [c for c in report.checks if "mean_unbiased" in c.name][0]
         assert mean_check.passed and mean_check.value < 1e-12
+
+    @pytest.mark.parametrize("x0s,rewards", [
+        ([[2.0, 0.0], [0.0, 1.0], [1.0, -1.0]], [1, 0, 0]),  # one positive atom
+        ([[2.0, 0.5], [0.0, 1.0], [2.0, 0.5]], [1, 0, 1]),  # two coinciding positives
+    ], ids=["one_positive", "coinciding_positives"])
+    def test_zero_covariance_checked_at_float_tolerance(self, x0s, rewards):
+        world = DiscreteWorld(np.array(x0s), np.array([0.3, 0.3, 0.4]), np.array(rewards))
+        report = verify_corrective_target(
+            world, np.array([0.5, 0.5]), 0.5, (1, 4), mc_samples=3_000,
+            rng=np.random.default_rng(8),
+        )
+        assert report.passed
+        checks = {c.name: c for c in report.checks}
+        for m in (1, 4):
+            check = checks[f"corrective_mean_unbiased_m{m}"]
+            assert check.value <= check.tolerance <= 1e-12 * 4.0
+            assert f"corrective_trace_cov_m{m}" not in checks
+        ratio = checks["corrective_shrinkage_ratio"]
+        assert math.isnan(ratio.value) and ratio.detail.startswith("not applicable")
+
+    def test_spread_positives_keep_the_monte_carlo_checks(self):
+        world = DiscreteWorld(
+            np.array([[2.0, 0.5], [0.0, 1.0], [1.0, -1.0]]),
+            np.array([0.3, 0.3, 0.4]),
+            np.array([1, 0, 1]),
+        )
+        report = verify_corrective_target(
+            world, np.array([0.5, 0.5]), 0.5, (1, 4), mc_samples=20_000,
+            rng=np.random.default_rng(9),
+        )
+        checks = {c.name: c for c in report.checks}
+        assert {"corrective_trace_cov_m1", "corrective_trace_cov_m4"} <= checks.keys()
+        assert math.isfinite(checks["corrective_shrinkage_ratio"].value)
+        assert report.passed
+
+    @pytest.mark.parametrize("seed", [9, 37, 54])
+    def test_single_positive_suite_worlds_pass(self, seed):
+        report = suite_corrective(seed, mc_samples=20_000)
+        assert report.passed, [c.to_dict() for c in report.checks if not c.passed]
 
 
 class TestDirection:
