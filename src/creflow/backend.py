@@ -12,20 +12,8 @@ _LOG_2PI = math.log(2.0 * math.pi)
 BACKEND = "numpy"
 
 
-def gauss_logweights(x0s, logp, xt, t):
-    """Log posterior weights log p_a + log N(xt; (1-t) x0_a, t^2 I) over atoms."""
-    x0s = np.ascontiguousarray(x0s, dtype=np.float64)
-    logp = np.ascontiguousarray(logp, dtype=np.float64)
-    xt = np.ascontiguousarray(xt, dtype=np.float64)
-    t = float(t)
-    d = xt.shape[0]
-    diff = xt[None, :] - (1.0 - t) * x0s
-    sq = np.sum(diff * diff, axis=1)
-    return logp - 0.5 * sq / (t * t) - d * math.log(t) - 0.5 * d * _LOG_2PI
-
-
 def gauss_logweights_batch(x0s, logp, xts, t):
-    """Batched variant over query points: returns (B, A)."""
+    """Log posterior weights log p_a + log N(xt_b; (1-t) x0_a, t^2 I), shape (B, A)."""
     x0s = np.ascontiguousarray(x0s, dtype=np.float64)
     logp = np.ascontiguousarray(logp, dtype=np.float64)
     xts = np.ascontiguousarray(xts, dtype=np.float64)

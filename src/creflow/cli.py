@@ -38,10 +38,9 @@ def _setup_logging() -> bool:
 
 
 def _emit(payload, out_path):
-    text = json.dumps(payload, indent=2, sort_keys=True)
     if out_path:
         fileio.write_json(out_path, payload)
-    print(text)
+    print(fileio.json_text(payload))
 
 
 def cmd_monitor(args) -> int:
@@ -126,6 +125,7 @@ def cmd_train(args) -> int:
             spec = fileio.load_task_spec(cfg.spec_path)
         else:
             spec = simworld.build_task_spec(cfg.world)
+        simworld.check_spec_matches_world(spec, cfg.world)
     except (SchemaError, CreflowError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
@@ -156,7 +156,7 @@ def cmd_train(args) -> int:
         ):
             fileio.save_trace(os.path.join(trace_dir, f"rollout_{i:03d}_r{reward}.yaml"), trace)
         log.info("wrote %d rollout traces to %s", args.dump_traces, trace_dir)
-    print(json.dumps(series.summary, indent=2, sort_keys=True))
+    print(fileio.json_text(series.summary))
     log.info("metrics: %s summary: %s", csv_path, summary_path)
     return EXIT_OK
 

@@ -15,8 +15,13 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 import yaml
 
-from .errors import HorizonMismatch, SchemaError, SpecValidationError
-from .ltlf import parse_formula
+from .errors import (
+    CreflowError,
+    FormulaSyntaxError,
+    HorizonMismatch,
+    SchemaError,
+    SpecValidationError,
+)
 from .mask import CreditMask, LatentLayout
 from .objectives import LossConfig
 from .simworld import METRIC_COLUMNS, METRICS_VERSION, MetricsSeries, WorldConfig
@@ -95,44 +100,83 @@ def _finite(value):
     return type(value) in (int, float) and math.isfinite(value)
 
 
+def _list_of(value, check, length=None):
+    return (isinstance(value, list) and (length is None or len(value) == length)
+            and all(map(check, value)))
+
+
+# What each annotated field type accepts, as (check, what it must be).
+_FIELD_KINDS = {
+    int: (lambda v: type(v) is int, "an integer"),
+    float: (_finite, "a finite number"),
+    str: (lambda v: isinstance(v, str), "a string"),
+    bool: (lambda v: isinstance(v, bool), "true or false"),
+}
+_TUPLE_FIELDS = {
+    "grid": (lambda v: _list_of(v, lambda n: type(n) is int, 2), "two integers"),
+    "container_half_extents": (lambda v: _list_of(v, _finite, 2), "two finite numbers"),
+    "hidden": (lambda v: _list_of(v, lambda n: type(n) is int), "a list of integers"),
+}
+
+
+def _checked(value, kind, what):
+    """``value`` if ``kind``'s check accepts it; otherwise a SchemaError naming ``what``."""
+    check, expected = kind
+    if not check(value):
+        raise SchemaError(f"{what} must be {expected}, got {value!r}")
+    return value
+
+
+def _field(entry, key, where, kind=_FIELD_KINDS[str]):
+    """``entry[key]``, required and of ``kind`` (a string unless given)."""
+    return _checked(_key(entry, key, where), kind, f"{where}: {key!r}")
+
+
 # --------------------------------------------------------------------------
 # Task specs
 # --------------------------------------------------------------------------
 
+def _half_extents(entity, where):
+    value = entity.get("half_extents")
+    if value is None:
+        return None
+    two_numbers = _TUPLE_FIELDS["container_half_extents"]
+    return tuple(_checked(value, two_numbers, f"{where}: 'half_extents'"))
+
+
+def _clause(entry, where) -> ClauseDecl:
+    try:
+        return ClauseDecl(_field(entry, "id", where), _field(entry, "formula", where))
+    except FormulaSyntaxError as err:
+        raise SchemaError(f"{where}: {err}") from err
+
+
 def load_task_spec(path) -> TaskSpec:
+    """A task spec file; a bad value, formula or declaration is a SchemaError naming the file."""
     doc = _load_yaml(path, "task_spec")
     try:
         entities = [
-            EntityDecl(
-                _key(e, "id", where),
-                _key(e, "kind", where),
-                tuple(e["half_extents"]) if e.get("half_extents") else None,
-            )
+            EntityDecl(_field(e, "id", where), _field(e, "kind", where), _half_extents(e, where))
             for where, e in _entries(doc, "entities", path)
         ]
         predicates = [
-            make_predicate_decl(_key(p, "name", where), int(_key(p, "arity", where)),
-                                _key(p, "evaluator", where),
+            make_predicate_decl(_field(p, "name", where),
+                                _field(p, "arity", where, _FIELD_KINDS[int]),
+                                _field(p, "evaluator", where),
                                 _mapping(p.get("params") or {}, f"{where}: params"))
             for where, p in _entries(doc, "predicates", path)
         ]
-        clauses = [
-            ClauseDecl(_key(c, "id", where), _key(c, "formula", where),
-                       parse_formula(c["formula"]))
-            for where, c in _entries(doc, "clauses", path)
-        ]
+        clauses = [_clause(c, where) for where, c in _entries(doc, "clauses", path)]
         cond = _mapping(_require(doc, "condition", path), f"{path}: condition")
         layout = _mapping(cond.get("layout", {}), f"{path}: condition layout")
         condition = make_condition(cond.get("instruction", ""), layout)
-        return TaskSpec(
-            task_id=_require(doc, "task_id", path),
-            entities=entities,
-            predicates=predicates,
-            clauses=clauses,
-            condition=condition,
-        )
+        task_id = _checked(_require(doc, "task_id", path), _FIELD_KINDS[str], f"{path}: 'task_id'")
     except (KeyError, TypeError, ValueError) as err:
         raise SchemaError(f"{path}: {err!r}") from err
+    try:
+        return TaskSpec(task_id, entities, predicates, clauses, condition)
+    except CreflowError as err:  # a declaration the clauses or other entries contradict
+        raise SchemaError(f"{path}: {err}") from err
 
 
 def save_task_spec(path, spec: TaskSpec):
@@ -251,25 +295,6 @@ EXPERIMENT_KEYS = ("schema_version", "kind", "out_dir", "spec_path", "corrective
                    "world", "loss")
 
 
-def _list_of(value, check, length=None):
-    return (isinstance(value, list) and (length is None or len(value) == length)
-            and all(map(check, value)))
-
-
-# What each annotated field type accepts, checked before a config is built.
-_FIELD_KINDS = {
-    int: (lambda v: type(v) is int, "an integer"),
-    float: (_finite, "a finite number"),
-    str: (lambda v: isinstance(v, str), "a string"),
-    bool: (lambda v: isinstance(v, bool), "true or false"),
-}
-_TUPLE_FIELDS = {
-    "grid": (lambda v: _list_of(v, lambda n: type(n) is int, 2), "two integers"),
-    "container_half_extents": (lambda v: _list_of(v, _finite, 2), "two finite numbers"),
-    "hidden": (lambda v: _list_of(v, lambda n: type(n) is int), "a list of integers"),
-}
-
-
 def _config_section(doc, key, cls, path):
     """Keyword arguments for ``cls`` from the ``key:`` mapping; every key known, every value typed."""
     section = _mapping(doc.get(key, {}), f"{path}: {key}")
@@ -278,9 +303,7 @@ def _config_section(doc, key, cls, path):
     for name, value in section.items():
         if name not in kinds:
             raise SchemaError(f"{path}: unknown key {name!r} under '{key}:'")
-        check, expected = kinds[name]
-        if not check(value):
-            raise SchemaError(f"{path}: '{key}.{name}' must be {expected}, got {value!r}")
+        _checked(value, kinds[name], f"{path}: '{key}.{name}'")
     return {name: tuple(v) if isinstance(v, list) else v for name, v in section.items()}
 
 
@@ -386,10 +409,24 @@ def mask_report(mask: CreditMask, layout: LatentLayout) -> dict:
     }
 
 
+def _null_nonfinite(value):
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    if isinstance(value, dict):
+        return {k: _null_nonfinite(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_null_nonfinite(v) for v in value]
+    return value
+
+
+def json_text(payload) -> str:
+    """A report as RFC 8259 JSON: indented, sorted keys, a non-finite float as null."""
+    return json.dumps(_null_nonfinite(payload), indent=2, sort_keys=True, allow_nan=False)
+
+
 def write_json(path, payload):
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(json_text(payload) + "\n")
 
 
 def write_metrics_csv(path, series: MetricsSeries):

@@ -2,12 +2,12 @@
 
 Formulas are built from entity-grounded atoms ``name(e1[,e2])`` with the
 operators ``!`` (not), ``&``, ``|``, ``->``, ``G`` (globally), ``F``
-(finally) and ``U`` (strong until).  Precedence, tightest to loosest:
-``!``/``G``/``F`` > ``U`` > ``&`` > ``|`` > ``->`` with ``->`` and ``U``
-right-associative.  Truth is evaluated at frame 1 of a length-T trace;
-``p U q`` requires q to eventually hold.  A group of N traces is evaluated
-at once from (N, T) streams: every operator applies the finite-trace
-recurrences (De Giacomo & Vardi, IJCAI 2013) along the last axis.
+(finally) and ``U`` (strong until). ``BINARY_OPERATORS`` gives their
+precedence and associativity, and both the parser and the printer read it.
+Truth is evaluated at frame 1 of a length-T trace; ``p U q`` requires q to
+eventually hold.  A group of N traces is evaluated at once from (N, T)
+streams: every operator applies the finite-trace recurrences (De Giacomo &
+Vardi, IJCAI 2013) along the last axis.
 
 Failed clauses additionally yield a violation witness: a set of
 (entity, frame) pairs extracted by template-specific rules for the four
@@ -68,7 +68,7 @@ class Atom(Formula):
 
 
 @dataclass(frozen=True)
-class Not(Formula):
+class _Unary(Formula):
     child: Formula
 
     def children(self):
@@ -76,7 +76,7 @@ class Not(Formula):
 
 
 @dataclass(frozen=True)
-class And(Formula):
+class _Binary(Formula):
     left: Formula
     right: Formula
 
@@ -84,47 +84,38 @@ class And(Formula):
         return (self.left, self.right)
 
 
-@dataclass(frozen=True)
-class Or(Formula):
-    left: Formula
-    right: Formula
-
-    def children(self):
-        return (self.left, self.right)
+class Not(_Unary):
+    pass
 
 
-@dataclass(frozen=True)
-class Implies(Formula):
-    left: Formula
-    right: Formula
-
-    def children(self):
-        return (self.left, self.right)
+class Globally(_Unary):
+    pass
 
 
-@dataclass(frozen=True)
-class Globally(Formula):
-    child: Formula
-
-    def children(self):
-        return (self.child,)
+class Finally(_Unary):
+    pass
 
 
-@dataclass(frozen=True)
-class Finally(Formula):
-    child: Formula
-
-    def children(self):
-        return (self.child,)
+class And(_Binary):
+    pass
 
 
-@dataclass(frozen=True)
-class Until(Formula):
-    left: Formula
-    right: Formula
+class Or(_Binary):
+    pass
 
-    def children(self):
-        return (self.left, self.right)
+
+class Implies(_Binary):
+    pass
+
+
+class Until(_Binary):
+    pass
+
+
+# Binary operators from loosest to tightest: (symbol, node, right-associative).
+# Every unary operator binds tighter than all of them.
+BINARY_OPERATORS = (("->", Implies, True), ("|", Or, False), ("&", And, False), ("U", Until, True))
+UNARY_OPERATORS = {"!": Not, "G": Globally, "F": Finally}
 
 
 class TemplateFamily(enum.Enum):
@@ -155,181 +146,123 @@ EMPTY_WITNESS = Witness(frozenset())
 
 
 # --------------------------------------------------------------------------
-# Parser
+# Parser and printer
 # --------------------------------------------------------------------------
 
-_RESERVED = {"G", "F", "U"}
+# A symbol token's kind is its text; every other name is an "ident".
+_SYMBOLS = {s for s, _, _ in BINARY_OPERATORS} | set(UNARY_OPERATORS) | {"(", ")", ","}
+_MARKS = {s[0]: s for s in _SYMBOLS if not s.isalpha()}  # by first character
 
 
-class _Tokenizer:
-    def __init__(self, src: str):
-        self.src = src
-        self.pos = 0
-        self.tokens = []
-        self._scan()
-        self.idx = 0
-
-    def _scan(self):
-        src, n = self.src, len(self.src)
-        i = 0
-        while i < n:
-            c = src[i]
-            if c.isspace():
-                i += 1
-                continue
-            if c in "()!,&|":
-                self.tokens.append((c, c, i))
-                i += 1
-            elif c == "-":
-                if i + 1 < n and src[i + 1] == ">":
-                    self.tokens.append(("->", "->", i))
-                    i += 2
-                else:
-                    raise FormulaSyntaxError("expected '->'", i)
-            elif c.isalpha() or c == "_":
-                j = i
-                while j < n and (src[j].isalnum() or src[j] == "_"):
-                    j += 1
-                text = src[i:j]
-                kind = text if text in _RESERVED else "ident"
-                self.tokens.append((kind, text, i))
-                i = j
-            else:
+def _tokens(src: str):
+    """(kind, text, offset) triples of the whole text, ending with ("eof", "", len(src))."""
+    tokens, i, n = [], 0, len(src)
+    while i < n:
+        c = src[i]
+        if c.isspace():
+            i += 1
+            continue
+        if c.isalpha() or c == "_":
+            j = i + 1
+            while j < n and (src[j].isalnum() or src[j] == "_"):
+                j += 1
+            text = src[i:j]
+        else:
+            text = _MARKS.get(c)
+            if text is None:
                 raise FormulaSyntaxError(f"unexpected character {c!r}", i)
-        self.tokens.append(("eof", "", n))
-
-    def peek(self):
-        return self.tokens[self.idx]
-
-    def next(self):
-        tok = self.tokens[self.idx]
-        self.idx += 1
-        return tok
-
-    def expect(self, kind):
-        tok = self.next()
-        if tok[0] != kind:
-            raise FormulaSyntaxError(f"expected {kind!r}, found {tok[1]!r}", tok[2])
-        return tok
+            if not src.startswith(text, i):
+                raise FormulaSyntaxError(f"expected {text!r}", i)
+            j = i + len(text)
+        tokens.append((text if text in _SYMBOLS else "ident", text, i))
+        i = j
+    tokens.append(("eof", "", n))
+    return tokens
 
 
 class _Parser:
     def __init__(self, src: str):
-        self.toks = _Tokenizer(src)
+        self.tokens = _tokens(src)
+        self.idx = 0
 
-    def parse(self) -> Formula:
-        f = self._implies()
-        kind, text, off = self.toks.peek()
-        if kind != "eof":
-            raise FormulaSyntaxError(f"unexpected trailing input {text!r}", off)
+    def peek(self):
+        return self.tokens[self.idx]
+
+    def take(self):
+        self.idx += 1
+        return self.tokens[self.idx - 1]
+
+    def expect(self, kind) -> str:
+        found, text, offset = self.take()
+        if found != kind:
+            raise FormulaSyntaxError(f"expected {kind!r}, found {text!r}", offset)
+        return text
+
+    def binary(self, level=0) -> Formula:
+        """A formula whose operators are at row ``level`` of BINARY_OPERATORS or tighter."""
+        if level == len(BINARY_OPERATORS):
+            return self.unary()
+        symbol, node, right = BINARY_OPERATORS[level]
+        f = self.binary(level + 1)
+        while self.peek()[0] == symbol:
+            self.take()
+            if right:
+                return node(f, self.binary(level))
+            f = node(f, self.binary(level + 1))
         return f
 
-    def _implies(self) -> Formula:
-        left = self._or()
-        if self.toks.peek()[0] == "->":
-            self.toks.next()
-            return Implies(left, self._implies())
-        return left
-
-    def _or(self) -> Formula:
-        f = self._and()
-        while self.toks.peek()[0] == "|":
-            self.toks.next()
-            f = Or(f, self._and())
-        return f
-
-    def _and(self) -> Formula:
-        f = self._until()
-        while self.toks.peek()[0] == "&":
-            self.toks.next()
-            f = And(f, self._until())
-        return f
-
-    def _until(self) -> Formula:
-        left = self._unary()
-        if self.toks.peek()[0] == "U":
-            self.toks.next()
-            return Until(left, self._until())
-        return left
-
-    def _unary(self) -> Formula:
-        kind, text, off = self.toks.peek()
-        if kind == "!":
-            self.toks.next()
-            return Not(self._unary())
-        if kind == "G":
-            self.toks.next()
-            return Globally(self._unary())
-        if kind == "F":
-            self.toks.next()
-            return Finally(self._unary())
+    def unary(self) -> Formula:
+        kind, text, offset = self.take()
+        if kind in UNARY_OPERATORS:
+            return UNARY_OPERATORS[kind](self.unary())
         if kind == "(":
-            self.toks.next()
-            f = self._implies()
-            self.toks.expect(")")
+            f = self.binary()
+            self.expect(")")
             return f
         if kind == "ident":
-            return self._atom()
-        raise FormulaSyntaxError(f"expected formula, found {text or 'end of input'!r}", off)
-
-    def _atom(self) -> Atom:
-        name = self.toks.expect("ident")[1]
-        self.toks.expect("(")
-        args = [self.toks.expect("ident")[1]]
-        if self.toks.peek()[0] == ",":
-            self.toks.next()
-            args.append(self.toks.expect("ident")[1])
-        self.toks.expect(")")
-        return Atom(name, tuple(args))
+            self.expect("(")
+            args = [self.expect("ident")]
+            if self.peek()[0] == ",":
+                self.take()
+                args.append(self.expect("ident"))
+            self.expect(")")
+            return Atom(text, tuple(args))
+        raise FormulaSyntaxError(f"expected formula, found {text or 'end of input'!r}", offset)
 
 
 def parse_formula(src: str) -> Formula:
     """Parse formula text into its AST; raises FormulaSyntaxError with offset."""
-    return _Parser(src).parse()
+    parser = _Parser(src)
+    f = parser.binary()
+    kind, text, offset = parser.peek()
+    if kind != "eof":
+        raise FormulaSyntaxError(f"unexpected trailing input {text!r}", offset)
+    return f
 
 
-_LVL_IMPLIES, _LVL_OR, _LVL_AND, _LVL_UNTIL, _LVL_UNARY, _LVL_ATOM = range(6)
-
-
-def _level(f: Formula) -> int:
-    if isinstance(f, Atom):
-        return _LVL_ATOM
-    if isinstance(f, (Not, Globally, Finally)):
-        return _LVL_UNARY
-    if isinstance(f, Until):
-        return _LVL_UNTIL
-    if isinstance(f, And):
-        return _LVL_AND
-    if isinstance(f, Or):
-        return _LVL_OR
-    return _LVL_IMPLIES
+_BINARY_ROWS = {node: (level, symbol, right)
+                for level, (symbol, node, right) in enumerate(BINARY_OPERATORS)}
+_UNARY_SYMBOLS = {node: symbol for symbol, node in UNARY_OPERATORS.items()}
 
 
 def print_formula(f: Formula) -> str:
     """Render a formula; parse_formula(print_formula(f)) is structurally f."""
-    return _fmt(f, _LVL_IMPLIES)
+    return _fmt(f, 0)
 
 
 def _fmt(f: Formula, min_level: int) -> str:
+    """Text of ``f``, in parentheses if its operator's row is looser than ``min_level``."""
     if isinstance(f, Atom):
-        s = str(f)
-    elif isinstance(f, Not):
-        s = "!" + _fmt(f.child, _LVL_UNARY)
-    elif isinstance(f, Globally):
-        s = "G " + _fmt(f.child, _LVL_UNARY)
-    elif isinstance(f, Finally):
-        s = "F " + _fmt(f.child, _LVL_UNARY)
-    elif isinstance(f, Until):
-        s = _fmt(f.left, _LVL_UNTIL + 1) + " U " + _fmt(f.right, _LVL_UNTIL)
-    elif isinstance(f, And):
-        s = _fmt(f.left, _LVL_AND) + " & " + _fmt(f.right, _LVL_AND + 1)
-    elif isinstance(f, Or):
-        s = _fmt(f.left, _LVL_OR) + " | " + _fmt(f.right, _LVL_OR + 1)
-    else:
-        s = _fmt(f.left, _LVL_IMPLIES + 1) + " -> " + _fmt(f.right, _LVL_IMPLIES)
-    if _level(f) < min_level:
-        return "(" + s + ")"
-    return s
+        return str(f)
+    if isinstance(f, _Unary):
+        symbol = _UNARY_SYMBOLS[type(f)]
+        # a letter operator is spaced off so it does not run into the operand's name
+        prefix = symbol + " " if symbol.isalpha() else symbol
+        return prefix + _fmt(f.child, len(BINARY_OPERATORS))
+    level, symbol, right = _BINARY_ROWS[type(f)]
+    # the operand on the associative side may sit at this row, the other must bind tighter
+    s = f"{_fmt(f.left, level + right)} {symbol} {_fmt(f.right, level + (not right))}"
+    return f"({s})" if level < min_level else s
 
 
 # --------------------------------------------------------------------------
@@ -471,11 +404,9 @@ def _polarity_parts(f: Formula, streams, shape):
         elif isinstance(node, Implies):
             visit(node.left, not pol)
             visit(node.right, pol)
-        elif isinstance(node, (And, Or, Until)):
-            visit(node.left, pol)
-            visit(node.right, pol)
         else:
-            visit(node.child, pol)
+            for child in node.children():
+                visit(child, pol)
 
     visit(f, True)
     parts = []

@@ -92,9 +92,6 @@ class DiscreteWorld:
         pos = self.positives
         return _weighted_cov(self.x0s[pos], self.probs[pos] / self.probs[pos].sum())
 
-    def posterior_logweights(self, xt, t):
-        return backend.gauss_logweights(self.x0s, self.log_probs, xt, t)
-
     def sample_positive_atoms(self, rng, size):
         pos = self.positives
         w = self.probs[pos] / self.probs[pos].sum()
@@ -134,7 +131,7 @@ def population_point(world: DiscreteWorld, xt, t, require_two_sided=False) -> Po
     t = float(t)
     if require_two_sided and not world.two_sided:
         raise DegenerateWorld("two-sided query on a one-sided world")
-    logw = world.posterior_logweights(xt, t)
+    logw = backend.gauss_logweights_batch(world.x0s, world.log_probs, xt[None, :], t)[0]
     w = _softmax(logw)
     pos, neg = world.positives, world.negatives
 
@@ -609,17 +606,6 @@ class VarianceReport:
     t_star_formula: float
     t_star_empirical: float
     shrink_ratio: float
-
-    def to_dict(self):
-        return {
-            "records": self.records,
-            "slope": self.slope,
-            "floor_value": self.floor_value,
-            "floor_bound": self.floor_bound,
-            "t_star_formula": self.t_star_formula,
-            "t_star_empirical": self.t_star_empirical,
-            "shrink_ratio": self.shrink_ratio,
-        }
 
 
 def _row_sums(a):

@@ -29,7 +29,6 @@ from .flow import (
     interpolate,
     sample_rollout_group,
 )
-from .ltlf import parse_formula
 from .mask import LatentLayout, build_group_mask
 from .monitor import run_group_monitor, run_monitor
 from .objectives import (
@@ -131,6 +130,15 @@ def world_entities(config):
     return ents
 
 
+def check_spec_matches_world(spec, config):
+    """Raise SpecValidationError unless the spec declares exactly the world's entities."""
+    world, declared = {e.id for e in world_entities(config)}, set(spec.entity_ids())
+    if declared != world:
+        raise SpecValidationError(
+            "task spec entities do not match the world config: "
+            f"missing {sorted(world - declared)}, extra {sorted(declared - world)}")
+
+
 def site_ids(config):
     return tuple(e.id for e in world_entities(config)) + (AUX_SITE,)
 
@@ -185,7 +193,7 @@ def build_task_spec(config, condition=None) -> TaskSpec:
     clauses = []
 
     def clause(cid, src):
-        clauses.append(ClauseDecl(cid, src, parse_formula(src)))
+        clauses.append(ClauseDecl(cid, src))
 
     if config.template == "pick_place":
         for obj in objs:
@@ -575,9 +583,8 @@ def _success_window(rows, tail):
 def run_online_loop(config: WorldConfig, spec: TaskSpec, bundle: ModelBundle,
                     loss_config: LossConfig) -> MetricsSeries:
     """Rollout, monitor, mask, and update for config.iterations steps."""
+    check_spec_matches_world(spec, config)
     layout = world_layout(config)
-    if set(spec.entity_ids()) != {e.id for e in world_entities(config)}:
-        raise SpecValidationError("task spec entities do not match the world config")
     clause_entities = spec.clause_entities()
     n = config.group_size
     dim = layout.dim

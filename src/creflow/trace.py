@@ -10,6 +10,8 @@ threshold), ``inside`` (axis-aligned box attached to a container entity),
 the union over frames forms its atlas mask.
 """
 
+import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -50,6 +52,14 @@ class PredicateDecl:
             raise MissingAttribute(f"predicate {self.name} missing param {key!r}")
         return default
 
+    def number(self, key) -> float:
+        """A numeric param, checked to be a finite number."""
+        value = self.param(key)
+        if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+            raise SpecValidationError(
+                f"predicate {self.name} param {key!r} must be a finite number, got {value!r}")
+        return float(value)
+
 
 def make_predicate_decl(name, arity, evaluator, params=None):
     items = tuple(sorted((params or {}).items()))
@@ -58,9 +68,14 @@ def make_predicate_decl(name, arity, evaluator, params=None):
 
 @dataclass(frozen=True)
 class ClauseDecl:
+    """A clause is its source text; ``formula`` is parsed from it."""
+
     id: str
     source: str
-    formula: ltlf.Formula
+    formula: ltlf.Formula = field(init=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "formula", ltlf.parse_formula(self.source))
 
 
 @dataclass(frozen=True)
@@ -107,21 +122,12 @@ class TaskSpec:
         return [e.id for e in self.entities]
 
     def clause_atoms(self):
-        atoms = []
-        seen = set()
-        for clause in self.clauses:
-            for atom in clause.formula.atoms():
-                if atom not in seen:
-                    seen.add(atom)
-                    atoms.append(atom)
-        return atoms
+        """Distinct atoms of all clauses, in order of first appearance."""
+        return list(dict.fromkeys(a for c in self.clauses for a in c.formula.atoms()))
 
     def clause_entities(self):
         """Entity ids appearing in any clause's atoms."""
-        out = set()
-        for atom in self.clause_atoms():
-            out.update(atom.args)
-        return out
+        return set().union(*(c.formula.entities() for c in self.clauses))
 
     def validate(self):
         if len(self.clauses) < 1:
@@ -297,7 +303,7 @@ def eval_group_predicate(decl: PredicateDecl, group: TraceGroup, atom: ltlf.Atom
         raise SpecValidationError(f"atom {atom} does not match arity {decl.arity}")
     xy = group.xy
     if decl.evaluator == "near":
-        d = float(decl.param("distance"))
+        d = decl.number("distance")
         p1 = xy[:, :, group.column(atom.args[0])]
         p2 = xy[:, :, group.column(atom.args[1])]
         return np.linalg.norm(p1 - p2, axis=-1) <= d
@@ -312,7 +318,7 @@ def eval_group_predicate(decl: PredicateDecl, group: TraceGroup, atom: ltlf.Atom
         delta = np.abs(xy[:, :, group.column(inner)] - xy[:, :, group.column(outer)])
         return (delta[..., 0] <= hx) & (delta[..., 1] <= hy)
     if decl.evaluator == "grasp":
-        d = float(decl.param("distance"))
+        d = decl.number("distance")
         arm, obj = atom.args
         a = group.column(arm)
         near = np.linalg.norm(xy[:, :, a] - xy[:, :, group.column(obj)], axis=-1) <= d
@@ -339,7 +345,7 @@ def eval_group_predicate(decl: PredicateDecl, group: TraceGroup, atom: ltlf.Atom
             raise MissingAttribute(f"flag {flag!r} absent on {eid!r} at frame {t}")
         return values > 0
     if decl.evaluator == "moving":
-        v = float(decl.param("speed"))
+        v = decl.number("speed")
         (eid,) = atom.args
         pos = xy[:, :, group.column(eid)]
         if group.horizon == 1:

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from creflow import ltlf
 from creflow.flow import LinearVelocity, MLPVelocity, ModelBundle
@@ -36,6 +37,28 @@ ATOMS = (
     ltlf.Atom("q", ("e2",)),
     ltlf.Atom("r", ("e1", "e2")),
 )
+
+
+# Identifiers the tokenizer reads as one name: not an operator letter.
+IDENTIFIERS = st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,7}", fullmatch=True).filter(
+    lambda name: name not in ("G", "F", "U"))
+
+
+def formulas(atoms, max_leaves):
+    """Formulas over the ``atoms`` strategy and all seven operators, nested to any depth."""
+    return st.recursive(
+        atoms,
+        lambda sub: st.one_of(
+            st.builds(ltlf.Not, sub),
+            st.builds(ltlf.Globally, sub),
+            st.builds(ltlf.Finally, sub),
+            st.builds(ltlf.And, sub, sub),
+            st.builds(ltlf.Or, sub, sub),
+            st.builds(ltlf.Implies, sub, sub),
+            st.builds(ltlf.Until, sub, sub),
+        ),
+        max_leaves=max_leaves,
+    )
 
 
 @pytest.fixture

@@ -15,8 +15,20 @@ from hypothesis import strategies as st
 from creflow import fileio, simworld
 from creflow.cli import main
 from creflow.errors import SchemaError
+from creflow.ltlf import Atom, print_formula
 from creflow.objectives import WEIGHT_SCHEMES, LossConfig
-from creflow.trace import EntityState, TraceGroup
+from creflow.trace import (
+    ENTITY_KINDS,
+    ClauseDecl,
+    EntityDecl,
+    EntityState,
+    TaskSpec,
+    TraceGroup,
+    make_condition,
+    make_predicate_decl,
+)
+
+from conftest import IDENTIFIERS, formulas
 
 
 @pytest.fixture(scope="module")
@@ -153,6 +165,37 @@ class TestExperimentFileRoundTrip:
             path = os.path.join(tmp, "experiment.yaml")
             fileio.save_experiment_config(path, cfg)
             assert fileio.load_experiment_config(path) == cfg
+
+
+@st.composite
+def task_specs(draw):
+    """Valid task specs; each clause's source is the printed text of a random formula."""
+    ids = draw(st.lists(IDENTIFIERS, min_size=1, max_size=4, unique=True))
+    entities = [EntityDecl(eid, draw(st.sampled_from(ENTITY_KINDS)),
+                           draw(st.none() | st.tuples(FLOATS, FLOATS))) for eid in ids]
+    evaluators = st.sampled_from(["near", "inside", "grasp", "flag", "moving"])
+    params = st.dictionaries(IDENTIFIERS, FLOATS | st.text(), max_size=2)
+    predicates = [
+        make_predicate_decl(name, draw(st.integers(1, 2)), draw(evaluators), draw(params))
+        for name in draw(st.lists(IDENTIFIERS, min_size=1, max_size=3, unique=True))
+    ]
+    atoms = st.sampled_from(predicates).flatmap(lambda p: st.builds(
+        Atom, st.just(p.name), st.tuples(*[st.sampled_from(ids)] * p.arity)))
+    clauses = [ClauseDecl(cid, print_formula(draw(formulas(atoms, max_leaves=6))))
+               for cid in draw(st.lists(IDENTIFIERS, min_size=1, max_size=3))]
+    layout = draw(st.dictionaries(st.sampled_from(ids), st.tuples(FLOATS, FLOATS)))
+    return TaskSpec(draw(st.text()), entities, predicates, clauses,
+                    make_condition(draw(st.text()), layout))
+
+
+class TestSpecFileRoundTrip:
+    @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(task_specs())
+    def test_load_save_round_trip(self, spec):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "spec.yaml")
+            fileio.save_task_spec(path, spec)
+            assert fileio.load_task_spec(path) == spec
 
 
 def same_frames(a, b):
@@ -345,6 +388,62 @@ class TestMalformedInputs:
         assert main(["monitor", "--spec", str(path), "--trace", workdir["clean"]]) == 2
         assert capsys.readouterr().err == f"error: {path}: {message}\n"
 
+    @pytest.mark.parametrize("command", ["monitor", "mask"])
+    @pytest.mark.parametrize("key,index,field,value,message", [
+        ("clauses", 0, "formula", "G (",
+         "{path}: clauses[0]: expected formula, found 'end of input' (at offset 3)"),
+        ("clauses", 0, "formula", "G far(cube, bin)", "{path}: predicate 'far' not declared"),
+        ("clauses", 0, "formula", "G inside(cube, shelf)", "{path}: entity 'shelf' not declared"),
+        ("clauses", 0, "formula", "G moving(cube, bin)",
+         "{path}: atom moving(cube,bin) has arity 2, declared 1"),
+        ("clauses", 0, "formula", 4, "{path}: clauses[0]: 'formula' must be a string, got 4"),
+        ("clauses", 0, "id", 7, "{path}: clauses[0]: 'id' must be a string, got 7"),
+        ("clauses", None, None, [], "{path}: task spec needs at least one clause"),
+        ("entities", 1, "id", "arm_left", "{path}: duplicate entity ids"),
+        ("entities", 0, "id", 7, "{path}: entities[0]: 'id' must be a string, got 7"),
+        ("entities", 0, "kind", "robot", "{path}: unknown entity kind 'robot'"),
+        ("entities", 0, "kind", 3, "{path}: entities[0]: 'kind' must be a string, got 3"),
+        ("entities", 3, "half_extents", [1.0],
+         "{path}: entities[3]: 'half_extents' must be two finite numbers, got [1.0]"),
+        ("entities", 3, "half_extents", ["a", "b"],
+         "{path}: entities[3]: 'half_extents' must be two finite numbers, got ['a', 'b']"),
+        ("predicates", 0, "arity", "2", "{path}: predicates[0]: 'arity' must be an integer, got '2'"),
+        ("predicates", 0, "name", 1, "{path}: predicates[0]: 'name' must be a string, got 1"),
+        ("predicates", 0, "evaluator", 2,
+         "{path}: predicates[0]: 'evaluator' must be a string, got 2"),
+        ("predicates", 0, "params", {"distance": "far"},
+         "clause 'causal_cube': predicate grasp param 'distance' must be a finite number, "
+         "got 'far'"),
+        ("task_id", None, None, 5, "{path}: 'task_id' must be a string, got 5"),
+    ])
+    def test_bad_spec_exits_2(self, workdir, tmp_path, capsys, command, key, index, field, value,
+                              message):
+        with open(workdir["spec"]) as fh:
+            doc = yaml.safe_load(fh)
+        if index is None:
+            doc[key] = value
+        else:
+            doc[key][index][field] = value
+        path = tmp_path / "bad_spec.yaml"
+        path.write_text(yaml.safe_dump(doc, sort_keys=False))
+        assert main([command, "--spec", str(path), "--trace", workdir["violating"]]) == 2
+        assert capsys.readouterr().err == f"error: {message.format(path=path)}\n"
+
+    def test_train_rejects_spec_that_contradicts_world(self, workdir, tmp_path, capsys):
+        with open(workdir["experiment"]) as fh:
+            doc = yaml.safe_load(fh)
+        doc["world"]["n_objects"] = 2
+        doc["out_dir"] = str(tmp_path / "out")
+        path = tmp_path / "two_objects.yaml"
+        path.write_text(yaml.safe_dump(doc, sort_keys=False))
+        message = ("error: task spec entities do not match the world config: "
+                   "missing ['cube_b'], extra []\n")
+        assert main(["train", "--config", str(path), "--dry-run"]) == 2
+        assert capsys.readouterr().err == message
+        assert main(["train", "--config", str(path)]) == 2
+        assert capsys.readouterr().err == message
+        assert not os.path.exists(tmp_path / "out")
+
     @pytest.mark.parametrize("payload,message", [
         ([1, 2], "expected a JSON object, got list"),
         ({"summary": [0.5]}, "'summary' must be a JSON object, got list"),
@@ -415,6 +514,19 @@ class TestCliExitCodes:
         with open(out) as fh:
             payload = json.load(fh)
         assert payload["passed"] and payload["suite"] == "nft"
+
+    def test_verify_report_is_strict_json(self, tmp_path, capsys):
+        # seed 63's variance curves never cross, so t* is NaN: it is written as null
+        def reject(token):
+            raise ValueError(f"non-JSON token {token}")
+
+        out = tmp_path / "report.json"
+        assert main(["verify", "--suite", "variance", "--seed", "63", "--out", str(out)]) == 1
+        printed = json.loads(capsys.readouterr().out, parse_constant=reject)
+        written = json.loads(out.read_text(), parse_constant=reject)
+        assert printed == written
+        crossing = [c for c in written["checks"] if c["name"] == "variance_crossing"]
+        assert crossing[0]["value"] is None and not crossing[0]["passed"]
 
     def test_train_dry_run(self, workdir):
         assert main(["train", "--config", workdir["experiment"], "--dry-run"]) == 0

@@ -7,13 +7,11 @@ from hypothesis.extra.numpy import arrays
 from creflow import ltlf
 from creflow.errors import FormulaSyntaxError, HorizonMismatch, MissingStream
 from creflow.ltlf import (
-    And,
     Atom,
     Finally,
     Globally,
     Implies,
     Not,
-    Or,
     TemplateFamily,
     Until,
     classify_template,
@@ -24,7 +22,7 @@ from creflow.ltlf import (
     print_formula,
 )
 
-from conftest import ATOMS, random_formula, random_streams
+from conftest import ATOMS, IDENTIFIERS, formulas, random_formula, random_streams
 
 
 def bits(s):
@@ -90,6 +88,61 @@ class TestParser:
     def test_reserved_operator_names(self):
         with pytest.raises(FormulaSyntaxError):
             parse_formula("G(a, b)")  # G is an operator, not a predicate
+
+    # Printed text of every operator and parenthesisation case, pinned exactly.
+    @pytest.mark.parametrize(
+        "src,printed",
+        [
+            ("(p(a) -> q(b)) -> r(c)", "(p(a) -> q(b)) -> r(c)"),
+            ("p(a) -> q(b) -> r(c)", "p(a) -> q(b) -> r(c)"),
+            ("(p(a) U q(b)) U r(c)", "(p(a) U q(b)) U r(c)"),
+            ("p(a) U q(b) U r(c)", "p(a) U q(b) U r(c)"),
+            ("p(a) & q(b) & r(c)", "p(a) & q(b) & r(c)"),
+            ("p(a) & (q(b) & r(c))", "p(a) & (q(b) & r(c))"),
+            ("p(a) | (q(b) | r(c))", "p(a) | (q(b) | r(c))"),
+            ("(p(a) | q(b)) & r(c) | s(d)", "(p(a) | q(b)) & r(c) | s(d)"),
+            ("(p(a) -> q(b)) | r(c)", "(p(a) -> q(b)) | r(c)"),
+            ("p(a) & (q(b) -> r(c))", "p(a) & (q(b) -> r(c))"),
+            ("p(a) U (q(b) & r(c))", "p(a) U (q(b) & r(c))"),
+            ("(p(a) -> q(b)) U r(c)", "(p(a) -> q(b)) U r(c)"),
+            ("!(p(a) & q(b))", "!(p(a) & q(b))"),
+            ("!(p(a) U q(b))", "!(p(a) U q(b))"),
+            ("G(grasp(arm,cup)->!open( drawer ))", "G (grasp(arm,cup) -> !open(drawer))"),
+            ("F (p(a) U q(b))", "F (p(a) U q(b))"),
+            ("F G (p(a) | !q(b, c))", "F G (p(a) | !q(b,c))"),
+            ("G (p(a) & q(b)) U r(c)", "G (p(a) & q(b)) U r(c)"),
+            ("!!G F p(a)", "!!G F p(a)"),
+            ("G !p(a) U q(b)", "G !p(a) U q(b)"),
+            ("!p(a) & q(b) U r(c) | s(d) -> t(e)", "!p(a) & q(b) U r(c) | s(d) -> t(e)"),
+            ("((p(a)))", "p(a)"),
+        ],
+    )
+    def test_printed_text_pinned(self, src, printed):
+        assert print_formula(parse_formula(src)) == printed
+
+    # Every FormulaSyntaxError kind: message and offset, pinned exactly.
+    @pytest.mark.parametrize(
+        "src,message,offset",
+        [
+            ("", "expected formula, found 'end of input'", 0),
+            ("p(a) &  ", "expected formula, found 'end of input'", 8),
+            ("p(a) & )", "expected formula, found ')'", 7),
+            ("U(a)", "expected formula, found 'U'", 0),
+            ("p(a) @ q(b)", "unexpected character '@'", 5),
+            ("p(a) - q(b)", "expected '->'", 5),
+            ("p(a) q(b)", "unexpected trailing input 'q'", 5),
+            ("p(a,b,c)", "expected ')', found ','", 5),
+            ("(p(a)", "expected ')', found ''", 5),
+            ("p a", "expected '(', found 'a'", 2),
+            ("G(a, b)", "expected '(', found ','", 3),
+            ("p()", "expected 'ident', found ')'", 2),
+        ],
+    )
+    def test_syntax_error_messages_pinned(self, src, message, offset):
+        with pytest.raises(FormulaSyntaxError) as err:
+            parse_formula(src)
+        assert str(err.value) == f"{message} (at offset {offset})"
+        assert err.value.offset == offset
 
     def test_round_trip_random(self):
         rng = np.random.default_rng(42)
@@ -227,39 +280,10 @@ class TestWitnesses:
                 assert e in entities
 
 
-# Formulas over all seven operators, nested to any depth the leaf budget allows.
-FORMULAS = st.recursive(
-    st.sampled_from(ATOMS),
-    lambda sub: st.one_of(
-        st.builds(Not, sub),
-        st.builds(Globally, sub),
-        st.builds(Finally, sub),
-        st.builds(And, sub, sub),
-        st.builds(Or, sub, sub),
-        st.builds(Implies, sub, sub),
-        st.builds(Until, sub, sub),
-    ),
-    max_leaves=8,
-)
-
-
-# Identifiers the tokenizer reads as one name: not an operator letter.
-NAMES = st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,7}", fullmatch=True).filter(
-    lambda name: name not in ("G", "F", "U"))
-NAMED_ATOMS = st.builds(Atom, NAMES, st.lists(NAMES, min_size=1, max_size=2).map(tuple))
-NAMED_FORMULAS = st.recursive(
-    NAMED_ATOMS,
-    lambda sub: st.one_of(
-        st.builds(Not, sub),
-        st.builds(Globally, sub),
-        st.builds(Finally, sub),
-        st.builds(And, sub, sub),
-        st.builds(Or, sub, sub),
-        st.builds(Implies, sub, sub),
-        st.builds(Until, sub, sub),
-    ),
-    max_leaves=12,
-)
+FORMULAS = formulas(st.sampled_from(ATOMS), max_leaves=8)
+NAMED_ATOMS = st.builds(Atom, IDENTIFIERS,
+                        st.lists(IDENTIFIERS, min_size=1, max_size=2).map(tuple))
+NAMED_FORMULAS = formulas(NAMED_ATOMS, max_leaves=12)
 
 
 class TestPrintParseProperty:

@@ -3,7 +3,7 @@ import pytest
 
 from creflow import simworld
 from creflow.errors import ShapeMismatch, SpecValidationError, UnknownEntity
-from creflow.ltlf import TemplateFamily, classify_template, eval_bruteforce, parse_formula
+from creflow.ltlf import TemplateFamily, classify_template, eval_bruteforce
 from creflow.monitor import run_group_monitor, run_monitor
 from creflow.trace import (
     Atlas,
@@ -23,9 +23,7 @@ def state(x, y, closed=None, flags=None):
 
 
 def build_spec(clause_sources):
-    clauses = [
-        ClauseDecl(f"k{i}", src, parse_formula(src)) for i, src in enumerate(clause_sources)
-    ]
+    clauses = [ClauseDecl(f"k{i}", src) for i, src in enumerate(clause_sources)]
     return TaskSpec(
         task_id="toy",
         entities=[EntityDecl("arm", "arm"), EntityDecl("cup", "object")],

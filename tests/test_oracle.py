@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from creflow import backend
 from creflow.errors import (
     ConstructionViolated,
     DegenerateWorld,
@@ -152,7 +153,7 @@ def same_bits(a, b):
 def reference_nft_objective(world, xt, t, beta, v, mask_bits=None):
     """The branch objective as it was evaluated before its setup was hoisted."""
     xt = np.asarray(xt, dtype=np.float64)
-    w = _softmax(world.posterior_logweights(xt, t))
+    w = _softmax(backend.gauss_logweights_batch(world.x0s, world.log_probs, xt[None, :], t)[0])
     pp_targets = (xt[None, :] - world.x0s) / t
     mean_old = w @ world.x0s
     v_old = (xt - mean_old) / t

@@ -21,7 +21,6 @@ from creflow.trace import (
     make_condition,
     make_predicate_decl,
 )
-from creflow.ltlf import parse_formula
 
 
 def state(x, y, radius=0.5, closed=None, flags=None):
@@ -238,16 +237,16 @@ class TestTaskSpec:
             self._spec([])
 
     def test_rejects_unknown_predicate(self):
-        clause = ClauseDecl("c", "G far(arm, cup)", parse_formula("G far(arm, cup)"))
+        clause = ClauseDecl("c", "G far(arm, cup)")
         with pytest.raises(Exception):
             self._spec([clause])
 
     def test_rejects_arity_mismatch(self):
-        clause = ClauseDecl("c", "G near(arm)", parse_formula("G near(arm)"))
+        clause = ClauseDecl("c", "G near(arm)")
         with pytest.raises(SpecValidationError):
             self._spec([clause])
 
     def test_clause_entities(self):
-        clause = ClauseDecl("c", "G near(arm, cup)", parse_formula("G near(arm, cup)"))
+        clause = ClauseDecl("c", "G near(arm, cup)")
         spec = self._spec([clause])
         assert spec.clause_entities() == {"arm", "cup"}
