@@ -151,6 +151,17 @@ def _clause(entry, where) -> ClauseDecl:
         raise SchemaError(f"{where}: {err}") from err
 
 
+def _condition(cond, where):
+    cond = _mapping(cond, where)
+    layout = _mapping(cond.get("layout", {}), f"{where} layout")
+    two_numbers = _TUPLE_FIELDS["container_half_extents"]
+    for eid, xy in layout.items():
+        _checked(eid, _FIELD_KINDS[str], f"{where}: layout key")
+        _checked(xy, two_numbers, f"{where}: layout {eid!r}")
+    return make_condition(_checked(cond.get("instruction", ""), _FIELD_KINDS[str],
+                                   f"{where}: 'instruction'"), layout)
+
+
 def load_task_spec(path) -> TaskSpec:
     """A task spec file; a bad value, formula or declaration is a SchemaError naming the file."""
     doc = _load_yaml(path, "task_spec")
@@ -167,9 +178,7 @@ def load_task_spec(path) -> TaskSpec:
             for where, p in _entries(doc, "predicates", path)
         ]
         clauses = [_clause(c, where) for where, c in _entries(doc, "clauses", path)]
-        cond = _mapping(_require(doc, "condition", path), f"{path}: condition")
-        layout = _mapping(cond.get("layout", {}), f"{path}: condition layout")
-        condition = make_condition(cond.get("instruction", ""), layout)
+        condition = _condition(_require(doc, "condition", path), f"{path}: condition")
         task_id = _checked(_require(doc, "task_id", path), _FIELD_KINDS[str], f"{path}: 'task_id'")
     except (KeyError, TypeError, ValueError) as err:
         raise SchemaError(f"{path}: {err!r}") from err

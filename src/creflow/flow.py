@@ -223,6 +223,11 @@ class ModelBundle:
     def from_model(cls, model, ema_rate=1.0):
         return cls(model, model.clone(), model.clone(), ema_rate)
 
+    def copy(self):
+        """An independent bundle with the same parameters in all three snapshots."""
+        return ModelBundle(self.current.clone(), self.behavior.clone(), self.reference.clone(),
+                           self.ema_rate)
+
     def ema_sync(self):
         """theta_old <- (1 - eta) theta_old + eta theta, in place."""
         eta = self.ema_rate

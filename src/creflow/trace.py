@@ -165,7 +165,7 @@ class TraceGroup:
     from a frame, an entity without a gripper, a flag not set on an entity)
     are marked in ``present`` and by -1 in ``gripper`` and ``flags``; they
     raise when a predicate or the monitor reads them. A single trace is a
-    group of one row; ``frames``, ``positions`` and ``radii`` read that row
+    group of one row; ``frames`` and ``positions`` read that row
     and raise ShapeMismatch on any other row count.
     """
 
@@ -275,9 +275,6 @@ class TraceGroup:
     def positions(self, entity_id) -> np.ndarray:
         return self.single().xy[0, :, self.column(entity_id)].copy()
 
-    def radii(self, entity_id) -> np.ndarray:
-        return self.single().radius[0, :, self.column(entity_id)].copy()
-
 
 @dataclass
 class Atlas:
@@ -361,9 +358,14 @@ def eval_predicate(decl: PredicateDecl, trace: TraceGroup, atom: ltlf.Atom, enti
 
 
 def build_atlas(trace: TraceGroup, entity_ids) -> Atlas:
-    """Swept-disc rasters: cell set iff its center is within radius at some frame."""
+    """Swept-disc rasters: cell set iff its center is within radius at some frame.
+
+    One kernel call rasterises every entity; a multi-row group raises
+    ShapeMismatch and an id absent from some frame raises UnknownEntity.
+    """
+    trace = trace.single()
+    cols = [trace.column(eid) for eid in entity_ids]
     h, w = trace.grid
-    masks = {}
-    for eid in entity_ids:
-        masks[eid] = backend.sweep_disc_mask(trace.positions(eid), trace.radii(eid), h, w)
-    return Atlas(masks)
+    rasters = backend.sweep_disc_mask(
+        trace.xy[0][:, cols].swapaxes(0, 1), trace.radius[0][:, cols].T, h, w)
+    return Atlas(dict(zip(entity_ids, rasters)))

@@ -212,12 +212,16 @@ def test_10_end_to_end_learning():
     start = time.perf_counter()
     creflow_cfg = fileio.load_experiment_config("configs/creflow.yaml")
     vanilla_cfg = fileio.load_experiment_config("configs/vanilla_nft.yaml")
+    # pretraining depends only on the world config, so one reference serves both arms
+    assert creflow_cfg.world == vanilla_cfg.world
     gains, beats, drift_ok = [], [], []
     for seed in range(5):
+        world = simworld.WorldConfig(**{**vars(creflow_cfg.world), "seed": seed})
+        pretrained = simworld.pretrain_reference(world)
         summaries = {}
         for label, cfg in (("creflow", creflow_cfg), ("vanilla", vanilla_cfg)):
-            world = simworld.WorldConfig(**{**vars(cfg.world), "seed": seed})
-            series = simworld.run_experiment(world, cfg.effective_loss_config())
+            series = simworld.run_online_loop(world, simworld.build_task_spec(world),
+                                              pretrained.copy(), cfg.effective_loss_config())
             summaries[label] = series.summary
         c, v = summaries["creflow"], summaries["vanilla"]
         gains.append(c["last_window_success"] - c["first_window_success"])

@@ -1,6 +1,11 @@
 import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from creflow import backend
+from creflow.errors import ShapeMismatch
 
 
 def sweep_disc_mask_loop(positions, radii, h, w):
@@ -32,6 +37,43 @@ class TestKernelReference:
             got = backend.sweep_disc_mask(positions, radii, h, w)
             assert got.dtype == bool and got.shape == (h, w)
             assert np.array_equal(got, sweep_disc_mask_loop(positions, radii, h, w))
+
+
+# Off-grid, half-cell-aligned and on-centre coordinates; radii that are zero,
+# negative, fractional, half-cell or larger than any grid drawn here.
+COORDS = (st.floats(-20.0, 30.0, allow_subnormal=False)
+          | st.integers(-40, 60).map(lambda k: k / 2.0))
+RADII = (st.just(0.0) | st.floats(-4.0, 4.0, allow_subnormal=False)
+         | st.integers(-8, 8).map(lambda k: k / 2.0) | st.floats(15.0, 100.0))
+
+
+@st.composite
+def disc_sweeps(draw):
+    """(positions (..., T, 2), radii (..., T), h, w), with no or one/two batch axes."""
+    batch = tuple(draw(st.lists(st.integers(0, 3), max_size=2)))
+    frames = draw(st.integers(0, 6))
+    h, w = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    positions = draw(hnp.arrays(np.float64, batch + (frames, 2), elements=COORDS))
+    radii = draw(hnp.arrays(np.float64, batch + (frames,), elements=RADII))
+    return positions, radii, h, w
+
+
+class TestCandidateKernel:
+    @settings(max_examples=300, deadline=None)
+    @given(disc_sweeps())
+    def test_equals_cell_loop(self, sweep):
+        positions, radii, h, w = sweep
+        got = backend.sweep_disc_mask(positions, radii, h, w)
+        assert got.dtype == bool and got.shape == radii.shape[:-1] + (h, w)
+        for idx in np.ndindex(radii.shape[:-1]):
+            assert np.array_equal(got[idx], sweep_disc_mask_loop(positions[idx], radii[idx], h, w))
+
+    @pytest.mark.parametrize("positions_shape,radii_shape", [
+        ((5, 2), (4,)), ((5, 3), (5,)), ((2, 5, 2), (5,)), ((2,), ()),
+    ])
+    def test_rejects_mismatched_shapes(self, positions_shape, radii_shape):
+        with pytest.raises(ShapeMismatch):
+            backend.sweep_disc_mask(np.zeros(positions_shape), np.zeros(radii_shape), 4, 4)
 
 
 class TestSemantics:

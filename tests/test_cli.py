@@ -429,6 +429,27 @@ class TestMalformedInputs:
         assert main([command, "--spec", str(path), "--trace", workdir["violating"]]) == 2
         assert capsys.readouterr().err == f"error: {message.format(path=path)}\n"
 
+    @pytest.mark.parametrize("key,value,message", [
+        ("instruction", 5, "'instruction' must be a string, got 5"),
+        ("cube", [1.0, 2.0, 3.0], "layout 'cube' must be two finite numbers, got [1.0, 2.0, 3.0]"),
+        ("cube", [True, False], "layout 'cube' must be two finite numbers, got [True, False]"),
+        ("cube", [1.0], "layout 'cube' must be two finite numbers, got [1.0]"),
+        ("cube", [1.0, "a"], "layout 'cube' must be two finite numbers, got [1.0, 'a']"),
+        ("cube", 3, "layout 'cube' must be two finite numbers, got 3"),
+    ], ids=["instruction_int", "three_numbers", "booleans", "one_number", "not_a_number",
+            "scalar"])
+    def test_bad_spec_condition_exits_2(self, workdir, tmp_path, capsys, key, value, message):
+        with open(workdir["spec"]) as fh:
+            doc = yaml.safe_load(fh)
+        if key == "instruction":
+            doc["condition"][key] = value
+        else:
+            doc["condition"]["layout"][key] = value
+        path = tmp_path / "bad_condition.yaml"
+        path.write_text(yaml.safe_dump(doc, sort_keys=False))
+        assert main(["monitor", "--spec", str(path), "--trace", workdir["clean"]]) == 2
+        assert capsys.readouterr().err == f"error: {path}: condition: {message}\n"
+
     def test_train_rejects_spec_that_contradicts_world(self, workdir, tmp_path, capsys):
         with open(workdir["experiment"]) as fh:
             doc = yaml.safe_load(fh)

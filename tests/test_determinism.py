@@ -9,6 +9,12 @@ The verify cases hash the sorted-key JSON of ``run_suite("all", seed)``,
 recorded before the oracle's per-point and per-atom work was hoisted; any
 change to a draw, a reduction order or a check shows up here.
 
+The atlas cases decode four groups of eight scripted pick_place demos
+(horizon 32, 64x64 grid, each group mixing successes and failures) and hash
+the packed bits of every entity atlas and of the group's pixel credit mask,
+recorded with the dense swept-disc kernel; any bit the candidate-cell kernel
+sets differently shows up here.
+
 If a change alters the numbers on purpose, say why and record the new digests.
 """
 
@@ -16,10 +22,14 @@ import hashlib
 import json
 import os
 
+import numpy as np
 import pytest
 import yaml
 
+from creflow import simworld
 from creflow.cli import main
+from creflow.mask import LatentLayout, build_group_mask
+from creflow.monitor import run_monitor
 from creflow.oracle import run_suite
 
 CONFIGS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "configs")
@@ -55,3 +65,38 @@ def test_short_train_metrics_are_pinned(tmp_path, capsys, config, world, digest)
 def test_verify_all_report_is_pinned(seed, digest):
     text = json.dumps(run_suite("all", seed).to_dict(), sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("gid,rewards,atlas_digest,mask_digest", [
+    (0, [0, 0, 0, 1, 1, 0, 1, 0],
+     "03ef47b62a7cbdef32f8abebc44558807fc1a9046e9ba6376a8ea46b3ffc4791",
+     "83dea309a6908b8901242f05b4ad1b43a02eddf33941b956a11f9f36b0b6be66"),
+    (1, [0, 0, 1, 1, 1, 1, 0, 1],
+     "d4f412b517003ee4ffcbc4722fce5999d2a5fa6846fc543fa10290e81f35aca9",
+     "6fbb7f6d051ff8626ede661f12415c79304fc610312c851ea90ff359a6368f7c"),
+    (2, [0, 1, 0, 1, 0, 1, 1, 1],
+     "b7de9b5c15fca0a706484ccd3b8cf71d2c6f5be34591f6d90e99a8c26288d60f",
+     "18392ff5ac140f7c964ce707b8f7bd51557c2b82ab4c17f95886852c02ed2407"),
+    (3, [0, 0, 1, 0, 0, 0, 1, 1],
+     "8ec0f8f0be8859c4f769854beb43280d86227121254ff03acbeb11cf84991989",
+     "28b5e61bb421a23b7f70b26610ba6f78936a907ad1195e1acdf285ab795edc3b"),
+])
+def test_pixel_atlases_are_pinned(gid, rewards, atlas_digest, mask_digest):
+    world = simworld.WorldConfig(template="pick_place", horizon=32, grid=(64, 64))
+    spec = simworld.build_task_spec(world)
+    rng = np.random.default_rng((7, gid))
+    verdicts = []
+    for _ in range(8):
+        condition = simworld.sample_condition(world, rng)
+        z = simworld.scripted_demo(world, condition, rng)
+        trace = simworld.decode_trace(simworld.latent_from_flat(z, world), world, condition)
+        verdicts.append(run_monitor(spec, trace))
+    assert [v.reward for v in verdicts] == rewards
+    atlases = hashlib.sha256()
+    for v in verdicts:
+        for eid, raster in v.atlas.masks.items():
+            atlases.update(eid.encode())
+            atlases.update(np.packbits(raster).tobytes())
+    assert atlases.hexdigest() == atlas_digest
+    mask = build_group_mask(verdicts, LatentLayout.pixel(world.horizon, world.grid))
+    assert hashlib.sha256(np.packbits(mask.full).tobytes()).hexdigest() == mask_digest

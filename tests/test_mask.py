@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from creflow.errors import LayoutMismatch, ShapeMismatch
 from creflow.ltlf import Witness
@@ -123,3 +126,49 @@ class TestApplyMask:
         mask = CreditMask.ones(PIXEL_LAYOUT)
         with pytest.raises(LayoutMismatch):
             apply_mask(mask, np.ones(ENTITY_LAYOUT.dim), ENTITY_LAYOUT)
+
+
+@st.composite
+def masked_residuals(draw):
+    """(layout, mask, residual (T, S, C)) over pixel and entity layouts."""
+    horizon, channels = draw(st.integers(1, 6)), draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        layout = LatentLayout.pixel(horizon, (draw(st.integers(1, 4)), draw(st.integers(1, 4))),
+                                    channels)
+    else:
+        ids = [f"e{k}" for k in range(draw(st.integers(1, 4)))]
+        layout = LatentLayout.entity(horizon, ids, channels)
+    mask = CreditMask.from_axes(draw(hnp.arrays(bool, horizon)), draw(hnp.arrays(bool, layout.sites)))
+    residual = draw(hnp.arrays(np.float64, layout.tensor_shape(),
+                               elements=st.floats(allow_nan=False, allow_infinity=False)))
+    return layout, mask, residual
+
+
+class TestMaskIdentities:
+    @settings(max_examples=200, deadline=None)
+    @given(masked_residuals())
+    def test_flat_is_full_broadcast_over_channels(self, case):
+        layout, mask, _ = case
+        flat = mask.flat(layout)
+        assert flat.dtype == np.float64 and flat.shape == (layout.dim,)
+        tensor = flat.reshape(layout.tensor_shape())
+        for c in range(layout.channels):
+            assert np.array_equal(tensor[:, :, c], mask.full.astype(np.float64))
+
+    @settings(max_examples=200, deadline=None)
+    @given(masked_residuals())
+    def test_flat_and_tensor_residuals_agree(self, case):
+        layout, mask, residual = case
+        shaped = apply_mask(mask, residual, layout)
+        flat = apply_mask(mask, residual.ravel(), layout)
+        assert shaped.shape == layout.tensor_shape() and flat.shape == (layout.dim,)
+        assert shaped.ravel().tobytes() == flat.tobytes()
+        assert shaped.tobytes() == (residual * mask.full[:, :, None]).tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(masked_residuals())
+    def test_ones_mask_is_identity(self, case):
+        layout, _, residual = case
+        ones = CreditMask.ones(layout)
+        assert apply_mask(ones, residual, layout).tobytes() == residual.tobytes()
+        assert apply_mask(ones, residual.ravel(), layout).tobytes() == residual.tobytes()

@@ -13,6 +13,7 @@ from creflow.errors import (
 from creflow.flow import LinearVelocity
 from creflow.oracle import (
     DiscreteWorld,
+    _column_means,
     _group_means,
     _row_sums,
     _softmax,
@@ -198,6 +199,15 @@ class TestHoistedArithmetic:
         a = rng.standard_normal((4000, cols)) * rng.uniform(1e-3, 1e3, (4000, cols))
         a[:3] = -0.0
         assert same_bits(_row_sums(a), np.sum(a, axis=1))
+
+    @pytest.mark.parametrize("cols", range(2, 8))
+    def test_column_means_match_numpy_mean(self, cols):
+        rng = np.random.default_rng((cols, 15))
+        a = rng.standard_normal((4000, cols)) * rng.uniform(1e-3, 1e3, (4000, cols))
+        a[:3] = -0.0
+        a[:, 0] = -0.0  # numpy's mean of an all -0.0 column is 0.0
+        a[rng.random(4000) < 0.2, -1] = 0.0
+        assert same_bits(_column_means(a), a.mean(axis=0))
 
 
 class TestSuites:

@@ -226,6 +226,19 @@ class TestLoop:
         assert series_a.rows == series_b.rows
         assert series_a.summary == series_b.summary
 
+    @pytest.mark.parametrize("model_kind", ["linear", "mlp"])
+    def test_copied_bundle_runs_like_fresh_pretraining(self, model_kind):
+        config = small_config(iterations=6, model_kind=model_kind)
+        loss_config = LossConfig(beta=1.0, lambda_cr=1.0, lambda_kl=0.1)
+        pretrained = pretrain_reference(config)
+        theta = pretrained.current.get_params()
+        fresh = run_experiment(config, loss_config)
+        spec = build_task_spec(config)
+        for _ in range(2):
+            series = run_online_loop(config, spec, pretrained.copy(), loss_config)
+            assert series.rows == fresh.rows and series.summary == fresh.summary
+        assert np.array_equal(pretrained.current.get_params(), theta)
+
     def test_mask_density_interior_for_mixed_groups(self):
         config = small_config(iterations=20)
         spec = build_task_spec(config)

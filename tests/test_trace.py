@@ -182,8 +182,8 @@ class TestArrays:
                           np.concatenate([trace.radius] * 2), np.concatenate([trace.gripper] * 2),
                           trace.flag_names, np.concatenate([trace.flags] * 2),
                           np.concatenate([trace.present] * 2))
-        assert pair.row(1).radii("cup").tolist() == [0.5, 0.5]
-        for read in (lambda g: g.frames, lambda g: g.positions("cup"), lambda g: g.radii("cup"),
+        assert pair.row(1).radius[0, :, pair.column("cup")].tolist() == [0.5, 0.5]
+        for read in (lambda g: g.frames, lambda g: g.positions("cup"),
                      lambda g: build_atlas(g, ["cup"])):
             with pytest.raises(ShapeMismatch, match="a trace is a group of one row, got 2"):
                 read(pair)
