@@ -11,6 +11,7 @@ from .flow import (
     sample_rollout,
 )
 from .ltlf import (
+    ClauseProgram,
     Formula,
     TemplateFamily,
     Witness,

@@ -5,18 +5,21 @@ operators ``!`` (not), ``&``, ``|``, ``->``, ``G`` (globally), ``F``
 (finally) and ``U`` (strong until). ``BINARY_OPERATORS`` gives their
 precedence and associativity, and both the parser and the printer read it.
 Truth is evaluated at frame 1 of a length-T trace; ``p U q`` requires q to
-eventually hold.  A group of N traces is evaluated at once from (N, T)
-streams: every operator applies the finite-trace recurrences (De Giacomo &
-Vardi, IJCAI 2013) along the last axis.
+eventually hold.  A list of clauses compiles into one ClauseProgram, which
+evaluates every distinct subformula once for a group of N traces from
+(N, T) streams: every operator applies the finite-trace recurrences
+(De Giacomo & Vardi, IJCAI 2013) along the last axis.
 
 Failed clauses additionally yield a violation witness: a set of
 (entity, frame) pairs extracted by template-specific rules for the four
 clause families (persistence ``G p``, terminal placement ``F G p``, causal
 coupling ``G(p -> q)``, ordering ``p U q``), and by a conservative
-polarity-based rule for everything else.
+polarity-based rule for everything else. ``eval_bruteforce`` is the
+independent reference for truth.
 """
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -126,14 +129,67 @@ class TemplateFamily(enum.Enum):
     OTHER = "other"
 
 
-@dataclass(frozen=True)
 class Witness:
-    """Violation witness: set of (entity id, 1-indexed frame) pairs."""
+    """Violation witness: set of (entity id, 1-indexed frame) pairs.
 
-    pairs: frozenset
+    ``Witness(pairs)`` holds a given set. A clause program's witness holds
+    its row of the clause's (entities, frames) parts instead and forms
+    ``pairs`` on first read. Equality and hashing go by ``pairs``.
+    """
+
+    __slots__ = ("_pairs", "_parts", "_row")
+
+    def __init__(self, pairs):
+        self._pairs = frozenset(pairs)
+        self._parts = None
+        self._row = None
+
+    @classmethod
+    def _of_row(cls, parts, row):
+        """Row ``row`` of ``parts``: (entities, (rows, T) frames) pairs of a clause group."""
+        witness = cls.__new__(cls)
+        witness._pairs = None
+        witness._parts = parts
+        witness._row = row
+        return witness
+
+    @property
+    def pairs(self) -> frozenset:
+        if self._pairs is None:
+            self._pairs = frozenset(
+                (e, t + 1)
+                for entities, frames in self._parts
+                for t in np.flatnonzero(frames[self._row]).tolist()
+                for e in entities
+            )
+        return self._pairs
+
+    def frame_mask(self, horizon) -> np.ndarray:
+        """(horizon,) Boolean array, set at the (1-indexed) frames of the pairs."""
+        mask = np.zeros(horizon, dtype=bool)
+        if self._pairs is None:
+            for entities, frames in self._parts:
+                if entities:
+                    mask |= frames[self._row]
+        else:
+            mask[[t - 1 for _, t in self._pairs]] = True
+        return mask
 
     def __bool__(self):
-        return bool(self.pairs)
+        if self._pairs is None:
+            return any(entities and frames[self._row].any() for entities, frames in self._parts)
+        return bool(self._pairs)
+
+    def __eq__(self, other):
+        if not isinstance(other, Witness):
+            return NotImplemented
+        return self.pairs == other.pairs
+
+    def __hash__(self):
+        return hash(self.pairs)
+
+    def __repr__(self):
+        return f"Witness(pairs={self.pairs!r})"
 
     def frames(self):
         return sorted({t for _, t in self.pairs})
@@ -316,41 +372,6 @@ def _stream_for(atom: Atom, streams, shape) -> np.ndarray:
     return values
 
 
-def _sat(f: Formula, streams, shape) -> np.ndarray:
-    """Satisfaction array: sat[..., t] is the truth of f at frame t+1 (0-indexed).
-
-    ``shape`` is the stream shape, (T,) for one trace or (N, T) for a group;
-    every operator works along the last axis.
-    """
-    if isinstance(f, Atom):
-        return _stream_for(f, streams, shape)
-    if isinstance(f, Not):
-        return ~_sat(f.child, streams, shape)
-    if isinstance(f, And):
-        return _sat(f.left, streams, shape) & _sat(f.right, streams, shape)
-    if isinstance(f, Or):
-        return _sat(f.left, streams, shape) | _sat(f.right, streams, shape)
-    if isinstance(f, Implies):
-        return ~_sat(f.left, streams, shape) | _sat(f.right, streams, shape)
-    if isinstance(f, Globally):
-        child = _sat(f.child, streams, shape)
-        return np.logical_and.accumulate(child[..., ::-1], axis=-1)[..., ::-1]
-    if isinstance(f, Finally):
-        child = _sat(f.child, streams, shape)
-        return np.logical_or.accumulate(child[..., ::-1], axis=-1)[..., ::-1]
-    if isinstance(f, Until):
-        a = _sat(f.left, streams, shape)
-        b = _sat(f.right, streams, shape)
-        # reverse scans for the next frame where b holds and where a fails:
-        # a U b holds at t iff b holds at some j >= t and a holds on [t, j)
-        horizon = shape[-1]
-        frame = np.arange(horizon)
-        next_b = np.minimum.accumulate(np.where(b, frame, horizon)[..., ::-1], axis=-1)[..., ::-1]
-        next_not_a = np.minimum.accumulate(np.where(a, horizon, frame)[..., ::-1], axis=-1)[..., ::-1]
-        return (next_b < horizon) & (next_b <= next_not_a)
-    raise TypeError(f"unknown node {type(f).__name__}")
-
-
 def eval_bruteforce(f: Formula, streams, horizon: int) -> bool:
     """Independent oracle: recursive expansion of the semantics, no vector ops."""
     atom_values = {a: _stream_for(a, streams, (horizon,)) for a in f.atoms()}
@@ -388,12 +409,42 @@ def eval_bruteforce(f: Formula, streams, horizon: int) -> bool:
 
 
 # --------------------------------------------------------------------------
-# Witness extraction
+# Clause programs
 # --------------------------------------------------------------------------
 
-def _polarity_parts(f: Formula, streams, shape):
-    # conservative rule: frames where an atom's value differs from the value
-    # its occurrence polarity would need; atoms under both polarities get all frames
+def _globally(a, b):
+    return np.logical_and.accumulate(a[..., ::-1], axis=-1)[..., ::-1]
+
+
+def _finally(a, b):
+    return np.logical_or.accumulate(a[..., ::-1], axis=-1)[..., ::-1]
+
+
+def _until(a, b):
+    # reverse scans for the next frame where b holds and where a fails:
+    # a U b holds at t iff b holds at some j >= t and a holds on [t, j)
+    horizon = a.shape[-1]
+    frame = np.arange(horizon)
+    next_b = np.minimum.accumulate(np.where(b, frame, horizon)[..., ::-1], axis=-1)[..., ::-1]
+    next_not_a = np.minimum.accumulate(np.where(a, horizon, frame)[..., ::-1], axis=-1)[..., ::-1]
+    return (next_b < horizon) & (next_b <= next_not_a)
+
+
+# Each operator's value along the last axis from its operands' values (b is
+# None for a unary operator).
+_OPERATORS = {
+    Not: lambda a, b: ~a,
+    And: lambda a, b: a & b,
+    Or: lambda a, b: a | b,
+    Implies: lambda a, b: ~a | b,
+    Globally: _globally,
+    Finally: _finally,
+    Until: _until,
+}
+
+
+def _polarities(f: Formula):
+    """Atom -> the set of polarities (True positive) of its occurrences in ``f``."""
     polarities = {}
 
     def visit(node, pol):
@@ -409,47 +460,148 @@ def _polarity_parts(f: Formula, streams, shape):
                 visit(child, pol)
 
     visit(f, True)
-    parts = []
-    for atom, pols in polarities.items():
-        values = _stream_for(atom, streams, shape)
-        if len(pols) == 2:
-            frames = np.ones(shape, dtype=bool)
-        elif True in pols:
-            frames = ~values
-        else:
-            frames = values
-        parts.append((atom.args, frames))
-    return parts
+    return polarities
 
 
-def _witness_parts(f, family, streams, shape, stability_window):
-    """A failed clause's witness as (entities, frames) parts.
+class ClauseProgram:
+    """A list of formulas compiled into one program over shared nodes.
+
+    Every structurally distinct subformula is one node, after the nodes of
+    its operands; so the atoms come in order of first appearance.
+    Running the program evaluates each node once along the last axis of
+    (..., T) streams (De Giacomo & Vardi's finite-trace recurrences), so
+    clauses that share a subformula share its values. Each clause's witness
+    rule is resolved to node indices here:
+
+    - persistence ``G p``: the frames where p fails;
+    - causal coupling ``G(p -> q)``: the frames where p holds and q fails;
+    - terminal placement ``F G p``: the frames of the tail window (the last
+      ``stability_window`` frames, clamped to the horizon) where p fails;
+    - ordering ``p U q``: every frame from the first one where p fails
+      before q has held (from frame 1 if there is none);
+    - any other clause, conservatively: for each atom, the frames where its
+      value differs from the one its occurrence polarity needs, and every
+      frame for an atom under both polarities.
+
+    Each rule names its entities: those of p (and q), or an atom's own.
+    """
+
+    def __init__(self, formulas):
+        formulas = list(formulas)
+        nodes = []  # (operator class, operand, operand or None); an atom is (None, atom, None)
+        index = {}  # subformula -> node index
+        first_use = {}  # atom -> index of the first formula containing it
+
+        def node(f, i):
+            k = index.get(f)
+            if k is None:
+                if isinstance(f, Atom):
+                    first_use[f] = i
+                    nodes.append((None, f, None))
+                else:
+                    operands = [node(child, i) for child in f.children()]
+                    nodes.append((type(f), operands[0], operands[1] if len(operands) > 1 else None))
+                k = index[f] = len(nodes) - 1
+            return k
+
+        self.roots = tuple(node(f, i) for i, f in enumerate(formulas))
+        self.atoms = tuple(first_use)  # in order of first appearance
+        self.first_use = tuple(first_use.values())
+        self._nodes = nodes
+        self._rules = [_witness_rule(f, index) for f in formulas]
+
+    def values(self, streams, shape) -> list:
+        """Every node's truth at every frame: one array of ``shape`` per node.
+
+        ``streams`` maps each atom to its (..., T) Boolean stream of ``shape``;
+        values[k][..., t] is the truth of node k at frame t+1 (0-indexed).
+        """
+        horizon = shape[-1]
+        if horizon < 1:
+            raise HorizonMismatch(f"horizon must be >= 1, got {horizon}")
+        values = []
+        for op, a, b in self._nodes:
+            if op is None:
+                values.append(_stream_for(a, streams, shape))
+            else:
+                values.append(_OPERATORS[op](values[a], None if b is None else values[b]))
+        return values
+
+    def evaluate(self, streams, shape, stability_window: int = DEFAULT_STABILITY_WINDOW):
+        """Evaluate every clause at frame 1 on every row of (..., T) streams of ``shape``.
+
+        Returns (truths, witnesses): a (clauses, rows) Boolean array and, per
+        clause, one Witness per row. Satisfied rows get the empty witness;
+        failed ones follow the clause's rule.
+        """
+        values = self.values(streams, shape)
+        horizon = shape[-1]
+        truths = np.empty((len(self.roots), math.prod(shape[:-1])), dtype=bool)
+        witnesses = []
+        for row_truths, root, rule in zip(truths, self.roots, self._rules):
+            row_truths[:] = values[root][..., 0].reshape(-1)
+            row_witnesses = [EMPTY_WITNESS] * row_truths.size
+            if not row_truths.all():
+                parts = [(entities, frames.reshape(-1, horizon)) for entities, frames
+                         in _witness_parts(rule, values, horizon, stability_window)]
+                for i in np.flatnonzero(~row_truths).tolist():
+                    row_witnesses[i] = Witness._of_row(parts, i)
+            witnesses.append(row_witnesses)
+        return truths, witnesses
+
+
+def _witness_rule(f: Formula, index):
+    """A clause's witness rule, by node index: (family, entities, p, q) for the
+    template families (q None for one operand) and, for OTHER,
+    (family, [(atom args, atom node, polarities)])."""
+    family = classify_template(f)
+    if family is TemplateFamily.PERSISTENCE:
+        p, q = f.child, None
+    elif family is TemplateFamily.CAUSAL_COUPLING:
+        p, q = f.child.left, f.child.right
+    elif family is TemplateFamily.TERMINAL_PLACEMENT:
+        p, q = f.child.child, None
+    elif family is TemplateFamily.ORDERING:
+        p, q = f.left, f.right
+    else:
+        return family, [(atom.args, index[atom], pols) for atom, pols in _polarities(f).items()]
+    if q is None:
+        return family, sorted(p.entities()), index[p], None
+    return family, sorted(p.entities() | q.entities()), index[p], index[q]
+
+
+def _witness_parts(rule, values, horizon, stability_window):
+    """A clause's witness as (entities, frames) parts over all rows.
 
     ``frames`` has the stream shape; a row's witness is the union over parts
     of entities x the frames set in that row.
     """
-    horizon = shape[-1]
+    family = rule[0]
+    if family is TemplateFamily.OTHER:
+        parts = []
+        for entities, k, pols in rule[1]:
+            if len(pols) == 2:
+                frames = np.ones(values[k].shape, dtype=bool)
+            elif True in pols:
+                frames = ~values[k]
+            else:
+                frames = values[k].copy()  # the caller's stream; lazy witnesses outlive it
+            parts.append((entities, frames))
+        return parts
+    _, entities, p, q = rule
     if family is TemplateFamily.PERSISTENCE:
-        p = f.child
-        return [(sorted(p.entities()), ~_sat(p, streams, shape))]
+        return [(entities, ~values[p])]
     if family is TemplateFamily.CAUSAL_COUPLING:
-        p, q = f.child.left, f.child.right
-        frames = _sat(p, streams, shape) & ~_sat(q, streams, shape)
-        return [(sorted(p.entities() | q.entities()), frames)]
+        return [(entities, values[p] & ~values[q])]
     if family is TemplateFamily.TERMINAL_PLACEMENT:
-        p = f.child.child
         tail = horizon - min(stability_window, horizon)
-        frames = np.zeros(shape, dtype=bool)
-        frames[..., tail:] = ~_sat(p, streams, shape)[..., tail:]
-        return [(sorted(p.entities()), frames)]
-    if family is TemplateFamily.ORDERING:
-        p, q = f.left, f.right
-        q_seen = np.logical_or.accumulate(_sat(q, streams, shape), axis=-1)
-        broken = ~_sat(p, streams, shape) & ~q_seen
-        t_break = np.where(broken.any(axis=-1), broken.argmax(axis=-1), 0)
-        frames = np.arange(horizon) >= t_break[..., None]
-        return [(sorted(p.entities() | q.entities()), frames)]
-    return _polarity_parts(f, streams, shape)
+        frames = np.zeros(values[p].shape, dtype=bool)
+        frames[..., tail:] = ~values[p][..., tail:]
+        return [(entities, frames)]
+    q_seen = np.logical_or.accumulate(values[q], axis=-1)
+    broken = ~values[p] & ~q_seen
+    t_break = np.where(broken.any(axis=-1), broken.argmax(axis=-1), 0)
+    return [(entities, np.arange(horizon) >= t_break[..., None])]
 
 
 def eval_clause_group(
@@ -461,32 +613,10 @@ def eval_clause_group(
     """Evaluate a clause at frame 1 on every row of (..., T) streams of ``shape``.
 
     Returns (truths, witnesses): a flat Boolean array with one entry per row
-    and one Witness per row. Satisfied rows get the empty witness; failed
-    ones follow the clause's template family (the tail window of a failed
-    terminal placement covers the last ``stability_window`` frames, clamped
-    to the horizon).
+    and one Witness per row, from the one-clause ClauseProgram of ``f``.
     """
-    horizon = shape[-1]
-    if horizon < 1:
-        raise HorizonMismatch(f"horizon must be >= 1, got {horizon}")
-    truths = _sat(f, streams, shape)[..., 0].reshape(-1)
-    witnesses = [EMPTY_WITNESS] * truths.size
-    if truths.all():
-        return truths, witnesses
-    parts = [
-        (entities, frames.reshape(-1, horizon).tolist())
-        for entities, frames in _witness_parts(
-            f, classify_template(f), streams, shape, stability_window
-        )
-    ]
-    for i in np.flatnonzero(~truths).tolist():
-        witnesses[i] = Witness(frozenset(
-            (e, t + 1)
-            for entities, frames in parts
-            for t, hit in enumerate(frames[i]) if hit
-            for e in entities
-        ))
-    return truths, witnesses
+    truths, witnesses = ClauseProgram([f]).evaluate(streams, shape, stability_window)
+    return truths[0], witnesses[0]
 
 
 def eval_clause(

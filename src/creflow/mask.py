@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .backend import sweep_disc_mask
 from .errors import LayoutMismatch, ShapeMismatch
 
 FRAME_SITE = "frame_site"
@@ -102,13 +103,20 @@ class CreditMask:
         return tiled.ravel().astype(np.float64)
 
 
+def _check_raster(shape, layout: LatentLayout):
+    if shape != layout.grid:
+        raise LayoutMismatch(f"atlas raster {shape} does not match layout grid {layout.grid}")
+
+
 def build_group_mask(verdicts, layout: LatentLayout, clause_entities=None) -> CreditMask:
     """Aggregate a rollout group's verdicts into the shared credit mask.
 
     The temporal axis unions witness frames over all rollouts (satisfied
     clauses contribute nothing). For pixel sites the spatial axis unions the
-    entity atlases of all rollouts regardless of reward; for entity sites it
-    selects the ids in ``clause_entities``.
+    entity atlases of all rollouts regardless of reward: given, assigned or
+    already-read atlases by their masks, and the discs of every atlas not yet
+    built in one ``sweep_disc_mask`` call (which leaves those atlases
+    unbuilt). For entity sites it selects the ids in ``clause_entities``.
     """
     if not verdicts:
         raise LayoutMismatch("need at least one verdict")
@@ -122,18 +130,25 @@ def build_group_mask(verdicts, layout: LatentLayout, clause_entities=None) -> Cr
     temporal = np.zeros(t_count, dtype=bool)
     for v in verdicts:
         for _, witness in v.violations:
-            for _, frame in witness.pairs:
-                temporal[frame - 1] = True
+            if witness:
+                temporal |= witness.frame_mask(t_count)
 
     if layout.site_kind == PIXEL_SITES:
         spatial = np.zeros(layout.sites, dtype=bool)
+        positions, radii = [], []
         for v in verdicts:
-            for m in v.atlas.masks.values():
-                if m.shape != layout.grid:
-                    raise LayoutMismatch(
-                        f"atlas raster {m.shape} does not match layout grid {layout.grid}"
-                    )
-                spatial |= m.ravel()
+            discs = v.pending_discs()
+            if discs is None:
+                for m in v.atlas.masks.values():
+                    _check_raster(m.shape, layout)
+                    spatial |= m.ravel()
+            else:
+                _check_raster(tuple(int(n) for n in discs[2]), layout)
+                positions.append(discs[0])
+                radii.append(discs[1])
+        if positions:
+            spatial |= sweep_disc_mask(
+                np.concatenate(positions), np.concatenate(radii), *layout.grid).ravel()
     else:
         if clause_entities is None:
             raise LayoutMismatch("entity-site masks need the clause-implicated entity ids")

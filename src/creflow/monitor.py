@@ -4,8 +4,6 @@ A rollout group is scored as one set of arrays; scoring one trace is the
 same code on a group of one.
 """
 
-import numpy as np
-
 from . import ltlf
 from .errors import CreflowError
 from .trace import Atlas, TaskSpec, TraceGroup, build_atlas, eval_group_predicate
@@ -14,8 +12,9 @@ from .trace import Atlas, TaskSpec, TraceGroup, build_atlas, eval_group_predicat
 class Verdict:
     """One trace's reward, per-clause witnesses and entity atlas.
 
-    The atlas is rasterised from the trace on first read, since only pixel
-    layouts and reports read it; it can also be given or assigned.
+    The atlas is rasterised from the trace on first read, since only reports
+    read it (the pixel group mask rasterises unbuilt atlases together, from
+    ``pending_discs``); it can also be given or assigned.
     """
 
     def __init__(self, reward, violations, atlas=None, horizon=None, source=None):
@@ -36,6 +35,18 @@ class Verdict:
     def atlas(self, value: Atlas):
         self._atlas = value
 
+    def pending_discs(self):
+        """The discs of an atlas not built yet: (positions (K, 2), radii (K,), grid).
+
+        None once the atlas is built, given or assigned. The union of these
+        discs' rasters is the union of the atlas's masks.
+        """
+        if self._atlas is not None:
+            return None
+        group, row, entity_ids = self._source
+        cols = [group.column(eid) for eid in entity_ids]
+        return group.xy[row][:, cols].reshape(-1, 2), group.radius[row][:, cols].ravel(), group.grid
+
     def witness(self, clause_id) -> ltlf.Witness:
         for cid, w in self.violations:
             if cid == clause_id:
@@ -49,41 +60,29 @@ def run_group_monitor(
     """Evaluate every clause of the spec against every trace of the group.
 
     Predicate streams are computed once per distinct atom, as (N, T) arrays,
-    and shared across clauses. A trace's reward is the conjunction of its
-    per-clause truths; its violation list carries one witness per clause
-    (empty when satisfied). Errors from predicate or clause evaluation are
-    annotated with the id of the clause being processed. Returns one
-    Verdict per row.
+    and the spec's clause program evaluates every shared subformula once. A
+    trace's reward is the conjunction of its per-clause truths; its
+    violation list carries one witness per clause (empty when satisfied).
+    Predicate errors are annotated with the id of the first clause using the
+    atom. Returns one Verdict per row.
     """
     entity_ids = spec.entity_ids()
     group.require(entity_ids)
 
+    program = spec.program
     streams = {}
-    for clause in spec.clauses:
-        for atom in clause.formula.atoms():
-            if atom in streams:
-                continue
-            decl = spec.predicate(atom.name)
-            try:
-                streams[atom] = eval_group_predicate(decl, group, atom, spec)
-            except CreflowError as err:
-                raise type(err)(f"clause {clause.id!r}: {err}") from err
-
-    shape = (len(group), group.horizon)
-    rewards = np.ones(len(group), dtype=bool)
-    per_clause = []
-    for clause in spec.clauses:
+    for atom, first in zip(program.atoms, program.first_use):
+        decl = spec.predicate(atom.name)
         try:
-            truths, witnesses = ltlf.eval_clause_group(
-                clause.formula, streams, shape, stability_window
-            )
+            streams[atom] = eval_group_predicate(decl, group, atom, spec)
         except CreflowError as err:
-            raise type(err)(f"clause {clause.id!r}: {err}") from err
-        rewards &= truths
-        per_clause.append((clause.id, witnesses))
+            raise type(err)(f"clause {spec.clauses[first].id!r}: {err}") from err
 
+    truths, witnesses = program.evaluate(streams, (len(group), group.horizon), stability_window)
+    rewards = truths.all(axis=0).tolist()
+    clause_ids = [clause.id for clause in spec.clauses]
     return [
-        Verdict(int(rewards[i]), [(cid, witnesses[i]) for cid, witnesses in per_clause],
+        Verdict(int(rewards[i]), [(cid, row[i]) for cid, row in zip(clause_ids, witnesses)],
                 horizon=group.horizon, source=(group, i, entity_ids))
         for i in range(len(group))
     ]

@@ -15,6 +15,7 @@ The online loop then alternates rollout sampling, monitoring, group-mask
 construction and one gradient step on the combined objective.
 """
 
+import logging
 import math
 from dataclasses import dataclass, field
 
@@ -45,6 +46,8 @@ from .trace import (
     make_condition,
     make_predicate_decl,
 )
+
+log = logging.getLogger(__name__)
 
 TEMPLATES = ("pick_place", "ordered_stack", "persist_hold")
 AUX_SITE = "grip_aux"
@@ -582,7 +585,12 @@ def _success_window(rows, tail):
 
 def run_online_loop(config: WorldConfig, spec: TaskSpec, bundle: ModelBundle,
                     loss_config: LossConfig) -> MetricsSeries:
-    """Rollout, monitor, mask, and update for config.iterations steps."""
+    """Rollout, monitor, mask, and update for config.iterations steps.
+
+    At DEBUG level each iteration logs its success fraction, the number of
+    failing rollouts per clause id and the mask's temporal and spatial
+    density.
+    """
     check_spec_matches_world(spec, config)
     layout = world_layout(config)
     clause_entities = spec.clause_entities()
@@ -627,6 +635,14 @@ def run_online_loop(config: WorldConfig, spec: TaskSpec, bundle: ModelBundle,
         rewards = np.array([v.reward for v in verdicts])
 
         group_mask = build_group_mask(verdicts, layout, clause_entities)
+        if log.isEnabledFor(logging.DEBUG):
+            failing = np.sum([[bool(w) for _, w in v.violations] for v in verdicts], axis=0)
+            log.debug(
+                "iteration %d: success %.4f; failing rollouts %s; "
+                "mask density temporal %.4f spatial %.4f",
+                iteration, rewards.mean(),
+                " ".join(f"{c.id}={k}" for c, k in zip(spec.clauses, failing.tolist())),
+                group_mask.temporal.mean(), group_mask.spatial.mean())
         group = RolloutGroup(embed, x0s, rewards, layout, group_mask)
         batch = draw_sample_batch(group, np.random.default_rng((config.seed, 3, iteration)))
 

@@ -107,6 +107,7 @@ class TaskSpec:
         self._entity_map = {e.id: e for e in self.entities}
         self._pred_map = {p.name: p for p in self.predicates}
         self.validate()
+        self.program = ltlf.ClauseProgram(c.formula for c in self.clauses)
 
     def entity(self, entity_id) -> EntityDecl:
         if entity_id not in self._entity_map:
@@ -285,6 +286,11 @@ class Atlas:
 # Predicate evaluation
 # --------------------------------------------------------------------------
 
+def _length(v):
+    """Euclidean length of (..., 2) vectors; bit-equal to np.linalg.norm(v, axis=-1)."""
+    return np.sqrt(v[..., 0] * v[..., 0] + v[..., 1] * v[..., 1])
+
+
 def _first_frame(bad):
     """1-indexed first frame that is bad in some row of an (N, T) mask."""
     return int(bad.any(axis=0).argmax()) + 1
@@ -303,7 +309,7 @@ def eval_group_predicate(decl: PredicateDecl, group: TraceGroup, atom: ltlf.Atom
         d = decl.number("distance")
         p1 = xy[:, :, group.column(atom.args[0])]
         p2 = xy[:, :, group.column(atom.args[1])]
-        return np.linalg.norm(p1 - p2, axis=-1) <= d
+        return _length(p1 - p2) <= d
     if decl.evaluator == "inside":
         inner, outer = atom.args
         if entities is None:
@@ -318,7 +324,7 @@ def eval_group_predicate(decl: PredicateDecl, group: TraceGroup, atom: ltlf.Atom
         d = decl.number("distance")
         arm, obj = atom.args
         a = group.column(arm)
-        near = np.linalg.norm(xy[:, :, a] - xy[:, :, group.column(obj)], axis=-1) <= d
+        near = _length(xy[:, :, a] - xy[:, :, group.column(obj)]) <= d
         closed = group.gripper[:, :, a]
         if (closed < 0).any():
             raise MissingAttribute(
@@ -347,7 +353,7 @@ def eval_group_predicate(decl: PredicateDecl, group: TraceGroup, atom: ltlf.Atom
         pos = xy[:, :, group.column(eid)]
         if group.horizon == 1:
             return np.zeros((len(group), 1), dtype=bool)
-        step = np.linalg.norm(np.diff(pos, axis=1), axis=-1) > v
+        step = _length(np.diff(pos, axis=1)) > v
         return np.concatenate([step[:, :1], step], axis=1)
     raise UnknownEvaluator(f"unknown evaluator {decl.evaluator!r}")
 

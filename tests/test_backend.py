@@ -40,11 +40,14 @@ class TestKernelReference:
 
 
 # Off-grid, half-cell-aligned and on-centre coordinates; radii that are zero,
-# negative, fractional, half-cell or larger than any grid drawn here.
+# negative, fractional, half-cell or larger than any grid drawn here. NaN,
+# infinite and huge values (whose squares or offsets overflow, or whose
+# rounding exceeds a cell) are mixed into both.
+NON_FINITE = st.sampled_from([np.nan, np.inf, -np.inf, 1e200, -1e200, 2.0**41 + 0.25])
 COORDS = (st.floats(-20.0, 30.0, allow_subnormal=False)
-          | st.integers(-40, 60).map(lambda k: k / 2.0))
+          | st.integers(-40, 60).map(lambda k: k / 2.0) | NON_FINITE)
 RADII = (st.just(0.0) | st.floats(-4.0, 4.0, allow_subnormal=False)
-         | st.integers(-8, 8).map(lambda k: k / 2.0) | st.floats(15.0, 100.0))
+         | st.integers(-8, 8).map(lambda k: k / 2.0) | st.floats(15.0, 100.0) | NON_FINITE)
 
 
 @st.composite
@@ -63,10 +66,12 @@ class TestCandidateKernel:
     @given(disc_sweeps())
     def test_equals_cell_loop(self, sweep):
         positions, radii, h, w = sweep
-        got = backend.sweep_disc_mask(positions, radii, h, w)
-        assert got.dtype == bool and got.shape == radii.shape[:-1] + (h, w)
-        for idx in np.ndindex(radii.shape[:-1]):
-            assert np.array_equal(got[idx], sweep_disc_mask_loop(positions[idx], radii[idx], h, w))
+        with np.errstate(over="ignore"):
+            got = backend.sweep_disc_mask(positions, radii, h, w)
+            assert got.dtype == bool and got.shape == radii.shape[:-1] + (h, w)
+            for idx in np.ndindex(radii.shape[:-1]):
+                expected = sweep_disc_mask_loop(positions[idx], radii[idx], h, w)
+                assert np.array_equal(got[idx], expected)
 
     @pytest.mark.parametrize("positions_shape,radii_shape", [
         ((5, 2), (4,)), ((5, 3), (5,)), ((2, 5, 2), (5,)), ((2,), ()),

@@ -15,9 +15,17 @@ the packed bits of every entity atlas and of the group's pixel credit mask,
 recorded with the dense swept-disc kernel; any bit the candidate-cell kernel
 sets differently shows up here.
 
+The verdict-report cases score one decoded group of eight scripted demos
+per template (and one hand-written spec whose clauses all fall outside the
+four template families) and hash the sorted-key JSON of every
+``verdict_report``: rewards, the witness pairs of each clause and the atlas
+cell counts. They were recorded before clause evaluation was compiled into
+one program per spec.
+
 If a change alters the numbers on purpose, say why and record the new digests.
 """
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -26,11 +34,12 @@ import numpy as np
 import pytest
 import yaml
 
-from creflow import simworld
+from creflow import fileio, ltlf, simworld
 from creflow.cli import main
 from creflow.mask import LatentLayout, build_group_mask
-from creflow.monitor import run_monitor
+from creflow.monitor import run_group_monitor, run_monitor
 from creflow.oracle import run_suite
+from creflow.trace import ClauseDecl
 
 CONFIGS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "configs")
 SHORT_RUN = {"iterations": 5, "pretrain_steps": 200, "demo_count": 64}
@@ -100,3 +109,39 @@ def test_pixel_atlases_are_pinned(gid, rewards, atlas_digest, mask_digest):
     assert atlases.hexdigest() == atlas_digest
     mask = build_group_mask(verdicts, LatentLayout.pixel(world.horizon, world.grid))
     assert hashlib.sha256(np.packbits(mask.full).tobytes()).hexdigest() == mask_digest
+
+
+# Clauses of the OTHER family, so their witnesses come from the polarity rule.
+OTHER_CLAUSES = (
+    ("eventually_still", "F (!moving(cube) & inside(cube, bin))"),
+    ("grasp_recurs", "G F grasp(arm_left, cube)"),
+    ("never_both", "G !(grasp(arm_left, cube) & grasp(arm_right, cube))"),
+    ("either_order", "(moving(cube) U inside(cube, bin)) | G !moving(arm_left)"),
+)
+
+
+@pytest.mark.parametrize("template,n_objects,gid,clauses,rewards,digest", [
+    ("pick_place", 1, 0, None, [0, 1, 0, 1, 1, 0, 0, 0],
+     "79aac9bb99656e94d4c7ef6b052f8f2faac67784b35a643a412b8b6c210966dd"),
+    ("ordered_stack", 2, 2, None, [1, 0, 1, 1, 0, 1, 0, 0],
+     "89f07bdcb97e8a76986b4b4ecf33e558bce322a68d47ddd19310f2a97219d312"),
+    ("persist_hold", 1, 3, None, [0, 1, 0, 0, 0, 1, 0, 0],
+     "bfe2a701ddb53620508c2be422ff65f0c0b509f6bbf4ffcb5b4616dc8a6ea065"),
+    ("pick_place", 1, 4, OTHER_CLAUSES, [0] * 8,
+     "460f1197d27e280b944253184f37d3bdf786c0a985c9768b3b10169bbaa7999f"),
+], ids=["pick_place", "ordered_stack", "persist_hold", "other_family"])
+def test_verdict_reports_are_pinned(template, n_objects, gid, clauses, rewards, digest):
+    world = simworld.WorldConfig(template=template, n_objects=n_objects, horizon=16,
+                                 grid=(24, 24))
+    spec = simworld.build_task_spec(world)
+    if clauses is not None:
+        spec = dataclasses.replace(spec, clauses=[ClauseDecl(cid, src) for cid, src in clauses])
+        assert all(ltlf.classify_template(c.formula) is ltlf.TemplateFamily.OTHER
+                   for c in spec.clauses)
+    rng = np.random.default_rng((11, gid))
+    condition = simworld.sample_condition(world, rng)
+    demos = np.stack([simworld.scripted_demo(world, condition, rng) for _ in range(8)])
+    verdicts = run_group_monitor(spec, simworld.RolloutDecoder(world)(demos, condition))
+    assert [v.reward for v in verdicts] == rewards
+    text = json.dumps([fileio.verdict_report(v) for v in verdicts], sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest

@@ -8,6 +8,7 @@ from creflow import ltlf
 from creflow.errors import FormulaSyntaxError, HorizonMismatch, MissingStream
 from creflow.ltlf import (
     Atom,
+    ClauseProgram,
     Finally,
     Globally,
     Implies,
@@ -307,7 +308,8 @@ class TestBatchedSemantics:
     @given(FORMULAS, group_streams())
     def test_rows_match_bruteforce_at_every_frame(self, f, streams_shape):
         streams, shape = streams_shape
-        sat = ltlf._sat(f, streams, shape)
+        program = ClauseProgram([f])
+        sat = program.values(streams, shape)[program.roots[0]]
         assert sat.shape == shape
         rows, horizon = shape
         for i in range(rows):
@@ -324,3 +326,22 @@ class TestBatchedSemantics:
         for i in range(shape[0]):
             row = {atom: s[i] for atom, s in streams.items()}
             assert (truths[i], witnesses[i]) == eval_clause(f, row, shape[1])
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(FORMULAS, min_size=1, max_size=4), group_streams(), st.integers(1, 5))
+    def test_shared_program_matches_one_clause_programs(self, bases, streams_shape, window):
+        # clauses built over the same subformulas, in every template family
+        clauses = bases + [Globally(bases[0]), Finally(Globally(bases[-1])),
+                           Globally(Implies(bases[0], bases[-1])), Until(bases[-1], bases[0])]
+        streams, shape = streams_shape
+        program = ClauseProgram(clauses)
+        nodes = {node for f in clauses for node in f.walk()}
+        assert len(program.values(streams, shape)) == len(nodes)  # one node per subformula
+        truths, witnesses = program.evaluate(streams, shape, window)
+        assert truths.shape == (len(clauses), shape[0])
+        for k, f in enumerate(clauses):
+            alone_truths, alone_witnesses = ClauseProgram([f]).evaluate(streams, shape, window)
+            assert truths[k].tolist() == alone_truths[0].tolist()
+            assert witnesses[k] == alone_witnesses[0]
+            assert [bool(w) for w in witnesses[k]] == [not t for t in truths[k]]
+            assert [bool(w) for w in witnesses[k]] == [bool(w.pairs) for w in witnesses[k]]

@@ -4,11 +4,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from creflow import simworld
 from creflow.errors import LayoutMismatch, ShapeMismatch
 from creflow.ltlf import Witness
 from creflow.mask import CreditMask, LatentLayout, apply_mask, build_group_mask
-from creflow.monitor import Verdict
-from creflow.trace import Atlas
+from creflow.monitor import Verdict, run_group_monitor, run_monitor
+from creflow.trace import (
+    Atlas,
+    ClauseDecl,
+    EntityDecl,
+    EntityState,
+    TaskSpec,
+    TraceGroup,
+    make_condition,
+    make_predicate_decl,
+)
 
 
 def make_verdict(reward, witness_frames, atlas_cells, horizon=6, grid=(8, 8), entity="cup"):
@@ -85,6 +95,60 @@ class TestBuildGroupMask:
         verdicts = [make_verdict(0, [1], [(0, 0)], horizon=5)]
         with pytest.raises(LayoutMismatch):
             build_group_mask(verdicts, PIXEL_LAYOUT)
+
+
+@st.composite
+def decoded_verdicts(draw):
+    """Verdicts of a decoded group whose atlases are left lazy, given, or read."""
+    template = draw(st.sampled_from(simworld.TEMPLATES))
+    world = simworld.WorldConfig(template=template,
+                                 n_objects=2 if template == "ordered_stack" else 1,
+                                 grid=(draw(st.integers(4, 16)), draw(st.integers(4, 16))))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    condition = simworld.sample_condition(world, rng)
+    demos = np.stack([simworld.scripted_demo(world, condition, rng) for _ in range(4)])
+    demos += draw(st.floats(0.0, 0.5)) * rng.standard_normal(demos.shape)
+    verdicts = run_group_monitor(simworld.build_task_spec(world),
+                                 simworld.RolloutDecoder(world)(demos, condition))
+    modes = draw(st.lists(st.sampled_from(["lazy", "given", "read"]), min_size=4, max_size=4))
+    for v, mode in zip(verdicts, modes):
+        if mode == "given":
+            v.atlas = Atlas({"given": rng.random(world.grid) < 0.1})
+        elif mode == "read":
+            v.atlas.masks
+    return world, verdicts, modes
+
+
+class TestOneCallUnion:
+    @settings(max_examples=60, deadline=None)
+    @given(decoded_verdicts())
+    def test_pixel_mask_is_union_of_every_atlas(self, case):
+        world, verdicts, modes = case
+        layout = LatentLayout.pixel(world.horizon, world.grid)
+        mask = build_group_mask(verdicts, layout)
+        assert [v.pending_discs() is not None for v in verdicts] == [m == "lazy" for m in modes]
+        union = np.zeros(world.grid, bool)
+        for v in verdicts:
+            for m in v.atlas.masks.values():
+                union |= m
+        assert np.array_equal(mask.spatial, union.ravel())
+
+    def test_lazy_atlas_on_another_grid_raises_like_given_one(self):
+        frames = [{"cup": EntityState(np.array([1.0, 1.0]), 0.5)}] * 6
+        trace = TraceGroup.from_frames(6, frames, (8, 10))
+        spec = TaskSpec(task_id="toy", entities=[EntityDecl("cup", "object")],
+                        predicates=[make_predicate_decl("moving", 1, "moving", {"speed": 0.5})],
+                        clauses=[ClauseDecl("k0", "G moving(cup)")],
+                        condition=make_condition("toy", {"cup": (1.0, 1.0)}))
+        lazy = run_monitor(spec, trace)
+        given = make_verdict(0, [1], [], grid=(8, 10))
+        messages = []
+        for verdict in (lazy, given):
+            with pytest.raises(LayoutMismatch) as err:
+                build_group_mask([make_verdict(0, [2], [(0, 0)]), verdict], PIXEL_LAYOUT)
+            messages.append(str(err.value))
+        assert messages[0] == messages[1] == (
+            "atlas raster (8, 10) does not match layout grid (8, 8)")
 
 
 class TestApplyMask:

@@ -1,3 +1,6 @@
+import logging
+import re
+
 import numpy as np
 import pytest
 
@@ -238,6 +241,33 @@ class TestLoop:
             series = run_online_loop(config, spec, pretrained.copy(), loss_config)
             assert series.rows == fresh.rows and series.summary == fresh.summary
         assert np.array_equal(pretrained.current.get_params(), theta)
+
+    def test_debug_log_explains_each_iteration(self, caplog):
+        config = small_config(iterations=3)
+        spec = build_task_spec(config)
+        bundle = pretrain_reference(config)
+        with caplog.at_level(logging.INFO, logger="creflow"):
+            quiet = run_online_loop(config, spec, bundle.copy(), LossConfig())
+        assert caplog.records == []
+        with caplog.at_level(logging.DEBUG, logger="creflow"):
+            series = run_online_loop(config, spec, bundle.copy(), LossConfig())
+        assert series.rows == quiet.rows
+        lines = [r.getMessage() for r in caplog.records if r.name == "creflow.simworld"]
+        assert len(lines) == config.iterations
+        pattern = (r"iteration (\d+): success (\S+); failing rollouts "
+                   r"terminal_cube=(\d+) causal_cube=(\d+) order_cube=(\d+); "
+                   r"mask density temporal (\S+) spatial (\S+)")
+        for row, line in zip(series.rows, lines):
+            match = re.fullmatch(pattern, line)
+            assert match, line
+            assert int(match[1]) == row["iteration"]
+            assert float(match[2]) == pytest.approx(row["success_fraction"], abs=5e-5)
+            failing = [int(match[k]) for k in (3, 4, 5)]
+            assert all(0 <= k <= config.group_size for k in failing)
+            # a rollout fails iff some clause fails
+            assert (row["success_fraction"] == 1.0) == (max(failing) == 0)
+            temporal, spatial = float(match[6]), float(match[7])
+            assert temporal * spatial == pytest.approx(row["mask_density"], abs=1e-3)
 
     def test_mask_density_interior_for_mixed_groups(self):
         config = small_config(iterations=20)
