@@ -14,6 +14,18 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 import yaml
+from yaml.events import (
+    DocumentEndEvent,
+    DocumentStartEvent,
+    MappingEndEvent,
+    MappingStartEvent,
+    ScalarEvent,
+    SequenceEndEvent,
+    SequenceStartEvent,
+    StreamEndEvent,
+)
+from yaml.nodes import ScalarNode
+from yaml.representer import RepresenterError
 
 from .errors import (
     CreflowError,
@@ -43,10 +55,107 @@ except ImportError:  # PyYAML built without libyaml
 SCHEMA_VERSION = 1
 
 
+# Plain documents hold mappings with string keys, lists, and scalars of these tags.
+_TAG = "tag:yaml.org,2002:"
+_STR, _FLOAT, _MAP, _SEQ = _TAG + "str", _TAG + "float", _TAG + "map", _TAG + "seq"
+_PLAIN_SCALAR_TAGS = {_STR, _FLOAT, _TAG + "int", _TAG + "bool", _TAG + "null"}
+_PLAIN_SCALAR_TYPES = (str, float, int, bool, type(None))
+
+
+class _NotPlain(Exception):
+    """The document uses a YAML feature plain documents leave out."""
+
+
+_KEY = object()  # an open mapping's next node is a key
+
+
+def _plain_document(loader):
+    """The one document of ``loader``'s event stream, built straight from its events.
+
+    A plain scalar is resolved by the loader's implicit resolvers and converted
+    by its constructor for that tag; a quoted or block scalar is a string.
+    Anything else (an anchor, alias or explicit tag, a non-string key, a
+    scalar of another tag, a second document) raises _NotPlain.
+    """
+    resolve, constructors = loader.resolve, loader.yaml_constructors
+    node = ScalarNode(None, None)  # the constructors read a scalar's text from a node
+    known = {}  # plain scalar text -> its value
+    get_event = loader.get_event
+    get_event()  # stream start
+    if type(get_event()) is StreamEndEvent:
+        return None
+    stack = []  # [collection, key] per open collection: key None in a list, _KEY awaiting one
+    while True:
+        event = get_event()
+        kind = type(event)
+        if kind is ScalarEvent:
+            if event.anchor is not None or event.tag is not None:
+                raise _NotPlain
+            text = event.value
+            if not event.implicit[0]:  # quoted or block
+                value = text
+            elif text in known:
+                value = known[text]
+            else:
+                tag = resolve(ScalarNode, text, (True, False))
+                if tag not in _PLAIN_SCALAR_TAGS:
+                    raise _NotPlain
+                node.value = text
+                value = known[text] = constructors[tag](loader, node)
+        elif kind is MappingStartEvent or kind is SequenceStartEvent:
+            if event.anchor is not None or event.tag is not None or (
+                    stack and stack[-1][1] is _KEY):
+                raise _NotPlain
+            stack.append([{}, _KEY] if kind is MappingStartEvent else [[], None])
+            continue
+        elif kind is MappingEndEvent or kind is SequenceEndEvent:
+            value = stack.pop()[0]
+        elif kind is DocumentEndEvent:
+            break
+        else:  # an alias
+            raise _NotPlain
+        if not stack:
+            doc = value
+            continue
+        top = stack[-1]
+        collection, key = top
+        if key is None:
+            collection.append(value)
+        elif key is _KEY:
+            if type(value) is not str:
+                raise _NotPlain
+            top[1] = value
+        else:
+            collection[key] = value  # a repeated key keeps its last value
+            top[1] = _KEY
+    if type(get_event()) is not StreamEndEvent:
+        raise _NotPlain
+    return doc
+
+
+def _read_yaml(fh):
+    """The document in ``fh``: from its events if plain, else (or on any error) by ``yaml.load``.
+
+    Either way the result, and the error raised for a bad file, is
+    ``yaml.load(fh, Loader=YamlLoader)``'s: that call builds the whole node
+    graph before it converts a scalar, so a file with both a bad scalar
+    (``0x_``) and bad syntax after it fails on the syntax.
+    """
+    loader = YamlLoader(fh)
+    try:
+        return _plain_document(loader)
+    except (_NotPlain, yaml.YAMLError, ValueError):  # ValueError: also UnicodeDecodeError
+        pass
+    finally:
+        loader.dispose()
+    fh.seek(0)
+    return yaml.load(fh, Loader=YamlLoader)
+
+
 def _load_yaml(path, kind):
     try:
         with open(path) as fh:
-            doc = yaml.load(fh, Loader=YamlLoader)
+            doc = _read_yaml(fh)
     except (yaml.YAMLError, UnicodeDecodeError) as err:
         raise SchemaError(f"{path}: malformed YAML: {err}") from err
     if not isinstance(doc, dict):
@@ -63,6 +172,62 @@ def _load_yaml(path, kind):
 def _dump_yaml(path, doc):
     with open(path, "w") as fh:
         yaml.dump(doc, fh, Dumper=YamlDumper, sort_keys=False)
+
+
+def _dump_plain_yaml(path, doc):
+    """Write a plain document as ``yaml.dump(doc, Dumper=YamlDumper, sort_keys=False)`` does.
+
+    Emits the serializer's events straight from ``doc``: scalar text from the
+    dumper's representers and implicit flags as its serializer sets them, each
+    distinct text resolved once and every scalar but a float represented once.
+    Plain means dicts, lists, str, int, float, bool and None, with no dict or
+    list met twice (``yaml.dump`` would write an alias); a value of another
+    type raises the RepresenterError ``yaml.dump`` raises for a value it cannot
+    represent.
+    """
+    with open(path, "w") as fh:
+        dumper = YamlDumper(fh, default_flow_style=False, sort_keys=False)
+        represent, resolve, emit = dumper.yaml_representers, dumper.resolve, dumper.emit
+        resolved, scalars = {}, {}
+
+        def scalar(kind, value):
+            node = represent[kind](dumper, value)
+            tag, text = node.tag, node.value
+            if text not in resolved:
+                resolved[text] = resolve(ScalarNode, text, (True, False))
+            return ScalarEvent(None, tag, (tag == resolved[text], tag == _STR), text)
+
+        def add(value):
+            kind = type(value)
+            if kind is float:  # not cached: -0.0 == 0.0
+                emit(scalar(kind, value))
+            elif kind is dict:
+                emit(MappingStartEvent(None, _MAP, True, flow_style=False))
+                for key, item in value.items():
+                    add(key)
+                    add(item)
+                emit(MappingEndEvent())
+            elif kind is list:
+                emit(SequenceStartEvent(None, _SEQ, True, flow_style=False))
+                for item in value:
+                    add(item)
+                emit(SequenceEndEvent())
+            elif kind in _PLAIN_SCALAR_TYPES:
+                key = kind, value  # True == 1, so the type is part of the key
+                if key not in scalars:
+                    scalars[key] = scalar(kind, value)
+                emit(scalars[key])
+            else:
+                raise RepresenterError("cannot represent an object", value)
+
+        try:
+            dumper.open()
+            emit(DocumentStartEvent(explicit=False))
+            add(doc)
+            emit(DocumentEndEvent(explicit=False))
+            dumper.close()
+        finally:
+            dumper.dispose()
 
 
 def _require(doc, key, path):
@@ -279,7 +444,7 @@ def save_trace(path, trace: TraceGroup):
         "grid": list(trace.grid),
         "frames": frames,
     }
-    _dump_yaml(path, doc)
+    _dump_plain_yaml(path, doc)
 
 
 # --------------------------------------------------------------------------

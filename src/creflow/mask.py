@@ -116,7 +116,8 @@ def build_group_mask(verdicts, layout: LatentLayout, clause_entities=None) -> Cr
     entity atlases of all rollouts regardless of reward: given, assigned or
     already-read atlases by their masks, and the discs of every atlas not yet
     built in one ``sweep_disc_mask`` call (which leaves those atlases
-    unbuilt). For entity sites it selects the ids in ``clause_entities``.
+    unbuilt), less each disc equal to the one before it. For entity sites it
+    selects the ids in ``clause_entities``.
     """
     if not verdicts:
         raise LayoutMismatch("need at least one verdict")
@@ -144,11 +145,15 @@ def build_group_mask(verdicts, layout: LatentLayout, clause_entities=None) -> Cr
                     spatial |= m.ravel()
             else:
                 _check_raster(tuple(int(n) for n in discs[2]), layout)
-                positions.append(discs[0])
-                radii.append(discs[1])
+                positions.append(discs[0].transpose(1, 0, 2).reshape(-1, 2))
+                radii.append(discs[1].T.ravel())
         if positions:
-            spatial |= sweep_disc_mask(
-                np.concatenate(positions), np.concatenate(radii), *layout.grid).ravel()
+            # Entity by entity, frame by frame, an entity that stays put repeats
+            # its disc; equal discs give equal rasters, so drop the repeats.
+            xy, r = np.concatenate(positions), np.concatenate(radii)
+            moved = np.ones(r.size, dtype=bool)
+            moved[1:] = (xy[1:] != xy[:-1]).any(axis=1) | (r[1:] != r[:-1])
+            spatial |= sweep_disc_mask(xy[moved], r[moved], *layout.grid).ravel()
     else:
         if clause_entities is None:
             raise LayoutMismatch("entity-site masks need the clause-implicated entity ids")

@@ -36,7 +36,7 @@ class Verdict:
         self._atlas = value
 
     def pending_discs(self):
-        """The discs of an atlas not built yet: (positions (K, 2), radii (K,), grid).
+        """The discs of an atlas not built yet: (positions (T, E, 2), radii (T, E), grid).
 
         None once the atlas is built, given or assigned. The union of these
         discs' rasters is the union of the atlas's masks.
@@ -45,7 +45,7 @@ class Verdict:
             return None
         group, row, entity_ids = self._source
         cols = [group.column(eid) for eid in entity_ids]
-        return group.xy[row][:, cols].reshape(-1, 2), group.radius[row][:, cols].ravel(), group.grid
+        return group.xy[row][:, cols], group.radius[row][:, cols], group.grid
 
     def witness(self, clause_id) -> ltlf.Witness:
         for cid, w in self.violations:

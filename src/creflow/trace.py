@@ -95,19 +95,29 @@ def make_condition(instruction, layout):
     return ConditionDecl(instruction, items)
 
 
-@dataclass
+@dataclass(frozen=True)
 class TaskSpec:
+    """A task's declarations and clauses, fixed once made.
+
+    ``entities``, ``predicates`` and ``clauses`` are stored as tuples, and the
+    lookups and the compiled clause ``program`` are derived from them once, so
+    a spec cannot be changed under its program; ``dataclasses.replace`` makes
+    a new spec.
+    """
+
     task_id: str
-    entities: list
-    predicates: list
-    clauses: list
+    entities: tuple
+    predicates: tuple
+    clauses: tuple
     condition: ConditionDecl
 
     def __post_init__(self):
-        self._entity_map = {e.id: e for e in self.entities}
-        self._pred_map = {p.name: p for p in self.predicates}
+        for name in ("entities", "predicates", "clauses"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
+        object.__setattr__(self, "_entity_map", {e.id: e for e in self.entities})
+        object.__setattr__(self, "_pred_map", {p.name: p for p in self.predicates})
         self.validate()
-        self.program = ltlf.ClauseProgram(c.formula for c in self.clauses)
+        object.__setattr__(self, "program", ltlf.ClauseProgram(c.formula for c in self.clauses))
 
     def entity(self, entity_id) -> EntityDecl:
         if entity_id not in self._entity_map:

@@ -285,6 +285,30 @@ def _state_not_mapping(frames):
     frames[1]["cube"] = "here"
 
 
+def _error_text(load, path):
+    try:
+        load(path)
+    except SchemaError as err:
+        return str(err)
+    return None
+
+
+@pytest.fixture
+def errors_as_yaml_load(monkeypatch):
+    """Each spec, trace or config loaded fails as it does when read by ``yaml.load``."""
+    def checked(load):
+        def load_and_compare(path):
+            with monkeypatch.context() as m:
+                m.setattr(fileio, "_read_yaml", lambda fh: yaml.load(fh, Loader=fileio.YamlLoader))
+                expected = _error_text(load, path)
+            assert _error_text(load, path) == expected
+            return load(path)
+        return load_and_compare
+    for name in ("load_trace", "load_task_spec", "load_experiment_config"):
+        monkeypatch.setattr(fileio, name, checked(getattr(fileio, name)))
+
+
+@pytest.mark.usefixtures("errors_as_yaml_load")
 class TestMalformedTraceFiles:
     @pytest.mark.parametrize("edit,message", [
         (_set(0, "arm_left", "gripper_closed", "no"),
@@ -329,6 +353,7 @@ class TestMalformedTraceFiles:
         assert capsys.readouterr().err.startswith(f"error: {path}: malformed YAML: ")
 
 
+@pytest.mark.usefixtures("errors_as_yaml_load")
 class TestMalformedInputs:
     @pytest.mark.parametrize("key,message", [
         ("condition", "condition: expected a mapping, got 'put the cube away'"),
@@ -503,6 +528,7 @@ class TestCliExitCodes:
         assert payload["reward"] == 0
         assert any(c["witness"] for c in payload["clauses"])
 
+    @pytest.mark.usefixtures("errors_as_yaml_load")
     def test_monitor_malformed_trace(self, workdir, tmp_path, capsys):
         bad = tmp_path / "broken.yaml"
         bad.write_text("schema_version: 1\nkind: trace\nhorizon: 2\nframes: []\n")

@@ -4,7 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from creflow import mask as mask_module
 from creflow import simworld
+from creflow.backend import sweep_disc_mask
 from creflow.errors import LayoutMismatch, ShapeMismatch
 from creflow.ltlf import Witness
 from creflow.mask import CreditMask, LatentLayout, apply_mask, build_group_mask
@@ -132,6 +134,31 @@ class TestOneCallUnion:
             for m in v.atlas.masks.values():
                 union |= m
         assert np.array_equal(mask.spatial, union.ravel())
+
+    def test_repeated_discs_give_the_mask_of_the_distinct_ones(self, monkeypatch):
+        spec = TaskSpec(task_id="toy", entities=[EntityDecl("cup", "object")],
+                        predicates=[make_predicate_decl("moving", 1, "moving", {"speed": 0.5})],
+                        clauses=[ClauseDecl("k0", "G moving(cup)")],
+                        condition=make_condition("toy", {"cup": (1.0, 1.0)}))
+        rows = [[(1.0, 1.0, 0.5)] * 6,
+                [(1.0, 1.0, 0.5)] * 2 + [(3.5, 2.0, 1.5)] * 3 + [(-0.0, 6.0, 2.0)],
+                [(0.0, 6.0, 2.0), (3.5, 2.0, 1.5), (3.5, 2.0, 1.5), (3.5, 2.0, 2.5),
+                 (7.0, 7.0, 1.0), (1.0, 1.0, 0.5)]]
+        traces = [TraceGroup.from_frames(
+            6, [{"cup": EntityState(np.array([x, y]), r)} for x, y, r in row], (8, 8))
+            for row in rows]
+        verdicts = [run_monitor(spec, trace) for trace in traces]
+        discs = np.array([disc for row in rows for disc in row])
+        distinct = np.unique(discs, axis=0)
+        assert len(discs) == 18 and len(distinct) == 5
+        sent = []
+        monkeypatch.setattr(mask_module, "sweep_disc_mask",
+                            lambda xy, r, *grid: sent.append(len(r)) or sweep_disc_mask(xy, r, *grid))
+        mask = build_group_mask(verdicts, PIXEL_LAYOUT)
+        assert sent == [7]  # the 18 discs less each one equal to the disc before it
+        assert np.array_equal(mask.spatial,
+                              sweep_disc_mask(distinct[:, :2], distinct[:, 2], 8, 8).ravel())
+        assert np.array_equal(mask.spatial, sweep_disc_mask(discs[:, :2], discs[:, 2], 8, 8).ravel())
 
     def test_lazy_atlas_on_another_grid_raises_like_given_one(self):
         frames = [{"cup": EntityState(np.array([1.0, 1.0]), 0.5)}] * 6

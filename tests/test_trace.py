@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -250,3 +252,19 @@ class TestTaskSpec:
         clause = ClauseDecl("c", "G near(arm, cup)")
         spec = self._spec([clause])
         assert spec.clause_entities() == {"arm", "cup"}
+
+    def test_frozen_with_tuples(self):
+        spec = self._spec([ClauseDecl("c", "G near(arm, cup)")])
+        assert isinstance(spec.entities, tuple) and isinstance(spec.predicates, tuple)
+        assert spec.clauses == (ClauseDecl("c", "G near(arm, cup)"),)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            spec.clauses = [ClauseDecl("only", "F near(cup, arm)")]
+        assert spec.clauses == (ClauseDecl("c", "G near(arm, cup)"),)
+
+    def test_replace_recompiles_the_program(self):
+        spec = self._spec([ClauseDecl("c", "G near(arm, cup)")])
+        other = dataclasses.replace(spec, clauses=[ClauseDecl("only", "F near(cup, arm)")])
+        assert other.clauses == (ClauseDecl("only", "F near(cup, arm)"),)
+        assert other == self._spec(list(other.clauses))
+        assert other.program.atoms == (Atom("near", ("cup", "arm")),)
+        assert spec.program.atoms == (Atom("near", ("arm", "cup")),)
