@@ -152,7 +152,7 @@ def cmd_train(args) -> int:
         trace_dir = os.path.join(cfg.out_dir, "traces")
         os.makedirs(trace_dir, exist_ok=True)
         for i, (trace, reward) in enumerate(
-            simworld.sample_decoded_rollouts(cfg.world, bundle, args.dump_traces)
+            simworld.sample_decoded_rollouts(cfg.world, bundle, args.dump_traces, spec)
         ):
             fileio.save_trace(os.path.join(trace_dir, f"rollout_{i:03d}_r{reward}.yaml"), trace)
         log.info("wrote %d rollout traces to %s", args.dump_traces, trace_dir)

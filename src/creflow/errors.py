@@ -21,10 +21,6 @@ class UnknownPredicate(CreflowError):
     pass
 
 
-class UnknownEvaluator(CreflowError):
-    pass
-
-
 class MissingAttribute(CreflowError):
     pass
 
@@ -38,6 +34,10 @@ class HorizonMismatch(CreflowError):
 
 
 class SpecValidationError(CreflowError):
+    pass
+
+
+class UnknownEvaluator(SpecValidationError):
     pass
 
 

@@ -41,10 +41,11 @@ from .trace import (
     ClauseDecl,
     EntityDecl,
     EntityState,
+    PredicateDecl,
     TaskSpec,
     TraceGroup,
+    finite_number,
     make_condition,
-    make_predicate_decl,
 )
 
 try:
@@ -169,11 +170,6 @@ def _load_yaml(path, kind):
     return doc
 
 
-def _dump_yaml(path, doc):
-    with open(path, "w") as fh:
-        yaml.dump(doc, fh, Dumper=YamlDumper, sort_keys=False)
-
-
 def _dump_plain_yaml(path, doc):
     """Write a plain document as ``yaml.dump(doc, Dumper=YamlDumper, sort_keys=False)`` does.
 
@@ -260,11 +256,6 @@ def _key(entry, key, where):
     return entry[key]
 
 
-def _finite(value):
-    """A finite YAML int or float (a YAML boolean is not a number)."""
-    return type(value) in (int, float) and math.isfinite(value)
-
-
 def _list_of(value, check, length=None):
     return (isinstance(value, list) and (length is None or len(value) == length)
             and all(map(check, value)))
@@ -273,13 +264,13 @@ def _list_of(value, check, length=None):
 # What each annotated field type accepts, as (check, what it must be).
 _FIELD_KINDS = {
     int: (lambda v: type(v) is int, "an integer"),
-    float: (_finite, "a finite number"),
+    float: (finite_number, "a finite number"),
     str: (lambda v: isinstance(v, str), "a string"),
     bool: (lambda v: isinstance(v, bool), "true or false"),
 }
 _TUPLE_FIELDS = {
     "grid": (lambda v: _list_of(v, lambda n: type(n) is int, 2), "two integers"),
-    "container_half_extents": (lambda v: _list_of(v, _finite, 2), "two finite numbers"),
+    "container_half_extents": (lambda v: _list_of(v, finite_number, 2), "two finite numbers"),
     "hidden": (lambda v: _list_of(v, lambda n: type(n) is int), "a list of integers"),
 }
 
@@ -316,6 +307,16 @@ def _clause(entry, where) -> ClauseDecl:
         raise SchemaError(f"{where}: {err}") from err
 
 
+def _predicate(entry, where) -> PredicateDecl:
+    try:
+        return PredicateDecl(_field(entry, "name", where),
+                             _field(entry, "arity", where, _FIELD_KINDS[int]),
+                             _field(entry, "evaluator", where),
+                             _mapping(entry.get("params") or {}, f"{where}: params"))
+    except SpecValidationError as err:  # an evaluator, arity or params it does not take
+        raise SchemaError(f"{where}: {err}") from err
+
+
 def _condition(cond, where):
     cond = _mapping(cond, where)
     layout = _mapping(cond.get("layout", {}), f"{where} layout")
@@ -335,13 +336,7 @@ def load_task_spec(path) -> TaskSpec:
             EntityDecl(_field(e, "id", where), _field(e, "kind", where), _half_extents(e, where))
             for where, e in _entries(doc, "entities", path)
         ]
-        predicates = [
-            make_predicate_decl(_field(p, "name", where),
-                                _field(p, "arity", where, _FIELD_KINDS[int]),
-                                _field(p, "evaluator", where),
-                                _mapping(p.get("params") or {}, f"{where}: params"))
-            for where, p in _entries(doc, "predicates", path)
-        ]
+        predicates = [_predicate(p, where) for where, p in _entries(doc, "predicates", path)]
         clauses = [_clause(c, where) for where, c in _entries(doc, "clauses", path)]
         condition = _condition(_require(doc, "condition", path), f"{path}: condition")
         task_id = _checked(_require(doc, "task_id", path), _FIELD_KINDS[str], f"{path}: 'task_id'")
@@ -381,7 +376,7 @@ def save_task_spec(path, spec: TaskSpec):
             "layout": {k: list(v) for k, v in spec.condition.layout},
         },
     }
-    _dump_yaml(path, doc)
+    _dump_plain_yaml(path, doc)
 
 
 # --------------------------------------------------------------------------
@@ -392,10 +387,10 @@ def _entity_state(state, where) -> EntityState:
     """One entity's state from a trace file; every field is checked, none coerced."""
     _mapping(state, where)
     position = _require(state, "position", where)
-    if not (isinstance(position, list) and len(position) == 2 and all(map(_finite, position))):
+    if not _list_of(position, finite_number, 2):
         raise SchemaError(f"{where}: 'position' must be two finite numbers, got {position!r}")
     radius = _require(state, "radius", where)
-    if not (_finite(radius) and radius >= 0):
+    if not (finite_number(radius) and radius >= 0):
         raise SchemaError(f"{where}: 'radius' must be a finite number >= 0, got {radius!r}")
     closed = state.get("gripper_closed")
     if "gripper_closed" in state and not isinstance(closed, bool):
@@ -515,8 +510,8 @@ def load_experiment_config(path) -> ExperimentConfig:
             spec_path=doc.get("spec_path"),
             corrective_enabled=corrective,
         )
-    except ValueError as err:  # a LossConfig range check
-        raise SchemaError(f"{path}: {err!r}") from err
+    except (SpecValidationError, ValueError) as err:  # a WorldConfig or LossConfig range check
+        raise SchemaError(f"{path}: {err}") from err
 
 
 def save_experiment_config(path, cfg: ExperimentConfig):
@@ -529,7 +524,7 @@ def save_experiment_config(path, cfg: ExperimentConfig):
         "world": world_config_dict(cfg.world),
         "loss": vars(cfg.loss).copy(),
     }
-    _dump_yaml(path, doc)
+    _dump_plain_yaml(path, doc)
 
 
 # What a training run writes next to metrics.csv and summary.json.

@@ -41,10 +41,10 @@ from .objectives import (
 from .trace import (
     ClauseDecl,
     EntityDecl,
+    PredicateDecl,
     TaskSpec,
     TraceGroup,
     make_condition,
-    make_predicate_decl,
 )
 
 log = logging.getLogger(__name__)
@@ -189,9 +189,9 @@ def build_task_spec(config, condition=None) -> TaskSpec:
     cont = container_id(config)
     objs = object_ids(config)
     predicates = [
-        make_predicate_decl("grasp", 2, "grasp", {"distance": config.grasp_distance}),
-        make_predicate_decl("inside", 2, "inside", {}),
-        make_predicate_decl("moving", 1, "moving", {"speed": config.move_speed}),
+        PredicateDecl("grasp", 2, "grasp", {"distance": config.grasp_distance}),
+        PredicateDecl("inside", 2, "inside", {}),
+        PredicateDecl("moving", 1, "moving", {"speed": config.move_speed}),
     ]
     clauses = []
 
@@ -693,10 +693,8 @@ def run_experiment(config: WorldConfig, loss_config: LossConfig, spec=None):
     return run_online_loop(config, spec, bundle, loss_config)
 
 
-def sample_decoded_rollouts(config: WorldConfig, bundle: ModelBundle, count, spec=None):
-    """Fresh rollouts from the behavior policy, decoded and scored."""
-    if spec is None:
-        spec = build_task_spec(config)
+def sample_decoded_rollouts(config: WorldConfig, bundle: ModelBundle, count, spec: TaskSpec):
+    """Fresh rollouts from the behavior policy, decoded and scored under ``spec``."""
     rng = np.random.default_rng((config.seed, 404))
     decode = RolloutDecoder(config)
     out = []

@@ -3,15 +3,16 @@
 Traces are arrays: a TraceGroup holds N traces' positions, radii, gripper
 bits and flags, and a single trace is a TraceGroup of one row. Predicates
 are evaluated on ground-truth geometric state, one (N, T) Boolean array per
-atom over a whole group. The built-in evaluators are ``near`` (distance
+atom over a whole group. The built-in evaluators, one row each of
+``EVALUATORS`` (arity, params, function), are ``near`` (distance
 threshold), ``inside`` (axis-aligned box attached to a container entity),
 ``grasp`` (near + closed gripper), ``flag`` (boolean attribute) and
-``moving`` (frame-to-frame displacement). Each entity also has a swept-disc raster on the trace grid;
-the union over frames forms its atlas mask.
+``moving`` (frame-to-frame displacement). Each entity also has a
+swept-disc raster on the trace grid; the union over frames forms its atlas
+mask.
 """
 
-import math
-import numbers
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,31 +40,43 @@ class EntityDecl:
 
 @dataclass(frozen=True)
 class PredicateDecl:
+    """A predicate of one of the ``EVALUATORS``, checked against its row once, when made.
+
+    The arity must be the evaluator's and ``params`` (a mapping or pairs,
+    kept as sorted pairs) exactly the params it reads, each of its kind;
+    ``values`` maps each param to the value the evaluator reads.
+    """
+
     name: str
     arity: int
     evaluator: str
-    params: tuple = ()  # sorted (key, value) pairs
+    params: tuple = ()
+    values: dict = field(init=False, repr=False, compare=False)
 
-    def param(self, key, default=None):
-        for k, v in self.params:
-            if k == key:
-                return v
-        if default is None:
-            raise MissingAttribute(f"predicate {self.name} missing param {key!r}")
-        return default
-
-    def number(self, key) -> float:
-        """A numeric param, checked to be a finite number."""
-        value = self.param(key)
-        if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
-            raise SpecValidationError(
-                f"predicate {self.name} param {key!r} must be a finite number, got {value!r}")
-        return float(value)
-
-
-def make_predicate_decl(name, arity, evaluator, params=None):
-    items = tuple(sorted((params or {}).items()))
-    return PredicateDecl(name, arity, evaluator, items)
+    def __post_init__(self):
+        if self.evaluator not in EVALUATORS:
+            raise UnknownEvaluator(f"predicate {self.name!r} has unknown evaluator "
+                                   f"{self.evaluator!r}; choose from {', '.join(EVALUATORS)}")
+        arity, kinds, _ = EVALUATORS[self.evaluator]
+        if self.arity != arity:
+            raise SpecValidationError(f"predicate {self.name!r} has arity {self.arity}, "
+                                      f"but evaluator {self.evaluator!r} takes {arity}")
+        given = dict(self.params)
+        for key in given:
+            if key not in kinds:
+                raise SpecValidationError(
+                    f"predicate {self.name!r} has param {key!r}, "
+                    f"which evaluator {self.evaluator!r} does not read")
+        values = {}
+        for key, (what, check, read) in kinds.items():
+            if key not in given:
+                raise SpecValidationError(f"predicate {self.name!r} is missing param {key!r}")
+            if not check(given[key]):
+                raise SpecValidationError(
+                    f"predicate {self.name!r} param {key!r} must be {what}, got {given[key]!r}")
+            values[key] = read(given[key])
+        object.__setattr__(self, "params", tuple(sorted(given.items())))
+        object.__setattr__(self, "values", values)
 
 
 @dataclass(frozen=True)
@@ -306,6 +319,82 @@ def _first_frame(bad):
     return int(bad.any(axis=0).argmax()) + 1
 
 
+def _near(group, args, entities, distance):
+    p1, p2 = (group.xy[:, :, group.column(eid)] for eid in args)
+    return _length(p1 - p2) <= distance
+
+
+def _inside(group, args, entities):
+    inner, outer = args
+    if entities is None:
+        raise UnknownEvaluator("'inside' needs entity declarations")
+    outer_decl = entities[outer] if not isinstance(entities, TaskSpec) else entities.entity(outer)
+    if outer_decl.half_extents is None:
+        raise MissingAttribute(f"entity {outer!r} has no half_extents box")
+    hx, hy = outer_decl.half_extents
+    delta = np.abs(group.xy[:, :, group.column(inner)] - group.xy[:, :, group.column(outer)])
+    return (delta[..., 0] <= hx) & (delta[..., 1] <= hy)
+
+
+def _grasp(group, args, entities, distance):
+    arm, obj = args
+    a = group.column(arm)
+    near = _length(group.xy[:, :, a] - group.xy[:, :, group.column(obj)]) <= distance
+    closed = group.gripper[:, :, a]
+    if (closed < 0).any():
+        raise MissingAttribute(
+            f"entity {arm!r} has no gripper state at frame {_first_frame(closed < 0)}")
+    return near & (closed > 0)
+
+
+def _flag(group, args, entities, flag):
+    (eid,) = args
+    e = group._columns.get(eid)
+    if e is None:
+        raise UnknownEntity(f"entity {eid!r} absent from frame 1")
+    if flag in group.flag_names:
+        values = group.flags[:, :, e, group.flag_names.index(flag)]
+    else:
+        values = np.full(group.present.shape[:2], -1)
+    if (values < 0).any():
+        # the earliest bad frame decides: a missing entity, else a missing flag
+        t = _first_frame(values < 0)
+        if not group.present[:, t - 1, e].all():
+            raise UnknownEntity(f"entity {eid!r} absent from frame {t}")
+        raise MissingAttribute(f"flag {flag!r} absent on {eid!r} at frame {t}")
+    return values > 0
+
+
+def _moving(group, args, entities, speed):
+    (eid,) = args
+    pos = group.xy[:, :, group.column(eid)]
+    if group.horizon == 1:
+        return np.zeros((len(group), 1), dtype=bool)
+    step = _length(np.diff(pos, axis=1)) > speed
+    return np.concatenate([step[:, :1], step], axis=1)
+
+
+def finite_number(value) -> bool:
+    """True for a finite int or float, however large the int; a bool is not a number."""
+    return type(value) in (int, float) and abs(value) <= sys.float_info.max
+
+
+# A param kind: (what a value must be, its check, the value the evaluator reads).
+_FINITE_NUMBER = ("a finite number", finite_number, float)
+_STRING = ("a string", lambda v: type(v) is str, str)
+
+# The built-in evaluators, each the one definition of its predicates: name ->
+# (arity, {param: kind}, function of (group, entity ids, entity declarations,
+# **param values) giving an (N, T) Boolean array).
+EVALUATORS = {
+    "near": (2, {"distance": _FINITE_NUMBER}, _near),
+    "grasp": (2, {"distance": _FINITE_NUMBER}, _grasp),
+    "inside": (2, {}, _inside),
+    "moving": (1, {"speed": _FINITE_NUMBER}, _moving),
+    "flag": (1, {"flag": _STRING}, _flag),
+}
+
+
 def eval_group_predicate(decl: PredicateDecl, group: TraceGroup, atom: ltlf.Atom, entities=None):
     """Evaluate one entity-grounded predicate on every row: an (N, T) Boolean array.
 
@@ -314,58 +403,7 @@ def eval_group_predicate(decl: PredicateDecl, group: TraceGroup, atom: ltlf.Atom
     """
     if len(atom.args) != decl.arity:
         raise SpecValidationError(f"atom {atom} does not match arity {decl.arity}")
-    xy = group.xy
-    if decl.evaluator == "near":
-        d = decl.number("distance")
-        p1 = xy[:, :, group.column(atom.args[0])]
-        p2 = xy[:, :, group.column(atom.args[1])]
-        return _length(p1 - p2) <= d
-    if decl.evaluator == "inside":
-        inner, outer = atom.args
-        if entities is None:
-            raise UnknownEvaluator("'inside' needs entity declarations")
-        outer_decl = entities[outer] if not isinstance(entities, TaskSpec) else entities.entity(outer)
-        if outer_decl.half_extents is None:
-            raise MissingAttribute(f"entity {outer!r} has no half_extents box")
-        hx, hy = outer_decl.half_extents
-        delta = np.abs(xy[:, :, group.column(inner)] - xy[:, :, group.column(outer)])
-        return (delta[..., 0] <= hx) & (delta[..., 1] <= hy)
-    if decl.evaluator == "grasp":
-        d = decl.number("distance")
-        arm, obj = atom.args
-        a = group.column(arm)
-        near = _length(xy[:, :, a] - xy[:, :, group.column(obj)]) <= d
-        closed = group.gripper[:, :, a]
-        if (closed < 0).any():
-            raise MissingAttribute(
-                f"entity {arm!r} has no gripper state at frame {_first_frame(closed < 0)}")
-        return near & (closed > 0)
-    if decl.evaluator == "flag":
-        flag = str(decl.param("flag"))
-        (eid,) = atom.args
-        e = group._columns.get(eid)
-        if e is None:
-            raise UnknownEntity(f"entity {eid!r} absent from frame 1")
-        if flag in group.flag_names:
-            values = group.flags[:, :, e, group.flag_names.index(flag)]
-        else:
-            values = np.full(group.present.shape[:2], -1)
-        if (values < 0).any():
-            # the earliest bad frame decides: a missing entity, else a missing flag
-            t = _first_frame(values < 0)
-            if not group.present[:, t - 1, e].all():
-                raise UnknownEntity(f"entity {eid!r} absent from frame {t}")
-            raise MissingAttribute(f"flag {flag!r} absent on {eid!r} at frame {t}")
-        return values > 0
-    if decl.evaluator == "moving":
-        v = decl.number("speed")
-        (eid,) = atom.args
-        pos = xy[:, :, group.column(eid)]
-        if group.horizon == 1:
-            return np.zeros((len(group), 1), dtype=bool)
-        step = _length(np.diff(pos, axis=1)) > v
-        return np.concatenate([step[:, :1], step], axis=1)
-    raise UnknownEvaluator(f"unknown evaluator {decl.evaluator!r}")
+    return EVALUATORS[decl.evaluator][2](group, atom.args, entities, **decl.values)
 
 
 def eval_predicate(decl: PredicateDecl, trace: TraceGroup, atom: ltlf.Atom, entities=None):

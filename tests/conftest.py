@@ -1,11 +1,22 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from creflow import ltlf
+from creflow import fileio, ltlf, simworld
 from creflow.flow import LinearVelocity, MLPVelocity, ModelBundle
 from creflow.mask import CreditMask, LatentLayout
-from creflow.objectives import RolloutGroup, draw_sample_batch
+from creflow.objectives import WEIGHT_SCHEMES, LossConfig, RolloutGroup, draw_sample_batch
+from creflow.trace import (
+    ENTITY_KINDS,
+    EVALUATORS,
+    ClauseDecl,
+    EntityDecl,
+    PredicateDecl,
+    TaskSpec,
+    make_condition,
+)
 
 
 def random_formula(rng, atoms, depth):
@@ -59,6 +70,73 @@ def formulas(atoms, max_leaves):
         ),
         max_leaves=max_leaves,
     )
+
+
+FLOATS = st.floats(allow_nan=False, allow_infinity=False)
+POSITIVE = st.floats(min_value=1e-6, max_value=1e6)
+
+
+@st.composite
+def experiment_configs(draw):
+    """Valid experiment configs; every world field drawn, constrained ones in range."""
+    world = {}
+    for f in fields(simworld.WorldConfig):
+        if f.type is int:
+            world[f.name] = draw(st.integers(0, 2**40))
+        elif f.type is float:
+            world[f.name] = draw(FLOATS)
+    template = draw(st.sampled_from(simworld.TEMPLATES))
+    world.update(
+        template=template,
+        horizon=draw(st.integers(8, 32)),
+        group_size=draw(st.integers(2, 64)),
+        n_objects=draw(st.integers(2 if template == "ordered_stack" else 1, 3)),
+        grid=(draw(st.integers(1, 256)), draw(st.integers(1, 256))),
+        container_half_extents=(draw(FLOATS), draw(FLOATS)),
+        hidden=tuple(draw(st.lists(st.integers(1, 512), max_size=3))),
+        model_kind=draw(st.sampled_from(["linear", "mlp"])),
+    )
+    loss = LossConfig(
+        beta=draw(POSITIVE), lambda_cr=draw(st.floats(0.0, 1e6)),
+        lambda_kl=draw(st.floats(0.0, 1e6)), weight_scheme=draw(st.sampled_from(WEIGHT_SCHEMES)),
+        kernel_tau=draw(POSITIVE), mask_enabled=draw(st.booleans()),
+    )
+    return fileio.ExperimentConfig(
+        world=simworld.WorldConfig(**world),
+        loss=loss,
+        out_dir=draw(st.text(min_size=1)),
+        spec_path=draw(st.none() | st.text(min_size=1)),
+        corrective_enabled=draw(st.booleans()),
+    )
+
+
+# Values of each param kind an evaluator reads, keyed by what the kind must be.
+PARAM_VALUES = {
+    "a finite number": FLOATS | st.integers(-2**53, 2**53),
+    "a string": st.text(),
+}
+
+
+@st.composite
+def task_specs(draw):
+    """Valid task specs: each predicate takes its evaluator's arity and exact params from
+    ``EVALUATORS``, and each clause's source is the printed text of a random formula."""
+    ids = draw(st.lists(IDENTIFIERS, min_size=1, max_size=4, unique=True))
+    entities = [EntityDecl(eid, draw(st.sampled_from(ENTITY_KINDS)),
+                           draw(st.none() | st.tuples(FLOATS, FLOATS))) for eid in ids]
+    predicates = []
+    for name in draw(st.lists(IDENTIFIERS, min_size=1, max_size=3, unique=True)):
+        evaluator = draw(st.sampled_from(sorted(EVALUATORS)))
+        arity, kinds, _ = EVALUATORS[evaluator]
+        params = {key: draw(PARAM_VALUES[what]) for key, (what, _, _) in kinds.items()}
+        predicates.append(PredicateDecl(name, arity, evaluator, params))
+    atoms = st.sampled_from(predicates).flatmap(lambda p: st.builds(
+        ltlf.Atom, st.just(p.name), st.tuples(*[st.sampled_from(ids)] * p.arity)))
+    clauses = [ClauseDecl(cid, ltlf.print_formula(draw(formulas(atoms, max_leaves=6))))
+               for cid in draw(st.lists(IDENTIFIERS, min_size=1, max_size=3))]
+    layout = draw(st.dictionaries(st.sampled_from(ids), st.tuples(FLOATS, FLOATS)))
+    return TaskSpec(draw(st.text()), entities, predicates, clauses,
+                    make_condition(draw(st.text()), layout))
 
 
 @pytest.fixture

@@ -1,10 +1,10 @@
+import datetime
 import json
 import math
 import os
 import subprocess
 import sys
 import tempfile
-from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -15,20 +15,10 @@ from hypothesis import strategies as st
 from creflow import fileio, simworld
 from creflow.cli import main
 from creflow.errors import SchemaError
-from creflow.ltlf import Atom, print_formula
-from creflow.objectives import WEIGHT_SCHEMES, LossConfig
-from creflow.trace import (
-    ENTITY_KINDS,
-    ClauseDecl,
-    EntityDecl,
-    EntityState,
-    TaskSpec,
-    TraceGroup,
-    make_condition,
-    make_predicate_decl,
-)
+from creflow.objectives import LossConfig
+from creflow.trace import EntityState, TraceGroup
 
-from conftest import IDENTIFIERS, formulas
+from conftest import experiment_configs, task_specs
 
 
 @pytest.fixture(scope="module")
@@ -119,44 +109,6 @@ class TestFileIO:
         assert cfg.effective_loss_config().lambda_cr == 0.0
 
 
-FLOATS = st.floats(allow_nan=False, allow_infinity=False)
-POSITIVE = st.floats(min_value=1e-6, max_value=1e6)
-
-
-@st.composite
-def experiment_configs(draw):
-    """Valid experiment configs; every world field drawn, constrained ones in range."""
-    world = {}
-    for f in fields(simworld.WorldConfig):
-        if f.type is int:
-            world[f.name] = draw(st.integers(0, 2**40))
-        elif f.type is float:
-            world[f.name] = draw(FLOATS)
-    template = draw(st.sampled_from(simworld.TEMPLATES))
-    world.update(
-        template=template,
-        horizon=draw(st.integers(8, 32)),
-        group_size=draw(st.integers(2, 64)),
-        n_objects=draw(st.integers(2 if template == "ordered_stack" else 1, 3)),
-        grid=(draw(st.integers(1, 256)), draw(st.integers(1, 256))),
-        container_half_extents=(draw(FLOATS), draw(FLOATS)),
-        hidden=tuple(draw(st.lists(st.integers(1, 512), max_size=3))),
-        model_kind=draw(st.sampled_from(["linear", "mlp"])),
-    )
-    loss = LossConfig(
-        beta=draw(POSITIVE), lambda_cr=draw(st.floats(0.0, 1e6)),
-        lambda_kl=draw(st.floats(0.0, 1e6)), weight_scheme=draw(st.sampled_from(WEIGHT_SCHEMES)),
-        kernel_tau=draw(POSITIVE), mask_enabled=draw(st.booleans()),
-    )
-    return fileio.ExperimentConfig(
-        world=simworld.WorldConfig(**world),
-        loss=loss,
-        out_dir=draw(st.text(min_size=1)),
-        spec_path=draw(st.none() | st.text(min_size=1)),
-        corrective_enabled=draw(st.booleans()),
-    )
-
-
 class TestExperimentFileRoundTrip:
     @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(experiment_configs())
@@ -165,27 +117,6 @@ class TestExperimentFileRoundTrip:
             path = os.path.join(tmp, "experiment.yaml")
             fileio.save_experiment_config(path, cfg)
             assert fileio.load_experiment_config(path) == cfg
-
-
-@st.composite
-def task_specs(draw):
-    """Valid task specs; each clause's source is the printed text of a random formula."""
-    ids = draw(st.lists(IDENTIFIERS, min_size=1, max_size=4, unique=True))
-    entities = [EntityDecl(eid, draw(st.sampled_from(ENTITY_KINDS)),
-                           draw(st.none() | st.tuples(FLOATS, FLOATS))) for eid in ids]
-    evaluators = st.sampled_from(["near", "inside", "grasp", "flag", "moving"])
-    params = st.dictionaries(IDENTIFIERS, FLOATS | st.text(), max_size=2)
-    predicates = [
-        make_predicate_decl(name, draw(st.integers(1, 2)), draw(evaluators), draw(params))
-        for name in draw(st.lists(IDENTIFIERS, min_size=1, max_size=3, unique=True))
-    ]
-    atoms = st.sampled_from(predicates).flatmap(lambda p: st.builds(
-        Atom, st.just(p.name), st.tuples(*[st.sampled_from(ids)] * p.arity)))
-    clauses = [ClauseDecl(cid, print_formula(draw(formulas(atoms, max_leaves=6))))
-               for cid in draw(st.lists(IDENTIFIERS, min_size=1, max_size=3))]
-    layout = draw(st.dictionaries(st.sampled_from(ids), st.tuples(FLOATS, FLOATS)))
-    return TaskSpec(draw(st.text()), entities, predicates, clauses,
-                    make_condition(draw(st.text()), layout))
 
 
 class TestSpecFileRoundTrip:
@@ -385,6 +316,9 @@ class TestMalformedInputs:
         ("world", "model_kind", None, "'world.model_kind' must be a string, got None"),
         ("world", "sed", 0, "unknown key 'sed' under 'world:'"),
         ("world", "seed", -1, "'world.seed' must be >= 0, got -1"),
+        ("world", "horizon", 40, "horizon must be in [8, 32]"),
+        ("world", "group_size", 1, "group size must be >= 2"),
+        ("loss", "beta", 0.0, "beta must be > 0"),
         ("loss", "beta", "1.0", "'loss.beta' must be a finite number, got '1.0'"),
         ("loss", "weight_scheme", 1, "'loss.weight_scheme' must be a string, got 1"),
         ("loss", "mask_enabled", "false", "'loss.mask_enabled' must be true or false, got 'false'"),
@@ -437,7 +371,49 @@ class TestMalformedInputs:
         ("predicates", 0, "evaluator", 2,
          "{path}: predicates[0]: 'evaluator' must be a string, got 2"),
         ("predicates", 0, "params", {"distance": "far"},
-         "clause 'causal_cube': predicate grasp param 'distance' must be a finite number, "
+         "{path}: predicates[0]: predicate 'grasp' param 'distance' must be a finite number, "
+         "got 'far'"),
+        ("predicates", 0, "arity", 1,
+         "{path}: predicates[0]: predicate 'grasp' has arity 1, but evaluator 'grasp' takes 2"),
+        ("predicates", 1, "arity", 3,
+         "{path}: predicates[1]: predicate 'inside' has arity 3, but evaluator 'inside' takes 2"),
+        ("predicates", 2, "arity", 2,
+         "{path}: predicates[2]: predicate 'moving' has arity 2, but evaluator 'moving' takes 1"),
+        ("predicates", 3, None, {"name": "close", "arity": 1, "evaluator": "near",
+                                 "params": {"distance": 1.0}},
+         "{path}: predicates[3]: predicate 'close' has arity 1, but evaluator 'near' takes 2"),
+        ("predicates", 3, None, {"name": "full", "arity": 2, "evaluator": "flag",
+                                 "params": {"flag": "full"}},
+         "{path}: predicates[3]: predicate 'full' has arity 2, but evaluator 'flag' takes 1"),
+        ("predicates", 0, "evaluator", "telepathy",
+         "{path}: predicates[0]: predicate 'grasp' has unknown evaluator 'telepathy'; "
+         "choose from near, grasp, inside, moving, flag"),
+        ("predicates", 2, "params", {},
+         "{path}: predicates[2]: predicate 'moving' is missing param 'speed'"),
+        ("predicates", 1, "params", {"note": [1, 2]},
+         "{path}: predicates[1]: predicate 'inside' has param 'note', "
+         "which evaluator 'inside' does not read"),
+        ("predicates", 0, "params", {"distance": 1.8, "since": datetime.date(2001, 12, 14)},
+         "{path}: predicates[0]: predicate 'grasp' has param 'since', "
+         "which evaluator 'grasp' does not read"),
+        ("predicates", 0, "params", {"distance": math.nan},
+         "{path}: predicates[0]: predicate 'grasp' param 'distance' must be a finite number, "
+         "got nan"),
+        ("predicates", 0, "params", {"distance": True},
+         "{path}: predicates[0]: predicate 'grasp' param 'distance' must be a finite number, "
+         "got True"),
+        ("predicates", 2, "params", {"speed": datetime.date(2001, 12, 14)},
+         "{path}: predicates[2]: predicate 'moving' param 'speed' must be a finite number, "
+         "got datetime.date(2001, 12, 14)"),
+        ("predicates", 2, "params", {"speed": {"fast"}},
+         "{path}: predicates[2]: predicate 'moving' param 'speed' must be a finite number, "
+         "got {{'fast'}}"),
+        ("predicates", 3, None, {"name": "full", "arity": 1, "evaluator": "flag",
+                                 "params": {"flag": 1}},
+         "{path}: predicates[3]: predicate 'full' param 'flag' must be a string, got 1"),
+        ("predicates", 3, None, {"name": "close", "arity": 2, "evaluator": "near",
+                                 "params": {"distance": "far"}},
+         "{path}: predicates[3]: predicate 'close' param 'distance' must be a finite number, "
          "got 'far'"),
         ("task_id", None, None, 5, "{path}: 'task_id' must be a string, got 5"),
     ])
@@ -447,6 +423,8 @@ class TestMalformedInputs:
             doc = yaml.safe_load(fh)
         if index is None:
             doc[key] = value
+        elif field is None:  # a new entry, declared but used by no clause
+            doc[key].insert(index, value)
         else:
             doc[key][index][field] = value
         path = tmp_path / "bad_spec.yaml"
@@ -655,6 +633,25 @@ class TestCliExitCodes:
         with open(os.path.join(first, "metrics.csv"), "rb") as fa, \
                 open(os.path.join(again, "metrics.csv"), "rb") as fb:
             assert fa.read() == fb.read()
+
+    def test_dumped_trace_names_carry_the_run_spec_reward(self, workdir, tmp_path, capsys):
+        with open(workdir["spec"]) as fh:
+            spec_doc = yaml.safe_load(fh)
+        spec_doc["clauses"] = [{"id": "avoid_bin", "formula": "G !inside(cube, bin)"}]
+        spec_path = tmp_path / "avoid_bin.yaml"
+        spec_path.write_text(yaml.safe_dump(spec_doc, sort_keys=False))
+        cfg = fileio.load_experiment_config(workdir["experiment"])
+        cfg.spec_path, cfg.out_dir = str(spec_path), str(tmp_path / "out")
+        config_path = str(tmp_path / "experiment.yaml")
+        fileio.save_experiment_config(config_path, cfg)
+        assert main(["train", "--config", config_path, "--dump-traces", "8"]) == 0
+        names = sorted(os.listdir(tmp_path / "out" / "traces"))
+        assert len(names) == 8
+        for name in names:
+            reward = int(name.removesuffix(".yaml").rsplit("_r", 1)[1])
+            trace = str(tmp_path / "out" / "traces" / name)
+            assert main(["monitor", "--spec", str(spec_path), "--trace", trace]) == 1 - reward
+        capsys.readouterr()
 
     def test_train_nonfinite_dump(self, workdir, capsys):
         cfg = fileio.load_experiment_config(workdir["experiment"])

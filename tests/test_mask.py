@@ -16,10 +16,10 @@ from creflow.trace import (
     ClauseDecl,
     EntityDecl,
     EntityState,
+    PredicateDecl,
     TaskSpec,
     TraceGroup,
     make_condition,
-    make_predicate_decl,
 )
 
 
@@ -137,7 +137,7 @@ class TestOneCallUnion:
 
     def test_repeated_discs_give_the_mask_of_the_distinct_ones(self, monkeypatch):
         spec = TaskSpec(task_id="toy", entities=[EntityDecl("cup", "object")],
-                        predicates=[make_predicate_decl("moving", 1, "moving", {"speed": 0.5})],
+                        predicates=[PredicateDecl("moving", 1, "moving", {"speed": 0.5})],
                         clauses=[ClauseDecl("k0", "G moving(cup)")],
                         condition=make_condition("toy", {"cup": (1.0, 1.0)}))
         rows = [[(1.0, 1.0, 0.5)] * 6,
@@ -164,7 +164,7 @@ class TestOneCallUnion:
         frames = [{"cup": EntityState(np.array([1.0, 1.0]), 0.5)}] * 6
         trace = TraceGroup.from_frames(6, frames, (8, 10))
         spec = TaskSpec(task_id="toy", entities=[EntityDecl("cup", "object")],
-                        predicates=[make_predicate_decl("moving", 1, "moving", {"speed": 0.5})],
+                        predicates=[PredicateDecl("moving", 1, "moving", {"speed": 0.5})],
                         clauses=[ClauseDecl("k0", "G moving(cup)")],
                         condition=make_condition("toy", {"cup": (1.0, 1.0)}))
         lazy = run_monitor(spec, trace)

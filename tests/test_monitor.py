@@ -10,11 +10,11 @@ from creflow.trace import (
     ClauseDecl,
     EntityDecl,
     EntityState,
+    PredicateDecl,
     TaskSpec,
     TraceGroup,
     eval_predicate,
     make_condition,
-    make_predicate_decl,
 )
 
 
@@ -28,8 +28,8 @@ def build_spec(clause_sources):
         task_id="toy",
         entities=[EntityDecl("arm", "arm"), EntityDecl("cup", "object")],
         predicates=[
-            make_predicate_decl("near", 2, "near", {"distance": 1.5}),
-            make_predicate_decl("moving", 1, "moving", {"speed": 0.5}),
+            PredicateDecl("near", 2, "near", {"distance": 1.5}),
+            PredicateDecl("moving", 1, "moving", {"speed": 0.5}),
         ],
         clauses=clauses,
         condition=make_condition("toy", {"cup": (4.0, 4.0)}),

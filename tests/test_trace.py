@@ -16,12 +16,12 @@ from creflow.trace import (
     ClauseDecl,
     EntityDecl,
     EntityState,
+    PredicateDecl,
     TaskSpec,
     TraceGroup,
     build_atlas,
     eval_predicate,
     make_condition,
-    make_predicate_decl,
 )
 
 
@@ -57,7 +57,7 @@ class TestPredicates:
     def test_near_coincident(self):
         xy = [(3.0, 3.0)] * 8
         trace = two_entity_trace(xy, xy, [False] * 8)
-        decl = make_predicate_decl("near", 2, "near", {"distance": 1.0})
+        decl = PredicateDecl("near", 2, "near", {"distance": 1.0})
         stream = eval_predicate(decl, trace, Atom("near", ("arm", "cup")))
         assert stream.all()
 
@@ -66,7 +66,7 @@ class TestPredicates:
         arm = rng.uniform(0, 10, (8, 2))
         cup = rng.uniform(0, 10, (8, 2))
         trace = two_entity_trace(arm, cup, [False] * 8)
-        decl = make_predicate_decl("near", 2, "near", {"distance": 4.0})
+        decl = PredicateDecl("near", 2, "near", {"distance": 4.0})
         ab = eval_predicate(decl, trace, Atom("near", ("arm", "cup")))
         ba = eval_predicate(decl, trace, Atom("near", ("cup", "arm")))
         assert np.array_equal(ab, ba)
@@ -75,7 +75,7 @@ class TestPredicates:
         xy = [(2.0, 2.0)] * 8
         closed = [False, False, True, True, True, True, False, False]
         trace = two_entity_trace(xy, xy, closed)
-        decl = make_predicate_decl("grasp", 2, "grasp", {"distance": 1.0})
+        decl = PredicateDecl("grasp", 2, "grasp", {"distance": 1.0})
         stream = eval_predicate(decl, trace, Atom("grasp", ("arm", "cup")))
         assert stream.astype(int).tolist() == [0, 0, 1, 1, 1, 1, 0, 0]
 
@@ -85,8 +85,8 @@ class TestPredicates:
         cup = rng.uniform(0, 6, (10, 2))
         closed = rng.integers(0, 2, 10).astype(bool).tolist()
         trace = two_entity_trace(arm, cup, closed, horizon=10)
-        near = make_predicate_decl("near", 2, "near", {"distance": 2.5})
-        grasp = make_predicate_decl("grasp", 2, "grasp", {"distance": 2.5})
+        near = PredicateDecl("near", 2, "near", {"distance": 2.5})
+        grasp = PredicateDecl("grasp", 2, "grasp", {"distance": 2.5})
         n = eval_predicate(near, trace, Atom("near", ("arm", "cup")))
         g = eval_predicate(grasp, trace, Atom("grasp", ("arm", "cup")))
         assert not np.any(g & ~n)
@@ -95,7 +95,7 @@ class TestPredicates:
         xy = [(2.0, 2.0)] * 4
         frames = [{"a": state(1, 1), "b": state(1, 1)} for _ in range(4)]
         trace = TraceGroup.from_frames(4, frames, (8, 8))
-        decl = make_predicate_decl("grasp", 2, "grasp", {"distance": 1.0})
+        decl = PredicateDecl("grasp", 2, "grasp", {"distance": 1.0})
         with pytest.raises(MissingAttribute):
             eval_predicate(decl, trace, Atom("grasp", ("a", "b")))
 
@@ -109,7 +109,7 @@ class TestPredicates:
                 }
             )
         trace = TraceGroup.from_frames(4, frames, (16, 16))
-        decl = make_predicate_decl("inside", 2, "inside", {})
+        decl = PredicateDecl("inside", 2, "inside", {})
         stream = eval_predicate(decl, trace, Atom("inside", ("cup", "box")), ENTITIES)
         # |dx| <= 1.5 at t=0,1,2 (dx = -1, 0, 1); t=3 gives dx=2
         assert stream.astype(int).tolist() == [1, 1, 1, 0]
@@ -117,17 +117,17 @@ class TestPredicates:
     def test_inside_all_false_when_far(self):
         frames = [{"cup": state(0, 0), "box": state(10, 10)} for _ in range(4)]
         trace = TraceGroup.from_frames(4, frames, (16, 16))
-        decl = make_predicate_decl("inside", 2, "inside", {})
+        decl = PredicateDecl("inside", 2, "inside", {})
         stream = eval_predicate(decl, trace, Atom("inside", ("cup", "box")), ENTITIES)
         assert not stream.any()
 
     def test_flag_and_missing_flag(self):
         frames = [{"cup": state(0, 0, flags={"full": t >= 2})} for t in range(4)]
         trace = TraceGroup.from_frames(4, frames, (8, 8))
-        decl = make_predicate_decl("is_full", 1, "flag", {"flag": "full"})
+        decl = PredicateDecl("is_full", 1, "flag", {"flag": "full"})
         stream = eval_predicate(decl, trace, Atom("is_full", ("cup",)))
         assert stream.astype(int).tolist() == [0, 0, 1, 1]
-        bad = make_predicate_decl("is_open", 1, "flag", {"flag": "open"})
+        bad = PredicateDecl("is_open", 1, "flag", {"flag": "open"})
         with pytest.raises(MissingAttribute):
             eval_predicate(bad, trace, Atom("is_open", ("cup",)))
 
@@ -135,16 +135,13 @@ class TestPredicates:
         xs = [0.0, 2.0, 2.0, 2.0, 5.0]
         frames = [{"cup": state(x, 0)} for x in xs]
         trace = TraceGroup.from_frames(5, frames, (8, 8))
-        decl = make_predicate_decl("moving", 1, "moving", {"speed": 0.5})
+        decl = PredicateDecl("moving", 1, "moving", {"speed": 0.5})
         stream = eval_predicate(decl, trace, Atom("moving", ("cup",)))
         assert stream.astype(int).tolist() == [1, 1, 0, 0, 1]
 
     def test_unknown_evaluator(self):
-        frames = [{"cup": state(0, 0)}]
-        trace = TraceGroup.from_frames(1, frames, (8, 8))
-        decl = make_predicate_decl("weird", 1, "telepathy", {})
-        with pytest.raises(UnknownEvaluator):
-            eval_predicate(decl, trace, Atom("weird", ("cup",)))
+        with pytest.raises(UnknownEvaluator, match="unknown evaluator 'telepathy'"):
+            PredicateDecl("weird", 1, "telepathy", {})
 
 
 class TestArrays:
@@ -172,7 +169,7 @@ class TestArrays:
                   {"box": state(1, 1)}]
         trace = TraceGroup.from_frames(3, frames, (8, 8))
         assert "cup" not in trace.frames[2]
-        decl = make_predicate_decl("moving", 1, "moving", {"speed": 0.5})
+        decl = PredicateDecl("moving", 1, "moving", {"speed": 0.5})
         with pytest.raises(UnknownEntity, match="'cup' absent from frame 3"):
             eval_predicate(decl, trace, Atom("moving", ("cup",)))
         assert not eval_predicate(decl, trace, Atom("moving", ("box",))).any()
@@ -229,7 +226,7 @@ class TestTaskSpec:
         return TaskSpec(
             task_id="toy",
             entities=list(ENTITIES.values()),
-            predicates=[make_predicate_decl("near", 2, "near", {"distance": 1.0})],
+            predicates=[PredicateDecl("near", 2, "near", {"distance": 1.0})],
             clauses=clauses,
             condition=make_condition("toy", {"cup": (1.0, 1.0)}),
         )

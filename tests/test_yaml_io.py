@@ -1,8 +1,8 @@
 """YAML files read from and written as libyaml's event stream.
 
 Every document read and every error raised must be what ``yaml.load(fh,
-Loader=YamlLoader)`` gives, and every byte a trace file holds what
-``yaml.dump(doc, Dumper=YamlDumper, sort_keys=False)`` writes. Each test runs
+Loader=YamlLoader)`` gives, and every byte a trace, spec or config file holds
+what ``yaml.dump(doc, Dumper=YamlDumper, sort_keys=False)`` writes. Each test runs
 on PyYAML's libyaml classes and again on its pure-Python safe classes.
 """
 
@@ -19,6 +19,8 @@ from hypothesis import strategies as st
 
 from creflow import fileio
 from creflow.trace import EntityState, TraceGroup
+
+from conftest import experiment_configs, task_specs
 
 CONFIGS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "configs")
 
@@ -199,21 +201,42 @@ def shipped_documents():
     return docs
 
 
+def saved_bytes(monkeypatch, save, value):
+    """(bytes ``save`` writes through ``_dump_plain_yaml``, bytes it writes via ``yaml.dump``)."""
+    written = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for dump in (fileio._dump_plain_yaml, _yaml_dump):
+            path = os.path.join(tmp, f"{len(written)}.yaml")
+            with monkeypatch.context() as m:
+                m.setattr(fileio, "_dump_plain_yaml", dump)
+                save(path, value)
+            with open(path, "rb") as fh:
+                written.append(fh.read())
+    return tuple(written)
+
+
+PROPERTY = settings(max_examples=60, deadline=None, suppress_health_check=[
+    HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
+
+
 class TestSave:
-    @settings(max_examples=60, deadline=None,
-              suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
+    @PROPERTY
     @given(trace=traces())
     def test_save_trace_writes_yaml_dump_bytes(self, platform, monkeypatch, trace):
-        written = []
-        with tempfile.TemporaryDirectory() as tmp:
-            for dump in (fileio._dump_plain_yaml, _yaml_dump):
-                path = os.path.join(tmp, f"{len(written)}.yaml")
-                with monkeypatch.context() as m:
-                    m.setattr(fileio, "_dump_plain_yaml", dump)
-                    fileio.save_trace(path, trace)
-                with open(path, "rb") as fh:
-                    written.append(fh.read())
-        assert written[0] == written[1]
+        ours, reference = saved_bytes(monkeypatch, fileio.save_trace, trace)
+        assert ours == reference
+
+    @PROPERTY
+    @given(spec=task_specs())
+    def test_save_task_spec_writes_yaml_dump_bytes(self, platform, monkeypatch, spec):
+        ours, reference = saved_bytes(monkeypatch, fileio.save_task_spec, spec)
+        assert ours == reference
+
+    @PROPERTY
+    @given(cfg=experiment_configs())
+    def test_save_experiment_config_writes_yaml_dump_bytes(self, platform, monkeypatch, cfg):
+        ours, reference = saved_bytes(monkeypatch, fileio.save_experiment_config, cfg)
+        assert ours == reference
 
     @pytest.mark.parametrize("doc", [
         {"a": [1, "x", None, {"b": [[], {}]}], "": -0.0, "yes": "no", "1": 1, "t": True},
