@@ -39,6 +39,48 @@ def _softmax(a):
     return e / e.sum()
 
 
+_SUM_ATOL = math.sqrt(np.finfo(np.float64).eps)
+
+
+def _kahan_sum(values):
+    """The compensated sum numpy's ``Generator.choice`` checks ``p`` with, term for term."""
+    total, carry = values[0], 0.0
+    for value in values[1:]:
+        term = value - carry
+        grown = total + term
+        carry = (grown - total) - term
+        total = grown
+    return total
+
+
+def draw_categorical(rng, p, size):
+    """``rng.choice(len(p), size=size, p=p)`` for 1-D float64 weights ``p``: the same
+    checks on ``p``, the same uniforms and the same int64 indices.
+
+    numpy draws ``rng.random(size)`` and looks each uniform up in
+    ``cdf = p.cumsum() / cdf[-1]`` with ``searchsorted(side='right')``. For a
+    non-decreasing cdf that index is the number of entries ``<= u``, and the last
+    entry (1.0) never is, so counting ``u`` against ``cdf[:-1]`` gives it; for the
+    few atoms of an oracle world a comparison pass per entry is several times
+    faster than the binary search.
+    """
+    p_sum = _kahan_sum(p.tolist())
+    if math.isnan(p_sum):
+        raise ValueError("Probabilities contain NaN")
+    if np.any(p < 0):
+        raise ValueError("Probabilities are not non-negative")
+    if abs(p_sum - 1.0) > _SUM_ATOL:
+        raise ValueError("Probabilities do not sum to 1. See Notes section of docstring "
+                         "for more information.")
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    u = rng.random(size)
+    count = np.zeros(u.shape, np.min_scalar_type(p.size - 1))
+    for edge in cdf[:-1]:
+        count += u >= edge
+    return count.astype(np.int64)
+
+
 # --------------------------------------------------------------------------
 # Worlds and population quantities
 # --------------------------------------------------------------------------
@@ -83,19 +125,21 @@ class DiscreteWorld:
     def two_sided(self):
         return self.positives.size > 0 and self.negatives.size > 0
 
-    def positive_mean(self):
+    @property
+    def positive_weights(self):
         pos = self.positives
-        w = self.probs[pos] / self.probs[pos].sum()
-        return w @ self.x0s[pos]
+        return self.probs[pos] / self.probs[pos].sum()
+
+    def positive_mean(self):
+        return self.positive_weights @ self.x0s[self.positives]
 
     def positive_cov(self):
-        pos = self.positives
-        return _weighted_cov(self.x0s[pos], self.probs[pos] / self.probs[pos].sum())
+        return _weighted_cov(self.x0s[self.positives], self.positive_weights)
 
-    def sample_positive_atoms(self, rng, size):
-        pos = self.positives
-        w = self.probs[pos] / self.probs[pos].sum()
-        return rng.choice(pos, size=size, p=w)
+    def sample_positive_groups(self, rng, n, m, finish):
+        """``finish(group means)`` of ``n`` groups of ``m`` positive atoms drawn by mass."""
+        k = draw_categorical(rng, self.positive_weights, (n, m))
+        return _per_group(self.x0s[self.positives], k, finish)
 
 
 def _weighted_cov(points, w):
@@ -122,7 +166,7 @@ class PopulationPoint:
 
     def sample_atoms(self, rng, size):
         """Atom indices drawn from the posterior at this point."""
-        return rng.choice(self.w.shape[0], size=size, p=self.w)
+        return draw_categorical(rng, self.w, size)
 
 
 def population_point(world: DiscreteWorld, xt, t, require_two_sided=False) -> PopulationPoint:
@@ -429,11 +473,37 @@ def _group_means(x0s, idx):
     return total
 
 
-def _corrective_residuals(x0s, idx, xt, t, v_theta, mask):
-    """``(v_theta - (xt - group mean) / t) * mask`` per row of ``idx``, built in place."""
-    res = _group_means(x0s, idx)
-    np.subtract(xt, res, out=res)
-    res /= t
+def _per_group(atoms, k, finish):
+    """``finish(_group_means(atoms, k))`` bit for bit, with the group work done once
+    per combination of atoms rather than once per row.
+
+    A row's value depends only on its index tuple. When there are no more
+    combinations (``P**m``) than rows, ``finish`` runs on the group means of every
+    combination and each row gathers its own by one code (``code*P + k_j``);
+    otherwise the means are built per row.
+    """
+    n, m = k.shape
+    n_atoms = atoms.shape[0]
+    if n_atoms ** m > n:
+        return finish(_group_means(atoms, k))
+    code = k[:, 0].copy()
+    for c in range(1, m):
+        code *= n_atoms
+        code += k[:, c]
+    combos = np.indices((n_atoms,) * m).reshape(m, -1).T
+    return np.take(finish(_group_means(atoms, combos)), code, axis=0)
+
+
+def _targets_from_means(means, xt, t):
+    """``(xt - group mean) / t`` per row, built in place."""
+    np.subtract(xt, means, out=means)
+    means /= t
+    return means
+
+
+def _residuals_from_means(means, xt, t, v_theta, mask):
+    """``(v_theta - (xt - group mean) / t) * mask`` per row, built in place."""
+    res = _targets_from_means(means, xt, t)
     np.subtract(v_theta, res, out=res)
     if mask is not None:
         res *= mask
@@ -463,10 +533,8 @@ def verify_corrective_target(
 
     traces = {}
     for m in group_sizes:
-        idx = world.sample_positive_atoms(rng, (mc_samples, m))
-        z = _group_means(world.x0s, idx)
-        np.subtract(xt, z, out=z)
-        z /= t
+        z = world.sample_positive_groups(
+            rng, mc_samples, m, lambda means: _targets_from_means(means, xt, t))
         if deterministic:
             dev = float(np.max(np.abs(z - bar_v)))
             tol = 1e-12 * max(1.0, float(np.max(np.abs(bar_v))))
@@ -711,8 +779,9 @@ def verify_variance(
         se_nft *= 4.0 * beta**4
 
         # corrective-branch samples: within-group positive means
-        pidx = world.sample_positive_atoms(rng, (mc_samples, group_size))
-        res = _corrective_residuals(world.x0s, pidx, xt, t, v_theta, res_mask)
+        res = world.sample_positive_groups(
+            rng, mc_samples, group_size,
+            lambda means: _residuals_from_means(means, xt, t, v_theta, res_mask))
         trace_cr, se_cr = _trace_cov_through(gram, res)
         trace_cr *= 4.0 * lambda_cr**2 * t**4
         se_cr *= 4.0 * lambda_cr**2 * t**4
@@ -795,8 +864,9 @@ def verify_variance(
     v_theta = model.velocity_batch(xt, t_mid)
     traces_by_m = {}
     for m in (group_size, 2 * group_size):
-        pidx = world.sample_positive_atoms(rng, (mc_samples, m))
-        res = _corrective_residuals(world.x0s, pidx, xt, t_mid, v_theta, res_mask)
+        res = world.sample_positive_groups(
+            rng, mc_samples, m,
+            lambda means: _residuals_from_means(means, xt, t_mid, v_theta, res_mask))
         trace, _ = _trace_cov_through(gram_mid, res)
         traces_by_m[m] = trace * 4.0 * lambda_cr**2 * t_mid**4
     shrink = traces_by_m[group_size] / traces_by_m[2 * group_size]

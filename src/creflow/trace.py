@@ -158,6 +158,11 @@ class TaskSpec:
             raise SpecValidationError("task spec needs at least one clause")
         if len(self._entity_map) != len(self.entities):
             raise SpecValidationError("duplicate entity ids")
+        for what, names in (("predicate name", [p.name for p in self.predicates]),
+                            ("clause id", [c.id for c in self.clauses])):
+            repeated = _first_repeat(names)
+            if repeated is not None:
+                raise SpecValidationError(f"duplicate {what} {repeated!r}")
         for e in self.entities:
             if e.kind not in ENTITY_KINDS:
                 raise SpecValidationError(f"unknown entity kind {e.kind!r}")
@@ -169,6 +174,19 @@ class TaskSpec:
                 )
             for arg in atom.args:
                 self.entity(arg)
+            if decl.evaluator == "inside":
+                outer = atom.args[1]
+                _box(outer, self.entity(outer), SpecValidationError)
+
+
+def _first_repeat(names):
+    """The first name that occurs a second time, or None."""
+    seen = set()
+    for name in names:
+        if name in seen:
+            return name
+        seen.add(name)
+    return None
 
 
 @dataclass
@@ -324,14 +342,19 @@ def _near(group, args, entities, distance):
     return _length(p1 - p2) <= distance
 
 
+def _box(outer, outer_decl, error):
+    """The half extents of an ``inside`` atom's outer entity; ``error`` if it has none."""
+    if outer_decl.half_extents is None:
+        raise error(f"entity {outer!r} has no half_extents box")
+    return outer_decl.half_extents
+
+
 def _inside(group, args, entities):
     inner, outer = args
     if entities is None:
         raise UnknownEvaluator("'inside' needs entity declarations")
     outer_decl = entities[outer] if not isinstance(entities, TaskSpec) else entities.entity(outer)
-    if outer_decl.half_extents is None:
-        raise MissingAttribute(f"entity {outer!r} has no half_extents box")
-    hx, hy = outer_decl.half_extents
+    hx, hy = _box(outer, outer_decl, MissingAttribute)
     delta = np.abs(group.xy[:, :, group.column(inner)] - group.xy[:, :, group.column(outer)])
     return (delta[..., 0] <= hx) & (delta[..., 1] <= hy)
 

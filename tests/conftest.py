@@ -120,10 +120,14 @@ PARAM_VALUES = {
 @st.composite
 def task_specs(draw):
     """Valid task specs: each predicate takes its evaluator's arity and exact params from
-    ``EVALUATORS``, and each clause's source is the printed text of a random formula."""
+    ``EVALUATORS``, each clause's source is the printed text of a random formula, and
+    the outer entity of an ``inside`` atom has a box (the first entity always has one)."""
     ids = draw(st.lists(IDENTIFIERS, min_size=1, max_size=4, unique=True))
-    entities = [EntityDecl(eid, draw(st.sampled_from(ENTITY_KINDS)),
-                           draw(st.none() | st.tuples(FLOATS, FLOATS))) for eid in ids]
+    boxes = [draw(st.tuples(FLOATS, FLOATS))] + [
+        draw(st.none() | st.tuples(FLOATS, FLOATS)) for _ in ids[1:]]
+    entities = [EntityDecl(eid, draw(st.sampled_from(ENTITY_KINDS)), box)
+                for eid, box in zip(ids, boxes)]
+    boxed = [eid for eid, box in zip(ids, boxes) if box is not None]
     predicates = []
     for name in draw(st.lists(IDENTIFIERS, min_size=1, max_size=3, unique=True)):
         evaluator = draw(st.sampled_from(sorted(EVALUATORS)))
@@ -131,9 +135,11 @@ def task_specs(draw):
         params = {key: draw(PARAM_VALUES[what]) for key, (what, _, _) in kinds.items()}
         predicates.append(PredicateDecl(name, arity, evaluator, params))
     atoms = st.sampled_from(predicates).flatmap(lambda p: st.builds(
-        ltlf.Atom, st.just(p.name), st.tuples(*[st.sampled_from(ids)] * p.arity)))
+        ltlf.Atom, st.just(p.name),
+        st.tuples(st.sampled_from(ids), st.sampled_from(boxed)) if p.evaluator == "inside"
+        else st.tuples(*[st.sampled_from(ids)] * p.arity)))
     clauses = [ClauseDecl(cid, ltlf.print_formula(draw(formulas(atoms, max_leaves=6))))
-               for cid in draw(st.lists(IDENTIFIERS, min_size=1, max_size=3))]
+               for cid in draw(st.lists(IDENTIFIERS, min_size=1, max_size=3, unique=True))]
     layout = draw(st.dictionaries(st.sampled_from(ids), st.tuples(FLOATS, FLOATS)))
     return TaskSpec(draw(st.text()), entities, predicates, clauses,
                     make_condition(draw(st.text()), layout))

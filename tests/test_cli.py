@@ -416,6 +416,13 @@ class TestMalformedInputs:
          "{path}: predicates[3]: predicate 'close' param 'distance' must be a finite number, "
          "got 'far'"),
         ("task_id", None, None, 5, "{path}: 'task_id' must be a string, got 5"),
+        ("predicates", 3, None, {"name": "grasp", "arity": 2, "evaluator": "near",
+                                 "params": {"distance": 100.0}},
+         "{path}: duplicate predicate name 'grasp'"),
+        ("clauses", 3, None, {"id": "terminal_cube", "formula": "G moving(cube)"},
+         "{path}: duplicate clause id 'terminal_cube'"),
+        ("clauses", 3, None, {"id": "arm_outside", "formula": "G !inside(cube, arm_left)"},
+         "{path}: entity 'arm_left' has no half_extents box"),
     ])
     def test_bad_spec_exits_2(self, workdir, tmp_path, capsys, command, key, index, field, value,
                               message):
@@ -452,6 +459,24 @@ class TestMalformedInputs:
         path.write_text(yaml.safe_dump(doc, sort_keys=False))
         assert main(["monitor", "--spec", str(path), "--trace", workdir["clean"]]) == 2
         assert capsys.readouterr().err == f"error: {path}: condition: {message}\n"
+
+    @pytest.mark.parametrize("flags", [["--dry-run"], []], ids=["dry_run", "run"])
+    def test_train_rejects_inside_without_box_before_writing(self, workdir, tmp_path, capsys,
+                                                             flags):
+        with open(workdir["spec"]) as fh:
+            doc = yaml.safe_load(fh)
+        doc["clauses"].append({"id": "arm_outside", "formula": "G !inside(cube, arm_left)"})
+        spec_path = tmp_path / "bad_spec.yaml"
+        spec_path.write_text(yaml.safe_dump(doc, sort_keys=False))
+        with open(workdir["experiment"]) as fh:
+            config = yaml.safe_load(fh)
+        config.update(spec_path=str(spec_path), out_dir=str(tmp_path / "out"))
+        config_path = tmp_path / "config.yaml"
+        config_path.write_text(yaml.safe_dump(config, sort_keys=False))
+        assert main(["train", "--config", str(config_path), *flags]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {spec_path}: entity 'arm_left' has no half_extents box\n")
+        assert not os.path.exists(tmp_path / "out")
 
     def test_train_rejects_spec_that_contradicts_world(self, workdir, tmp_path, capsys):
         with open(workdir["experiment"]) as fh:

@@ -7,7 +7,10 @@ pretraining, sampling, scoring or the update shows up here.
 
 The verify cases hash the sorted-key JSON of ``run_suite("all", seed)``,
 recorded before the oracle's per-point and per-atom work was hoisted; any
-change to a draw, a reduction order or a check shows up here.
+change to a draw, a reduction order or a check shows up here. The
+variance-curve cases hash the per-t records of ``suite_variance(seed)`` (the
+Monte Carlo ``mc_nft``/``mc_cr`` traces the checks summarise), recorded while
+atoms were still drawn by ``Generator.choice``.
 
 The atlas cases decode four groups of eight scripted pick_place demos
 (horizon 32, 64x64 grid, each group mixing successes and failures) and hash
@@ -38,7 +41,7 @@ from creflow import fileio, ltlf, simworld
 from creflow.cli import main
 from creflow.mask import LatentLayout, build_group_mask
 from creflow.monitor import run_group_monitor, run_monitor
-from creflow.oracle import run_suite
+from creflow.oracle import run_suite, suite_variance
 from creflow.trace import ClauseDecl
 
 CONFIGS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "configs")
@@ -73,6 +76,16 @@ def test_short_train_metrics_are_pinned(tmp_path, capsys, config, world, digest)
 ])
 def test_verify_all_report_is_pinned(seed, digest):
     text = json.dumps(run_suite("all", seed).to_dict(), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("seed,digest", [
+    (0, "4ff8091105bf3bec16adaae126cb2aa49bd4d05ad4732cb4357f10b4a84bb302"),
+    (1, "3f22f06e4bf7a4856b4b868b03342eca0790fd0c1c088cb5e99364a1aeb46fa5"),
+    (2, "0fd60f62aa9c828c4c11f4bf43e3848c1310ad8b945ed453e91235c26ab5c460"),
+])
+def test_variance_curves_are_pinned(seed, digest):
+    text = json.dumps(suite_variance(seed)[1].records, sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 

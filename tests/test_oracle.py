@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from creflow import backend
 from creflow.errors import (
@@ -15,11 +17,14 @@ from creflow.oracle import (
     DiscreteWorld,
     _column_means,
     _group_means,
+    _per_group,
+    _residuals_from_means,
     _row_sums,
     _softmax,
     QuadraticProbe,
     check_factored,
     default_grid,
+    draw_categorical,
     make_factored_world,
     parabola_argmin,
     population_nft_objective,
@@ -208,6 +213,138 @@ class TestHoistedArithmetic:
         a[:, 0] = -0.0  # numpy's mean of an all -0.0 column is 0.0
         a[rng.random(4000) < 0.2, -1] = 0.0
         assert same_bits(_column_means(a), a.mean(axis=0))
+
+
+# Weight lists of 1-8 atoms; zero weights give tied cdf entries.
+WEIGHTS = st.lists(st.sampled_from([0.0, 0.0, 1e-300, 1e-12, 0.3, 1.0, 7.0]) | st.floats(0.0, 10.0),
+                   min_size=1, max_size=8).filter(lambda w: sum(w) > 0)
+SIZES = st.integers(0, 40) | st.tuples(st.integers(0, 12), st.integers(0, 12))
+# Ways to spoil a normalised p: NaN, a negative or infinite entry, or a sum moved
+# across the sqrt(eps) tolerance (1.49e-8).
+SPOILERS = st.sampled_from([
+    None, ("set", math.nan), ("set", -1e-12), ("set", -0.0), ("set", math.inf),
+    ("scale", 1.0 + 1e-9), ("scale", 1.0 + 1.4e-8), ("scale", 1.0 + 1.6e-8),
+    ("scale", 1.0 - 1.6e-8), ("scale", 1.1),
+])
+
+
+class FixedUniforms:
+    """A generator stand-in whose ``random(size)`` returns the given uniforms."""
+
+    def __init__(self, u):
+        self.u = np.asarray(u, dtype=np.float64)
+
+    def random(self, size):
+        return self.u.reshape(size)
+
+
+class TestDrawCategorical:
+    """``draw_categorical`` is ``Generator.choice`` with ``p``: same errors, indices and stream."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(weights=WEIGHTS, size=SIZES, seed=st.integers(0, 2**32 - 1), spoiler=SPOILERS,
+           at=st.integers(0, 7))
+    def test_matches_choice_on_a_twin_generator(self, weights, size, seed, spoiler, at):
+        w = np.array(weights)
+        p = w / w.sum()
+        if spoiler is not None:
+            how, value = spoiler
+            if how == "set":
+                p[at % p.size] = value
+            else:
+                p = p * value
+        ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+        try:
+            expected = theirs.choice(p.size, size=size, p=p)
+        except ValueError as err:
+            with pytest.raises(ValueError) as raised:
+                draw_categorical(ours, p, size)
+            assert str(raised.value) == str(err)
+        else:
+            got = draw_categorical(ours, p, size)
+            assert got.dtype == expected.dtype and got.shape == expected.shape
+            assert np.array_equal(got, expected)
+        assert ours.random() == theirs.random()
+
+    @pytest.mark.parametrize("p", [
+        [1.0], [0.5, 0.0, 0.5], [0.0, 0.25, 0.0, 0.0, 0.75], [0.0, 0.0, 1.0], [1.0, 0.0],
+        [0.1, 0.2, 0.3, 0.4],
+        [0.5 + 5e-10, 0.25 + 2.5e-10, 0.25 + 2.5e-10],  # sums to 1 + 1e-9: the cdf is rescaled
+    ])
+    def test_uniform_on_a_cdf_entry_takes_numpy_index(self, p):
+        cdf = np.cumsum(p)
+        cdf /= cdf[-1]
+        u = np.concatenate([cdf[:-1], np.nextafter(cdf[:-1], 0.0), np.nextafter(cdf[:-1], 1.0),
+                            [0.0, np.nextafter(1.0, 0.0)]])
+        u = u[u < 1.0]
+        got = draw_categorical(FixedUniforms(u), np.array(p), u.shape)
+        assert np.array_equal(got, cdf.searchsorted(u, side="right"))
+
+    def test_one_atom_world_draws_zeros(self):
+        ours, theirs = np.random.default_rng(3), np.random.default_rng(3)
+        got = draw_categorical(ours, np.array([1.0]), (5, 3))
+        assert np.array_equal(got, np.zeros((5, 3), np.int64))
+        assert np.array_equal(got, theirs.choice(1, size=(5, 3), p=[1.0]))
+        assert ours.random() == theirs.random()
+
+    def test_more_than_256_atoms(self):
+        p = np.random.default_rng(4).uniform(0.0, 1.0, 300)
+        p /= p.sum()
+        ours, theirs = np.random.default_rng(5), np.random.default_rng(5)
+        assert np.array_equal(draw_categorical(ours, p, 5000), theirs.choice(300, 5000, p=p))
+
+
+def corrective_residuals(x0s, idx, xt, t, v_theta, mask):
+    """The per-row corrective residual written out: ``(v_theta - (xt - mean) / t) * mask``."""
+    res = v_theta - (xt - x0s[idx].mean(axis=1)) / t
+    return res if mask is None else res * mask
+
+
+class TestCorrectiveTable:
+    """Residuals gathered from the per-combination table are the per-row ones, bit for bit."""
+
+    @pytest.mark.parametrize("n_pos,m,n", [
+        (2, 2, 1000),  # full table, 4 rows
+        (3, 4, 1000),  # full table, 81 rows
+        (3, 12, 1000),  # 3**12 > 1000: no table, means built per row
+        (2, 64, 5000),  # 2**64 combinations: no table
+        (5, 3, 4),  # more atoms than draws: no table
+        (1, 5, 10),  # one positive atom: a table of one row
+    ])
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_table_residuals_match_per_row(self, n_pos, m, n, masked):
+        rng = np.random.default_rng((n_pos, m, n, 16))
+        x0s = rng.standard_normal((n_pos + 2, 3)) * rng.uniform(0.01, 100.0, (n_pos + 2, 1))
+        x0s[0] = -0.0
+        rewards = np.array([1] * n_pos + [0, 0])
+        probs = rng.uniform(0.5, 1.5, n_pos + 2)
+        world = DiscreteWorld(x0s, probs / probs.sum(), rewards)
+        xt, t, v_theta = rng.standard_normal(3), 0.37, rng.standard_normal(3)
+        mask = np.array([1.0, 0.0, 1.0]) if masked else None
+        pos = world.positives
+        idx = np.random.default_rng(17).choice(pos.size, (n, m), p=world.positive_weights)
+        got = world.sample_positive_groups(
+            np.random.default_rng(17), n, m,
+            lambda means: _residuals_from_means(means, xt, t, v_theta, mask))
+        assert same_bits(got, corrective_residuals(x0s, pos[idx], xt, t, v_theta, mask))
+
+    def test_table_only_when_no_more_combinations_than_rows(self):
+        rng = np.random.default_rng(18)
+        atoms = rng.standard_normal((3, 2)) * rng.uniform(0.01, 100.0, (3, 1))
+        atoms[0] = -0.0  # a group of this atom alone sums to +0.0 in numpy
+        k = rng.integers(0, 3, (1000, 12))
+        k[:4] = 0
+        calls = []
+
+        def finish(means):
+            calls.append(means.shape[0])
+            return means
+
+        assert same_bits(_per_group(atoms, k, finish), _group_means(atoms, k))
+        assert calls == [1000]  # 3**12 combinations: finish runs per row
+        calls.clear()
+        assert same_bits(_per_group(atoms, k[:, :6], finish), _group_means(atoms, k[:, :6]))
+        assert calls == [729]  # 3**6 combinations: finish runs on the table rows only
 
 
 class TestSuites:
