@@ -2,6 +2,8 @@
 
 Exit codes: 0 success/pass, 1 semantic failure (violated spec, failed
 verification check, non-finite training loss), 2 usage or input-parse error.
+A command raises a CreflowError or OSError for a bad input; ``main`` alone
+reports it, as one ``error:`` line on stderr and exit 2.
 All randomness flows from --seed; CREFLOW_LOG sets the logging level.
 """
 
@@ -44,61 +46,36 @@ def _emit(payload, out_path):
 
 
 def cmd_monitor(args) -> int:
-    try:
-        spec = fileio.load_task_spec(args.spec)
-        trace = fileio.load_trace(args.trace)
-    except (SchemaError, OSError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        verdict = run_monitor(spec, trace)
-    except CreflowError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_USAGE
+    spec = fileio.load_task_spec(args.spec)
+    verdict = run_monitor(spec, fileio.load_trace(args.trace))
     _emit(fileio.verdict_report(verdict), args.out)
     return EXIT_OK if verdict.reward == 1 else EXIT_FAIL
 
 
 def cmd_mask(args) -> int:
-    try:
-        spec = fileio.load_task_spec(args.spec)
-        traces = [fileio.load_trace(p) for p in args.trace]
-    except (SchemaError, OSError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        verdicts = [run_monitor(spec, t) for t in traces]
-        horizon = traces[0].horizon
-        if args.layout == "pixel":
-            layout = LatentLayout.pixel(horizon, traces[0].grid)
-        else:
-            layout = LatentLayout.entity(horizon, spec.entity_ids(), channels=2)
-        mask = build_group_mask(verdicts, layout, spec.clause_entities())
-    except CreflowError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_USAGE
+    spec = fileio.load_task_spec(args.spec)
+    traces = [fileio.load_trace(p) for p in args.trace]
+    verdicts = [run_monitor(spec, t) for t in traces]
+    horizon = traces[0].horizon
+    if args.layout == "pixel":
+        layout = LatentLayout.pixel(horizon, traces[0].grid)
+    else:
+        layout = LatentLayout.entity(horizon, spec.entity_ids(), channels=2)
+    mask = build_group_mask(verdicts, layout, spec.clause_entities())
     _emit(fileio.mask_report(mask, layout), args.out)
     return EXIT_OK
 
 
-def _negative_seed(seed) -> bool:
-    """Report and return True if --seed was given a negative value."""
+def _check_seed(seed):
     if seed is not None and seed < 0:
-        print(f"error: --seed must be >= 0, got {seed}", file=sys.stderr)
-        return True
-    return False
+        raise CreflowError(f"--seed must be >= 0, got {seed}")
 
 
 def cmd_verify(args) -> int:
-    if _negative_seed(args.seed):
-        return EXIT_USAGE
+    _check_seed(args.seed)
     if args.suite != "all" and args.suite not in oracle.SUITES:
-        print(
-            f"error: unknown suite {args.suite!r}; "
-            f"choose from all, {', '.join(oracle.SUITES)}",
-            file=sys.stderr,
-        )
-        return EXIT_USAGE
+        raise CreflowError(
+            f"unknown suite {args.suite!r}; choose from all, {', '.join(oracle.SUITES)}")
     report = oracle.run_suite(args.suite, args.seed)
     report.seed = args.seed
     _emit(report.to_dict(), args.out)
@@ -111,24 +88,18 @@ def cmd_verify(args) -> int:
 
 def cmd_train(args) -> int:
     if args.dump_traces < 0:
-        print(f"error: --dump-traces must be >= 0, got {args.dump_traces}", file=sys.stderr)
-        return EXIT_USAGE
-    if _negative_seed(args.seed):
-        return EXIT_USAGE
-    try:
-        cfg = fileio.load_experiment_config(args.config)
-        if args.seed is not None:
-            cfg.world.seed = args.seed
-        if args.out_dir:
-            cfg.out_dir = args.out_dir
-        if cfg.spec_path:
-            spec = fileio.load_task_spec(cfg.spec_path)
-        else:
-            spec = simworld.build_task_spec(cfg.world)
-        simworld.check_spec_matches_world(spec, cfg.world)
-    except (SchemaError, CreflowError, OSError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_USAGE
+        raise CreflowError(f"--dump-traces must be >= 0, got {args.dump_traces}")
+    _check_seed(args.seed)
+    cfg = fileio.load_experiment_config(args.config)
+    if args.seed is not None:
+        cfg.world.seed = args.seed
+    if args.out_dir:
+        cfg.out_dir = args.out_dir
+    if cfg.spec_path:
+        spec = fileio.load_task_spec(cfg.spec_path)
+    else:
+        spec = simworld.build_task_spec(cfg.world)
+    simworld.check_spec_matches_world(spec, cfg.world)
     if args.dry_run:
         log.info("config and spec validated")
         return EXIT_OK
@@ -167,20 +138,16 @@ def cmd_compare(args) -> int:
         try:
             with open(path) as fh:
                 doc = json.load(fh)
-        except (OSError, json.JSONDecodeError) as err:
-            print(f"error: {path}: {err}", file=sys.stderr)
-            return EXIT_USAGE
+        except (OSError, ValueError) as err:  # ValueError: bad JSON or not UTF-8 text
+            raise SchemaError(f"{path}: {err}") from err
         if not isinstance(doc, dict):
-            print(f"error: {path}: expected a JSON object, got {type(doc).__name__}",
-                  file=sys.stderr)
-            return EXIT_USAGE
+            raise SchemaError(f"{path}: expected a JSON object, got {type(doc).__name__}")
         s = doc.get("summary", {})
         mode = doc.get("mode", {})
         for key, value in (("summary", s), ("mode", mode)):
             if not isinstance(value, dict):
-                print(f"error: {path}: {key!r} must be a JSON object, got {type(value).__name__}",
-                      file=sys.stderr)
-                return EXIT_USAGE
+                raise SchemaError(
+                    f"{path}: {key!r} must be a JSON object, got {type(value).__name__}")
         rows.append(
             (
                 path,
@@ -244,7 +211,11 @@ def main(argv=None) -> int:
     if not _setup_logging():
         return EXIT_USAGE
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (CreflowError, OSError) as err:  # a bad input or file, whichever command read it
+        print(f"error: {err}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -38,13 +38,14 @@ from .mask import CreditMask, LatentLayout
 from .objectives import LossConfig
 from .simworld import METRIC_COLUMNS, METRICS_VERSION, MetricsSeries, WorldConfig
 from .trace import (
+    KINDS,
     ClauseDecl,
     EntityDecl,
     EntityState,
     PredicateDecl,
     TaskSpec,
     TraceGroup,
-    finite_number,
+    checked,
     make_condition,
 )
 
@@ -226,12 +227,6 @@ def _dump_plain_yaml(path, doc):
             dumper.dispose()
 
 
-def _require(doc, key, path):
-    if key not in doc:
-        raise SchemaError(f"{path}: missing required field {key!r}")
-    return doc[key]
-
-
 def _mapping(value, where):
     if not isinstance(value, dict):
         raise SchemaError(f"{where}: expected a mapping, got {value!r}")
@@ -240,14 +235,14 @@ def _mapping(value, where):
 
 def _entries(doc, key, path):
     """(where, entry) for the list under ``key``, every entry checked to be a mapping."""
-    entries = _require(doc, key, path)
+    entries = _key(doc, key, path)
     if not isinstance(entries, list):
         raise SchemaError(f"{path}: {key!r} must be a list, got {entries!r}")
-    checked = []
+    out = []
     for i, entry in enumerate(entries):
         where = f"{path}: {key}[{i}]"
-        checked.append((where, _mapping(entry, where)))
-    return checked
+        out.append((where, _mapping(entry, where)))
+    return out
 
 
 def _key(entry, key, where):
@@ -256,36 +251,16 @@ def _key(entry, key, where):
     return entry[key]
 
 
-def _list_of(value, check, length=None):
-    return (isinstance(value, list) and (length is None or len(value) == length)
-            and all(map(check, value)))
+_REQUIRED = object()
 
 
-# What each annotated field type accepts, as (check, what it must be).
-_FIELD_KINDS = {
-    int: (lambda v: type(v) is int, "an integer"),
-    float: (finite_number, "a finite number"),
-    str: (lambda v: isinstance(v, str), "a string"),
-    bool: (lambda v: isinstance(v, bool), "true or false"),
-}
-_TUPLE_FIELDS = {
-    "grid": (lambda v: _list_of(v, lambda n: type(n) is int, 2), "two integers"),
-    "container_half_extents": (lambda v: _list_of(v, finite_number, 2), "two finite numbers"),
-    "hidden": (lambda v: _list_of(v, lambda n: type(n) is int), "a list of integers"),
-}
-
-
-def _checked(value, kind, what):
-    """``value`` if ``kind``'s check accepts it; otherwise a SchemaError naming ``what``."""
-    check, expected = kind
-    if not check(value):
-        raise SchemaError(f"{what} must be {expected}, got {value!r}")
-    return value
-
-
-def _field(entry, key, where, kind=_FIELD_KINDS[str]):
-    """``entry[key]``, required and of ``kind`` (a string unless given)."""
-    return _checked(_key(entry, key, where), kind, f"{where}: {key!r}")
+def _field(entry, key, where, kind="a string", default=_REQUIRED):
+    """``entry[key]``, of ``kind`` (a string unless given); ``default`` if absent and given."""
+    if key not in entry and default is not _REQUIRED:
+        return default
+    value = _key(entry, key, where)
+    # the message is formatted only for a bad value: traces check thousands of good ones
+    return value if KINDS[kind](value) else checked(value, kind, f"{where}: {key!r}", SchemaError)
 
 
 # --------------------------------------------------------------------------
@@ -293,11 +268,9 @@ def _field(entry, key, where, kind=_FIELD_KINDS[str]):
 # --------------------------------------------------------------------------
 
 def _half_extents(entity, where):
-    value = entity.get("half_extents")
-    if value is None:
+    if entity.get("half_extents") is None:
         return None
-    two_numbers = _TUPLE_FIELDS["container_half_extents"]
-    return tuple(_checked(value, two_numbers, f"{where}: 'half_extents'"))
+    return tuple(_field(entity, "half_extents", where, "two finite numbers"))
 
 
 def _clause(entry, where) -> ClauseDecl:
@@ -310,7 +283,7 @@ def _clause(entry, where) -> ClauseDecl:
 def _predicate(entry, where) -> PredicateDecl:
     try:
         return PredicateDecl(_field(entry, "name", where),
-                             _field(entry, "arity", where, _FIELD_KINDS[int]),
+                             _field(entry, "arity", where, "an integer"),
                              _field(entry, "evaluator", where),
                              _mapping(entry.get("params") or {}, f"{where}: params"))
     except SpecValidationError as err:  # an evaluator, arity or params it does not take
@@ -320,12 +293,10 @@ def _predicate(entry, where) -> PredicateDecl:
 def _condition(cond, where):
     cond = _mapping(cond, where)
     layout = _mapping(cond.get("layout", {}), f"{where} layout")
-    two_numbers = _TUPLE_FIELDS["container_half_extents"]
     for eid, xy in layout.items():
-        _checked(eid, _FIELD_KINDS[str], f"{where}: layout key")
-        _checked(xy, two_numbers, f"{where}: layout {eid!r}")
-    return make_condition(_checked(cond.get("instruction", ""), _FIELD_KINDS[str],
-                                   f"{where}: 'instruction'"), layout)
+        checked(eid, "a string", f"{where}: layout key", SchemaError)
+        checked(xy, "two finite numbers", f"{where}: layout {eid!r}", SchemaError)
+    return make_condition(_field(cond, "instruction", where, default=""), layout)
 
 
 def load_task_spec(path) -> TaskSpec:
@@ -338,8 +309,8 @@ def load_task_spec(path) -> TaskSpec:
         ]
         predicates = [_predicate(p, where) for where, p in _entries(doc, "predicates", path)]
         clauses = [_clause(c, where) for where, c in _entries(doc, "clauses", path)]
-        condition = _condition(_require(doc, "condition", path), f"{path}: condition")
-        task_id = _checked(_require(doc, "task_id", path), _FIELD_KINDS[str], f"{path}: 'task_id'")
+        condition = _condition(_key(doc, "condition", path), f"{path}: condition")
+        task_id = _field(doc, "task_id", path)
     except (KeyError, TypeError, ValueError) as err:
         raise SchemaError(f"{path}: {err!r}") from err
     try:
@@ -386,30 +357,22 @@ def save_task_spec(path, spec: TaskSpec):
 def _entity_state(state, where) -> EntityState:
     """One entity's state from a trace file; every field is checked, none coerced."""
     _mapping(state, where)
-    position = _require(state, "position", where)
-    if not _list_of(position, finite_number, 2):
-        raise SchemaError(f"{where}: 'position' must be two finite numbers, got {position!r}")
-    radius = _require(state, "radius", where)
-    if not (finite_number(radius) and radius >= 0):
+    position = _field(state, "position", where, "two finite numbers")
+    radius = _field(state, "radius", where, "a finite number")
+    if radius < 0:
         raise SchemaError(f"{where}: 'radius' must be a finite number >= 0, got {radius!r}")
-    closed = state.get("gripper_closed")
-    if "gripper_closed" in state and not isinstance(closed, bool):
-        raise SchemaError(f"{where}: 'gripper_closed' must be true or false, got {closed!r}")
+    closed = _field(state, "gripper_closed", where, "true or false", None)
     flags = _mapping(state.get("flags", {}), f"{where}: flags")
     for name, value in flags.items():
-        if not isinstance(value, bool):
-            raise SchemaError(f"{where}: flag {name!r} must be true or false, got {value!r}")
+        checked(value, "true or false", f"{where}: flag {name!r}", SchemaError)
     return EntityState(np.asarray(position, dtype=float), float(radius), closed, dict(flags))
 
 
 def load_trace(path) -> TraceGroup:
     """A trace file as a group of one row."""
     doc = _load_yaml(path, "trace")
-    horizon, grid = _require(doc, "horizon", path), _require(doc, "grid", path)
-    if type(horizon) is not int or not (
-            isinstance(grid, list) and len(grid) == 2 and all(type(n) is int for n in grid)):
-        raise SchemaError(f"{path}: 'horizon' must be an integer and 'grid' two integers, "
-                          f"got {horizon!r} and {grid!r}")
+    horizon = _field(doc, "horizon", path, "an integer")
+    grid = _field(doc, "grid", path, "two integers")
     frames = [{eid: _entity_state(state, f"{where}[{eid!r}]") for eid, state in frame.items()}
               for where, frame in _entries(doc, "frames", path)]
     try:
@@ -464,15 +427,31 @@ EXPERIMENT_KEYS = ("schema_version", "kind", "out_dir", "spec_path", "corrective
                    "world", "loss")
 
 
+# The kind of each config field: by its annotated type, or by name for a tuple.
+_FIELD_KINDS = {
+    int: "an integer",
+    float: "a finite number",
+    str: "a string",
+    bool: "true or false",
+    "grid": "two integers",
+    "container_half_extents": "two finite numbers",
+    "hidden": "a list of integers",
+}
+
+
+def _field_kind(f) -> str:
+    """The kind (a key of ``trace.KINDS``) a config dataclass field ``f`` holds."""
+    return _FIELD_KINDS[f.name if f.type is tuple else f.type]
+
+
 def _config_section(doc, key, cls, path):
     """Keyword arguments for ``cls`` from the ``key:`` mapping; every key known, every value typed."""
     section = _mapping(doc.get(key, {}), f"{path}: {key}")
-    kinds = {f.name: _TUPLE_FIELDS[f.name] if f.type is tuple else _FIELD_KINDS[f.type]
-             for f in fields(cls)}
+    kinds = {f.name: _field_kind(f) for f in fields(cls)}
     for name, value in section.items():
         if name not in kinds:
             raise SchemaError(f"{path}: unknown key {name!r} under '{key}:'")
-        _checked(value, kinds[name], f"{path}: '{key}.{name}'")
+        checked(value, kinds[name], f"{path}: '{key}.{name}'", SchemaError)
     return {name: tuple(v) if isinstance(v, list) else v for name, v in section.items()}
 
 
@@ -489,13 +468,10 @@ def load_experiment_config(path) -> ExperimentConfig:
     for key in doc:
         if key not in EXPERIMENT_KEYS:
             raise SchemaError(f"{path}: unknown top-level key {key!r}")
-    corrective = doc.get("corrective_enabled", True)
-    if not isinstance(corrective, bool):
-        raise SchemaError(f"{path}: 'corrective_enabled' must be true or false, got {corrective!r}")
-    for key in ("out_dir", "spec_path"):
-        if key in doc and not isinstance(doc[key], str):
-            raise SchemaError(f"{path}: {key!r} must be a string, got {doc[key]!r}")
-    _require(doc, "world", path)
+    corrective = _field(doc, "corrective_enabled", path, "true or false", True)
+    out_dir = _field(doc, "out_dir", path, default="out")
+    spec_path = _field(doc, "spec_path", path, default=None)
+    _key(doc, "world", path)
     world_args = _config_section(doc, "world", WorldConfig, path)
     if world_args.get("seed", 0) < 0:
         raise SchemaError(f"{path}: 'world.seed' must be >= 0, got {world_args['seed']}")
@@ -506,8 +482,8 @@ def load_experiment_config(path) -> ExperimentConfig:
         return ExperimentConfig(
             world=world,
             loss=loss,
-            out_dir=doc.get("out_dir", "out"),
-            spec_path=doc.get("spec_path"),
+            out_dir=out_dir,
+            spec_path=spec_path,
             corrective_enabled=corrective,
         )
     except (SpecValidationError, ValueError) as err:  # a WorldConfig or LossConfig range check

@@ -476,7 +476,7 @@ class ClauseProgram:
     - persistence ``G p``: the frames where p fails;
     - causal coupling ``G(p -> q)``: the frames where p holds and q fails;
     - terminal placement ``F G p``: the frames of the tail window (the last
-      ``stability_window`` frames, clamped to the horizon) where p fails;
+      DEFAULT_STABILITY_WINDOW frames, clamped to the horizon) where p fails;
     - ordering ``p U q``: every frame from the first one where p fails
       before q has held (from frame 1 if there is none);
     - any other clause, conservatively: for each atom, the frames where its
@@ -527,7 +527,7 @@ class ClauseProgram:
                 values.append(_OPERATORS[op](values[a], None if b is None else values[b]))
         return values
 
-    def evaluate(self, streams, shape, stability_window: int = DEFAULT_STABILITY_WINDOW):
+    def evaluate(self, streams, shape):
         """Evaluate every clause at frame 1 on every row of (..., T) streams of ``shape``.
 
         Returns (truths, witnesses): a (clauses, rows) Boolean array and, per
@@ -543,7 +543,7 @@ class ClauseProgram:
             row_witnesses = [EMPTY_WITNESS] * row_truths.size
             if not row_truths.all():
                 parts = [(entities, frames.reshape(-1, horizon)) for entities, frames
-                         in _witness_parts(rule, values, horizon, stability_window)]
+                         in _witness_parts(rule, values, horizon)]
                 for i in np.flatnonzero(~row_truths).tolist():
                     row_witnesses[i] = Witness._of_row(parts, i)
             witnesses.append(row_witnesses)
@@ -570,7 +570,7 @@ def _witness_rule(f: Formula, index):
     return family, sorted(p.entities() | q.entities()), index[p], index[q]
 
 
-def _witness_parts(rule, values, horizon, stability_window):
+def _witness_parts(rule, values, horizon):
     """A clause's witness as (entities, frames) parts over all rows.
 
     ``frames`` has the stream shape; a row's witness is the union over parts
@@ -594,7 +594,7 @@ def _witness_parts(rule, values, horizon, stability_window):
     if family is TemplateFamily.CAUSAL_COUPLING:
         return [(entities, values[p] & ~values[q])]
     if family is TemplateFamily.TERMINAL_PLACEMENT:
-        tail = horizon - min(stability_window, horizon)
+        tail = horizon - min(DEFAULT_STABILITY_WINDOW, horizon)
         frames = np.zeros(values[p].shape, dtype=bool)
         frames[..., tail:] = ~values[p][..., tail:]
         return [(entities, frames)]
@@ -604,30 +604,10 @@ def _witness_parts(rule, values, horizon, stability_window):
     return [(entities, np.arange(horizon) >= t_break[..., None])]
 
 
-def eval_clause_group(
-    f: Formula,
-    streams,
-    shape,
-    stability_window: int = DEFAULT_STABILITY_WINDOW,
-):
-    """Evaluate a clause at frame 1 on every row of (..., T) streams of ``shape``.
-
-    Returns (truths, witnesses): a flat Boolean array with one entry per row
-    and one Witness per row, from the one-clause ClauseProgram of ``f``.
-    """
-    truths, witnesses = ClauseProgram([f]).evaluate(streams, shape, stability_window)
-    return truths[0], witnesses[0]
-
-
-def eval_clause(
-    f: Formula,
-    streams,
-    horizon: int,
-    stability_window: int = DEFAULT_STABILITY_WINDOW,
-):
+def eval_clause(f: Formula, streams, horizon: int):
     """Evaluate a clause at frame 1 of one trace and extract its violation witness.
 
-    Returns (truth, Witness); see eval_clause_group.
+    Returns (truth, Witness), from the one-clause ClauseProgram of ``f``.
     """
-    truths, witnesses = eval_clause_group(f, streams, (horizon,), stability_window)
-    return bool(truths[0]), witnesses[0]
+    truths, witnesses = ClauseProgram([f]).evaluate(streams, (horizon,))
+    return bool(truths[0, 0]), witnesses[0][0]

@@ -54,9 +54,7 @@ class Verdict:
         raise KeyError(clause_id)
 
 
-def run_group_monitor(
-    spec: TaskSpec, group: TraceGroup, stability_window=ltlf.DEFAULT_STABILITY_WINDOW
-) -> list:
+def run_group_monitor(spec: TaskSpec, group: TraceGroup) -> list:
     """Evaluate every clause of the spec against every trace of the group.
 
     Predicate streams are computed once per distinct atom, as (N, T) arrays,
@@ -78,7 +76,7 @@ def run_group_monitor(
         except CreflowError as err:
             raise type(err)(f"clause {spec.clauses[first].id!r}: {err}") from err
 
-    truths, witnesses = program.evaluate(streams, (len(group), group.horizon), stability_window)
+    truths, witnesses = program.evaluate(streams, (len(group), group.horizon))
     rewards = truths.all(axis=0).tolist()
     clause_ids = [clause.id for clause in spec.clauses]
     return [
@@ -88,8 +86,6 @@ def run_group_monitor(
     ]
 
 
-def run_monitor(
-    spec: TaskSpec, trace: TraceGroup, stability_window=ltlf.DEFAULT_STABILITY_WINDOW
-) -> Verdict:
+def run_monitor(spec: TaskSpec, trace: TraceGroup) -> Verdict:
     """Evaluate every clause of the spec against one trace (a group of one row)."""
-    return run_group_monitor(spec, trace.single(), stability_window)[0]
+    return run_group_monitor(spec, trace.single())[0]

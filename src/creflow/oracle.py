@@ -501,12 +501,10 @@ def _targets_from_means(means, xt, t):
     return means
 
 
-def _residuals_from_means(means, xt, t, v_theta, mask):
-    """``(v_theta - (xt - group mean) / t) * mask`` per row, built in place."""
+def _residuals_from_means(means, xt, t, v_theta):
+    """``v_theta - (xt - group mean) / t`` per row, built in place."""
     res = _targets_from_means(means, xt, t)
     np.subtract(v_theta, res, out=res)
-    if mask is not None:
-        res *= mask
     return res
 
 
@@ -720,30 +718,23 @@ def verify_variance(
     rng,
     beta=1.0,
     lambda_cr=1.0,
-    xt=None,
-    mask_bits=None,
-    slope_t_max=0.3,
     report=None,
 ):
     """Monte Carlo branch-gradient covariances vs the exact decompositions.
 
-    Checks: the corrective branch's log-log slope in t, the reflection
-    branch's plug-in noise floor at small t, the crossing point against the
-    threshold formula, and the within-group shrinkage of the corrective
-    covariance. Returns (VerifyReport, VarianceReport).
+    Checks, at the point 0.9 x the positive mean: the corrective branch's
+    log-log slope over t <= 0.3, the reflection branch's plug-in noise floor
+    at small t, the crossing point against the threshold formula, and the
+    within-group shrinkage of the corrective covariance. Returns
+    (VerifyReport, VarianceReport).
     """
     if report is None:
         report = VerifyReport("variance", -1)
     if not world.two_sided:
         raise DegenerateWorld("variance check needs positives and negatives")
     d = world.dim
-    if xt is None:
-        xt = world.positive_mean() * 0.9
-    xt = np.asarray(xt, dtype=np.float64)
-    mask = np.ones(d, bool) if mask_bits is None else np.asarray(mask_bits, dtype=bool)
-    res_mask = None if mask.all() else mask  # multiplying by ones changes nothing
+    xt = world.positive_mean() * 0.9
     pos_cov = world.positive_cov()
-    pcp_pos = np.where(mask[:, None] & mask[None, :], pos_cov, 0.0)
 
     t_grid = np.sort(np.asarray(t_grid, dtype=np.float64))
     records = []
@@ -755,11 +746,10 @@ def verify_variance(
         gram = jac @ jac.T
         v_theta = model.velocity_batch(xt, t)
 
-        sig_xi = sigma_xi**2 * float(np.sum(np.diag(gram)[mask]))
-        sig0 = float(np.sum(pcp_pos * gram))
+        sig_xi = sigma_xi**2 * float(np.sum(np.diag(gram)))
+        sig0 = float(np.sum(pos_cov * gram))
         cov_x0 = _weighted_cov(world.x0s, pp.w) / (t * t)
-        pcp_v = np.where(mask[:, None] & mask[None, :], cov_x0, 0.0)
-        exact_nft = 4.0 * beta**2 * float(np.sum(pcp_v * gram)) + 4.0 * beta**2 * (beta + 1.0) ** 2 * sig_xi
+        exact_nft = 4.0 * beta**2 * float(np.sum(cov_x0 * gram)) + 4.0 * beta**2 * (beta + 1.0) ** 2 * sig_xi
         exact_cr = 4.0 * lambda_cr**2 * t * t * sig0 / group_size
 
         # reflection-branch samples: posterior draw + injected plug-in noise,
@@ -772,8 +762,6 @@ def verify_variance(
         res *= (beta + 1.0) / beta
         res -= np.take(scaled_targets, idx, axis=0)
         np.subtract(v_theta, res, out=res)
-        if res_mask is not None:
-            res *= res_mask
         trace_nft, se_nft = _trace_cov_through(gram, res)
         trace_nft *= 4.0 * beta**4
         se_nft *= 4.0 * beta**4
@@ -781,7 +769,7 @@ def verify_variance(
         # corrective-branch samples: within-group positive means
         res = world.sample_positive_groups(
             rng, mc_samples, group_size,
-            lambda means: _residuals_from_means(means, xt, t, v_theta, res_mask))
+            lambda means: _residuals_from_means(means, xt, t, v_theta))
         trace_cr, se_cr = _trace_cov_through(gram, res)
         trace_cr *= 4.0 * lambda_cr**2 * t**4
         se_cr *= 4.0 * lambda_cr**2 * t**4
@@ -813,7 +801,7 @@ def verify_variance(
     mc_nft_curve = np.array(mc_nft_curve)
     mc_cr_curve = np.array(mc_cr_curve)
 
-    sel = t_grid <= slope_t_max
+    sel = t_grid <= 0.3
     slope = float(
         np.polyfit(np.log(t_grid[sel]), np.log(mc_cr_curve[sel]), 1)[0]
     )
@@ -866,7 +854,7 @@ def verify_variance(
     for m in (group_size, 2 * group_size):
         res = world.sample_positive_groups(
             rng, mc_samples, m,
-            lambda means: _residuals_from_means(means, xt, t_mid, v_theta, res_mask))
+            lambda means: _residuals_from_means(means, xt, t_mid, v_theta))
         trace, _ = _trace_cov_through(gram_mid, res)
         traces_by_m[m] = trace * 4.0 * lambda_cr**2 * t_mid**4
     shrink = traces_by_m[group_size] / traces_by_m[2 * group_size]

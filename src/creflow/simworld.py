@@ -134,12 +134,21 @@ def world_entities(config):
 
 
 def check_spec_matches_world(spec, config):
-    """Raise SpecValidationError unless the spec declares exactly the world's entities."""
+    """Raise unless the world's traces can be scored against the spec.
+
+    The spec must declare exactly the world's entities (else SpecValidationError),
+    and each predicate must find the grippers and flags it reads on them: the
+    spec is scored once on the trace decoded from an all-zero latent, under a
+    condition drawn from a stream of its own, and the monitor's error is raised.
+    """
     world, declared = {e.id for e in world_entities(config)}, set(spec.entity_ids())
     if declared != world:
         raise SpecValidationError(
             "task spec entities do not match the world config: "
             f"missing {sorted(world - declared)}, extra {sorted(declared - world)}")
+    condition = sample_condition(config, np.random.default_rng((config.seed, 505)))
+    decoder = RolloutDecoder(config)
+    run_group_monitor(spec, decoder(np.zeros((1,) + decoder.latent_shape), condition))
 
 
 def site_ids(config):

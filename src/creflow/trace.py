@@ -67,16 +67,13 @@ class PredicateDecl:
                 raise SpecValidationError(
                     f"predicate {self.name!r} has param {key!r}, "
                     f"which evaluator {self.evaluator!r} does not read")
-        values = {}
-        for key, (what, check, read) in kinds.items():
+        for key, kind in kinds.items():
             if key not in given:
                 raise SpecValidationError(f"predicate {self.name!r} is missing param {key!r}")
-            if not check(given[key]):
-                raise SpecValidationError(
-                    f"predicate {self.name!r} param {key!r} must be {what}, got {given[key]!r}")
-            values[key] = read(given[key])
+            checked(given[key], kind, f"predicate {self.name!r} param {key!r}",
+                    SpecValidationError)
         object.__setattr__(self, "params", tuple(sorted(given.items())))
-        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "values", given)
 
 
 @dataclass(frozen=True)
@@ -402,19 +399,45 @@ def finite_number(value) -> bool:
     return type(value) in (int, float) and abs(value) <= sys.float_info.max
 
 
-# A param kind: (what a value must be, its check, the value the evaluator reads).
-_FINITE_NUMBER = ("a finite number", finite_number, float)
-_STRING = ("a string", lambda v: type(v) is str, str)
+def _integer(value) -> bool:
+    return type(value) is int
+
+
+def _list_of(check, length=None):
+    """The check for a list of values ``check`` accepts, of ``length`` items if given."""
+    return lambda v: (type(v) is list and (length is None or len(v) == length)
+                      and all(map(check, v)))
+
+
+# Every kind of value an input field or predicate param may hold: what a value
+# of the kind must be -> its check, which takes no other type and coerces nothing.
+KINDS = {
+    "a finite number": finite_number,
+    "an integer": _integer,
+    "a string": lambda v: type(v) is str,
+    "true or false": lambda v: type(v) is bool,
+    "two finite numbers": _list_of(finite_number, 2),
+    "two integers": _list_of(_integer, 2),
+    "a list of integers": _list_of(_integer),
+}
+
+
+def checked(value, kind, what, error):
+    """``value`` if it is of ``kind`` (a key of KINDS); otherwise ``error`` naming ``what``."""
+    if not KINDS[kind](value):
+        raise error(f"{what} must be {kind}, got {value!r}")
+    return value
+
 
 # The built-in evaluators, each the one definition of its predicates: name ->
 # (arity, {param: kind}, function of (group, entity ids, entity declarations,
 # **param values) giving an (N, T) Boolean array).
 EVALUATORS = {
-    "near": (2, {"distance": _FINITE_NUMBER}, _near),
-    "grasp": (2, {"distance": _FINITE_NUMBER}, _grasp),
+    "near": (2, {"distance": "a finite number"}, _near),
+    "grasp": (2, {"distance": "a finite number"}, _grasp),
     "inside": (2, {}, _inside),
-    "moving": (1, {"speed": _FINITE_NUMBER}, _moving),
-    "flag": (1, {"flag": _STRING}, _flag),
+    "moving": (1, {"speed": "a finite number"}, _moving),
+    "flag": (1, {"flag": "a string"}, _flag),
 }
 
 

@@ -110,7 +110,7 @@ def experiment_configs(draw):
     )
 
 
-# Values of each param kind an evaluator reads, keyed by what the kind must be.
+# Values of each param kind an evaluator reads, keyed by kind (a key of ``trace.KINDS``).
 PARAM_VALUES = {
     "a finite number": FLOATS | st.integers(-2**53, 2**53),
     "a string": st.text(),
@@ -132,7 +132,7 @@ def task_specs(draw):
     for name in draw(st.lists(IDENTIFIERS, min_size=1, max_size=3, unique=True)):
         evaluator = draw(st.sampled_from(sorted(EVALUATORS)))
         arity, kinds, _ = EVALUATORS[evaluator]
-        params = {key: draw(PARAM_VALUES[what]) for key, (what, _, _) in kinds.items()}
+        params = {key: draw(PARAM_VALUES[kind]) for key, kind in kinds.items()}
         predicates.append(PredicateDecl(name, arity, evaluator, params))
     atoms = st.sampled_from(predicates).flatmap(lambda p: st.builds(
         ltlf.Atom, st.just(p.name),

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from creflow import fileio, simworld
 from creflow.cli import main
 from creflow.errors import SchemaError
 from creflow.objectives import LossConfig
-from creflow.trace import EntityState, TraceGroup
+from creflow.trace import EVALUATORS, KINDS, EntityState, TraceGroup
 
 from conftest import experiment_configs, task_specs
 
@@ -107,6 +108,14 @@ class TestFileIO:
         assert effective.mask_enabled and effective.lambda_cr == 1.0
         cfg.corrective_enabled = False
         assert cfg.effective_loss_config().lambda_cr == 0.0
+
+    def test_every_config_field_and_param_has_a_kind(self):
+        # so no field or param can be added without a check at load
+        for cls in (simworld.WorldConfig, LossConfig):
+            for f in fields(cls):
+                assert fileio._field_kind(f) in KINDS, f.name
+        for _, kinds, _ in EVALUATORS.values():
+            assert set(kinds.values()) <= set(KINDS)
 
 
 class TestExperimentFileRoundTrip:
@@ -263,9 +272,8 @@ class TestMalformedTraceFiles:
         assert capsys.readouterr().err == f"error: {path}: {message}\n"
 
     @pytest.mark.parametrize("key,value,message", [
-        ("horizon", "12", "'horizon' must be an integer and 'grid' two integers, "
-                          "got '12' and [24, 24]"),
-        ("grid", [24], "'horizon' must be an integer and 'grid' two integers, got 12 and [24]"),
+        ("horizon", "12", "'horizon' must be an integer, got '12'"),
+        ("grid", [24], "'grid' must be two integers, got [24]"),
         ("horizon", 11, "trace has 12 frames, horizon 11"),
     ])
     def test_monitor_rejects_header(self, workdir, tmp_path, capsys, key, value, message):
@@ -282,6 +290,24 @@ class TestMalformedTraceFiles:
         path.write_text("schema_version: 1\nkind: trace\nframes: [\n")
         assert main(["monitor", "--spec", workdir["spec"], "--trace", str(path)]) == 2
         assert capsys.readouterr().err.startswith(f"error: {path}: malformed YAML: ")
+
+
+def _config_with_clause(workdir, tmp_path, clause, predicate=None):
+    """(config, spec) paths: the workdir experiment on its spec plus ``clause`` (and
+    ``predicate``), writing to ``tmp_path / "out"``."""
+    with open(workdir["spec"]) as fh:
+        doc = yaml.safe_load(fh)
+    doc["clauses"].append(clause)
+    if predicate is not None:
+        doc["predicates"].append(predicate)
+    spec_path = tmp_path / "bad_spec.yaml"
+    spec_path.write_text(yaml.safe_dump(doc, sort_keys=False))
+    with open(workdir["experiment"]) as fh:
+        config = yaml.safe_load(fh)
+    config.update(spec_path=str(spec_path), out_dir=str(tmp_path / "out"))
+    config_path = tmp_path / "config.yaml"
+    config_path.write_text(yaml.safe_dump(config, sort_keys=False))
+    return str(config_path), spec_path
 
 
 @pytest.mark.usefixtures("errors_as_yaml_load")
@@ -463,20 +489,35 @@ class TestMalformedInputs:
     @pytest.mark.parametrize("flags", [["--dry-run"], []], ids=["dry_run", "run"])
     def test_train_rejects_inside_without_box_before_writing(self, workdir, tmp_path, capsys,
                                                              flags):
-        with open(workdir["spec"]) as fh:
-            doc = yaml.safe_load(fh)
-        doc["clauses"].append({"id": "arm_outside", "formula": "G !inside(cube, arm_left)"})
-        spec_path = tmp_path / "bad_spec.yaml"
-        spec_path.write_text(yaml.safe_dump(doc, sort_keys=False))
-        with open(workdir["experiment"]) as fh:
-            config = yaml.safe_load(fh)
-        config.update(spec_path=str(spec_path), out_dir=str(tmp_path / "out"))
-        config_path = tmp_path / "config.yaml"
-        config_path.write_text(yaml.safe_dump(config, sort_keys=False))
-        assert main(["train", "--config", str(config_path), *flags]) == 2
+        config_path, spec_path = _config_with_clause(
+            workdir, tmp_path, {"id": "arm_outside", "formula": "G !inside(cube, arm_left)"})
+        assert main(["train", "--config", config_path, *flags]) == 2
         assert capsys.readouterr().err == (
             f"error: {spec_path}: entity 'arm_left' has no half_extents box\n")
         assert not os.path.exists(tmp_path / "out")
+
+    @pytest.mark.parametrize("flags", [["--dry-run"], []], ids=["dry_run", "run"])
+    @pytest.mark.parametrize("predicate,clause,message", [
+        (None, {"id": "cube_never_grasps", "formula": "G !grasp(cube, bin)"},
+         "clause 'cube_never_grasps': entity 'cube' has no gripper state at frame 1"),
+        ({"name": "full", "arity": 1, "evaluator": "flag", "params": {"flag": "full"}},
+         {"id": "cube_never_full", "formula": "G !full(cube)"},
+         "clause 'cube_never_full': flag 'full' absent on 'cube' at frame 1"),
+    ], ids=["grasp_by_object", "flag_the_world_never_sets"])
+    def test_train_rejects_spec_the_world_cannot_evaluate(self, workdir, tmp_path, capsys,
+                                                         predicate, clause, message, flags):
+        config_path, _ = _config_with_clause(workdir, tmp_path, clause, predicate)
+        assert main(["train", "--config", config_path, *flags]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not os.path.exists(tmp_path / "out")
+
+    def test_train_out_dir_that_is_a_file_exits_2(self, workdir, tmp_path, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("kept")
+        assert main(["train", "--config", workdir["experiment"], "--out-dir", str(taken)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and str(taken) in err
+        assert os.listdir(tmp_path) == ["taken"] and taken.read_text() == "kept"
 
     def test_train_rejects_spec_that_contradicts_world(self, workdir, tmp_path, capsys):
         with open(workdir["experiment"]) as fh:
@@ -502,6 +543,13 @@ class TestMalformedInputs:
         path.write_text(json.dumps(payload))
         assert main(["compare", str(path)]) == 2
         assert capsys.readouterr().err == f"error: {path}: {message}\n"
+
+    def test_compare_rejects_non_utf8_file(self, tmp_path, capsys):
+        path = tmp_path / "summary.json"
+        path.write_bytes(b'{"summary": "\xd0"}')
+        assert main(["compare", str(path)]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: {path}: 'utf-8' codec can't decode byte 0xd0")
 
     def test_negative_dump_traces(self, workdir, capsys):
         assert main(["train", "--config", workdir["experiment"], "--dump-traces", "-2"]) == 2

@@ -18,7 +18,6 @@ from creflow.ltlf import (
     classify_template,
     eval_bruteforce,
     eval_clause,
-    eval_clause_group,
     parse_formula,
     print_formula,
 )
@@ -234,15 +233,15 @@ class TestWitnesses:
 
     def test_terminal_placement_tail_window(self):
         f = Finally(Globally(P))
-        truth, witness = eval_clause(f, {P: bits("00000100")}, 8, stability_window=3)
+        truth, witness = eval_clause(f, {P: bits("00000100")}, 8)
         assert not truth
         assert witness.frames() == [7, 8]  # frame 6 is satisfied inside the window
-        truth, witness = eval_clause(f, {P: bits("00000000")}, 8, stability_window=3)
+        truth, witness = eval_clause(f, {P: bits("00000000")}, 8)
         assert witness.frames() == [6, 7, 8]
 
     def test_terminal_window_clamped(self):
         f = Finally(Globally(P))
-        _, witness = eval_clause(f, {P: bits("00")}, 2, stability_window=5)
+        _, witness = eval_clause(f, {P: bits("00")}, 2)
         assert witness.frames() == [1, 2]
 
     def test_ordering_break_frame(self):
@@ -321,15 +320,16 @@ class TestBatchedSemantics:
     @given(FORMULAS, group_streams())
     def test_group_clause_matches_each_row(self, f, streams_shape):
         streams, shape = streams_shape
-        truths, witnesses = eval_clause_group(f, streams, shape)
+        truths, witnesses = ClauseProgram([f]).evaluate(streams, shape)
+        truths, witnesses = truths[0], witnesses[0]
         assert truths.shape == (shape[0],) and len(witnesses) == shape[0]
         for i in range(shape[0]):
             row = {atom: s[i] for atom, s in streams.items()}
             assert (truths[i], witnesses[i]) == eval_clause(f, row, shape[1])
 
     @settings(max_examples=300, deadline=None)
-    @given(st.lists(FORMULAS, min_size=1, max_size=4), group_streams(), st.integers(1, 5))
-    def test_shared_program_matches_one_clause_programs(self, bases, streams_shape, window):
+    @given(st.lists(FORMULAS, min_size=1, max_size=4), group_streams())
+    def test_shared_program_matches_one_clause_programs(self, bases, streams_shape):
         # clauses built over the same subformulas, in every template family
         clauses = bases + [Globally(bases[0]), Finally(Globally(bases[-1])),
                            Globally(Implies(bases[0], bases[-1])), Until(bases[-1], bases[0])]
@@ -337,10 +337,10 @@ class TestBatchedSemantics:
         program = ClauseProgram(clauses)
         nodes = {node for f in clauses for node in f.walk()}
         assert len(program.values(streams, shape)) == len(nodes)  # one node per subformula
-        truths, witnesses = program.evaluate(streams, shape, window)
+        truths, witnesses = program.evaluate(streams, shape)
         assert truths.shape == (len(clauses), shape[0])
         for k, f in enumerate(clauses):
-            alone_truths, alone_witnesses = ClauseProgram([f]).evaluate(streams, shape, window)
+            alone_truths, alone_witnesses = ClauseProgram([f]).evaluate(streams, shape)
             assert truths[k].tolist() == alone_truths[0].tolist()
             assert witnesses[k] == alone_witnesses[0]
             assert [bool(w) for w in witnesses[k]] == [not t for t in truths[k]]

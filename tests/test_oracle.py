@@ -323,9 +323,13 @@ class TestCorrectiveTable:
         mask = np.array([1.0, 0.0, 1.0]) if masked else None
         pos = world.positives
         idx = np.random.default_rng(17).choice(pos.size, (n, m), p=world.positive_weights)
-        got = world.sample_positive_groups(
-            np.random.default_rng(17), n, m,
-            lambda means: _residuals_from_means(means, xt, t, v_theta, mask))
+        def residuals(means):
+            res = _residuals_from_means(means, xt, t, v_theta)
+            if mask is not None:
+                res *= mask
+            return res
+
+        got = world.sample_positive_groups(np.random.default_rng(17), n, m, residuals)
         assert same_bits(got, corrective_residuals(x0s, pos[idx], xt, t, v_theta, mask))
 
     def test_table_only_when_no_more_combinations_than_rows(self):
