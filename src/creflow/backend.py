@@ -53,36 +53,45 @@ def sweep_disc_mask(positions, radii, h, w):
     if radii.ndim < 1 or positions.shape != radii.shape + (2,):
         raise ShapeMismatch(f"positions {positions.shape} need shape {radii.shape + (2,)}")
     h, w = int(h), int(w)
-    frames = radii.shape[-1]
-    xy = positions.reshape(-1, 2)  # one row per disc
-    reach = np.abs(radii).reshape(-1, 1)
-    r2 = (reach * reach)[:, 0]
+    # one entry per disc; discs run along the last axis of every array below
+    x, y = positions[..., 0].reshape(-1), positions[..., 1].reshape(-1)
+    reach = np.abs(radii).reshape(-1)
+    r2 = reach * reach
     out = np.zeros(radii.shape[:-1] + (h, w), dtype=bool)
     flat = out.reshape(-1)
+    # where each disc's raster starts in ``flat``: discs of one leading index share it
+    origin = (np.arange(reach.size) // radii.shape[-1] * (h * w) if radii.ndim > 1
+              else np.zeros(reach.size, dtype=np.intp))
 
-    def mark(k, start, nx, ny):
-        """Set the hits of discs ``k`` over the ny x nx cells from (column, row) ``start``."""
-        col = start[:, :1] + np.arange(nx)
-        row = start[:, 1:] + np.arange(ny)
-        dx = (col + 0.5) - xy[k, :1]
-        dy = (row + 0.5) - xy[k, 1:]
-        hit = (dx * dx)[:, None, :] + (dy * dy)[:, :, None] <= r2[k, None, None]
-        cell = ((k // frames) * (h * w))[:, None, None] + (row * w)[:, :, None] + col[:, None, :]
+    def mark(disc, col, row, nx, ny):
+        """Set the hits of discs ``disc`` (all if None) in ny x nx cells from ``col``, ``row``."""
+        cx, cy, cr2, corner = ((x, y, r2, origin) if disc is None
+                               else (x[disc], y[disc], r2[disc], origin[disc]))
+        dx = (np.arange(nx)[:, None] + col + 0.5) - cx  # (nx, discs)
+        dy = (np.arange(ny)[:, None] + row + 0.5) - cy  # (ny, discs)
+        hit = (dx * dx)[None] + (dy * dy)[:, None] <= cr2  # (ny, nx, discs)
+        cell = np.arange(ny)[:, None, None] * w + np.arange(nx)[:, None] + (corner + row * w + col)
         flat[cell[hit]] = True
 
-    windowed = np.abs(xy).sum(axis=1) + reach[:, 0] < _WINDOW_LIMIT  # False for NaN and inf
-    k = np.flatnonzero(windowed)
+    windowed = np.abs(x) + np.abs(y) + reach < _WINDOW_LIMIT  # False for NaN and inf
+    every = windowed.all()
+    disc = None if every else np.flatnonzero(windowed)
+    wx, wy, wr = (x, y, reach) if every else (x[disc], y[disc], reach[disc])
     # cell j's centre is within r of x iff |j - (x - 0.5)| <= r
-    centre = xy[k] - 0.5
-    size = np.array([w, h])
-    start = np.maximum(np.ceil(centre - reach[k] - _SLACK), 0.0)
-    stop = np.minimum(np.floor(centre + reach[k] + _SLACK) + 1.0, size)
-    on_grid = (start < stop).all(axis=1)
-    if on_grid.any():
-        start, stop = start[on_grid], stop[on_grid]
-        nx, ny = (stop - start).max(axis=0).astype(np.intp).tolist()
-        mark(k[on_grid], np.minimum(start, size - (nx, ny)).astype(np.intp), nx, ny)
-    if k.size < windowed.size:
-        k = np.flatnonzero(~windowed & ~np.isnan(xy).any(axis=1) & ~np.isnan(r2))
-        mark(k, np.zeros((k.size, 2), dtype=np.intp), w, h)
+    col = np.maximum(np.ceil(wx - 0.5 - wr - _SLACK), 0.0)
+    col_stop = np.minimum(np.floor(wx - 0.5 + wr + _SLACK) + 1.0, w)
+    row = np.maximum(np.ceil(wy - 0.5 - wr - _SLACK), 0.0)
+    row_stop = np.minimum(np.floor(wy - 0.5 + wr + _SLACK) + 1.0, h)
+    on_grid = (col < col_stop) & (row < row_stop)
+    if not on_grid.all():
+        col, col_stop = col[on_grid], col_stop[on_grid]
+        row, row_stop = row[on_grid], row_stop[on_grid]
+        disc = np.flatnonzero(on_grid) if every else disc[on_grid]
+    if col.size:
+        nx, ny = int((col_stop - col).max()), int((row_stop - row).max())
+        mark(disc, np.minimum(col, w - nx).astype(np.intp), np.minimum(row, h - ny).astype(np.intp),
+             nx, ny)
+    if not every:
+        disc = np.flatnonzero(~(windowed | np.isnan(x) | np.isnan(y) | np.isnan(r2)))
+        mark(disc, np.zeros(disc.size, np.intp), np.zeros(disc.size, np.intp), w, h)
     return out

@@ -17,6 +17,7 @@ from . import fileio, oracle, simworld
 from .errors import CreflowError, NonFiniteLoss, SchemaError
 from .mask import LatentLayout, build_group_mask
 from .monitor import run_monitor
+from .trace import checked
 
 log = logging.getLogger("creflow")
 
@@ -132,6 +133,17 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
+# The columns ``compare`` prints: (section, key, kind of its value). A key may
+# be absent, and a number null (a non-finite one is written as null).
+COMPARE_COLUMNS = (
+    ("mode", "mask_enabled", "true or false"),
+    ("mode", "corrective_enabled", "true or false"),
+    ("summary", "first_window_success", "a finite number"),
+    ("summary", "last_window_success", "a finite number"),
+    ("summary", "final_offmask_drift", "a finite number"),
+)
+
+
 def cmd_compare(args) -> int:
     rows = []
     for path in args.summaries:
@@ -142,22 +154,18 @@ def cmd_compare(args) -> int:
             raise SchemaError(f"{path}: {err}") from err
         if not isinstance(doc, dict):
             raise SchemaError(f"{path}: expected a JSON object, got {type(doc).__name__}")
-        s = doc.get("summary", {})
-        mode = doc.get("mode", {})
-        for key, value in (("summary", s), ("mode", mode)):
+        sections = {key: doc.get(key, {}) for key in ("summary", "mode")}
+        for key, value in sections.items():
             if not isinstance(value, dict):
                 raise SchemaError(
                     f"{path}: {key!r} must be a JSON object, got {type(value).__name__}")
-        rows.append(
-            (
-                path,
-                mode.get("mask_enabled"),
-                mode.get("corrective_enabled"),
-                s.get("first_window_success"),
-                s.get("last_window_success"),
-                s.get("final_offmask_drift"),
-            )
-        )
+        row = [path]
+        for section, key, kind in COMPARE_COLUMNS:
+            value = sections[section].get(key)
+            if key in sections[section] and (value is not None or kind != "a finite number"):
+                checked(value, kind, f"{path}: '{section}.{key}'", SchemaError)
+            row.append(value)
+        rows.append(row)
     header = f"{'summary':40s} {'mask':>5s} {'corr':>5s} {'first':>7s} {'last':>7s} {'drift':>9s}"
     print(header)
     for path, m, c, first, last, drift in rows:

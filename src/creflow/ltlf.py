@@ -20,6 +20,8 @@ independent reference for truth.
 
 import enum
 import math
+import operator
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -164,16 +166,18 @@ class Witness:
             )
         return self._pairs
 
-    def frame_mask(self, horizon) -> np.ndarray:
-        """(horizon,) Boolean array, set at the (1-indexed) frames of the pairs."""
-        mask = np.zeros(horizon, dtype=bool)
+    def mark_frames(self, mask):
+        """Set ``mask``, a (horizon,) Boolean array, at the (1-indexed) frames of the pairs.
+
+        A clause program's witness ORs its row of each part's frames into
+        ``mask`` without forming the pairs.
+        """
         if self._pairs is None:
             for entities, frames in self._parts:
                 if entities:
                     mask |= frames[self._row]
-        else:
+        elif self._pairs:
             mask[[t - 1 for _, t in self._pairs]] = True
-        return mask
 
     def __bool__(self):
         if self._pairs is None:
@@ -412,11 +416,11 @@ def eval_bruteforce(f: Formula, streams, horizon: int) -> bool:
 # Clause programs
 # --------------------------------------------------------------------------
 
-def _globally(a, b):
+def _globally(a):
     return np.logical_and.accumulate(a[..., ::-1], axis=-1)[..., ::-1]
 
 
-def _finally(a, b):
+def _finally(a):
     return np.logical_or.accumulate(a[..., ::-1], axis=-1)[..., ::-1]
 
 
@@ -430,12 +434,12 @@ def _until(a, b):
     return (next_b < horizon) & (next_b <= next_not_a)
 
 
-# Each operator's value along the last axis from its operands' values (b is
-# None for a unary operator).
+# Each operator's value along the last axis from its operands' values (one
+# operand for a unary operator, two for a binary one).
 _OPERATORS = {
-    Not: lambda a, b: ~a,
-    And: lambda a, b: a & b,
-    Or: lambda a, b: a | b,
+    Not: operator.invert,
+    And: operator.and_,
+    Or: operator.or_,
     Implies: lambda a, b: ~a | b,
     Globally: _globally,
     Finally: _finally,
@@ -467,7 +471,7 @@ class ClauseProgram:
     """A list of formulas compiled into one program over shared nodes.
 
     Every structurally distinct subformula is one node, after the nodes of
-    its operands; so the atoms come in order of first appearance.
+    its operands; so the atoms come in order of first appearance (``atoms``).
     Running the program evaluates each node once along the last axis of
     (..., T) streams (De Giacomo & Vardi's finite-trace recurrences), so
     clauses that share a subformula share its values. Each clause's witness
@@ -488,7 +492,9 @@ class ClauseProgram:
 
     def __init__(self, formulas):
         formulas = list(formulas)
-        nodes = []  # (operator class, operand, operand or None); an atom is (None, atom, None)
+        # (operator function, operand node, operand node or None); an atom is
+        # (None, its position in ``atoms``, None)
+        nodes = []
         index = {}  # subformula -> node index
         first_use = {}  # atom -> index of the first formula containing it
 
@@ -496,11 +502,12 @@ class ClauseProgram:
             k = index.get(f)
             if k is None:
                 if isinstance(f, Atom):
+                    nodes.append((None, len(first_use), None))
                     first_use[f] = i
-                    nodes.append((None, f, None))
                 else:
                     operands = [node(child, i) for child in f.children()]
-                    nodes.append((type(f), operands[0], operands[1] if len(operands) > 1 else None))
+                    nodes.append((_OPERATORS[type(f)], operands[0],
+                                  operands[1] if len(operands) > 1 else None))
                 k = index[f] = len(nodes) - 1
             return k
 
@@ -513,39 +520,49 @@ class ClauseProgram:
     def values(self, streams, shape) -> list:
         """Every node's truth at every frame: one array of ``shape`` per node.
 
-        ``streams`` maps each atom to its (..., T) Boolean stream of ``shape``;
-        values[k][..., t] is the truth of node k at frame t+1 (0-indexed).
+        ``streams`` maps each atom to its (..., T) Boolean stream of ``shape``,
+        and each one is checked; or it lists the streams in ``atoms`` order,
+        taken as they are (Boolean arrays of ``shape``). values[k][..., t] is
+        the truth of node k at frame t+1 (0-indexed).
         """
         horizon = shape[-1]
         if horizon < 1:
             raise HorizonMismatch(f"horizon must be >= 1, got {horizon}")
+        if isinstance(streams, Mapping):
+            streams = [_stream_for(atom, streams, shape) for atom in self.atoms]
         values = []
         for op, a, b in self._nodes:
             if op is None:
-                values.append(_stream_for(a, streams, shape))
+                values.append(streams[a])
+            elif b is None:
+                values.append(op(values[a]))
             else:
-                values.append(_OPERATORS[op](values[a], None if b is None else values[b]))
+                values.append(op(values[a], values[b]))
         return values
 
     def evaluate(self, streams, shape):
         """Evaluate every clause at frame 1 on every row of (..., T) streams of ``shape``.
 
-        Returns (truths, witnesses): a (clauses, rows) Boolean array and, per
-        clause, one Witness per row. Satisfied rows get the empty witness;
-        failed ones follow the clause's rule.
+        ``streams`` is as for ``values``. Returns (truths, witnesses): a
+        (clauses, rows) Boolean array and, per clause, one Witness per row.
+        Satisfied rows get the empty witness; failed ones follow the clause's
+        rule.
         """
         values = self.values(streams, shape)
         horizon = shape[-1]
-        truths = np.empty((len(self.roots), math.prod(shape[:-1])), dtype=bool)
+        rows = math.prod(shape[:-1])
+        truths = np.empty((len(self.roots), rows), dtype=bool)
+        for k, root in enumerate(self.roots):
+            truths[k] = values[root][..., 0].reshape(-1)
         witnesses = []
-        for row_truths, root, rule in zip(truths, self.roots, self._rules):
-            row_truths[:] = values[root][..., 0].reshape(-1)
-            row_witnesses = [EMPTY_WITNESS] * row_truths.size
-            if not row_truths.all():
-                parts = [(entities, frames.reshape(-1, horizon)) for entities, frames
+        for row_truths, rule in zip(truths.tolist(), self._rules):
+            row_witnesses = [EMPTY_WITNESS] * rows
+            if not all(row_truths):
+                parts = [(entities, frames.reshape(rows, horizon)) for entities, frames
                          in _witness_parts(rule, values, horizon)]
-                for i in np.flatnonzero(~row_truths).tolist():
-                    row_witnesses[i] = Witness._of_row(parts, i)
+                for i, truth in enumerate(row_truths):
+                    if not truth:
+                        row_witnesses[i] = Witness._of_row(parts, i)
             witnesses.append(row_witnesses)
         return truths, witnesses
 
@@ -598,9 +615,8 @@ def _witness_parts(rule, values, horizon):
         frames = np.zeros(values[p].shape, dtype=bool)
         frames[..., tail:] = ~values[p][..., tail:]
         return [(entities, frames)]
-    q_seen = np.logical_or.accumulate(values[q], axis=-1)
-    broken = ~values[p] & ~q_seen
-    t_break = np.where(broken.any(axis=-1), broken.argmax(axis=-1), 0)
+    broken = ~(values[p] | np.logical_or.accumulate(values[q], axis=-1))
+    t_break = broken.argmax(axis=-1)  # 0 in a row that never breaks
     return [(entities, np.arange(horizon) >= t_break[..., None])]
 
 

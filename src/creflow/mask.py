@@ -7,6 +7,7 @@ witness frames from failed clauses across the group) and a spatial mask
 ids for entity sites). An all-success group yields the all-zero mask.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,37 +76,57 @@ class LatentLayout:
 
 @dataclass(frozen=True)
 class CreditMask:
+    """A group's credit mask, the outer product of a temporal and a spatial axis.
+
+    Only the two axes are held; ``full``, ``density`` and ``flat`` are formed
+    from them when called.
+    """
+
     temporal: np.ndarray  # (T,) bool
     spatial: np.ndarray  # (S,) bool
-    full: np.ndarray  # (T, S) bool, outer product of the two
 
     @classmethod
     def from_axes(cls, temporal, spatial):
-        temporal = np.asarray(temporal, dtype=bool)
-        spatial = np.asarray(spatial, dtype=bool)
-        return cls(temporal, spatial, np.outer(temporal, spatial))
+        return cls(np.asarray(temporal, dtype=bool), np.asarray(spatial, dtype=bool))
 
     @classmethod
     def ones(cls, layout: LatentLayout):
         return cls.from_axes(np.ones(layout.horizon, bool), np.ones(layout.sites, bool))
 
+    @property
+    def shape(self):
+        return (self.temporal.size, self.spatial.size)
+
+    @property
+    def full(self) -> np.ndarray:
+        """(T, S) bool, the outer product of the two axes, formed on each read."""
+        return np.outer(self.temporal, self.spatial)
+
     def density(self):
-        return float(np.mean(self.full))
+        """Share of set cells in ``full``: set frames x set sites over T x S.
+
+        An exact integer count over an integer size, so the float is the one
+        np.mean(full) gives.
+        """
+        cells = np.count_nonzero(self.temporal) * np.count_nonzero(self.spatial)
+        return float(np.float64(cells) / math.prod(self.shape))
 
     def flat(self, layout: LatentLayout) -> np.ndarray:
         """Per-coordinate 0/1 vector of length layout.dim (channel broadcast)."""
-        if self.full.shape != (layout.horizon, layout.sites):
+        if self.shape != (layout.horizon, layout.sites):
             raise LayoutMismatch(
-                f"mask shape {self.full.shape} does not match layout "
+                f"mask shape {self.shape} does not match layout "
                 f"({layout.horizon}, {layout.sites})"
             )
-        tiled = np.repeat(self.full[:, :, None], layout.channels, axis=2)
-        return tiled.ravel().astype(np.float64)
+        out = np.empty(layout.tensor_shape())
+        out[...] = (self.temporal[:, None] & self.spatial)[:, :, None]
+        return out.ravel()
 
 
 def _check_raster(shape, layout: LatentLayout):
-    if shape != layout.grid:
-        raise LayoutMismatch(f"atlas raster {shape} does not match layout grid {layout.grid}")
+    if tuple(shape) != layout.grid:
+        raise LayoutMismatch(
+            f"atlas raster {tuple(map(int, shape))} does not match layout grid {layout.grid}")
 
 
 def build_group_mask(verdicts, layout: LatentLayout, clause_entities=None) -> CreditMask:
@@ -131,8 +152,7 @@ def build_group_mask(verdicts, layout: LatentLayout, clause_entities=None) -> Cr
     temporal = np.zeros(t_count, dtype=bool)
     for v in verdicts:
         for _, witness in v.violations:
-            if witness:
-                temporal |= witness.frame_mask(t_count)
+            witness.mark_frames(temporal)  # satisfied clauses mark nothing
 
     if layout.site_kind == PIXEL_SITES:
         spatial = np.zeros(layout.sites, dtype=bool)
@@ -144,16 +164,18 @@ def build_group_mask(verdicts, layout: LatentLayout, clause_entities=None) -> Cr
                     _check_raster(m.shape, layout)
                     spatial |= m.ravel()
             else:
-                _check_raster(tuple(int(n) for n in discs[2]), layout)
-                positions.append(discs[0].transpose(1, 0, 2).reshape(-1, 2))
-                radii.append(discs[1].T.ravel())
+                _check_raster(discs[2], layout)
+                positions.append(discs[0])
+                radii.append(discs[1])
         if positions:
             # Entity by entity, frame by frame, an entity that stays put repeats
             # its disc; equal discs give equal rasters, so drop the repeats.
-            xy, r = np.concatenate(positions), np.concatenate(radii)
+            xy, r = np.concatenate(positions).reshape(-1, 2), np.concatenate(radii).reshape(-1)
+            x, y = xy[:, 0], xy[:, 1]
             moved = np.ones(r.size, dtype=bool)
-            moved[1:] = (xy[1:] != xy[:-1]).any(axis=1) | (r[1:] != r[:-1])
-            spatial |= sweep_disc_mask(xy[moved], r[moved], *layout.grid).ravel()
+            moved[1:] = (x[1:] != x[:-1]) | (y[1:] != y[:-1]) | (r[1:] != r[:-1])
+            keep = np.flatnonzero(moved)
+            spatial |= sweep_disc_mask(xy.take(keep, axis=0), r.take(keep), *layout.grid).ravel()
     else:
         if clause_entities is None:
             raise LayoutMismatch("entity-site masks need the clause-implicated entity ids")

@@ -36,16 +36,18 @@ class Verdict:
         self._atlas = value
 
     def pending_discs(self):
-        """The discs of an atlas not built yet: (positions (T, E, 2), radii (T, E), grid).
+        """The discs of an atlas not built yet: (positions (E, T, 2), radii (E, T), grid).
 
-        None once the atlas is built, given or assigned. The union of these
-        discs' rasters is the union of the atlas's masks.
+        Entity by entity, frame by frame; None once the atlas is built, given
+        or assigned. The union of these discs' rasters is the union of the
+        atlas's masks.
         """
         if self._atlas is not None:
             return None
         group, row, entity_ids = self._source
         cols = [group.column(eid) for eid in entity_ids]
-        return group.xy[row][:, cols], group.radius[row][:, cols], group.grid
+        return (group.xy[row].take(cols, axis=1).swapaxes(0, 1),
+                group.radius[row].take(cols, axis=1).T, group.grid)
 
     def witness(self, clause_id) -> ltlf.Witness:
         for cid, w in self.violations:
@@ -68,16 +70,16 @@ def run_group_monitor(spec: TaskSpec, group: TraceGroup) -> list:
     group.require(entity_ids)
 
     program = spec.program
-    streams = {}
+    streams = []  # in program.atoms order
     for atom, first in zip(program.atoms, program.first_use):
         decl = spec.predicate(atom.name)
         try:
-            streams[atom] = eval_group_predicate(decl, group, atom, spec)
+            streams.append(eval_group_predicate(decl, group, atom, spec))
         except CreflowError as err:
             raise type(err)(f"clause {spec.clauses[first].id!r}: {err}") from err
 
     truths, witnesses = program.evaluate(streams, (len(group), group.horizon))
-    rewards = truths.all(axis=0).tolist()
+    rewards = [all(column) for column in zip(*truths.tolist())]
     clause_ids = [clause.id for clause in spec.clauses]
     return [
         Verdict(int(rewards[i]), [(cid, row[i]) for cid, row in zip(clause_ids, witnesses)],

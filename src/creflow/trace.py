@@ -326,7 +326,8 @@ class Atlas:
 
 def _length(v):
     """Euclidean length of (..., 2) vectors; bit-equal to np.linalg.norm(v, axis=-1)."""
-    return np.sqrt(v[..., 0] * v[..., 0] + v[..., 1] * v[..., 1])
+    square = v * v
+    return np.sqrt(square[..., 0] + square[..., 1])
 
 
 def _first_frame(bad):
@@ -358,13 +359,12 @@ def _inside(group, args, entities):
 
 def _grasp(group, args, entities, distance):
     arm, obj = args
-    a = group.column(arm)
-    near = _length(group.xy[:, :, a] - group.xy[:, :, group.column(obj)]) <= distance
+    a, o = group.column(arm), group.column(obj)
     closed = group.gripper[:, :, a]
     if (closed < 0).any():
         raise MissingAttribute(
             f"entity {arm!r} has no gripper state at frame {_first_frame(closed < 0)}")
-    return near & (closed > 0)
+    return (_length(group.xy[:, :, a] - group.xy[:, :, o]) <= distance) & (closed > 0)
 
 
 def _flag(group, args, entities, flag):
@@ -390,8 +390,10 @@ def _moving(group, args, entities, speed):
     pos = group.xy[:, :, group.column(eid)]
     if group.horizon == 1:
         return np.zeros((len(group), 1), dtype=bool)
-    step = _length(np.diff(pos, axis=1)) > speed
-    return np.concatenate([step[:, :1], step], axis=1)
+    step = np.empty(pos.shape[:2], dtype=bool)  # frame 1 takes frame 2's step
+    np.greater(_length(pos[:, 1:] - pos[:, :-1]), speed, out=step[:, 1:])
+    step[:, 0] = step[:, 1]
+    return step
 
 
 def finite_number(value) -> bool:

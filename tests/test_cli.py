@@ -544,6 +544,35 @@ class TestMalformedInputs:
         assert main(["compare", str(path)]) == 2
         assert capsys.readouterr().err == f"error: {path}: {message}\n"
 
+    @pytest.mark.parametrize("payload,message", [
+        ({"summary": {"first_window_success": True}},
+         "'summary.first_window_success' must be a finite number, got True"),
+        ({"summary": {"first_window_success": "x"}},
+         "'summary.first_window_success' must be a finite number, got 'x'"),
+        ({"summary": {"final_offmask_drift": math.inf}},
+         "'summary.final_offmask_drift' must be a finite number, got inf"),
+        ({"mode": {"mask_enabled": [1]}}, "'mode.mask_enabled' must be true or false, got [1]"),
+        ({"mode": {"corrective_enabled": 1}},
+         "'mode.corrective_enabled' must be true or false, got 1"),
+        ({"mode": {"corrective_enabled": None}},
+         "'mode.corrective_enabled' must be true or false, got None"),
+    ], ids=["number_true", "number_text", "number_inf", "flag_list", "flag_one", "flag_null"])
+    def test_compare_rejects_malformed_values(self, tmp_path, capsys, payload, message):
+        path = tmp_path / "summary.json"
+        path.write_text(json.dumps(payload))
+        assert main(["compare", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {path}: {message}\n" and captured.out == ""
+
+    def test_compare_accepts_absent_keys_and_null_numbers(self, tmp_path, capsys):
+        path = tmp_path / "summary.json"
+        path.write_text(json.dumps({"summary": {"first_window_success": None,
+                                                "last_window_success": 0.25},
+                                    "mode": {"mask_enabled": False}}))
+        assert main(["compare", str(path)]) == 0
+        row = capsys.readouterr().out.splitlines()[1]
+        assert row.split() == [str(path), "False", "None", "-", "0.250", "-"]
+
     def test_compare_rejects_non_utf8_file(self, tmp_path, capsys):
         path = tmp_path / "summary.json"
         path.write_bytes(b'{"summary": "\xd0"}')

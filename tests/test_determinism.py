@@ -25,6 +25,11 @@ four template families) and hash the sorted-key JSON of every
 cell counts. They were recorded before clause evaluation was compiled into
 one program per spec.
 
+The mask-report cases hash the ``creflow mask`` JSON (``fileio.mask_report``:
+layout, temporal and spatial bits, density) of the four atlas groups and of
+the four verdict-report groups, on a pixel and an entity layout, recorded
+while the credit mask still stored its dense (T, S) product.
+
 If a change alters the numbers on purpose, say why and record the new digests.
 """
 
@@ -89,6 +94,20 @@ def test_variance_curves_are_pinned(seed, digest):
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
+def replay_group(gid):
+    """(world, spec, verdicts) of replay group ``gid``: eight scripted pick_place demos."""
+    world = simworld.WorldConfig(template="pick_place", horizon=32, grid=(64, 64))
+    spec = simworld.build_task_spec(world)
+    rng = np.random.default_rng((7, gid))
+    verdicts = []
+    for _ in range(8):
+        condition = simworld.sample_condition(world, rng)
+        z = simworld.scripted_demo(world, condition, rng)
+        trace = simworld.decode_trace(simworld.latent_from_flat(z, world), world, condition)
+        verdicts.append(run_monitor(spec, trace))
+    return world, spec, verdicts
+
+
 @pytest.mark.parametrize("gid,rewards,atlas_digest,mask_digest", [
     (0, [0, 0, 0, 1, 1, 0, 1, 0],
      "03ef47b62a7cbdef32f8abebc44558807fc1a9046e9ba6376a8ea46b3ffc4791",
@@ -104,15 +123,7 @@ def test_variance_curves_are_pinned(seed, digest):
      "28b5e61bb421a23b7f70b26610ba6f78936a907ad1195e1acdf285ab795edc3b"),
 ])
 def test_pixel_atlases_are_pinned(gid, rewards, atlas_digest, mask_digest):
-    world = simworld.WorldConfig(template="pick_place", horizon=32, grid=(64, 64))
-    spec = simworld.build_task_spec(world)
-    rng = np.random.default_rng((7, gid))
-    verdicts = []
-    for _ in range(8):
-        condition = simworld.sample_condition(world, rng)
-        z = simworld.scripted_demo(world, condition, rng)
-        trace = simworld.decode_trace(simworld.latent_from_flat(z, world), world, condition)
-        verdicts.append(run_monitor(spec, trace))
+    world, spec, verdicts = replay_group(gid)
     assert [v.reward for v in verdicts] == rewards
     atlases = hashlib.sha256()
     for v in verdicts:
@@ -122,6 +133,21 @@ def test_pixel_atlases_are_pinned(gid, rewards, atlas_digest, mask_digest):
     assert atlases.hexdigest() == atlas_digest
     mask = build_group_mask(verdicts, LatentLayout.pixel(world.horizon, world.grid))
     assert hashlib.sha256(np.packbits(mask.full).tobytes()).hexdigest() == mask_digest
+
+
+def template_group(template, n_objects, gid, clauses):
+    """(world, spec, verdicts) of one decoded group of eight scripted demos (horizon 16, 24x24)."""
+    world = simworld.WorldConfig(template=template, n_objects=n_objects, horizon=16,
+                                 grid=(24, 24))
+    spec = simworld.build_task_spec(world)
+    if clauses is not None:
+        spec = dataclasses.replace(spec, clauses=[ClauseDecl(cid, src) for cid, src in clauses])
+        assert all(ltlf.classify_template(c.formula) is ltlf.TemplateFamily.OTHER
+                   for c in spec.clauses)
+    rng = np.random.default_rng((11, gid))
+    condition = simworld.sample_condition(world, rng)
+    demos = np.stack([simworld.scripted_demo(world, condition, rng) for _ in range(8)])
+    return world, spec, run_group_monitor(spec, simworld.RolloutDecoder(world)(demos, condition))
 
 
 # Clauses of the OTHER family, so their witnesses come from the polarity rule.
@@ -144,17 +170,55 @@ OTHER_CLAUSES = (
      "460f1197d27e280b944253184f37d3bdf786c0a985c9768b3b10169bbaa7999f"),
 ], ids=["pick_place", "ordered_stack", "persist_hold", "other_family"])
 def test_verdict_reports_are_pinned(template, n_objects, gid, clauses, rewards, digest):
-    world = simworld.WorldConfig(template=template, n_objects=n_objects, horizon=16,
-                                 grid=(24, 24))
-    spec = simworld.build_task_spec(world)
-    if clauses is not None:
-        spec = dataclasses.replace(spec, clauses=[ClauseDecl(cid, src) for cid, src in clauses])
-        assert all(ltlf.classify_template(c.formula) is ltlf.TemplateFamily.OTHER
-                   for c in spec.clauses)
-    rng = np.random.default_rng((11, gid))
-    condition = simworld.sample_condition(world, rng)
-    demos = np.stack([simworld.scripted_demo(world, condition, rng) for _ in range(8)])
-    verdicts = run_group_monitor(spec, simworld.RolloutDecoder(world)(demos, condition))
+    world, spec, verdicts = template_group(template, n_objects, gid, clauses)
     assert [v.reward for v in verdicts] == rewards
     text = json.dumps([fileio.verdict_report(v) for v in verdicts], sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def mask_report_digests(world, spec, verdicts):
+    """sha256 of the ``creflow mask`` JSON of the group, on its pixel and its entity layout."""
+    digests = []
+    for layout in (LatentLayout.pixel(world.horizon, world.grid),
+                   LatentLayout.entity(world.horizon, spec.entity_ids(), channels=2)):
+        mask = build_group_mask(verdicts, layout, spec.clause_entities())
+        text = fileio.json_text(fileio.mask_report(mask, layout))
+        digests.append(hashlib.sha256(text.encode()).hexdigest())
+    return digests
+
+
+# Every entity mask of the replay groups is all set (density 1.0), so its digest repeats.
+ENTITY_ALL_SET = "57541cdf9e2b813e6741777e3566af0d0b36ef3587b5b4e172e50cac3500550f"
+
+
+@pytest.mark.parametrize("gid,pixel_digest,entity_digest", [
+    (0, "b5f77fafea77a8dc3416d73a26948316a5872b8cee5a996b361f41462fa6480f", ENTITY_ALL_SET),
+    (1, "ceea424a2b532910f6062b7a90838cc64efcc909830074d597a4cda284634bad", ENTITY_ALL_SET),
+    (2, "d551535541dc9dcb5e140096a390ab9c1be5a1b0ef724a55665c2d6365118749", ENTITY_ALL_SET),
+    (3, "b07510a862fcf63418f784f04993f4b9c70df89409494df7daf634064f497abb", ENTITY_ALL_SET),
+])
+def test_replay_mask_reports_are_pinned(gid, pixel_digest, entity_digest):
+    assert mask_report_digests(*replay_group(gid)) == [pixel_digest, entity_digest]
+
+
+# The 16-frame layouts of these groups (576 pixel sites) give densities that are
+# not dyadic fractions, so their last bits depend on how the share is divided out.
+@pytest.mark.parametrize("template,n_objects,gid,clauses,pixel_digest,entity_digest", [
+    ("pick_place", 1, 0, None,
+     "acbb7bfa363152287f9575db74c098cc8fa04af34c4db6d7db214a0c9dd83641",
+     "8a6553f62c2debd8819ffe02a2aaea9e8ad430c9af0161e3f9a97e0de388edcf"),
+    ("ordered_stack", 2, 2, None,
+     "be540df8f03fcaf2f5910fb6917e4cac30d9ed263f3ada75e93036fb5a9b72e6",
+     "a84953f5738d946c051365ff5bec6d74111555492ec3563592b0c6191d53c496"),
+    ("persist_hold", 1, 3, None,
+     "234053944acba4ee50c24af79c40af21ae9fb590534030806a23bf12da686da4",
+     "be4dffb7379440ba0f78ab9563874f381b598fe7f89a654e456b4988091661ae"),
+    ("pick_place", 1, 4, OTHER_CLAUSES,
+     "9b55f405607038c5b4030a30c4930540635b301f9e0a633f59a392827f8e0fe7",
+     "8a6553f62c2debd8819ffe02a2aaea9e8ad430c9af0161e3f9a97e0de388edcf"),
+], ids=["pick_place", "ordered_stack", "persist_hold", "other_family"])
+def test_template_mask_reports_are_pinned(template, n_objects, gid, clauses, pixel_digest,
+                                          entity_digest):
+    digests = mask_report_digests(*template_group(template, n_objects, gid, clauses))
+    assert digests == [pixel_digest, entity_digest]
+

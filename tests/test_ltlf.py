@@ -345,3 +345,37 @@ class TestBatchedSemantics:
             assert witnesses[k] == alone_witnesses[0]
             assert [bool(w) for w in witnesses[k]] == [not t for t in truths[k]]
             assert [bool(w) for w in witnesses[k]] == [bool(w.pairs) for w in witnesses[k]]
+
+
+class TestStreamEntries:
+    """A program takes its streams as a mapping, checked, or as a list in ``atoms`` order."""
+
+    def test_mapping_entry_messages(self):
+        program = ClauseProgram([Until(P, Q)])
+        with pytest.raises(MissingStream, match=r"^no stream for atom q\(e2\)$"):
+            eval_clause(Until(P, Q), {P: np.ones(4, bool)}, 4)
+        with pytest.raises(HorizonMismatch,
+                           match=r"^stream for p\(e1\) has length \(4,\), horizon is 5$"):
+            eval_clause(Globally(P), {P: np.ones(4, bool)}, 5)
+        for entry in (program.values, program.evaluate):
+            with pytest.raises(MissingStream, match=r"^no stream for atom q\(e2\)$"):
+                entry({P: np.ones((2, 4), bool)}, (2, 4))
+            with pytest.raises(HorizonMismatch, match=r"^stream for p\(e1\) has length "
+                                                      r"\(2, 4\), horizon is 5$"):
+                entry({P: np.ones((2, 4), bool), Q: np.ones((2, 5), bool)}, (2, 5))
+            with pytest.raises(HorizonMismatch, match=r"^horizon must be >= 1, got 0$"):
+                entry({P: np.ones((2, 0), bool), Q: np.ones((2, 0), bool)}, (2, 0))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(FORMULAS, min_size=1, max_size=4), group_streams())
+    def test_list_entry_equals_mapping_entry(self, clauses, streams_shape):
+        streams, shape = streams_shape
+        program = ClauseProgram(clauses)
+        listed = [streams[atom] for atom in program.atoms]
+        by_key = dict(reversed(list(streams.items())))  # key order does not matter
+        for got, expected in zip(program.values(listed, shape), program.values(by_key, shape)):
+            assert got.tobytes() == expected.tobytes()
+        (truths, witnesses), (mapped_truths, mapped_witnesses) = (
+            program.evaluate(listed, shape), program.evaluate(by_key, shape))
+        assert truths.tobytes() == mapped_truths.tobytes() and witnesses == mapped_witnesses
+

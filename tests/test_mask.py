@@ -263,3 +263,46 @@ class TestMaskIdentities:
         ones = CreditMask.ones(layout)
         assert apply_mask(ones, residual, layout).tobytes() == residual.tobytes()
         assert apply_mask(ones, residual.ravel(), layout).tobytes() == residual.tobytes()
+
+
+@st.composite
+def axis_masks(draw):
+    """(layout, temporal, spatial) with each axis drawn, all false or all true; sizes from 1."""
+    horizon, channels = draw(st.integers(1, 6)), draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        layout = LatentLayout.pixel(horizon, (draw(st.integers(1, 4)), draw(st.integers(1, 4))),
+                                    channels)
+    else:
+        layout = LatentLayout.entity(horizon, [f"e{k}" for k in range(draw(st.integers(1, 4)))],
+                                     channels)
+
+    def axis(size):
+        fill = draw(st.sampled_from(["drawn", "none", "all"]))
+        return draw(hnp.arrays(bool, size)) if fill == "drawn" else np.full(size, fill == "all")
+
+    return layout, axis(horizon), axis(layout.sites)
+
+
+class TestAxisOnlyMask:
+    @settings(max_examples=300, deadline=None)
+    @given(axis_masks())
+    def test_density_and_flat_equal_the_dense_product(self, case):
+        layout, temporal, spatial = case
+        mask = CreditMask.from_axes(temporal, spatial)
+        dense = np.outer(temporal, spatial)
+        density = mask.density()
+        assert type(density) is float
+        assert np.float64(density).tobytes() == np.float64(np.mean(dense)).tobytes()
+        flat = mask.flat(layout)
+        broadcast = np.repeat(dense[:, :, None], layout.channels, axis=2).ravel()
+        assert flat.dtype == np.float64 and flat.tobytes() == broadcast.astype(np.float64).tobytes()
+        assert mask.full.dtype == bool and np.array_equal(mask.full, dense)
+
+    def test_pixel_group_sizes(self):
+        # 32 frames x 4096 sites, the replay group's layout, at a few set counts
+        layout = LatentLayout.pixel(32, (64, 64))
+        rng = np.random.default_rng(5)
+        for share in (0.0, 0.013, 0.5, 1.0):
+            mask = CreditMask.from_axes(rng.random(32) < share, rng.random(4096) < share)
+            assert mask.density() == float(np.mean(np.outer(mask.temporal, mask.spatial)))
+            assert np.array_equal(mask.flat(layout), mask.full.ravel().astype(np.float64))

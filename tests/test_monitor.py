@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from creflow import simworld
+from creflow import ltlf, simworld
 from creflow.errors import ShapeMismatch, SpecValidationError, UnknownEntity
 from creflow.ltlf import TemplateFamily, classify_template, eval_bruteforce
 from creflow.monitor import run_group_monitor, run_monitor
@@ -13,9 +16,12 @@ from creflow.trace import (
     PredicateDecl,
     TaskSpec,
     TraceGroup,
+    eval_group_predicate,
     eval_predicate,
     make_condition,
 )
+
+from conftest import task_specs
 
 
 def state(x, y, closed=None, flags=None):
@@ -199,3 +205,60 @@ class TestGroupScoring:
         replacement = Atlas({})
         verdict.atlas = replacement
         assert verdict.atlas is replacement
+
+
+@st.composite
+def scored_groups(draw):
+    """(spec, group): a drawn spec and N traces of its entities, every entry present."""
+    spec = draw(task_specs())
+    flag_names = tuple(sorted({p.values["flag"] for p in spec.predicates if p.evaluator == "flag"}))
+    rows, horizon, entities = draw(st.integers(1, 4)), draw(st.integers(1, 8)), len(spec.entities)
+    shape = (rows, horizon, entities)
+    bits = st.integers(0, 1)
+    return spec, TraceGroup(
+        horizon=horizon,
+        grid=(8, 8),
+        entity_ids=tuple(spec.entity_ids()),
+        xy=draw(hnp.arrays(np.float64, shape + (2,), elements=st.integers(-4, 4).map(float))),
+        radius=np.full(shape, 0.5),
+        gripper=draw(hnp.arrays(np.int8, shape, elements=bits)),
+        flag_names=flag_names,
+        flags=draw(hnp.arrays(np.int8, shape + (len(flag_names),), elements=bits)),
+        present=np.ones(shape, bool),
+    )
+
+
+class TestPositionStreams:
+    @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(scored_groups())
+    def test_group_monitor_equals_mapping_evaluate(self, case):
+        spec, group = case
+        verdicts = run_group_monitor(spec, group)
+        streams = {atom: eval_group_predicate(spec.predicate(atom.name), group, atom, spec)
+                   for atom in reversed(spec.clause_atoms())}
+        truths, witnesses = spec.program.evaluate(streams, (len(group), group.horizon))
+        assert [v.reward for v in verdicts] == truths.all(axis=0).astype(int).tolist()
+        for i, verdict in enumerate(verdicts):
+            assert verdict.violations == [
+                (clause.id, witnesses[k][i]) for k, clause in enumerate(spec.clauses)]
+
+    def test_group_scoring_hashes_no_atom(self, monkeypatch):
+        world = simworld.WorldConfig(template="pick_place", horizon=16, grid=(24, 24))
+        spec = simworld.build_task_spec(world)
+        rng = np.random.default_rng(3)
+        condition = simworld.sample_condition(world, rng)
+        demos = np.stack([simworld.scripted_demo(world, condition, rng) for _ in range(4)])
+        group = simworld.RolloutDecoder(world)(demos, condition)
+        hashed = []
+        atom_hash = ltlf.Atom.__hash__
+        monkeypatch.setattr(ltlf.Atom, "__hash__",
+                            lambda atom: hashed.append(atom) or atom_hash(atom))
+        verdicts = run_group_monitor(spec, group) + [run_monitor(spec, group.row(0))]
+        assert hashed == []
+        assert {v.reward for v in verdicts} == {0, 1}  # witnesses were formed too
+        streams = {atom: eval_group_predicate(spec.predicate(atom.name), group, atom, spec)
+                   for atom in spec.program.atoms}
+        spec.program.evaluate(streams, (len(group), group.horizon))
+        # the counter sees the mapping entry (by name: a set of atoms would hash them here)
+        assert {str(atom) for atom in hashed} == {str(atom) for atom in spec.program.atoms}
+
