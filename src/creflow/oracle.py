@@ -22,8 +22,9 @@ from .errors import (
     DegenerateWorld,
     InsufficientSamples,
     SingularSystem,
+    TOutOfRange,
 )
-from .flow import model_jacobian
+from .flow import T_MIN, model_jacobian
 
 
 def _logsumexp(a):
@@ -254,8 +255,11 @@ def population_nft_objective(world, point: PopulationPoint, beta, mask_bits=None
     """Exact conditional branch objective at one noised point, as a function of v.
 
     Everything fixed by (world, xt, t) -- the posterior, the per-atom velocity
-    targets and the behavior velocity -- is built once here; each call of the
-    returned objective runs only the residual arithmetic.
+    targets and the behavior velocity -- is built once here. The returned
+    objective takes a (K, d) stack of velocities and returns their K values in
+    one pass of the residual arithmetic; each row sums its atoms' residuals over
+    the last axis and weights them by the posterior with ``np.vecdot``, so it
+    keeps the bits of the one-vector ``w @ per_atom``.
     """
     w = point.w
     targets = (point.xt[None, :] - world.x0s) / point.t  # per-atom velocity targets
@@ -265,14 +269,14 @@ def population_nft_objective(world, point: PopulationPoint, beta, mask_bits=None
     r = world.rewards.astype(np.float64)
     not_r = 1.0 - r
 
-    def objective(v):
-        res_p = (keep + beta * v)[None, :] - targets
-        res_m = (push - beta * v)[None, :] - targets
+    def objective(vs):
+        res_p = (keep + beta * vs)[:, None, :] - targets
+        res_m = (push - beta * vs)[:, None, :] - targets
         if m is not None:
             res_p *= m
             res_m *= m
-        per_atom = r * (res_p * res_p).sum(axis=1) + not_r * (res_m * res_m).sum(axis=1)
-        return float(w @ per_atom)
+        per_atom = r * (res_p * res_p).sum(axis=-1) + not_r * (res_m * res_m).sum(axis=-1)
+        return np.vecdot(per_atom, w)
 
     return objective
 
@@ -280,23 +284,25 @@ def population_nft_objective(world, point: PopulationPoint, beta, mask_bits=None
 def parabola_argmin(f, base, coords):
     """Coordinate-wise exact minimizer of a separable quadratic via 3-point fits.
 
-    Calls ``f`` once at ``base`` and twice per coordinate.
+    ``f`` takes a (K, d) stack of points and returns their K values. It is
+    called once, on ``1 + 2 * len(coords)`` probes: ``base``, then ``base`` with
+    +1 and with -1 added to each coordinate in turn.
     """
     base = np.asarray(base, dtype=np.float64)
+    coords = np.asarray(coords, dtype=np.intp).reshape(-1)
+    plus = 1 + 2 * np.arange(coords.size)  # the +1 probe of each coordinate; -1 follows it
+    probes = np.tile(base, (1 + 2 * coords.size, 1))
+    probes[plus, coords] = base[coords] + 1.0
+    probes[plus + 1, coords] = base[coords] - 1.0
+    values = f(probes)
+    f0, fp, fm = values[0], values[1::2], values[2::2]
+    curv = 0.5 * (fp + fm - 2.0 * f0)
+    slope = 0.5 * (fp - fm)
+    flat = np.nonzero(curv <= 0)[0]
+    if flat.size:
+        raise SingularSystem(f"coordinate {coords[flat[0]]} has no positive curvature")
     out = base.copy()
-    probe = base.copy()
-    f0 = f(probe)
-    for idx in coords:
-        probe[idx] = base[idx] + 1.0
-        fp = f(probe)
-        probe[idx] = base[idx] - 1.0
-        fm = f(probe)
-        probe[idx] = base[idx]
-        curv = 0.5 * (fp + fm - 2.0 * f0)
-        slope = 0.5 * (fp - fm)
-        if curv <= 0:
-            raise SingularSystem(f"coordinate {idx} has no positive curvature")
-        out[idx] = base[idx] - slope / (2.0 * curv)
+    out[coords] = base[coords] - slope / (2.0 * curv)
     return out
 
 
@@ -338,13 +344,14 @@ def verify_masked_optimum(world, grid, beta, mask_bits, rng, report=None) -> Ver
         if on.size:
             numeric = parabola_argmin(objective, pp.v_old, on)
             worst_on = max(worst_on, float(np.max(np.abs(closed[on] - numeric[on]))))
-        base = pp.v_old.copy()
-        f_base = objective(base)
-        for _ in range(10):
-            pert = np.zeros(world.dim)
-            pert[off] = rng.standard_normal(off.size)
-            for signed in (pert, -pert):
-                worst_flat = max(worst_flat, abs(objective(base + signed) - f_base))
+        # base, then base + p and base - p for ten off-mask perturbations p
+        pert = np.zeros((10, world.dim))
+        pert[:, off] = rng.standard_normal((10, off.size))
+        probes = np.tile(pp.v_old, (21, 1))
+        probes[1::2] += pert
+        probes[2::2] -= pert
+        values = objective(probes)
+        worst_flat = max(worst_flat, *np.abs(values[1:] - values[0]).tolist())
     report.add("masked_on_mask_deviation", worst_on < 1e-8, worst_on, 1e-8)
     report.add("masked_off_mask_flatness", worst_flat < 1e-12, worst_flat, 1e-12)
     return report
@@ -473,25 +480,32 @@ def _group_means(x0s, idx):
     return total
 
 
-def _per_group(atoms, k, finish):
-    """``finish(_group_means(atoms, k))`` bit for bit, with the group work done once
-    per combination of atoms rather than once per row.
+def _group_table(n_atoms, k):
+    """``(combos, code)``: the index tuples to do the group work on, and each row's
+    position among them (None: the rows themselves).
 
-    A row's value depends only on its index tuple. When there are no more
-    combinations (``P**m``) than rows, ``finish`` runs on the group means of every
-    combination and each row gathers its own by one code (``code*P + k_j``);
-    otherwise the means are built per row.
+    A row's value depends only on its index tuple. When an (N, m) index array
+    ``k`` has no more possible combinations (``P**m``) than rows, ``combos``
+    lists every combination and row i of ``k`` is ``combos[code[i]]``
+    (``code = sum_j k_j * P**(m-1-j)``); otherwise ``combos`` is ``k``.
     """
     n, m = k.shape
-    n_atoms = atoms.shape[0]
     if n_atoms ** m > n:
-        return finish(_group_means(atoms, k))
+        return k, None
     code = k[:, 0].copy()
     for c in range(1, m):
         code *= n_atoms
         code += k[:, c]
-    combos = np.indices((n_atoms,) * m).reshape(m, -1).T
-    return np.take(finish(_group_means(atoms, combos)), code, axis=0)
+    return np.indices((n_atoms,) * m).reshape(m, -1).T, code
+
+
+def _per_group(atoms, k, finish):
+    """``finish(_group_means(atoms, k))`` bit for bit, with the group work done once
+    per combination of atoms rather than once per row when the table applies.
+    """
+    combos, code = _group_table(atoms.shape[0], k)
+    values = finish(_group_means(atoms, combos))
+    return values if code is None else np.take(values, code, axis=0)
 
 
 def _targets_from_means(means, xt, t):
@@ -600,12 +614,17 @@ class QuadraticProbe:
             raise ValueError("probe weights must not all vanish")
 
 
-def probe_objective(probe, mu_nft, mu_cr, v_ref, v):
+def probe_objective(probe, mu_nft, mu_cr, v_ref, vs):
+    """The probe's local quadratic at each row of a (K, d) stack of velocities.
+
+    Each row's squared distances are summed over the last axis, so a row keeps
+    the bits of the same quadratic taken on that one vector.
+    """
     m = probe.mask_bits.astype(np.float64)
-    q = probe.a * np.sum((m * (v - mu_nft)) ** 2)
-    q += probe.b * np.sum((m * (v - mu_cr)) ** 2)
-    q += probe.gamma * np.sum((v - v_ref) ** 2)
-    return float(q)
+    q = probe.a * np.sum((m * (vs - mu_nft)) ** 2, axis=-1)
+    q += probe.b * np.sum((m * (vs - mu_cr)) ** 2, axis=-1)
+    q += probe.gamma * np.sum((vs - v_ref) ** 2, axis=-1)
+    return q
 
 
 def verify_direction(world, probe: QuadraticProbe, grid, beta, report=None) -> VerifyReport:
@@ -641,7 +660,7 @@ def verify_direction(world, probe: QuadraticProbe, grid, beta, report=None) -> V
             closed[off] = v_ref[off]  # flat coordinates: report only on-mask
 
         numeric = parabola_argmin(
-            lambda v: probe_objective(probe, mu_nft, mu_cr, v_ref, v),
+            lambda vs: probe_objective(probe, mu_nft, mu_cr, v_ref, vs),
             pp.v_old,
             solvable,
         )
@@ -686,26 +705,55 @@ def _row_sums(a):
     return total
 
 
-def _column_means(a):
-    """``a.mean(axis=0)`` bit for bit for a C-ordered ``a`` of two or more columns.
+def _column_means(a, rows=None):
+    """``a.mean(axis=0)`` bit for bit for a C-ordered ``a`` of two or more columns,
+    or ``a[rows].mean(axis=0)`` when ``rows`` is given.
 
     There numpy adds the rows in order onto 0.0, one row at a time; a running
     sum down each column does the same additions several times faster
     (``+ 0.0`` turns an all ``-0.0`` column's sum into numpy's ``0.0``).
     """
-    return np.array([np.cumsum(a[:, j])[-1] + 0.0 for j in range(a.shape[1])]) / a.shape[0]
+    if rows is None:
+        return np.array([np.cumsum(a[:, j])[-1] + 0.0 for j in range(a.shape[1])]) / a.shape[0]
+    return np.array([np.cumsum(np.take(a[:, j], rows))[-1] + 0.0
+                     for j in range(a.shape[1])]) / rows.shape[0]
 
 
-def _trace_cov_through(jac_gram, residuals):
-    """Sample trace covariance of J^T r over the rows of ``residuals`` (centred in place)."""
-    residuals -= _column_means(residuals)
+def _trace_cov_through(jac_gram, residuals, rows=None):
+    """Sample trace covariance of J^T r over the rows of ``residuals`` (centred in place).
+
+    With ``rows``, the samples are ``residuals[rows]``: their column means are
+    taken over the gathered rows, while the centring, the product with
+    ``jac_gram`` and the quadratic form run once per row of ``residuals``, and
+    only the quadratic form is gathered. Each row's result does not depend on
+    the other rows, so this gives the bits of ``_trace_cov_through(jac_gram,
+    residuals[rows])``.
+    """
+    residuals -= _column_means(residuals, rows)
     through = residuals @ jac_gram
     through *= residuals
     quad = _row_sums(through)
-    n = residuals.shape[0]
+    if rows is not None:
+        quad = np.take(quad, rows)
+    n = quad.shape[0]
     trace = float(quad.sum() / (n - 1))
     se = float(quad.std(ddof=1) / math.sqrt(n))
     return trace, se
+
+
+def _corrective_trace_cov(world, rng, n, m, jac_gram, xt, t, v_theta):
+    """``_trace_cov_through`` of ``n`` corrective residuals over groups of ``m`` positives.
+
+    The draws and the bits are those of ``_trace_cov_through(jac_gram,
+    world.sample_positive_groups(rng, n, m, residuals))``; when the
+    per-combination table applies, the residuals stay in the table through the
+    statistics and only each draw's quadratic form is gathered.
+    """
+    atoms = world.x0s[world.positives]
+    k = draw_categorical(rng, world.positive_weights, (n, m))
+    combos, code = _group_table(atoms.shape[0], k)
+    res = _residuals_from_means(_group_means(atoms, combos), xt, t, v_theta)
+    return _trace_cov_through(jac_gram, res, code)
 
 
 def verify_variance(
@@ -727,16 +775,34 @@ def verify_variance(
     at small t, the crossing point against the threshold formula, and the
     within-group shrinkage of the corrective covariance. Returns
     (VerifyReport, VarianceReport).
+
+    Raises ``TOutOfRange`` for a t outside [T_MIN, 1], and
+    ``InsufficientSamples`` when fewer than two distinct t are at most 0.3 (the
+    slope's fit), ``mc_samples < 2`` or ``group_size < 1``, before any draw.
     """
     if report is None:
         report = VerifyReport("variance", -1)
     if not world.two_sided:
         raise DegenerateWorld("variance check needs positives and negatives")
+    t_grid = np.sort(np.asarray(t_grid, dtype=np.float64).reshape(-1))
+    outside = t_grid[~((T_MIN <= t_grid) & (t_grid <= 1.0))]
+    if outside.size:
+        raise TOutOfRange(f"variance t_grid value t={outside[0]:g} outside [{T_MIN}, 1]")
+    sel = t_grid <= 0.3
+    n_slope = np.unique(t_grid[sel]).size
+    if n_slope < 2:
+        raise InsufficientSamples(
+            f"the corrective slope fit needs at least two distinct t <= 0.3, got {n_slope}")
+    if mc_samples < 2:
+        raise InsufficientSamples(
+            f"mc_samples={mc_samples}: a sample covariance needs at least 2 draws")
+    if group_size < 1:
+        raise InsufficientSamples(
+            f"group_size={group_size}: a corrective group needs at least 1 positive")
     d = world.dim
     xt = world.positive_mean() * 0.9
     pos_cov = world.positive_cov()
 
-    t_grid = np.sort(np.asarray(t_grid, dtype=np.float64))
     records = []
     mc_nft_curve, mc_cr_curve = [], []
     sigma_xi_terms, sigma0_terms = [], []
@@ -767,10 +833,8 @@ def verify_variance(
         se_nft *= 4.0 * beta**4
 
         # corrective-branch samples: within-group positive means
-        res = world.sample_positive_groups(
-            rng, mc_samples, group_size,
-            lambda means: _residuals_from_means(means, xt, t, v_theta))
-        trace_cr, se_cr = _trace_cov_through(gram, res)
+        trace_cr, se_cr = _corrective_trace_cov(world, rng, mc_samples, group_size, gram, xt, t,
+                                                v_theta)
         trace_cr *= 4.0 * lambda_cr**2 * t**4
         se_cr *= 4.0 * lambda_cr**2 * t**4
 
@@ -801,7 +865,6 @@ def verify_variance(
     mc_nft_curve = np.array(mc_nft_curve)
     mc_cr_curve = np.array(mc_cr_curve)
 
-    sel = t_grid <= 0.3
     slope = float(
         np.polyfit(np.log(t_grid[sel]), np.log(mc_cr_curve[sel]), 1)[0]
     )
@@ -852,10 +915,7 @@ def verify_variance(
     v_theta = model.velocity_batch(xt, t_mid)
     traces_by_m = {}
     for m in (group_size, 2 * group_size):
-        res = world.sample_positive_groups(
-            rng, mc_samples, m,
-            lambda means: _residuals_from_means(means, xt, t_mid, v_theta))
-        trace, _ = _trace_cov_through(gram_mid, res)
+        trace, _ = _corrective_trace_cov(world, rng, mc_samples, m, gram_mid, xt, t_mid, v_theta)
         traces_by_m[m] = trace * 4.0 * lambda_cr**2 * t_mid**4
     shrink = traces_by_m[group_size] / traces_by_m[2 * group_size]
     report.add(
@@ -920,9 +980,10 @@ def default_grid(world, rng, n_x=5, n_t=5):
 def suite_nft(seed) -> VerifyReport:
     report = VerifyReport("nft", seed)
     rng = np.random.default_rng((seed, 1))
-    for world in default_worlds(seed):
+    worlds = default_worlds(seed)
+    for world in worlds:
         verify_nft_optimum(world, default_grid(world, rng), beta=1.0, report=report)
-    verify_nft_optimum(default_worlds(seed)[0], default_grid(default_worlds(seed)[0], rng), beta=4.0, report=report)
+    verify_nft_optimum(worlds[0], default_grid(worlds[0], rng), beta=4.0, report=report)
     return report
 
 

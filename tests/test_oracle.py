@@ -11,16 +11,19 @@ from creflow.errors import (
     DegenerateWorld,
     InsufficientSamples,
     SingularSystem,
+    TOutOfRange,
 )
 from creflow.flow import LinearVelocity
 from creflow.oracle import (
     DiscreteWorld,
     _column_means,
+    _corrective_trace_cov,
     _group_means,
     _per_group,
     _residuals_from_means,
     _row_sums,
     _softmax,
+    _trace_cov_through,
     QuadraticProbe,
     check_factored,
     default_grid,
@@ -29,6 +32,7 @@ from creflow.oracle import (
     parabola_argmin,
     population_nft_objective,
     population_point,
+    probe_objective,
     random_world,
     run_suite,
     suite_corrective,
@@ -128,27 +132,34 @@ class TestParabolaArgmin:
         target = rng.standard_normal(4)
         weights = rng.uniform(0.5, 2.0, 4)
 
-        def f(v):
-            return float(np.sum(weights * (v - target) ** 2))
+        def f(vs):
+            return np.sum(weights * (vs - target) ** 2, axis=-1)
 
         out = parabola_argmin(f, np.zeros(4), range(4))
         assert np.allclose(out, target, atol=1e-12)
 
     def test_flat_coordinate_raises(self):
-        with pytest.raises(SingularSystem):
-            parabola_argmin(lambda v: float(v[0] ** 2), np.zeros(2), [1])
+        with pytest.raises(SingularSystem, match="coordinate 1 has no positive curvature"):
+            parabola_argmin(lambda vs: vs[:, 0] ** 2, np.zeros(2), [1])
 
     @pytest.mark.parametrize("coords", [[], [2], [0, 1, 3]])
-    def test_calls_f_once_at_base_and_twice_per_coordinate(self, coords):
+    def test_calls_f_once_with_base_then_plus_minus_probes(self, coords):
+        base = np.array([0.5, -1.0, 2.0, -0.0])
         calls = []
 
-        def f(v):
-            calls.append(v.copy())
-            return float(np.sum((v - 1.0) ** 2))
+        def f(vs):
+            calls.append(vs.copy())
+            return np.sum((vs - 1.0) ** 2, axis=-1)
 
-        parabola_argmin(f, np.zeros(4), coords)
-        assert len(calls) == 1 + 2 * len(coords)
-        assert np.array_equal(calls[0], np.zeros(4))
+        parabola_argmin(f, base, coords)
+        assert len(calls) == 1
+        expected = [base]
+        for idx in coords:
+            for step in (1.0, -1.0):
+                probe = base.copy()
+                probe[idx] = base[idx] + step
+                expected.append(probe)
+        assert same_bits(calls[0], np.array(expected))
 
 
 def same_bits(a, b):
@@ -173,6 +184,15 @@ def reference_nft_objective(world, xt, t, beta, v, mask_bits=None):
     return float(w @ per_atom)
 
 
+def reference_probe_objective(probe, mu_nft, mu_cr, v_ref, v):
+    """The direction probe's quadratic as it was evaluated on one vector at a time."""
+    m = probe.mask_bits.astype(np.float64)
+    q = probe.a * np.sum((m * (v - mu_nft)) ** 2)
+    q += probe.b * np.sum((m * (v - mu_cr)) ** 2)
+    q += probe.gamma * np.sum((v - v_ref) ** 2)
+    return float(q)
+
+
 class TestHoistedArithmetic:
     """The hoisted oracle paths give the bits of the per-call/per-sample forms."""
 
@@ -185,9 +205,26 @@ class TestHoistedArithmetic:
             for mask in (None, rng.integers(0, 2, 3).astype(bool), np.zeros(3, bool)):
                 beta = float(rng.uniform(0.25, 4.0))
                 objective = population_nft_objective(world, pp, beta, mask)
-                for _ in range(4):
-                    v = pp.v_old + rng.standard_normal(3) * rng.uniform(0.1, 10.0)
-                    assert objective(v) == reference_nft_objective(world, xt, t, beta, v, mask)
+                for k in (1, 5, 21):
+                    vs = pp.v_old + rng.standard_normal((k, 3)) * rng.uniform(0.1, 10.0, (k, 1))
+                    values = objective(vs)
+                    assert values.shape == (k,)
+                    for v, value in zip(vs, values.tolist()):
+                        assert value == reference_nft_objective(world, xt, t, beta, v, mask)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_probe_objective_matches_per_vector_reference(self, seed):
+        rng = np.random.default_rng((seed, 19))
+        for a, b, g in ((1.0, 0.5, 0.2), (0.0, 0.5, 0.3), (1.0, 0.5, 0.0), (2.5, 1.5, 0.7)):
+            for mask in (rng.integers(0, 2, 3).astype(bool), np.zeros(3, bool), np.ones(3, bool)):
+                probe = QuadraticProbe(a, b, g, mask)
+                mu_nft, mu_cr, v_ref = rng.standard_normal((3, 3)) * 3.0
+                for k in (1, 5, 21):
+                    vs = v_ref + rng.standard_normal((k, 3)) * rng.uniform(0.1, 10.0, (k, 1))
+                    values = probe_objective(probe, mu_nft, mu_cr, v_ref, vs)
+                    assert values.shape == (k,)
+                    for v, value in zip(vs, values.tolist()):
+                        assert value == reference_probe_objective(probe, mu_nft, mu_cr, v_ref, v)
 
     @pytest.mark.parametrize("m", [1, 2, 4, 8])
     def test_group_means_match_numpy_mean(self, m):
@@ -213,6 +250,8 @@ class TestHoistedArithmetic:
         a[:, 0] = -0.0  # numpy's mean of an all -0.0 column is 0.0
         a[rng.random(4000) < 0.2, -1] = 0.0
         assert same_bits(_column_means(a), a.mean(axis=0))
+        rows = rng.integers(0, 4000, 2500)
+        assert same_bits(_column_means(a, rows), a[rows].mean(axis=0))
 
 
 # Weight lists of 1-8 atoms; zero weights give tied cdf entries.
@@ -349,6 +388,61 @@ class TestCorrectiveTable:
         calls.clear()
         assert same_bits(_per_group(atoms, k[:, :6], finish), _group_means(atoms, k[:, :6]))
         assert calls == [729]  # 3**6 combinations: finish runs on the table rows only
+
+
+def jacobian_gram(rng):
+    jac = rng.standard_normal((3, 3)) * rng.uniform(0.1, 3.0, (3, 1))
+    return jac @ jac.T
+
+
+class TestTableStatistics:
+    """The corrective trace statistics taken per combination are those of the gathered rows."""
+
+    @pytest.mark.parametrize("n_rows", [1, 2, 4, 8, 27, 81, 729])
+    def test_blas_row_results_do_not_depend_on_the_batch(self, n_rows):
+        rng = np.random.default_rng((n_rows, 20))
+        table = rng.standard_normal((n_rows, 3)) * rng.uniform(1e-3, 1e3, (n_rows, 1))
+        gram = jacobian_gram(rng)
+        rows = rng.integers(0, n_rows, 100_000)
+        assert same_bits((table @ gram)[rows], table[rows] @ gram)
+
+    @pytest.mark.parametrize("n_rows,n,used", [
+        (4, 1000, 4),  # every combination drawn
+        (81, 1000, 81),
+        (81, 1000, 7),  # most combinations never drawn
+        (729, 5000, 300),
+        (9, 2, 9),  # two draws
+    ])
+    def test_table_statistics_match_gathered_rows(self, n_rows, n, used):
+        rng = np.random.default_rng((n_rows, n, used, 21))
+        table = rng.standard_normal((n_rows, 3)) * rng.uniform(0.01, 100.0, (n_rows, 1))
+        table[0] = -0.0
+        gram = jacobian_gram(rng)
+        code = rng.choice(n_rows, used, replace=False)[rng.integers(0, used, n)]
+        expected = _trace_cov_through(gram, table[code])
+        got = _trace_cov_through(gram, table.copy(), code)
+        assert got == expected
+
+    @pytest.mark.parametrize("n_pos,m,n", [
+        (2, 2, 1000),  # table of 4 rows
+        (3, 4, 100),  # table of 81 rows, some never drawn
+        (3, 6, 1000),  # table of 729 rows
+        (3, 12, 1000),  # 3**12 > 1000: residuals built per draw
+        (1, 4, 10),  # one positive atom
+    ])
+    def test_corrective_statistics_match_per_row(self, n_pos, m, n):
+        rng = np.random.default_rng((n_pos, m, n, 22))
+        x0s = rng.standard_normal((n_pos + 2, 3)) * rng.uniform(0.01, 100.0, (n_pos + 2, 1))
+        probs = rng.uniform(0.5, 1.5, n_pos + 2)
+        world = DiscreteWorld(x0s, probs / probs.sum(), [1] * n_pos + [0, 0])
+        xt, t, v_theta = rng.standard_normal(3), 0.37, rng.standard_normal(3)
+        gram = jacobian_gram(rng)
+        ours, theirs = np.random.default_rng(23), np.random.default_rng(23)
+        res = world.sample_positive_groups(
+            theirs, n, m, lambda means: _residuals_from_means(means, xt, t, v_theta))
+        expected = _trace_cov_through(gram, res)
+        assert _corrective_trace_cov(world, ours, n, m, gram, xt, t, v_theta) == expected
+        assert ours.random() == theirs.random()
 
 
 class TestSuites:
@@ -500,6 +594,26 @@ class TestVariance:
                 world, model, np.geomspace(0.05, 0.6, 6), sigma_xi=0.1,
                 group_size=2, mc_samples=8, rng=rng,
             )
+
+    @pytest.mark.parametrize("bad,error,message", [
+        ({"t_grid": [0.5, 0.6]}, InsufficientSamples, "at least two distinct t <= 0.3, got 0"),
+        ({"t_grid": [0.01]}, InsufficientSamples, "at least two distinct t <= 0.3, got 1"),
+        ({"t_grid": [0.0, 0.05, 0.3]}, TOutOfRange, r"t=0 outside \[0.001, 1\]"),
+        ({"t_grid": [0.01, 0.1, 1.5]}, TOutOfRange, r"t=1.5 outside \[0.001, 1\]"),
+        ({"mc_samples": 1}, InsufficientSamples, "mc_samples=1: a sample covariance needs"),
+        ({"group_size": 0}, InsufficientSamples, "group_size=0: a corrective group needs"),
+    ], ids=["no_t_for_slope", "one_t_for_slope", "t_zero", "t_above_one", "one_sample",
+            "empty_group"])
+    def test_rejects_inputs_it_cannot_evaluate_before_any_draw(self, bad, error, message):
+        rng = np.random.default_rng(12)
+        world = random_world(rng, 4, 3, spread=2.5, min_pos=2)
+        model = LinearVelocity(world.dim, rng=rng, scale=0.3)
+        args = {"t_grid": np.geomspace(0.01, 0.6, 6), "sigma_xi": 0.1, "group_size": 2,
+                "mc_samples": 2_000, **bad}
+        state = rng.bit_generator.state
+        with pytest.raises(error, match=message):
+            verify_variance(world, model, rng=rng, **args)
+        assert rng.bit_generator.state == state
 
     def test_exact_matches_mc_loosely(self):
         rng = np.random.default_rng(11)
