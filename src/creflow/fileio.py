@@ -4,12 +4,18 @@ Human-edited inputs (task specs, traces, experiment configs) are YAML
 documents carrying ``schema_version`` and ``kind`` fields; reports (verdicts,
 mask dumps, verification results, training summaries) are JSON. Metrics are
 CSV with a versioned, append-only column set.
+
+YAML is written by one writer, ``_dump_plain_yaml``. It is read line by line
+when the text is in the block subset that writer produces, and by
+``yaml.load`` otherwise; either way the document, and the error for a bad
+file, is ``yaml.load``'s.
 """
 
 import csv
 import json
 import math
 import os
+import re
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -22,7 +28,6 @@ from yaml.events import (
     ScalarEvent,
     SequenceEndEvent,
     SequenceStartEvent,
-    StreamEndEvent,
 )
 from yaml.nodes import ScalarNode
 from yaml.representer import RepresenterError
@@ -41,7 +46,6 @@ from .trace import (
     KINDS,
     ClauseDecl,
     EntityDecl,
-    EntityState,
     PredicateDecl,
     TaskSpec,
     TraceGroup,
@@ -59,97 +63,138 @@ SCHEMA_VERSION = 1
 
 # Plain documents hold mappings with string keys, lists, and scalars of these tags.
 _TAG = "tag:yaml.org,2002:"
-_STR, _FLOAT, _MAP, _SEQ = _TAG + "str", _TAG + "float", _TAG + "map", _TAG + "seq"
-_PLAIN_SCALAR_TAGS = {_STR, _FLOAT, _TAG + "int", _TAG + "bool", _TAG + "null"}
+_STR, _MAP, _SEQ = _TAG + "str", _TAG + "map", _TAG + "seq"
+_PLAIN_SCALAR_TAGS = {_STR, _TAG + "float", _TAG + "int", _TAG + "bool", _TAG + "null"}
 _PLAIN_SCALAR_TYPES = (str, float, int, bool, type(None))
 
+# The line reader's subset: printable ASCII lines ``indent (- )? (key:)? (value)?``,
+# none starting with a ``---`` or ``...`` marker. A key holds no ``:``
+# unless single-quoted, and is followed by ``: value`` or the end of the line.
+_LINE = re.compile(r"^(?!(?:---|\.\.\.)(?: |$))( *)(- )?"
+                   r"(?:('[ -&(-~]*(?:''[ -&(-~]*)*'|[!-9;-~][ -9;-~]*):(?= [!-~]|$) ?)?"
+                   r"([!-~][ -~]*)?$", re.M)
+# Each key and value is then one of these scalars (or a value ``{}`` or ``[]``).
+# A plain one starts with no indicator (a ``-`` only before a non-space) and
+# holds no ``": "``, no ``" #"`` and no trailing ``:`` or space; a quoted one
+# is single-quoted, ``''`` its only escape.
+_SCALAR = re.compile(r"(?:(?![-?:,\[\]{}#&*!|>'\"%@`])[!-~]|-(?=[!-~]))"
+                     r"[!-9;-~]*(?:(?: +(?!#):*|:+)[!-9;-~]+)*"
+                     r"|'[ -&(-~]*(?:''[ -&(-~]*)*'")
+_SIMPLE_KEY_MAX = 1024  # YAML reads a longer one-line key as an error
+_OUTSIDE = object()  # a scalar outside the subset
 
-class _NotPlain(Exception):
-    """The document uses a YAML feature plain documents leave out."""
 
+def _line_document(text, loader):
+    """The document of ``text`` read line by line, or None if ``text`` is outside the subset.
 
-_KEY = object()  # an open mapping's next node is a key
-
-
-def _plain_document(loader):
-    """The one document of ``loader``'s event stream, built straight from its events.
-
-    A plain scalar is resolved by the loader's implicit resolvers and converted
-    by its constructor for that tag; a quoted or block scalar is a string.
-    Anything else (an anchor, alias or explicit tag, a non-string key, a
-    scalar of another tag, a second document) raises _NotPlain.
+    The subset is the block style ``_dump_plain_yaml`` writes: lines of
+    ``_LINE``, each ending in a newline, that make block mappings and block
+    sequences (indented or not; an entry ``- key: value`` opens a mapping)
+    of ``_SCALAR`` keys and values. A plain scalar is resolved by
+    ``loader``'s implicit resolvers and converted by its constructor for
+    that tag, each distinct text once, and a quoted one is a string. A key
+    that is not a string, a scalar of another tag, a ``key:`` with no block
+    below it, an empty line or a lone ``-`` is outside the subset. A
+    constructor's ValueError (for a bad ``0x_``) is raised.
     """
+    if not (text.endswith("\n") and text.isascii()):
+        return None
+    lines = _LINE.findall(text)
+    if len(lines) != text.count("\n") + 1:  # a line that does not match is skipped
+        return None
+    lines.pop()  # the empty match after the last newline
     resolve, constructors = loader.resolve, loader.yaml_constructors
     node = ScalarNode(None, None)  # the constructors read a scalar's text from a node
-    known = {}  # plain scalar text -> its value
-    get_event = loader.get_event
-    get_event()  # stream start
-    if type(get_event()) is StreamEndEvent:
-        return None
-    stack = []  # [collection, key] per open collection: key None in a list, _KEY awaiting one
-    while True:
-        event = get_event()
-        kind = type(event)
-        if kind is ScalarEvent:
-            if event.anchor is not None or event.tag is not None:
-                raise _NotPlain
-            text = event.value
-            if not event.implicit[0]:  # quoted or block
-                value = text
-            elif text in known:
-                value = known[text]
-            else:
-                tag = resolve(ScalarNode, text, (True, False))
-                if tag not in _PLAIN_SCALAR_TAGS:
-                    raise _NotPlain
-                node.value = text
-                value = known[text] = constructors[tag](loader, node)
-        elif kind is MappingStartEvent or kind is SequenceStartEvent:
-            if event.anchor is not None or event.tag is not None or (
-                    stack and stack[-1][1] is _KEY):
-                raise _NotPlain
-            stack.append([{}, _KEY] if kind is MappingStartEvent else [[], None])
-            continue
-        elif kind is MappingEndEvent or kind is SequenceEndEvent:
-            value = stack.pop()[0]
-        elif kind is DocumentEndEvent:
-            break
-        else:  # an alias
-            raise _NotPlain
-        if not stack:
-            doc = value
-            continue
-        top = stack[-1]
-        collection, key = top
-        if key is None:
-            collection.append(value)
-        elif key is _KEY:
-            if type(value) is not str:
-                raise _NotPlain
-            top[1] = value
+
+    def scalar(text):
+        if _SCALAR.fullmatch(text) is None:
+            return _OUTSIDE
+        if text[0] == "'":
+            return text[1:-1].replace("''", "'")
+        tag = resolve(ScalarNode, text, (True, False))
+        if tag not in _PLAIN_SCALAR_TAGS:
+            return _OUTSIDE
+        node.value = text
+        return constructors[tag](loader, node)
+
+    known, keys = {}, {}  # scalar text -> its value; key text -> its string
+    root = [None]
+    at, top = -1, root  # the innermost open collection and the column of its entries
+    stack = []  # (column, collection) of the collections around it
+    pending = root, 0, -1  # (mapping, key, column) of a ``key:`` whose value starts below
+    for indent, dash, key, value in lines:
+        column = len(indent)
+        if pending is not None:  # this line starts the pending key's value
+            mapping, name, above = pending
+            if column < above or column == above and not dash:
+                return None  # an empty value
+            stack.append((at, top))
+            at = column
+            top = mapping[name] = [] if dash else {}
+            pending = None
         else:
-            collection[key] = value  # a repeated key keeps its last value
-            top[1] = _KEY
-    if type(get_event()) is not StreamEndEvent:
-        raise _NotPlain
-    return doc
+            while at > column:
+                at, top = stack.pop()
+            if at == column and not dash and type(top) is list:
+                at, top = stack.pop()  # a key ends an unindented sequence
+            if at != column:
+                return None
+        if dash:
+            if type(top) is not list or not (key or value):
+                return None
+            if key:  # ``- key:`` opens a mapping two columns in
+                stack.append((at, top))
+                at = column = column + 2
+                top.append({})
+                top = top[-1]
+        elif type(top) is not dict or not key:
+            return None
+        if value in known:
+            item = known[value]
+        elif value == "{}":
+            item = {}
+        elif value == "[]":
+            item = []
+        elif value:
+            item = known[value] = scalar(value)
+            if item is _OUTSIDE:
+                return None
+        if not key:
+            top.append(item)
+            continue
+        if key in keys:
+            name = keys[key]
+        else:
+            name = keys[key] = scalar(key) if len(key) <= _SIMPLE_KEY_MAX else None
+            if type(name) is not str:
+                return None
+        if value:
+            top[name] = item  # a repeated key keeps its last value
+        else:
+            pending = top, name, column
+    return None if pending is not None else root[0]
 
 
 def _read_yaml(fh):
-    """The document in ``fh``: from its events if plain, else (or on any error) by ``yaml.load``.
+    """The document in ``fh``: read line by line if in the subset, else by ``yaml.load``.
 
-    Either way the result, and the error raised for a bad file, is
-    ``yaml.load(fh, Loader=YamlLoader)``'s: that call builds the whole node
-    graph before it converts a scalar, so a file with both a bad scalar
-    (``0x_``) and bad syntax after it fails on the syntax.
+    ``_line_document`` reads the block subset ``_dump_plain_yaml`` writes;
+    any other text, an undecodable file, or a subset text with a scalar its
+    constructor rejects (``0x_``) is read by ``yaml.load(fh,
+    Loader=YamlLoader)``. Either way the document, and the error raised for
+    a bad file, is ``yaml.load``'s.
     """
-    loader = YamlLoader(fh)
     try:
-        return _plain_document(loader)
-    except (_NotPlain, yaml.YAMLError, ValueError):  # ValueError: also UnicodeDecodeError
-        pass
-    finally:
-        loader.dispose()
+        text = fh.read()
+        loader = YamlLoader("")
+        try:
+            doc = _line_document(text, loader)
+        finally:
+            loader.dispose()
+    except ValueError:  # an undecodable file, or a scalar its constructor rejects
+        doc = None
+    if doc is not None:
+        return doc
     fh.seek(0)
     return yaml.load(fh, Loader=YamlLoader)
 
@@ -354,29 +399,60 @@ def save_task_spec(path, spec: TaskSpec):
 # Traces
 # --------------------------------------------------------------------------
 
-def _entity_state(state, where) -> EntityState:
-    """One entity's state from a trace file; every field is checked, none coerced."""
-    _mapping(state, where)
-    position = _field(state, "position", where, "two finite numbers")
-    radius = _field(state, "radius", where, "a finite number")
-    if radius < 0:
-        raise SchemaError(f"{where}: 'radius' must be a finite number >= 0, got {radius!r}")
-    closed = _field(state, "gripper_closed", where, "true or false", None)
-    flags = _mapping(state.get("flags", {}), f"{where}: flags")
-    for name, value in flags.items():
-        checked(value, "true or false", f"{where}: flag {name!r}", SchemaError)
-    return EntityState(np.asarray(position, dtype=float), float(radius), closed, dict(flags))
-
-
 def load_trace(path) -> TraceGroup:
-    """A trace file as a group of one row."""
+    """A trace file as a group of one row, its arrays filled straight from the document.
+
+    Every frame must be a mapping; then, frame by frame and entity by entity,
+    the entity id must be a string and its state a mapping with a position, a
+    radius >= 0, an optional gripper bit and a mapping of string flag names
+    to bits, checked in that order; none is coerced.
+    """
     doc = _load_yaml(path, "trace")
     horizon = _field(doc, "horizon", path, "an integer")
     grid = _field(doc, "grid", path, "two integers")
-    frames = [{eid: _entity_state(state, f"{where}[{eid!r}]") for eid, state in frame.items()}
-              for where, frame in _entries(doc, "frames", path)]
+    entries = _entries(doc, "frames", path)
+    columns, slots = {}, {}  # entity id -> column, flag name -> slot, by first appearance
+    cells, positions, radii, grippers, flag_cells, flag_bits = [], [], [], [], [], []
+    for t, (where, frame) in enumerate(entries):
+        for eid, state in frame.items():
+            if type(eid) is not str:
+                checked(eid, "a string", f"{where}: entity key", SchemaError)
+            at = f"{where}[{eid!r}]"
+            _mapping(state, at)
+            positions.append(_field(state, "position", at, "two finite numbers"))
+            r = _field(state, "radius", at, "a finite number")
+            if r < 0:
+                raise SchemaError(f"{at}: 'radius' must be a finite number >= 0, got {r!r}")
+            radii.append(r)
+            closed = _field(state, "gripper_closed", at, "true or false", None)
+            grippers.append(-1 if closed is None else closed)
+            cell = t, columns.setdefault(eid, len(columns))
+            cells.append(cell)
+            for name, value in _mapping(state.get("flags", {}), f"{at}: flags").items():
+                if type(name) is not str:
+                    checked(name, "a string", f"{at}: flag key", SchemaError)
+                if type(value) is not bool:
+                    checked(value, "true or false", f"{at}: flag {name!r}", SchemaError)
+                flag_cells.append(cell + (slots.setdefault(name, len(slots)),))
+                flag_bits.append(value)
+    shape = (1, len(entries), len(columns))
+    xy = np.zeros(shape + (2,))
+    radius = np.zeros(shape)
+    gripper = np.full(shape, -1, dtype=np.int8)
+    flags = np.full(shape + (len(slots),), -1, dtype=np.int8)
+    present = np.zeros(shape, dtype=bool)
+    if cells:
+        t, e = np.array(cells).T
+        present[0, t, e] = True
+        xy[0, t, e] = np.array(positions, dtype=float)
+        radius[0, t, e] = np.array(radii, dtype=float)
+        gripper[0, t, e] = grippers
+    if flag_cells:
+        t, e, k = np.array(flag_cells).T
+        flags[0, t, e, k] = flag_bits
     try:
-        return TraceGroup.from_frames(horizon, frames, tuple(grid))
+        return TraceGroup(horizon, tuple(grid), tuple(columns), xy, radius, gripper,
+                          tuple(slots), flags, present)
     except (HorizonMismatch, SpecValidationError) as err:
         raise SchemaError(f"{path}: {err}") from err
 

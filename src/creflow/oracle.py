@@ -543,18 +543,27 @@ def verify_corrective_target(
     cov_trace = float(np.trace(world.positive_cov()))
     deterministic = bool(np.all(world.x0s[pos] == world.x0s[pos[0]]))
 
+    atoms = world.x0s[pos]
     traces = {}
     for m in group_sizes:
-        z = world.sample_positive_groups(
-            rng, mc_samples, m, lambda means: _targets_from_means(means, xt, t))
+        k = draw_categorical(rng, world.positive_weights, (mc_samples, m))
+        combos, code = _group_table(atoms.shape[0], k)
+        z = _targets_from_means(_group_means(atoms, combos), xt, t)  # a row per combination
         if deterministic:
+            if code is not None:
+                z = np.take(z, code, axis=0)
             dev = float(np.max(np.abs(z - bar_v)))
             tol = 1e-12 * max(1.0, float(np.max(np.abs(bar_v))))
             report.add(f"corrective_mean_unbiased_m{m}", dev <= tol, dev, tol,
                        "zero positive covariance: max |z - bar_v| over all samples")
             continue
-        mean_z = z.mean(axis=0)
-        var_z = z.var(axis=0, ddof=1)
+        # the bits of z[code].mean(axis=0) and z[code].var(axis=0, ddof=1): the
+        # deviations and their squares are taken once per combination, and the
+        # sums run over the drawn rows in order
+        mean_z = _column_means(z, code)
+        z -= mean_z
+        z *= z
+        var_z = _column_sums(z, code) / (mc_samples - 1)
         se = np.sqrt(var_z) / math.sqrt(mc_samples)
         dev = np.abs(mean_z - bar_v)
         ok = bool(np.all(dev <= 3.0 * se + 1e-15))
@@ -705,18 +714,21 @@ def _row_sums(a):
     return total
 
 
-def _column_means(a, rows=None):
-    """``a.mean(axis=0)`` bit for bit for a C-ordered ``a`` of two or more columns,
-    or ``a[rows].mean(axis=0)`` when ``rows`` is given.
+def _column_sums(a, rows=None):
+    """``a.sum(axis=0)`` bit for bit for a C-ordered ``a`` of two or more columns,
+    or ``a[rows].sum(axis=0)`` when ``rows`` is given.
 
     There numpy adds the rows in order onto 0.0, one row at a time; a running
     sum down each column does the same additions several times faster
     (``+ 0.0`` turns an all ``-0.0`` column's sum into numpy's ``0.0``).
     """
-    if rows is None:
-        return np.array([np.cumsum(a[:, j])[-1] + 0.0 for j in range(a.shape[1])]) / a.shape[0]
-    return np.array([np.cumsum(np.take(a[:, j], rows))[-1] + 0.0
-                     for j in range(a.shape[1])]) / rows.shape[0]
+    columns = (a[:, j] if rows is None else np.take(a[:, j], rows) for j in range(a.shape[1]))
+    return np.array([np.cumsum(column)[-1] + 0.0 for column in columns])
+
+
+def _column_means(a, rows=None):
+    """``a.mean(axis=0)`` (or ``a[rows].mean(axis=0)``) bit for bit, as ``_column_sums``."""
+    return _column_sums(a, rows) / (a.shape[0] if rows is None else rows.shape[0])
 
 
 def _trace_cov_through(jac_gram, residuals, rows=None):

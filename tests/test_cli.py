@@ -225,6 +225,28 @@ def _state_not_mapping(frames):
     frames[1]["cube"] = "here"
 
 
+def _renamed(keys, old, new):
+    """``keys`` (a mapping) with key ``old`` renamed ``new`` in its place."""
+    renamed = {new if k == old else k: v for k, v in keys.items()}
+    keys.clear()
+    keys.update(renamed)
+
+
+def _int_entity_id(frames):
+    _renamed(frames[0], "arm_left", 7)
+
+
+def _int_flag_name(frames):
+    _renamed(frames[2]["cube"]["flags"], "in_container", 1)
+
+
+def _edits(*edits):
+    def edit(frames):
+        for each in edits:
+            each(frames)
+    return edit
+
+
 def _error_text(load, path):
     try:
         load(path)
@@ -260,14 +282,50 @@ class TestMalformedTraceFiles:
          "frames[4]['cube']: 'position' must be two finite numbers, got [nan, 1.0]"),
         (_set(5, "bin", "radius", -0.5),
          "frames[5]['bin']: 'radius' must be a finite number >= 0, got -0.5"),
+        (_int_entity_id, "frames[0]: entity key must be a string, got 7"),
+        (_int_flag_name, "frames[2]['cube']: flag key must be a string, got 1"),
     ], ids=["gripper_string", "flag_string", "frame_not_mapping", "state_not_mapping",
-            "nan_position", "negative_radius"])
+            "nan_position", "negative_radius", "int_entity_id", "int_flag_name"])
     def test_monitor_rejects(self, workdir, tmp_path, capsys, edit, message):
         path = str(tmp_path / "bad_trace.yaml")
         _edit_trace(workdir["clean"], path, edit)
         with pytest.raises(SchemaError) as err:
             fileio.load_trace(path)
         assert str(err.value) == f"{path}: {message}"
+        assert main(["monitor", "--spec", workdir["spec"], "--trace", path]) == 2
+        assert capsys.readouterr().err == f"error: {path}: {message}\n"
+
+    @pytest.mark.parametrize("edit,message", [
+        (_int_entity_id, "frames[0]: entity key must be a string, got 7"),
+        (_int_flag_name, "frames[2]['cube']: flag key must be a string, got 1"),
+    ], ids=["int_entity_id", "int_flag_name"])
+    def test_mask_rejects_non_string_keys(self, workdir, tmp_path, capsys, edit, message):
+        path = str(tmp_path / "bad_trace.yaml")
+        _edit_trace(workdir["clean"], path, edit)
+        assert main(["mask", "--spec", workdir["spec"], "--trace", workdir["clean"],
+                     "--trace", path, "--layout", "entity"]) == 2
+        assert capsys.readouterr().err == f"error: {path}: {message}\n"
+
+    # Two bad values: the first in frame order is reported, and within an entity
+    # position, then radius, then gripper_closed, then flags.
+    @pytest.mark.parametrize("edit,message", [
+        (_edits(_set(4, "arm_left", "position", [0.0]), _set_flag),
+         "frames[2]['cube']: flag 'in_container' must be true or false, got 'false'"),
+        (_edits(_set(3, "bin", "radius", "1"), _set(3, "cube", "radius", -1.0)),
+         "frames[3]['cube']: 'radius' must be a finite number >= 0, got -1.0"),
+        (_edits(_set(6, "arm_right", "radius", -1.0), _set(6, "arm_right", "position", None)),
+         "frames[6]['arm_right']: 'position' must be two finite numbers, got None"),
+        (_edits(_set(1, "arm_left", "gripper_closed", 0), _set(1, "arm_left", "radius", True)),
+         "frames[1]['arm_left']: 'radius' must be a finite number, got True"),
+        (_edits(_set(2, "cube", "flags", []), _set(2, "cube", "gripper_closed", None)),
+         "frames[2]['cube']: 'gripper_closed' must be true or false, got None"),
+        (_edits(_set(0, "bin", "flags", {"full": "no"}), _int_entity_id),
+         "frames[0]: entity key must be a string, got 7"),
+    ], ids=["frame_before_field", "entity_order", "position_before_radius",
+            "radius_before_gripper", "gripper_before_flags", "entity_key_first"])
+    def test_reports_first_bad_value(self, workdir, tmp_path, capsys, edit, message):
+        path = str(tmp_path / "bad_trace.yaml")
+        _edit_trace(workdir["clean"], path, edit)
         assert main(["monitor", "--spec", workdir["spec"], "--trace", path]) == 2
         assert capsys.readouterr().err == f"error: {path}: {message}\n"
 

@@ -17,6 +17,7 @@ from creflow.flow import LinearVelocity
 from creflow.oracle import (
     DiscreteWorld,
     _column_means,
+    _column_sums,
     _corrective_trace_cov,
     _group_means,
     _per_group,
@@ -252,6 +253,21 @@ class TestHoistedArithmetic:
         assert same_bits(_column_means(a), a.mean(axis=0))
         rows = rng.integers(0, 4000, 2500)
         assert same_bits(_column_means(a, rows), a[rows].mean(axis=0))
+
+    @pytest.mark.parametrize("cols", range(2, 8))
+    def test_column_sums_of_squared_deviations_match_numpy_var(self, cols):
+        # verify_corrective_target's variance: deviations and squares per table
+        # row, sums over the gathered rows
+        rng = np.random.default_rng((cols, 16))
+        table = rng.standard_normal((64, cols)) * rng.uniform(1e-3, 1e3, (64, cols))
+        rows = rng.integers(0, 40, 5000)  # most rows of the table unused
+        dev = table - _column_means(table, rows)
+        dev *= dev
+        assert same_bits(_column_sums(dev, rows) / (rows.shape[0] - 1),
+                         table[rows].var(axis=0, ddof=1))
+        dev = table - _column_means(table)
+        dev *= dev
+        assert same_bits(_column_sums(dev) / (table.shape[0] - 1), table.var(axis=0, ddof=1))
 
 
 # Weight lists of 1-8 atoms; zero weights give tied cdf entries.

@@ -1,8 +1,9 @@
-"""YAML files read from and written as libyaml's event stream.
+"""YAML files read line by line (or by ``yaml.load``) and written as libyaml's event stream.
 
 Every document read and every error raised must be what ``yaml.load(fh,
-Loader=YamlLoader)`` gives, and every byte a trace, spec or config file holds
-what ``yaml.dump(doc, Dumper=YamlDumper, sort_keys=False)`` writes. Each test runs
+Loader=YamlLoader)`` gives, whether the line reader reads the text or hands it
+to ``yaml.load``, and every byte a trace, spec or config file holds what
+``yaml.dump(doc, Dumper=YamlDumper, sort_keys=False)`` writes. Each test runs
 on PyYAML's libyaml classes and again on its pure-Python safe classes.
 """
 
@@ -59,39 +60,77 @@ def read_both(path):
             outcome(lambda fh: yaml.load(fh, Loader=fileio.YamlLoader)))
 
 
-def walks_events(path):
-    """True if the event walker reads the file; False if it hands it to ``yaml.load``."""
+def reads_lines(path):
+    """True if the line reader reads the file; False if it hands it to ``yaml.load``."""
     with open(path) as fh:
-        loader = fileio.YamlLoader(fh)
-        try:
-            fileio._plain_document(loader)
-        except (fileio._NotPlain, yaml.YAMLError, ValueError):
-            return False
-        finally:
-            loader.dispose()
-    return True
+        text = fh.read()
+    loader = fileio.YamlLoader("")
+    try:
+        return fileio._line_document(text, loader) is not None
+    except ValueError:
+        return False
+    finally:
+        loader.dispose()
 
 
-# Plain documents: read from the events.
-PLAIN_TEXTS = {
-    "flow": "a: [1, 'x', {b: c, d: [true, ~]}, [], {}]\nb: {e: [1.5, -2]}\n",
-    "quoted": "a: 'yes'\nb: \"1\"\nc: '~'\nd: \"é\\t\"\ne: |\n  block\n  text\nf: >\n  folded\n",
+LONG_KEY = "k" * 1024  # YAML's longest one-line key
+
+# Texts in the line subset: read line by line.
+LINE_TEXTS = {
     "duplicate_keys": "a: 1\nb: 2\na: 3\n",
     "numbers": "- 1e3\n- 1_000\n- 0x1F\n- 0o17\n- 010\n- 0b101\n- 1:30\n- 190:20:30.15\n"
                "- -0.0\n- +1.5e+3\n- 1_0.5\n- 1.\n- .5\n- 1e-300\n",
-    "specials": "- .inf\n- -.inf\n- .NaN\n- -.nan\n- ~\n- null\n- Null\n-\n- ''\n",
+    "specials": "- .inf\n- -.inf\n- .NaN\n- -.nan\n- ~\n- null\n- Null\n- ''\n",
     "booleans": "- yes\n- No\n- on\n- OFF\n- y\n- True\n- FALSE\n",
-    "strings": "- a: b\n- '- x'\n- é\n- 1.2.3\n- 12e\n- -\n- .\n",
-    "empty": "",
-    "empty_document": "---\n",
-    "explicit_end": "--- a\n...\n",
-    "scalar": "5\n",
-    "nested": "schema_version: 1\nkind: trace\nframes:\n- cube:\n    position: [0.5, -1.0]\n",
+    "strings": "- 1.2.3\n- 12e\n- .\n- -x\n- a:b\n- a#b\n- a :b\n- x, y\n- f[1]\n- a  b\n"
+               "- -- x\n- ---\n- =x\n- a'b\n- a\"b\n",
+    "quoted": "'yes': 'it''s'\n'': ''''\n'a: b': '- x'\n' #': ' x '\n",
     "quoted_merge_key": "'<<': 1\n",
+    "empty_collections": "a: {}\nb: []\nc:\n- {}\n- []\n",
+    "unindented_sequences": "a:\n- 1\n- b:\n  - 2\n  c: 3\n- 4\nd: 5\n",
+    "indented_sequences": "a:\n   - 1\n   - x\nb:\n     - c: 1\n       d:\n        - 2\n",
+    "nested_mappings": "a:\n b:\n     c: 1\n d: 2\ne:\n  - f:\n       g: h\n    i: j\n",
+    "root_sequence": "- a: 1\n  b: 2\n- c\n",
+    "root_indented": "  a: 1\n  b:\n  - 2\n",
+    "document_marker_keys": "---: 1\n...: 2\n",
+    "long_key": f"{LONG_KEY}: 1\n",
+    "trace": "schema_version: 1\nkind: trace\nframes:\n- cube:\n    position:\n    - 0.5\n"
+             "    - -1.0\n    flags:\n      'yes': true\n",
 }
 
-# Documents outside the plain subset: read by yaml.load, as before.
+# Texts outside the subset, valid or not: read by yaml.load, as before.
 FALLBACK_TEXTS = {
+    "flow": "a: [1, 'x', {b: c, d: [true, ~]}, [], {}]\nb: {e: [1.5, -2]}\n",
+    "double_quoted": "a: \"1\"\nb: \"\\t\"\n",
+    "block_scalars": "e: |\n  block\n  text\nf: >\n  folded\n",
+    "multi_line_plain": "a: b\n  c\n",
+    "multi_line_quoted": "a: 'b\n  c'\n",
+    "non_ascii": "- é\n",
+    "lone_dash": "- 1\n-\n",
+    "lone_dash_space": "- 1\n- \n",
+    "nested_dash": "- - 1\n  - 2\n",
+    "empty_value": "a:\nb: 1\n",
+    "empty_value_last": "a: 1\nb:\n",
+    "empty_value_space": "a: \n",
+    "comment_line": "# c\na: 1\n",
+    "comment_after": "a: 1 # c\n",
+    "trailing_space": "a: 1 \n",
+    "trailing_space_after_key": "a: \n  b: 1\n",
+    "tab": "a:\n\t- 1\n",
+    "tab_value": "a:\t1\n",
+    "blank_line": "a: 1\n\nb: 2\n",
+    "no_final_newline": "a: 1",
+    "empty": "",
+    "empty_document": "---\n",
+    "explicit_start": "---\na: 1\n",
+    "explicit_end": "--- a\n...\n",
+    "document_start_key": "--- a: 1\n",
+    "two_documents": "a: 1\n---\nb: 2\n",
+    "scalar": "5\n",
+    "int_key": "1: a\n",
+    "null_key": "~: a\n",
+    "bool_key": "yes: 1\n",
+    "float_key": "-0.0: a\n",
     "anchor_alias": "a: &x [1, 2]\nb: *x\n",
     "merge_key": "base: &b {k: 1}\nderived:\n  <<: *b\n  j: 2\n",
     "merge_key_plain": "<<: {k: 1}\n",
@@ -102,12 +141,13 @@ FALLBACK_TEXTS = {
     "value_key": "=: 1\n",
     "value": "a: =\n",
     "sequence_key": "? [a]\n: 1\n",
-    "int_key": "1: a\n",
-    "null_key": "~: a\n",
-    "two_documents": "a: 1\n---\nb: 2\n",
+    "too_long_key": f"{LONG_KEY}k: 1\n",
     "unclosed_flow": "schema_version: 1\nkind: trace\nframes: [\n",
     "bad_indent": "a:\n  b: 1\n c: 2\n",
-    "tab": "a:\n\t- 1\n",
+    "deeper_after_value": "a: 1\n  b: 2\n",
+    "key_after_sequence": "a:\n  - 1\n  b: 2\n",
+    "sequence_after_value": "a: 1\n- 2\n",
+    "two_values": "a: b: c\n",
     "undefined_alias": "a: *nowhere\n",
     "binary": "a: !!binary aGk=\n",
     "bad_int": "a: 0x_\n",
@@ -115,13 +155,61 @@ FALLBACK_TEXTS = {
     "bad_int_then_undefined_alias": "a: 0x_\nb: *x\n",
 }
 
+# Keys and scalars for generated block texts: each drawn from the subset's
+# (string keys; scalars of the five plain tags, quoted, {} and []) seven times
+# in eight, else from texts that send the document to yaml.load. Half the
+# texts also get one piece of noise: a tab, a space, a comment, a marker, a dash.
+KEYS = ["a", "b", "x y", "a:b", "a#b", "-", "---", "'it''s'", "'1'", "'yes'", "''"]
+OTHER_KEYS = ["yes", "on", "null", "1", "~", "<<", "=", "é", "k" * 1025]
+SCALARS = ["0x1F", "1_000", ".5", "~", "-0.0", "1e3", "'it''s'", "1.0e+300", ".inf", "-.nan",
+           "yes", "on", "null", "1", "x", "a b", "-x", "a#b", "1:30", "''", "{}", "[]"]
+OTHER_SCALARS = ["-", "a #b", "0x_", "2001-12-14", "=", "'", '"q"', "[1]", "&a x", "*a",
+                 "!!str 1", "|", "é"]
+NOISE = ["\t", " ", " # c", "\n# c", "\n---", "\n...", "\n", "- ", ":"]
+
+
+def _token(draw, usual, other):
+    return draw(st.sampled_from(other if draw(st.integers(0, 7)) == 0 else usual))
+
+
+def _block(draw, indent, depth):
+    """Lines of a block mapping or sequence at ``indent``, its values scalars or blocks."""
+    mapping = draw(st.booleans())
+    lines = []
+    for _ in range(draw(st.integers(1, 3))):
+        head = " " * indent + (_token(draw, KEYS, OTHER_KEYS) + ":" if mapping else "-")
+        shape = draw(st.integers(0, 11)) if depth < 3 else 0
+        if shape < 6:
+            lines.append(f"{head} {_token(draw, SCALARS, OTHER_SCALARS)}")
+        elif shape == 6:  # an empty value, or a lone dash
+            lines.append(head)
+        elif mapping or shape == 7:  # the block on the lines below
+            lines.append(head)
+            lines.extend(_block(draw, indent + draw(st.integers(0, 3)), depth + 1))
+        else:  # ``- key: ...`` or ``- - ...``
+            inner = _block(draw, indent + 2, depth + 1)
+            lines.append(head + " " + inner[0][indent + 2:])
+            lines.extend(inner[1:])
+    return lines
+
+
+@st.composite
+def block_texts(draw):
+    """Block texts: nested mappings and sequences at drawn indents over awkward keys
+    and scalars, half of them with one piece of noise put in."""
+    text = "".join(line + "\n" for line in _block(draw, 0, 0))
+    if draw(st.booleans()):
+        at = draw(st.integers(0, len(text)))
+        text = text[:at] + draw(st.sampled_from(NOISE)) + text[at:]
+    return text
+
 
 class TestLoad:
-    @pytest.mark.parametrize("name", sorted(PLAIN_TEXTS))
-    def test_plain_text_walks_events_and_loads_as_yaml_load(self, platform, tmp_path, name):
+    @pytest.mark.parametrize("name", sorted(LINE_TEXTS))
+    def test_line_text_reads_lines_and_loads_as_yaml_load(self, platform, tmp_path, name):
         path = tmp_path / "doc.yaml"
-        path.write_text(PLAIN_TEXTS[name])
-        assert walks_events(path)
+        path.write_text(LINE_TEXTS[name])
+        assert reads_lines(path)
         got, expected = read_both(path)
         assert got[0] == expected[0] == "doc" and same(got[1], expected[1])
 
@@ -129,7 +217,7 @@ class TestLoad:
     def test_other_text_falls_back_to_yaml_load(self, platform, tmp_path, name):
         path = tmp_path / "doc.yaml"
         path.write_text(FALLBACK_TEXTS[name])
-        assert not walks_events(path)
+        assert not reads_lines(path)
         got, expected = read_both(path)
         assert got[0] == expected[0] and same(got[1], expected[1])
 
@@ -139,13 +227,22 @@ class TestLoad:
         got, expected = read_both(path)
         assert got == expected and got[0] == "error"
 
-    def test_shipped_files_walk_events_and_load_as_yaml_load(self, platform):
+    def test_shipped_files_read_lines_and_load_as_yaml_load(self, platform):
         paths = sorted(glob.glob(os.path.join(CONFIGS, "*.yaml")))
         assert len(paths) == 5
         for path in paths:
-            assert walks_events(path)
+            assert reads_lines(path)
             got, expected = read_both(path)
             assert got[0] == "doc" and same(got[1], expected[1]), path
+
+    @settings(max_examples=300, deadline=None, suppress_health_check=[
+        HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
+    @given(text=block_texts())
+    def test_block_text_loads_as_yaml_load(self, platform, tmp_path, text):
+        path = tmp_path / "doc.yaml"
+        path.write_text(text)
+        got, expected = read_both(path)
+        assert got[0] == expected[0] and same(got[1], expected[1])
 
 
 def _yaml_dump(path, doc):
@@ -225,6 +322,18 @@ class TestSave:
     def test_save_trace_writes_yaml_dump_bytes(self, platform, monkeypatch, trace):
         ours, reference = saved_bytes(monkeypatch, fileio.save_trace, trace)
         assert ours == reference
+
+    @PROPERTY
+    @given(trace=traces())
+    def test_saved_trace_reads_lines_and_loads_as_yaml_load(self, platform, tmp_path, trace):
+        path = tmp_path / "trace.yaml"
+        fileio.save_trace(path, trace)
+        # yaml.dump writes a non-ASCII name double-quoted, and PyYAML's pure-Python
+        # dumper an empty one as an explicit ``? ''`` key
+        if all(name and name.isascii() for name in trace.entity_ids + trace.flag_names):
+            assert reads_lines(path)
+        got, expected = read_both(path)
+        assert got[0] == expected[0] == "doc" and same(got[1], expected[1])
 
     @PROPERTY
     @given(spec=task_specs())
