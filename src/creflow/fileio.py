@@ -120,7 +120,7 @@ def _line_document(text, loader):
     known, keys = {}, {}  # scalar text -> its value; key text -> its string
     root = [None]
     at, top = -1, root  # the innermost open collection and the column of its entries
-    stack = []  # (column, collection) of the collections around it
+    stack = []  # (column, collection) of the collections around it, outermost first
     pending = root, 0, -1  # (mapping, key, column) of a ``key:`` whose value starts below
     for indent, dash, key, value in lines:
         column = len(indent)
