@@ -97,9 +97,14 @@ class DiscreteWorld:
     def __post_init__(self):
         self.x0s = np.asarray(self.x0s, dtype=np.float64)
         self.probs = np.asarray(self.probs, dtype=np.float64)
-        self.rewards = np.asarray(self.rewards, dtype=int)
+        rewards = np.asarray(self.rewards)
+        if not np.all((rewards == 0) | (rewards == 1)):
+            raise DegenerateWorld("atom rewards must be 0 or 1")
+        self.rewards = rewards.astype(int)
         if self.x0s.ndim != 2:
             raise DegenerateWorld("atom positions must be (A, D)")
+        if not (np.all(np.isfinite(self.x0s)) and np.all(np.isfinite(self.probs))):
+            raise DegenerateWorld("atom positions and probabilities must be finite")
         if np.any(self.probs <= 0) or abs(self.probs.sum() - 1.0) > 1e-9:
             raise DegenerateWorld("atom probabilities must be positive and sum to 1")
         if self.probs.shape[0] != self.x0s.shape[0] or self.rewards.shape[0] != self.x0s.shape[0]:
@@ -136,11 +141,6 @@ class DiscreteWorld:
 
     def positive_cov(self):
         return _weighted_cov(self.x0s[self.positives], self.positive_weights)
-
-    def sample_positive_groups(self, rng, n, m, finish):
-        """``finish(group means)`` of ``n`` groups of ``m`` positive atoms drawn by mass."""
-        k = draw_categorical(rng, self.positive_weights, (n, m))
-        return _per_group(self.x0s[self.positives], k, finish)
 
 
 def _weighted_cov(points, w):
@@ -413,6 +413,9 @@ def verify_reward_locality(
         report = VerifyReport("locality", -1)
     if not world.two_sided:
         raise DegenerateWorld("locality check needs positives and negatives")
+    if mc_samples < 2:
+        raise InsufficientSamples(
+            f"mc_samples={mc_samples}: a sample variance needs at least 2 draws")
     if check_construction:
         check_factored(world, mask_bits)
     mask_bits = np.asarray(mask_bits, dtype=bool)
@@ -465,61 +468,36 @@ def verify_reward_locality(
 # Corrective target
 # --------------------------------------------------------------------------
 
-def _group_means(x0s, idx):
-    """``x0s[idx].mean(axis=1)`` for an (N, m) index array, bit for bit.
+def _positive_group_means(atoms, k):
+    """``(rows, counts)``: the group means of the (n, m) positive draws ``k``, as rows
+    each taken ``counts[i]`` times.
 
-    The m atom rows of each group are added column by column onto the
-    gathered first column, in numpy's reduction order; ``x0s + 0.0`` gives
-    that first term the sign numpy's reduction gives it (it starts from 0.0).
-    """
-    atoms = x0s + 0.0
-    total = np.take(atoms, idx[:, 0], axis=0)
-    for j in range(1, idx.shape[1]):
-        total += np.take(atoms, idx[:, j], axis=0)
-    total /= idx.shape[1]
-    return total
-
-
-def _group_table(n_atoms, k):
-    """``(combos, code)``: the index tuples to do the group work on, and each row's
-    position among them (None: the rows themselves).
-
-    A row's value depends only on its index tuple. When an (N, m) index array
-    ``k`` has no more possible combinations (``P**m``) than rows, ``combos``
-    lists every combination and row i of ``k`` is ``combos[code[i]]``
-    (``code = sum_j k_j * P**(m-1-j)``); otherwise ``combos`` is ``k``.
+    When there are no more combinations (``P**m``) than draws, the rows are
+    the means of every combination and the counts how many draws made each;
+    otherwise the rows are the draws' own means, each counted once.
     """
     n, m = k.shape
-    if n_atoms ** m > n:
-        return k, None
-    code = k[:, 0].copy()
-    for c in range(1, m):
-        code *= n_atoms
-        code += k[:, c]
-    return np.indices((n_atoms,) * m).reshape(m, -1).T, code
+    shape = (atoms.shape[0],) * m
+    if atoms.shape[0] ** m > n:
+        return atoms[k].mean(axis=1), np.ones(n)
+    combos = np.indices(shape).reshape(m, -1).T
+    counts = np.bincount(np.ravel_multi_index(k.T, shape), minlength=combos.shape[0])
+    return atoms[combos].mean(axis=1), counts
 
 
-def _per_group(atoms, k, finish):
-    """``finish(_group_means(atoms, k))`` bit for bit, with the group work done once
-    per combination of atoms rather than once per row when the table applies.
-    """
-    combos, code = _group_table(atoms.shape[0], k)
-    values = finish(_group_means(atoms, combos))
-    return values if code is None else np.take(values, code, axis=0)
+def _count_sum(counts, rows):
+    """``counts @ rows`` in einsum's own loop: a BLAS dot product splits a long sum
+    among its threads, so its bits would depend on the BLAS thread count."""
+    return np.einsum("i,i...->...", counts, rows)
 
 
-def _targets_from_means(means, xt, t):
-    """``(xt - group mean) / t`` per row, built in place."""
-    np.subtract(xt, means, out=means)
-    means /= t
-    return means
-
-
-def _residuals_from_means(means, xt, t, v_theta):
-    """``v_theta - (xt - group mean) / t`` per row, built in place."""
-    res = _targets_from_means(means, xt, t)
-    np.subtract(v_theta, res, out=res)
-    return res
+def _weighted_moments(rows, counts, n):
+    """Sample mean and ddof=1 variance, per column, of ``n`` samples that take row
+    ``rows[i]`` ``counts[i]`` times."""
+    mean = _count_sum(counts, rows) / n
+    dev = rows - mean
+    dev *= dev
+    return mean, _count_sum(counts, dev) / (n - 1)
 
 
 def verify_corrective_target(
@@ -531,14 +509,30 @@ def verify_corrective_target(
     positive covariance is zero and the target is deterministic: the mean is
     then checked sample by sample at float tolerance, and the shrinkage ratio,
     a ratio of two roundoff traces, is reported as not applicable.
+
+    Each draw picks one of at most ``P**m`` combinations of the ``P`` positive
+    atoms, so the sample moments are count-weighted moments over those
+    combinations' targets.
+
+    Raises ``TOutOfRange`` for a t outside [T_MIN, 1], and
+    ``InsufficientSamples`` for ``mc_samples < 2`` or a group size below 1,
+    before any draw.
     """
     if report is None:
         report = VerifyReport("corrective", -1)
     pos = world.positives
     if pos.size == 0:
         raise DegenerateWorld("corrective target needs positive atoms")
-    xt = np.asarray(xt, dtype=np.float64)
     t = float(t)
+    if not T_MIN <= t <= 1.0:
+        raise TOutOfRange(f"corrective t={t:g} outside [{T_MIN}, 1]")
+    if mc_samples < 2:
+        raise InsufficientSamples(
+            f"mc_samples={mc_samples}: a sample variance needs at least 2 draws")
+    if any(m < 1 for m in group_sizes):
+        raise InsufficientSamples(
+            f"group_sizes={tuple(group_sizes)}: a corrective group needs at least 1 positive")
+    xt = np.asarray(xt, dtype=np.float64)
     bar_v = (xt - world.positive_mean()) / t
     cov_trace = float(np.trace(world.positive_cov()))
     deterministic = bool(np.all(world.x0s[pos] == world.x0s[pos[0]]))
@@ -547,23 +541,15 @@ def verify_corrective_target(
     traces = {}
     for m in group_sizes:
         k = draw_categorical(rng, world.positive_weights, (mc_samples, m))
-        combos, code = _group_table(atoms.shape[0], k)
-        z = _targets_from_means(_group_means(atoms, combos), xt, t)  # a row per combination
+        means, counts = _positive_group_means(atoms, k)
+        z = (xt - means) / t
         if deterministic:
-            if code is not None:
-                z = np.take(z, code, axis=0)
-            dev = float(np.max(np.abs(z - bar_v)))
+            dev = float(np.max(np.abs(z[counts > 0] - bar_v)))
             tol = 1e-12 * max(1.0, float(np.max(np.abs(bar_v))))
             report.add(f"corrective_mean_unbiased_m{m}", dev <= tol, dev, tol,
                        "zero positive covariance: max |z - bar_v| over all samples")
             continue
-        # the bits of z[code].mean(axis=0) and z[code].var(axis=0, ddof=1): the
-        # deviations and their squares are taken once per combination, and the
-        # sums run over the drawn rows in order
-        mean_z = _column_means(z, code)
-        z -= mean_z
-        z *= z
-        var_z = _column_sums(z, code) / (mc_samples - 1)
+        mean_z, var_z = _weighted_moments(z, counts, mc_samples)
         se = np.sqrt(var_z) / math.sqrt(mc_samples)
         dev = np.abs(mean_z - bar_v)
         ok = bool(np.all(dev <= 3.0 * se + 1e-15))
@@ -702,70 +688,25 @@ class VarianceReport:
     shrink_ratio: float
 
 
-def _row_sums(a):
-    """``np.sum(a, axis=1)`` bit for bit when ``a`` has fewer than 8 columns.
+def _trace_cov(jac_gram, residuals, counts, n):
+    """Sample trace covariance of J^T r, and its standard error, over ``n`` samples
+    that take row ``residuals[i]`` ``counts[i]`` times (centred in place).
 
-    numpy adds a short row left to right onto 0.0; this adds whole columns in
-    that order, which is several times faster for an (N, 3) array.
+    The trace is the mean of the centred quadratic forms r^T (J J^T) r, scaled
+    to ddof=1.
     """
-    total = a[:, 0] + 0.0
-    for j in range(1, a.shape[1]):
-        total += a[:, j]
-    return total
-
-
-def _column_sums(a, rows=None):
-    """``a.sum(axis=0)`` bit for bit for a C-ordered ``a`` of two or more columns,
-    or ``a[rows].sum(axis=0)`` when ``rows`` is given.
-
-    There numpy adds the rows in order onto 0.0, one row at a time; a running
-    sum down each column does the same additions several times faster
-    (``+ 0.0`` turns an all ``-0.0`` column's sum into numpy's ``0.0``).
-    """
-    columns = (a[:, j] if rows is None else np.take(a[:, j], rows) for j in range(a.shape[1]))
-    return np.array([np.cumsum(column)[-1] + 0.0 for column in columns])
-
-
-def _column_means(a, rows=None):
-    """``a.mean(axis=0)`` (or ``a[rows].mean(axis=0)``) bit for bit, as ``_column_sums``."""
-    return _column_sums(a, rows) / (a.shape[0] if rows is None else rows.shape[0])
-
-
-def _trace_cov_through(jac_gram, residuals, rows=None):
-    """Sample trace covariance of J^T r over the rows of ``residuals`` (centred in place).
-
-    With ``rows``, the samples are ``residuals[rows]``: their column means are
-    taken over the gathered rows, while the centring, the product with
-    ``jac_gram`` and the quadratic form run once per row of ``residuals``, and
-    only the quadratic form is gathered. Each row's result does not depend on
-    the other rows, so this gives the bits of ``_trace_cov_through(jac_gram,
-    residuals[rows])``.
-    """
-    residuals -= _column_means(residuals, rows)
-    through = residuals @ jac_gram
-    through *= residuals
-    quad = _row_sums(through)
-    if rows is not None:
-        quad = np.take(quad, rows)
-    n = quad.shape[0]
-    trace = float(quad.sum() / (n - 1))
-    se = float(quad.std(ddof=1) / math.sqrt(n))
-    return trace, se
+    residuals -= _count_sum(counts, residuals) / n
+    quad = np.einsum("ij,ij->i", residuals @ jac_gram, residuals)
+    mean, var = _weighted_moments(quad, counts, n)
+    return float(mean * n / (n - 1)), math.sqrt(var / n)
 
 
 def _corrective_trace_cov(world, rng, n, m, jac_gram, xt, t, v_theta):
-    """``_trace_cov_through`` of ``n`` corrective residuals over groups of ``m`` positives.
-
-    The draws and the bits are those of ``_trace_cov_through(jac_gram,
-    world.sample_positive_groups(rng, n, m, residuals))``; when the
-    per-combination table applies, the residuals stay in the table through the
-    statistics and only each draw's quadratic form is gathered.
-    """
-    atoms = world.x0s[world.positives]
+    """``_trace_cov`` of ``n`` corrective residuals ``v_theta - (xt - group mean) / t``
+    over groups of ``m`` positives drawn by mass."""
     k = draw_categorical(rng, world.positive_weights, (n, m))
-    combos, code = _group_table(atoms.shape[0], k)
-    res = _residuals_from_means(_group_means(atoms, combos), xt, t, v_theta)
-    return _trace_cov_through(jac_gram, res, code)
+    means, counts = _positive_group_means(world.x0s[world.positives], k)
+    return _trace_cov(jac_gram, v_theta - (xt - means) / t, counts, n)
 
 
 def verify_variance(
@@ -840,7 +781,7 @@ def verify_variance(
         res *= (beta + 1.0) / beta
         res -= np.take(scaled_targets, idx, axis=0)
         np.subtract(v_theta, res, out=res)
-        trace_nft, se_nft = _trace_cov_through(gram, res)
+        trace_nft, se_nft = _trace_cov(gram, res, np.ones(mc_samples), mc_samples)
         trace_nft *= 4.0 * beta**4
         se_nft *= 4.0 * beta**4
 

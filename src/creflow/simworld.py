@@ -108,6 +108,14 @@ class WorldConfig:
             raise SpecValidationError(
                 f"ordered_stack needs n_objects >= 2, got {self.n_objects}"
             )
+        if self.model_kind not in ("linear", "mlp"):
+            raise SpecValidationError(
+                f"model_kind must be 'linear' or 'mlp', got {self.model_kind!r}")
+        if any(width < 1 for width in self.hidden):
+            raise SpecValidationError(f"hidden widths must be >= 1, got {list(self.hidden)}")
+        for name in ("iterations", "rollout_steps", "demo_count", "pretrain_batch", "probe_count"):
+            if getattr(self, name) < 1:
+                raise SpecValidationError(f"{name} must be >= 1, got {getattr(self, name)}")
 
 
 def object_ids(config):

@@ -76,13 +76,17 @@ FLOATS = st.floats(allow_nan=False, allow_infinity=False)
 POSITIVE = st.floats(min_value=1e-6, max_value=1e6)
 
 
+# World counts that must be at least 1.
+POSITIVE_COUNTS = ("iterations", "rollout_steps", "demo_count", "pretrain_batch", "probe_count")
+
+
 @st.composite
 def experiment_configs(draw):
     """Valid experiment configs; every world field drawn, constrained ones in range."""
     world = {}
     for f in fields(simworld.WorldConfig):
         if f.type is int:
-            world[f.name] = draw(st.integers(0, 2**40))
+            world[f.name] = draw(st.integers(1 if f.name in POSITIVE_COUNTS else 0, 2**40))
         elif f.type is float:
             world[f.name] = draw(FLOATS)
     template = draw(st.sampled_from(simworld.TEMPLATES))

@@ -402,6 +402,14 @@ class TestMalformedInputs:
         ("world", "seed", -1, "'world.seed' must be >= 0, got -1"),
         ("world", "horizon", 40, "horizon must be in [8, 32]"),
         ("world", "group_size", 1, "group size must be >= 2"),
+        ("world", "model_kind", "lnear", "model_kind must be 'linear' or 'mlp', got 'lnear'"),
+        ("world", "hidden", [0], "hidden widths must be >= 1, got [0]"),
+        ("world", "hidden", [64, -3], "hidden widths must be >= 1, got [64, -3]"),
+        ("world", "iterations", 0, "iterations must be >= 1, got 0"),
+        ("world", "rollout_steps", 0, "rollout_steps must be >= 1, got 0"),
+        ("world", "demo_count", 0, "demo_count must be >= 1, got 0"),
+        ("world", "pretrain_batch", 0, "pretrain_batch must be >= 1, got 0"),
+        ("world", "probe_count", -2, "probe_count must be >= 1, got -2"),
         ("loss", "beta", 0.0, "beta must be > 0"),
         ("loss", "beta", "1.0", "'loss.beta' must be a finite number, got '1.0'"),
         ("loss", "weight_scheme", 1, "'loss.weight_scheme' must be a string, got 1"),

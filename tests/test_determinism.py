@@ -5,14 +5,16 @@ compares the sha256 of its metrics.csv with a constant recorded before the
 model evaluation path was restructured. A refactor that changes any bit of
 pretraining, sampling, scoring or the update shows up here.
 
-The verify cases hash the sorted-key JSON of ``run_suite("all", seed)``,
-recorded before the oracle's per-point and per-atom work was hoisted; any
-change to a draw, a reduction order or a check shows up here. Seed 28, whose
-``variance_crossing`` check fails, was recorded before the oracle objectives
-took stacks of probes. The
-variance-curve cases hash the per-t records of ``suite_variance(seed)`` (the
-Monte Carlo ``mc_nft``/``mc_cr`` traces the checks summarise), recorded while
-atoms were still drawn by ``Generator.choice``.
+The verify cases hash the sorted-key JSON of ``run_suite("all", seed)``
+(seed 28's ``variance_crossing`` check fails), and the variance-curve cases
+hash the per-t records of ``suite_variance(seed)`` (the Monte Carlo
+``mc_nft``/``mc_cr`` traces the checks summarise); any change to a draw, a
+reduction order or a check shows up here. Both were re-recorded when the
+Monte Carlo moments became count-weighted sums over the table of atom
+combinations, in place of numpy's row-order reductions over the draws: the
+draws are unchanged, the reported values moved in their last bits (at most
+3.1e-7 relative, on a relative error), and no check's pass/fail changed over
+seeds 0-199.
 
 The atlas cases decode four groups of eight scripted pick_place demos
 (horizon 32, 64x64 grid, each group mixing successes and failures) and hash
@@ -77,11 +79,11 @@ def test_short_train_metrics_are_pinned(tmp_path, capsys, config, world, digest)
 
 
 @pytest.mark.parametrize("seed,digest", [
-    (0, "0b213795b10894052b7b34893799d51d8e70c7b2a62fdb884afdd551c560d621"),
-    (1, "22b8a98f995dcfa6d23814b73fe885289aa83c384a2595f9a005036994165e7a"),
-    (2, "afb3581c3c036b3dff2113f0bee28ec240f9b2e7040d93ceefc32d8aeb1a18af"),
+    (0, "ee652529cda3f63cb5a4f3e69bdda2f0f6f3ca9fcd141fd66471266d7215854a"),
+    (1, "a227b51d5bf9bd4f927c5170ca45465ff6bd365ee21fe63ba87d354230cf978a"),
+    (2, "b4a4907445bd5b35ed9732957e78496a592d1b2c0831bb20aea44d65c4036f21"),
     # variance_crossing fails here (ratio outside the 1.5 band): the failing report path
-    (28, "695e59bac193765e3e887f2188914f22b7fc59dce4318c142a89f6305983e9ac"),
+    (28, "a7ae2b5b5f42ba09d5029ead852dc2dd94a20892c24a14d8d9138a3b8313c0ad"),
 ])
 def test_verify_all_report_is_pinned(seed, digest):
     text = json.dumps(run_suite("all", seed).to_dict(), sort_keys=True)
@@ -89,9 +91,9 @@ def test_verify_all_report_is_pinned(seed, digest):
 
 
 @pytest.mark.parametrize("seed,digest", [
-    (0, "4ff8091105bf3bec16adaae126cb2aa49bd4d05ad4732cb4357f10b4a84bb302"),
-    (1, "3f22f06e4bf7a4856b4b868b03342eca0790fd0c1c088cb5e99364a1aeb46fa5"),
-    (2, "0fd60f62aa9c828c4c11f4bf43e3848c1310ad8b945ed453e91235c26ab5c460"),
+    (0, "ed288ba4f1b68e4c6bb70d45256a7bbe4ea95008c16c17a87ddb76cecc486258"),
+    (1, "27b608ac3d33f0a403ca92ed2230876e5419b0f79c689cb200ca5c7cdb3ed63b"),
+    (2, "d6887da33c9f73f472950bd643cb898b4d041fe972cbddfa5a4c8be404de883f"),
 ])
 def test_variance_curves_are_pinned(seed, digest):
     text = json.dumps(suite_variance(seed)[1].records, sort_keys=True)

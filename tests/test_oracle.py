@@ -1,10 +1,14 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import creflow
 from creflow import backend
 from creflow.errors import (
     ConstructionViolated,
@@ -16,15 +20,11 @@ from creflow.errors import (
 from creflow.flow import LinearVelocity
 from creflow.oracle import (
     DiscreteWorld,
-    _column_means,
-    _column_sums,
     _corrective_trace_cov,
-    _group_means,
-    _per_group,
-    _residuals_from_means,
-    _row_sums,
+    _positive_group_means,
     _softmax,
-    _trace_cov_through,
+    _trace_cov,
+    _weighted_moments,
     QuadraticProbe,
     check_factored,
     default_grid,
@@ -55,6 +55,16 @@ class TestDiscreteWorld:
             DiscreteWorld(np.zeros((2, 2)), np.array([0.6, 0.6]), np.array([1, 0]))
         with pytest.raises(DegenerateWorld):
             DiscreteWorld(np.zeros((2, 2)), np.array([1.0, -0.0]), np.array([1, 0]))
+
+    @pytest.mark.parametrize("x0s,probs,rewards,message", [
+        ([[0.0], [1.0], [2.0]], [math.nan, 0.5, 0.5], [1, 0, 1], "must be finite"),
+        ([[0.0], [math.inf], [2.0]], [0.2, 0.3, 0.5], [1, 0, 1], "must be finite"),
+        ([[0.0], [1.0], [2.0]], [0.2, 0.3, 0.5], [1, 2, 0], "must be 0 or 1"),
+        ([[0.0], [1.0], [2.0]], [0.2, 0.3, 0.5], [1, 0.5, 0], "must be 0 or 1"),
+    ], ids=["nan_probability", "infinite_position", "reward_two", "reward_half"])
+    def test_rejects_non_finite_atoms_and_non_binary_rewards(self, x0s, probs, rewards, message):
+        with pytest.raises(DegenerateWorld, match=message):
+            DiscreteWorld(np.array(x0s), np.array(probs), np.array(rewards))
 
     def test_positive_moments(self):
         world = DiscreteWorld(
@@ -227,48 +237,6 @@ class TestHoistedArithmetic:
                     for v, value in zip(vs, values.tolist()):
                         assert value == reference_probe_objective(probe, mu_nft, mu_cr, v_ref, v)
 
-    @pytest.mark.parametrize("m", [1, 2, 4, 8])
-    def test_group_means_match_numpy_mean(self, m):
-        rng = np.random.default_rng((m, 13))
-        x0s = rng.standard_normal((6, 3)) * rng.uniform(0.01, 100.0, (6, 1))
-        x0s[0] = -0.0  # a group of this atom alone sums to +0.0 in numpy
-        idx = rng.integers(0, 6, (4000, m))
-        idx[:5] = 0
-        assert same_bits(_group_means(x0s, idx), x0s[idx].mean(axis=1))
-
-    @pytest.mark.parametrize("cols", range(1, 8))
-    def test_row_sums_match_numpy_sum(self, cols):
-        rng = np.random.default_rng((cols, 14))
-        a = rng.standard_normal((4000, cols)) * rng.uniform(1e-3, 1e3, (4000, cols))
-        a[:3] = -0.0
-        assert same_bits(_row_sums(a), np.sum(a, axis=1))
-
-    @pytest.mark.parametrize("cols", range(2, 8))
-    def test_column_means_match_numpy_mean(self, cols):
-        rng = np.random.default_rng((cols, 15))
-        a = rng.standard_normal((4000, cols)) * rng.uniform(1e-3, 1e3, (4000, cols))
-        a[:3] = -0.0
-        a[:, 0] = -0.0  # numpy's mean of an all -0.0 column is 0.0
-        a[rng.random(4000) < 0.2, -1] = 0.0
-        assert same_bits(_column_means(a), a.mean(axis=0))
-        rows = rng.integers(0, 4000, 2500)
-        assert same_bits(_column_means(a, rows), a[rows].mean(axis=0))
-
-    @pytest.mark.parametrize("cols", range(2, 8))
-    def test_column_sums_of_squared_deviations_match_numpy_var(self, cols):
-        # verify_corrective_target's variance: deviations and squares per table
-        # row, sums over the gathered rows
-        rng = np.random.default_rng((cols, 16))
-        table = rng.standard_normal((64, cols)) * rng.uniform(1e-3, 1e3, (64, cols))
-        rows = rng.integers(0, 40, 5000)  # most rows of the table unused
-        dev = table - _column_means(table, rows)
-        dev *= dev
-        assert same_bits(_column_sums(dev, rows) / (rows.shape[0] - 1),
-                         table[rows].var(axis=0, ddof=1))
-        dev = table - _column_means(table)
-        dev *= dev
-        assert same_bits(_column_sums(dev) / (table.shape[0] - 1), table.var(axis=0, ddof=1))
-
 
 # Weight lists of 1-8 atoms; zero weights give tied cdf entries.
 WEIGHTS = st.lists(st.sampled_from([0.0, 0.0, 1e-300, 1e-12, 0.3, 1.0, 7.0]) | st.floats(0.0, 10.0),
@@ -349,61 +317,11 @@ class TestDrawCategorical:
         assert np.array_equal(draw_categorical(ours, p, 5000), theirs.choice(300, 5000, p=p))
 
 
-def corrective_residuals(x0s, idx, xt, t, v_theta, mask):
-    """The per-row corrective residual written out: ``(v_theta - (xt - mean) / t) * mask``."""
-    res = v_theta - (xt - x0s[idx].mean(axis=1)) / t
-    return res if mask is None else res * mask
-
-
-class TestCorrectiveTable:
-    """Residuals gathered from the per-combination table are the per-row ones, bit for bit."""
-
-    @pytest.mark.parametrize("n_pos,m,n", [
-        (2, 2, 1000),  # full table, 4 rows
-        (3, 4, 1000),  # full table, 81 rows
-        (3, 12, 1000),  # 3**12 > 1000: no table, means built per row
-        (2, 64, 5000),  # 2**64 combinations: no table
-        (5, 3, 4),  # more atoms than draws: no table
-        (1, 5, 10),  # one positive atom: a table of one row
-    ])
-    @pytest.mark.parametrize("masked", [False, True])
-    def test_table_residuals_match_per_row(self, n_pos, m, n, masked):
-        rng = np.random.default_rng((n_pos, m, n, 16))
-        x0s = rng.standard_normal((n_pos + 2, 3)) * rng.uniform(0.01, 100.0, (n_pos + 2, 1))
-        x0s[0] = -0.0
-        rewards = np.array([1] * n_pos + [0, 0])
-        probs = rng.uniform(0.5, 1.5, n_pos + 2)
-        world = DiscreteWorld(x0s, probs / probs.sum(), rewards)
-        xt, t, v_theta = rng.standard_normal(3), 0.37, rng.standard_normal(3)
-        mask = np.array([1.0, 0.0, 1.0]) if masked else None
-        pos = world.positives
-        idx = np.random.default_rng(17).choice(pos.size, (n, m), p=world.positive_weights)
-        def residuals(means):
-            res = _residuals_from_means(means, xt, t, v_theta)
-            if mask is not None:
-                res *= mask
-            return res
-
-        got = world.sample_positive_groups(np.random.default_rng(17), n, m, residuals)
-        assert same_bits(got, corrective_residuals(x0s, pos[idx], xt, t, v_theta, mask))
-
-    def test_table_only_when_no_more_combinations_than_rows(self):
-        rng = np.random.default_rng(18)
-        atoms = rng.standard_normal((3, 2)) * rng.uniform(0.01, 100.0, (3, 1))
-        atoms[0] = -0.0  # a group of this atom alone sums to +0.0 in numpy
-        k = rng.integers(0, 3, (1000, 12))
-        k[:4] = 0
-        calls = []
-
-        def finish(means):
-            calls.append(means.shape[0])
-            return means
-
-        assert same_bits(_per_group(atoms, k, finish), _group_means(atoms, k))
-        assert calls == [1000]  # 3**12 combinations: finish runs per row
-        calls.clear()
-        assert same_bits(_per_group(atoms, k[:, :6], finish), _group_means(atoms, k[:, :6]))
-        assert calls == [729]  # 3**6 combinations: finish runs on the table rows only
+def positive_world(n_pos, rng):
+    """A world of ``n_pos`` positive and two negative atoms at spread-out scales."""
+    x0s = rng.standard_normal((n_pos + 2, 3)) * rng.uniform(0.01, 100.0, (n_pos + 2, 1))
+    probs = rng.uniform(0.5, 1.5, n_pos + 2)
+    return DiscreteWorld(x0s, probs / probs.sum(), [1] * n_pos + [0, 0])
 
 
 def jacobian_gram(rng):
@@ -411,54 +329,82 @@ def jacobian_gram(rng):
     return jac @ jac.T
 
 
-class TestTableStatistics:
-    """The corrective trace statistics taken per combination are those of the gathered rows."""
+def reference_trace_cov(gram, res):
+    """Sample trace covariance of J^T r and its standard error, in numpy on the sample rows."""
+    centred = res - res.mean(axis=0)
+    quad = np.sum((centred @ gram) * centred, axis=1)
+    return quad.sum() / (quad.size - 1), quad.std(ddof=1) / math.sqrt(quad.size)
 
-    @pytest.mark.parametrize("n_rows", [1, 2, 4, 8, 27, 81, 729])
-    def test_blas_row_results_do_not_depend_on_the_batch(self, n_rows):
-        rng = np.random.default_rng((n_rows, 20))
-        table = rng.standard_normal((n_rows, 3)) * rng.uniform(1e-3, 1e3, (n_rows, 1))
-        gram = jacobian_gram(rng)
-        rows = rng.integers(0, n_rows, 100_000)
-        assert same_bits((table @ gram)[rows], table[rows] @ gram)
 
-    @pytest.mark.parametrize("n_rows,n,used", [
-        (4, 1000, 4),  # every combination drawn
-        (81, 1000, 81),
-        (81, 1000, 7),  # most combinations never drawn
-        (729, 5000, 300),
-        (9, 2, 9),  # two draws
-    ])
-    def test_table_statistics_match_gathered_rows(self, n_rows, n, used):
-        rng = np.random.default_rng((n_rows, n, used, 21))
-        table = rng.standard_normal((n_rows, 3)) * rng.uniform(0.01, 100.0, (n_rows, 1))
-        table[0] = -0.0
-        gram = jacobian_gram(rng)
-        code = rng.choice(n_rows, used, replace=False)[rng.integers(0, used, n)]
-        expected = _trace_cov_through(gram, table[code])
-        got = _trace_cov_through(gram, table.copy(), code)
-        assert got == expected
+def assert_close(got, expected):
+    # the atol only covers the roundoff-sized moments of a world with one positive atom
+    np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-20)
 
-    @pytest.mark.parametrize("n_pos,m,n", [
-        (2, 2, 1000),  # table of 4 rows
-        (3, 4, 100),  # table of 81 rows, some never drawn
-        (3, 6, 1000),  # table of 729 rows
-        (3, 12, 1000),  # 3**12 > 1000: residuals built per draw
-        (1, 4, 10),  # one positive atom
-    ])
-    def test_corrective_statistics_match_per_row(self, n_pos, m, n):
+
+GROUP_DRAWS = pytest.mark.parametrize("n_pos,m,n", [
+    (2, 2, 1000),  # table of 4 rows
+    (3, 4, 100),  # table of 81 rows, most never drawn
+    (3, 6, 1000),  # table of 729 rows, some never drawn
+    (3, 12, 1000),  # 3**12 > 1000: a row per draw
+    (2, 1, 2),  # two draws
+    (1, 4, 10),  # one positive atom: a table of one row
+])
+
+
+class TestWeightedMoments:
+    """Count-weighted moments over the combination table are numpy's on the drawn rows."""
+
+    @GROUP_DRAWS
+    def test_group_mean_moments_match_drawn_rows(self, n_pos, m, n):
+        rng = np.random.default_rng((n_pos, m, n, 21))
+        world = positive_world(n_pos, rng)
+        atoms = world.x0s[world.positives]
+        k = draw_categorical(rng, world.positive_weights, (n, m))
+        rows, counts = _positive_group_means(atoms, k)
+        assert rows.shape == (min(n_pos**m, n), 3)
+        assert counts.sum() == n
+        drawn = atoms[k].mean(axis=1)
+        mean, var = _weighted_moments(rows, counts, n)
+        assert_close(mean, drawn.mean(axis=0))
+        assert_close(var, drawn.var(axis=0, ddof=1))
+
+    @GROUP_DRAWS
+    def test_corrective_trace_cov_matches_drawn_rows(self, n_pos, m, n):
         rng = np.random.default_rng((n_pos, m, n, 22))
-        x0s = rng.standard_normal((n_pos + 2, 3)) * rng.uniform(0.01, 100.0, (n_pos + 2, 1))
-        probs = rng.uniform(0.5, 1.5, n_pos + 2)
-        world = DiscreteWorld(x0s, probs / probs.sum(), [1] * n_pos + [0, 0])
+        world = positive_world(n_pos, rng)
         xt, t, v_theta = rng.standard_normal(3), 0.37, rng.standard_normal(3)
         gram = jacobian_gram(rng)
         ours, theirs = np.random.default_rng(23), np.random.default_rng(23)
-        res = world.sample_positive_groups(
-            theirs, n, m, lambda means: _residuals_from_means(means, xt, t, v_theta))
-        expected = _trace_cov_through(gram, res)
-        assert _corrective_trace_cov(world, ours, n, m, gram, xt, t, v_theta) == expected
+        k = draw_categorical(theirs, world.positive_weights, (n, m))
+        res = v_theta - (xt - world.x0s[world.positives][k].mean(axis=1)) / t
+        got = _corrective_trace_cov(world, ours, n, m, gram, xt, t, v_theta)
+        assert_close(got, reference_trace_cov(gram, res))
         assert ours.random() == theirs.random()
+
+    @pytest.mark.parametrize("n", [2, 1000, 100_000])
+    def test_reflection_trace_cov_matches_numpy(self, n):
+        rng = np.random.default_rng((n, 24))
+        res = rng.standard_normal((n, 3)) * rng.uniform(0.01, 100.0, 3) + rng.standard_normal(3)
+        gram = jacobian_gram(rng)
+        expected = reference_trace_cov(gram, res)
+        assert_close(_trace_cov(gram, res, np.ones(n), n), expected)
+
+    def test_trace_cov_does_not_depend_on_the_blas_thread_count(self):
+        # a BLAS dot product splits a long sum among its threads, so its bits
+        # change with the thread count on a host with more than one core
+        code = ("import numpy as np\n"
+                "from creflow.oracle import _trace_cov\n"
+                "res = np.random.default_rng(25).standard_normal((100_000, 3)) + 1.0\n"
+                "print(repr(_trace_cov(np.diag([1.0, 2.0, 3.0]), res, np.ones(100_000), 100_000)))")
+
+        def run(threads):
+            env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(creflow.__file__)),
+                   **{var: threads for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
+                                               "MKL_NUM_THREADS")}}
+            return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                                  text=True, check=True).stdout
+
+        assert run("1") == run("2")
 
 
 class TestSuites:
@@ -495,6 +441,19 @@ class TestSuites:
 
 
 class TestLocality:
+    @pytest.mark.parametrize("mc_samples", [0, 1])
+    def test_rejects_fewer_than_two_samples_before_any_draw(self, mc_samples):
+        rng = np.random.default_rng(14)
+        world, mask_bits = make_factored_world(
+            on_x0s=rng.standard_normal((2, 1)), on_probs=np.array([0.5, 0.5]),
+            on_rewards=np.array([1, 0]), off_x0s=rng.standard_normal((2, 1)),
+            off_probs=np.array([0.3, 0.7]),
+        )
+        state = rng.bit_generator.state
+        with pytest.raises(InsufficientSamples, match=f"mc_samples={mc_samples}: a sample"):
+            verify_reward_locality(world, mask_bits, [(np.zeros(2), 0.5)], rng, mc_samples)
+        assert rng.bit_generator.state == state
+
     def test_factored_world_self_test(self):
         rng = np.random.default_rng(5)
         world, mask_bits = make_factored_world(
@@ -526,6 +485,24 @@ class TestLocality:
 
 
 class TestCorrectiveTarget:
+    @pytest.mark.parametrize("bad,error,message", [
+        ({"t": 0.0}, TOutOfRange, r"t=0 outside \[0.001, 1\]"),
+        ({"t": math.nan}, TOutOfRange, r"t=nan outside \[0.001, 1\]"),
+        ({"t": 1.5}, TOutOfRange, r"t=1.5 outside \[0.001, 1\]"),
+        ({"mc_samples": 0}, InsufficientSamples, "mc_samples=0: a sample variance needs"),
+        ({"mc_samples": 1}, InsufficientSamples, "mc_samples=1: a sample variance needs"),
+        ({"group_sizes": (0, 4)}, InsufficientSamples, r"group_sizes=\(0, 4\): a corrective"),
+    ], ids=["t_zero", "t_nan", "t_above_one", "no_sample", "one_sample", "empty_group"])
+    def test_rejects_inputs_it_cannot_evaluate_before_any_draw(self, bad, error, message):
+        rng = np.random.default_rng(13)
+        world = random_world(rng, 6, 3)
+        args = {"xt": world.positive_mean() * 0.8, "t": 0.5, "group_sizes": (1, 4),
+                "mc_samples": 2_000, **bad}
+        state = rng.bit_generator.state
+        with pytest.raises(error, match=message):
+            verify_corrective_target(world, rng=rng, **args)
+        assert rng.bit_generator.state == state
+
     def test_single_positive_atom_deterministic(self):
         world = DiscreteWorld(
             np.array([[2.0, 0.0], [0.0, 1.0]]),
