@@ -407,6 +407,121 @@ class TestWeightedMoments:
         assert run("1") == run("2")
 
 
+def draw_codes(k, n_atoms):
+    """The row of ``_positive_group_means``'s output that each draw of ``k`` takes."""
+    n, m = k.shape
+    if n_atoms**m > n:
+        return np.arange(n)
+    return np.ravel_multi_index(k.T, (n_atoms,) * m)
+
+
+def corrective_residuals(x0s, idx, xt, t, v_theta, mask):
+    """The per-row corrective residual written out: ``(v_theta - (xt - mean) / t) * mask``."""
+    res = v_theta - (xt - x0s[idx].mean(axis=1)) / t
+    return res if mask is None else res * mask
+
+
+class TestCorrectiveTable:
+    """The table rows a draw takes are its own group mean, bit for bit, counted once per draw."""
+
+    @pytest.mark.parametrize("n_pos,m,n", [
+        (2, 2, 1000),  # full table, 4 rows
+        (3, 4, 1000),  # full table, 81 rows
+        (3, 12, 1000),  # 3**12 > 1000: no table, a row per draw
+        (2, 64, 5000),  # 2**64 combinations: no table
+        (5, 3, 4),  # more combinations than draws: no table
+        (1, 5, 10),  # one positive atom: a table of one row
+    ])
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_table_residuals_match_per_row(self, n_pos, m, n, masked):
+        rng = np.random.default_rng((n_pos, m, n, 16))
+        x0s = rng.standard_normal((n_pos + 2, 3)) * rng.uniform(0.01, 100.0, (n_pos + 2, 1))
+        x0s[0] = -0.0
+        probs = rng.uniform(0.5, 1.5, n_pos + 2)
+        world = DiscreteWorld(x0s, probs / probs.sum(), [1] * n_pos + [0, 0])
+        xt, t, v_theta = rng.standard_normal(3), 0.37, rng.standard_normal(3)
+        mask = np.array([1.0, 0.0, 1.0]) if masked else None
+        pos = world.positives
+        k = draw_categorical(np.random.default_rng(17), world.positive_weights, (n, m))
+        rows, counts = _positive_group_means(x0s[pos], k)
+        res = v_theta - (xt - rows) / t
+        if mask is not None:
+            res *= mask
+        code = draw_codes(k, pos.size)
+        assert same_bits(res[code], corrective_residuals(x0s, pos[k], xt, t, v_theta, mask))
+        assert np.array_equal(counts, np.bincount(code, minlength=rows.shape[0]))
+
+    def test_table_only_when_no_more_combinations_than_rows(self):
+        rng = np.random.default_rng(18)
+        atoms = rng.standard_normal((3, 2)) * rng.uniform(0.01, 100.0, (3, 1))
+        atoms[0] = -0.0  # a group of this atom alone averages to -0.0
+        k = rng.integers(0, 3, (1000, 12))
+        k[:4] = 0
+        rows, counts = _positive_group_means(atoms, k)  # 3**12 combinations: a row per draw
+        assert same_bits(rows, atoms[k].mean(axis=1))
+        assert np.array_equal(counts, np.ones(1000))
+        rows, counts = _positive_group_means(atoms, k[:, :6])  # 3**6: one row per combination
+        assert rows.shape == (729, 2)
+        code = np.ravel_multi_index(k[:, :6].T, (3,) * 6)
+        assert same_bits(rows[code], atoms[k[:, :6]].mean(axis=1))
+        assert counts.sum() == 1000 and counts[0] >= 4
+
+
+class TestTableStatistics:
+    """The statistics taken once per combination, weighted by count, are those of the gathered rows."""
+
+    @pytest.mark.parametrize("n_rows,n,used", [
+        (4, 1000, 4),  # every combination drawn
+        (81, 1000, 81),
+        (81, 1000, 7),  # most combinations never drawn
+        (729, 5000, 300),
+        (9, 2, 9),  # two draws
+    ])
+    def test_table_statistics_match_gathered_rows(self, n_rows, n, used):
+        rng = np.random.default_rng((n_rows, n, used, 21))
+        table = rng.standard_normal((n_rows, 3)) * rng.uniform(0.01, 100.0, (n_rows, 1))
+        gram = jacobian_gram(rng)
+        code = rng.choice(n_rows, used, replace=False)[rng.integers(0, used, n)]
+        counts = np.bincount(code, minlength=n_rows)
+        gathered = table[code]
+        mean, var = _weighted_moments(table, counts, n)
+        assert_close(mean, gathered.mean(axis=0))
+        assert_close(var, gathered.var(axis=0, ddof=1))
+        assert_close(_trace_cov(gram, table.copy(), counts, n), reference_trace_cov(gram, gathered))
+
+    @pytest.mark.parametrize("n_pos,m,n", [
+        (2, 2, 1000),  # table of 4 rows
+        (3, 4, 100),  # table of 81 rows, some never drawn
+        (3, 6, 1000),  # table of 729 rows
+        (3, 12, 1000),  # 3**12 > 1000: a row per draw
+        (1, 4, 10),  # one positive atom
+    ])
+    def test_corrective_statistics_match_per_row(self, n_pos, m, n):
+        # verify_corrective_target's reported values against numpy on the drawn targets
+        rng = np.random.default_rng((n_pos, m, n, 22))
+        world = positive_world(n_pos, rng)
+        xt, t = rng.standard_normal(3), 0.37
+        ours, theirs = np.random.default_rng(23), np.random.default_rng(23)
+        report = verify_corrective_target(world, xt, t, (m,), n, rng=ours)
+        checks = {c.name: c for c in report.checks}
+        k = draw_categorical(theirs, world.positive_weights, (n, m))
+        z = (xt - world.x0s[world.positives][k].mean(axis=1)) / t
+        bar_v = (xt - world.positive_mean()) / t
+        scale = 1e-12 * max(1.0, float(np.max(np.abs(bar_v))))
+        mean_check = checks[f"corrective_mean_unbiased_m{m}"]
+        if n_pos == 1:
+            assert mean_check.value == float(np.max(np.abs(z - bar_v)))
+            assert f"corrective_trace_cov_m{m}" not in checks
+        else:
+            assert abs(mean_check.value - float(np.max(np.abs(z.mean(axis=0) - bar_v)))) <= scale
+            se = z.std(axis=0, ddof=1) / math.sqrt(n)
+            assert_close(mean_check.tolerance, float(np.max(3.0 * se)))
+            exact = float(np.trace(world.positive_cov())) / (m * t * t)
+            rel = abs(float(np.sum(z.var(axis=0, ddof=1))) - exact) / exact
+            assert abs(checks[f"corrective_trace_cov_m{m}"].value - rel) <= 1e-12
+        assert ours.random() == theirs.random()
+
+
 class TestSuites:
     def test_nft_suite(self):
         report = suite_nft(0)
