@@ -2,8 +2,11 @@
 
 Each training case trains a shortened copy of a shipped config at seed 0 and
 compares the sha256 of its metrics.csv with a constant recorded before the
-model evaluation path was restructured. A refactor that changes any bit of
-pretraining, sampling, scoring or the update shows up here.
+model evaluation path was restructured, and that of its summary.json with
+one recorded while the configs still carried a top-level
+``corrective_enabled`` switch beside ``loss.lambda_cr``. A refactor that
+changes any bit of pretraining, sampling, scoring, the update or the
+summary shows up here.
 
 The verify cases hash the sorted-key JSON of ``run_suite("all", seed)``
 (seed 28's ``variance_crossing`` check fails), and the variance-curve cases
@@ -57,15 +60,24 @@ CONFIGS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__)
 SHORT_RUN = {"iterations": 5, "pretrain_steps": 200, "demo_count": 64}
 
 
-@pytest.mark.parametrize("config,world,digest", [
+@pytest.mark.parametrize("config,world,digest,summary_digest", [
     ("creflow.yaml", {},
-     "269e36c7c58ef8a0d24794afa77f9729d6d89606ad8a9ebb041c13d5a71375a9"),
+     "269e36c7c58ef8a0d24794afa77f9729d6d89606ad8a9ebb041c13d5a71375a9",
+     "5ea90d5d76cd7348b6d788030067869d7b9fe887f55c7795826cb106f6a6f05a"),
     ("vanilla_nft.yaml", {},
-     "a88264dffd1589657b296fae915120e581001345a64703b8210f6e28e3c88339"),
+     "a88264dffd1589657b296fae915120e581001345a64703b8210f6e28e3c88339",
+     "c766f0bb2491d7d6c4249f05a8ace20fb4c1403bd189efdabcfc2ffaa01ccc3e"),
     ("creflow.yaml", {"model_kind": "mlp"},
-     "9b6d73bbeedc6dacdfa912c60f6d3431744530e699e8fed6a4c992691f324eb1"),
-], ids=["creflow", "vanilla_nft", "creflow_mlp"])
-def test_short_train_metrics_are_pinned(tmp_path, capsys, config, world, digest):
+     "9b6d73bbeedc6dacdfa912c60f6d3431744530e699e8fed6a4c992691f324eb1",
+     "328e2b8e4fc2a0de225c27e540bf6227a6585dacfe5020345f24976ae6546daf"),
+    ("mask_only.yaml", {},
+     "95d769a9059dbd81f1d639a40668b3576397d919c1a6dcdcb2e5e960acc33364",
+     "589176790107d5f905ae35ec52e999f0d2e0dcbe24477bca1d11bc1daf7cdcbc"),
+    ("corrective_only.yaml", {},
+     "d2f54488be6c013976ff6bef49ed84602a55ecc9d6c9842b551034edefb8ff65",
+     "c4990ceac9d52bd25c7c3a5c768e805de6acfc761c766a030aa57966a2274a3a"),
+], ids=["creflow", "vanilla_nft", "creflow_mlp", "mask_only", "corrective_only"])
+def test_short_train_metrics_are_pinned(tmp_path, capsys, config, world, digest, summary_digest):
     with open(os.path.join(CONFIGS, config)) as fh:
         doc = yaml.safe_load(fh)
     doc["world"].update(SHORT_RUN, **world)
@@ -74,8 +86,9 @@ def test_short_train_metrics_are_pinned(tmp_path, capsys, config, world, digest)
     path.write_text(yaml.safe_dump(doc))
     assert main(["train", "--config", str(path), "--seed", "0"]) == 0
     capsys.readouterr()
-    with open(tmp_path / "out" / "metrics.csv", "rb") as fh:
-        assert hashlib.sha256(fh.read()).hexdigest() == digest
+    for name, pinned in (("metrics.csv", digest), ("summary.json", summary_digest)):
+        with open(tmp_path / "out" / name, "rb") as fh:
+            assert hashlib.sha256(fh.read()).hexdigest() == pinned, name
 
 
 @pytest.mark.parametrize("seed,digest", [
