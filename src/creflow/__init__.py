@@ -2,14 +2,7 @@
 flow-matching RL, with an exact discrete-support verification oracle and a
 synthetic manipulation world for end-to-end online training."""
 
-from .flow import (
-    LinearVelocity,
-    MLPVelocity,
-    ModelBundle,
-    interpolate,
-    predict_x0,
-    sample_rollout,
-)
+from .flow import LinearVelocity, MLPVelocity, ModelBundle, interpolate
 from .ltlf import (
     ClauseProgram,
     Formula,
@@ -21,7 +14,7 @@ from .ltlf import (
     parse_formula,
     print_formula,
 )
-from .mask import CreditMask, LatentLayout, apply_mask, build_group_mask
+from .mask import CreditMask, LatentLayout, build_group_mask
 from .monitor import Verdict, run_group_monitor, run_monitor
 from .objectives import (
     LossConfig,

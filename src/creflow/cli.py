@@ -108,7 +108,7 @@ def cmd_train(args) -> int:
     fileio.save_run_inputs(cfg, spec)
     bundle = simworld.pretrain_reference(cfg.world)
     try:
-        series = simworld.run_online_loop(cfg.world, spec, bundle, cfg.effective_loss_config())
+        series = simworld.run_online_loop(cfg.world, spec, bundle, cfg.loss)
     except NonFiniteLoss as err:
         dump_path = os.path.join(cfg.out_dir, "diagnostic_dump.json")
         fileio.write_json(

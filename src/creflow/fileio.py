@@ -315,7 +315,10 @@ def _field(entry, key, where, kind="a string", default=_REQUIRED):
 def _half_extents(entity, where):
     if entity.get("half_extents") is None:
         return None
-    return tuple(_field(entity, "half_extents", where, "two finite numbers"))
+    box = tuple(_field(entity, "half_extents", where, "two finite numbers"))
+    if min(box) < 0:
+        raise SchemaError(f"{where}: 'half_extents' must be >= 0, got {list(box)}")
+    return box
 
 
 def _clause(entry, where) -> ClauseDecl:
@@ -491,16 +494,15 @@ class ExperimentConfig:
     loss: LossConfig
     out_dir: str = "out"
     spec_path: str = None  # default: built from the world template
-    corrective_enabled: bool = True
 
     def effective_loss_config(self) -> LossConfig:
-        return replace(self.loss, lambda_cr=self.loss.lambda_cr if self.corrective_enabled else 0.0)
+        """``loss``, whose ``lambda_cr > 0`` turns the corrective term on (the benchmark calls this)."""
+        return self.loss
 
 
 # Loss switches that exist only under ``loss:``; at top level they are rejected.
 LOSS_ONLY_KEYS = ("mask_enabled", "weight_scheme")
-EXPERIMENT_KEYS = ("schema_version", "kind", "out_dir", "spec_path", "corrective_enabled",
-                   "world", "loss")
+EXPERIMENT_KEYS = ("schema_version", "kind") + tuple(f.name for f in fields(ExperimentConfig))
 
 
 # The kind of each config field: by its annotated type, or by name for a tuple.
@@ -544,7 +546,6 @@ def load_experiment_config(path) -> ExperimentConfig:
     for key in doc:
         if key not in EXPERIMENT_KEYS:
             raise SchemaError(f"{path}: unknown top-level key {key!r}")
-    corrective = _field(doc, "corrective_enabled", path, "true or false", True)
     out_dir = _field(doc, "out_dir", path, default="out")
     spec_path = _field(doc, "spec_path", path, default=None)
     _key(doc, "world", path)
@@ -555,13 +556,7 @@ def load_experiment_config(path) -> ExperimentConfig:
     try:
         world = WorldConfig(**world_args)
         loss = LossConfig(**loss_args)
-        return ExperimentConfig(
-            world=world,
-            loss=loss,
-            out_dir=out_dir,
-            spec_path=spec_path,
-            corrective_enabled=corrective,
-        )
+        return ExperimentConfig(world=world, loss=loss, out_dir=out_dir, spec_path=spec_path)
     except (SpecValidationError, ValueError) as err:  # a WorldConfig or LossConfig range check
         raise SchemaError(f"{path}: {err}") from err
 
@@ -572,7 +567,6 @@ def save_experiment_config(path, cfg: ExperimentConfig):
         "kind": "experiment",
         "out_dir": cfg.out_dir,
         **({"spec_path": cfg.spec_path} if cfg.spec_path else {}),
-        "corrective_enabled": cfg.corrective_enabled,
         "world": world_config_dict(cfg.world),
         "loss": vars(cfg.loss).copy(),
     }
@@ -660,16 +654,15 @@ def write_metrics_csv(path, series: MetricsSeries):
 
 
 def train_summary(series: MetricsSeries, cfg: ExperimentConfig) -> dict:
-    loss_cfg = cfg.effective_loss_config()
     return {
         "metrics_version": METRICS_VERSION,
         "columns": list(METRIC_COLUMNS),
         "summary": series.summary,
         "world": world_config_dict(cfg.world),
-        "loss": vars(loss_cfg).copy(),
+        "loss": vars(cfg.loss).copy(),
         "mode": {
             "mask_enabled": cfg.loss.mask_enabled,
-            "corrective_enabled": cfg.corrective_enabled,
+            "corrective_enabled": cfg.loss.lambda_cr > 0,
             "weight_scheme": cfg.loss.weight_scheme,
         },
     }

@@ -236,16 +236,6 @@ class ModelBundle:
         theta_old += eta * self.current.params
 
 
-def predict_x0(model, xt, t, cond=None):
-    """One-step clean-latent prediction x_t - t v_theta(x_t, t, cond)."""
-    xt = np.asarray(xt, dtype=np.float64)
-    t_arr = np.asarray(t, dtype=np.float64)
-    v = model.velocity_batch(xt, t, cond)
-    if xt.ndim == 1:
-        return xt - float(t_arr) * v
-    return xt - t_arr[:, None] * v
-
-
 def sample_rollout_group(bundle: ModelBundle, condition, steps, eps):
     """Euler-integrate the behavior field from t=1 down to T_MIN for a batch."""
     if steps < 1:
@@ -259,9 +249,3 @@ def sample_rollout_group(bundle: ModelBundle, condition, steps, eps):
         model.refresh(feats, rows, 1.0 - k * dt)
         rows -= dt * model.forward(feats)[-1]
     return x
-
-
-def sample_rollout(bundle: ModelBundle, condition, steps, rng):
-    """Single reproducible rollout: draws eps from rng, then integrates."""
-    eps = rng.standard_normal(bundle.behavior.dim)
-    return sample_rollout_group(bundle, condition, steps, eps[None, :])[0]

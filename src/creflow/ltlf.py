@@ -134,26 +134,17 @@ class TemplateFamily(enum.Enum):
 class Witness:
     """Violation witness: set of (entity id, 1-indexed frame) pairs.
 
-    ``Witness(pairs)`` holds a given set. A clause program's witness holds
-    its row of the clause's (entities, frames) parts instead and forms
-    ``pairs`` on first read. Equality and hashing go by ``pairs``.
+    A witness is row ``row`` of its clause's (entities, (rows, T) frames)
+    ``parts``: the entities x the frames set in that row, unioned over
+    parts. ``pairs`` is formed on first read; equality and hashing go by it.
     """
 
     __slots__ = ("_pairs", "_parts", "_row")
 
-    def __init__(self, pairs):
-        self._pairs = frozenset(pairs)
-        self._parts = None
-        self._row = None
-
-    @classmethod
-    def _of_row(cls, parts, row):
-        """Row ``row`` of ``parts``: (entities, (rows, T) frames) pairs of a clause group."""
-        witness = cls.__new__(cls)
-        witness._pairs = None
-        witness._parts = parts
-        witness._row = row
-        return witness
+    def __init__(self, parts, row):
+        self._pairs = None
+        self._parts = parts
+        self._row = row
 
     @property
     def pairs(self) -> frozenset:
@@ -167,22 +158,16 @@ class Witness:
         return self._pairs
 
     def mark_frames(self, mask):
-        """Set ``mask``, a (horizon,) Boolean array, at the (1-indexed) frames of the pairs.
+        """OR this row of each part's frames into ``mask``, a (horizon,) Boolean array.
 
-        A clause program's witness ORs its row of each part's frames into
-        ``mask`` without forming the pairs.
+        A part with no entities holds no pairs and marks nothing.
         """
-        if self._pairs is None:
-            for entities, frames in self._parts:
-                if entities:
-                    mask |= frames[self._row]
-        elif self._pairs:
-            mask[[t - 1 for _, t in self._pairs]] = True
+        for entities, frames in self._parts:
+            if entities:
+                mask |= frames[self._row]
 
     def __bool__(self):
-        if self._pairs is None:
-            return any(entities and frames[self._row].any() for entities, frames in self._parts)
-        return bool(self._pairs)
+        return any(entities and frames[self._row].any() for entities, frames in self._parts)
 
     def __eq__(self, other):
         if not isinstance(other, Witness):
@@ -202,7 +187,7 @@ class Witness:
         return sorted({e for e, _ in self.pairs})
 
 
-EMPTY_WITNESS = Witness(frozenset())
+EMPTY_WITNESS = Witness((), 0)
 
 
 # --------------------------------------------------------------------------
@@ -562,7 +547,7 @@ class ClauseProgram:
                          in _witness_parts(rule, values, horizon)]
                 for i, truth in enumerate(row_truths):
                     if not truth:
-                        row_witnesses[i] = Witness._of_row(parts, i)
+                        row_witnesses[i] = Witness(parts, i)
             witnesses.append(row_witnesses)
         return truths, witnesses
 
@@ -602,7 +587,7 @@ def _witness_parts(rule, values, horizon):
             elif True in pols:
                 frames = ~values[k]
             else:
-                frames = values[k].copy()  # the caller's stream; lazy witnesses outlive it
+                frames = values[k].copy()  # the caller's stream; witnesses outlive it
             parts.append((entities, frames))
         return parts
     _, entities, p, q = rule

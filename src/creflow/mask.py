@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .backend import sweep_disc_mask
-from .errors import LayoutMismatch, ShapeMismatch
+from .errors import LayoutMismatch
 
 FRAME_SITE = "frame_site"
 PIXEL_SITES = "pixel"
@@ -183,21 +183,3 @@ def build_group_mask(verdicts, layout: LatentLayout, clause_entities=None) -> Cr
         spatial = np.array([eid in implicated for eid in layout.entity_ids])
 
     return CreditMask.from_axes(temporal, spatial)
-
-
-def apply_mask(mask: CreditMask, residual, layout: LatentLayout):
-    """Elementwise mask product, broadcast across channels.
-
-    Accepts the residual either flat (dim,) or shaped (T, S, C); the result
-    has the same shape as the input.
-    """
-    residual = np.asarray(residual, dtype=np.float64)
-    flat_mask = mask.flat(layout)
-    if residual.shape == (layout.dim,):
-        return residual * flat_mask
-    if residual.shape == layout.tensor_shape():
-        return (residual.ravel() * flat_mask).reshape(residual.shape)
-    raise ShapeMismatch(
-        f"residual shape {residual.shape} matches neither ({layout.dim},) "
-        f"nor {layout.tensor_shape()}"
-    )

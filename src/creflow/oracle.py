@@ -165,10 +165,6 @@ class PopulationPoint:
     bar_v_plus: np.ndarray  # marginal-prototype velocity (xt - E+[x0]) / t
     bar_delta: np.ndarray  # bar_v_plus - v_old
 
-    def sample_atoms(self, rng, size):
-        """Atom indices drawn from the posterior at this point."""
-        return draw_categorical(rng, self.w, size)
-
 
 def population_point(world: DiscreteWorld, xt, t, require_two_sided=False) -> PopulationPoint:
     """Enumerate posterior weights at (xt, t) and assemble all velocities."""
@@ -449,7 +445,7 @@ def verify_reward_locality(
 
         # each posterior draw contributes its atom's summand
         in_branch = (world.rewards == (1 if branch == "pos" else 0)).astype(np.float64)
-        summand = (in_branch * off_sq)[pp.sample_atoms(rng, mc_samples)]
+        summand = (in_branch * off_sq)[draw_categorical(rng, pp.w, mc_samples)]
         mc = float(summand.mean())
         se = float(summand.std(ddof=1) / math.sqrt(mc_samples))
         dev = abs(mc - exact)
@@ -647,12 +643,10 @@ def verify_direction(world, probe: QuadraticProbe, grid, beta, report=None) -> V
         closed[on] = (
             probe.a * mu_nft[on] + probe.b * mu_cr[on] + probe.gamma * v_ref[on]
         ) / denom_on
+        closed[off] = v_ref[off]
         solvable = list(on)
-        if probe.gamma > 0:
-            closed[off] = v_ref[off]
+        if probe.gamma > 0:  # else the off-mask coordinates are flat: report only on-mask
             solvable += list(off)
-        else:
-            closed[off] = v_ref[off]  # flat coordinates: report only on-mask
 
         numeric = parabola_argmin(
             lambda vs: probe_objective(probe, mu_nft, mu_cr, v_ref, vs),
@@ -774,7 +768,7 @@ def verify_variance(
         # reflection-branch samples: posterior draw + injected plug-in noise,
         # v_theta - (((beta+1)/beta) (v_old + xi) - v_atom / beta)
         scaled_targets = (xt[None, :] - world.x0s) / t / beta  # v_atom / beta per atom
-        idx = pp.sample_atoms(rng, mc_samples)
+        idx = draw_categorical(rng, pp.w, mc_samples)
         res = rng.standard_normal((mc_samples, d))
         res *= sigma_xi
         res += pp.v_old
@@ -1023,11 +1017,11 @@ def suite_variance(seed, mc_samples=100_000) -> tuple:
 
 
 SUITES = {
-    "nft": lambda seed: suite_nft(seed),
-    "masked": lambda seed: suite_masked(seed),
-    "locality": lambda seed: suite_locality(seed),
-    "corrective": lambda seed: suite_corrective(seed),
-    "direction": lambda seed: suite_direction(seed),
+    "nft": suite_nft,
+    "masked": suite_masked,
+    "locality": suite_locality,
+    "corrective": suite_corrective,
+    "direction": suite_direction,
     "variance": lambda seed: suite_variance(seed)[0],
 }
 

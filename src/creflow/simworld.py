@@ -113,9 +113,16 @@ class WorldConfig:
                 f"model_kind must be 'linear' or 'mlp', got {self.model_kind!r}")
         if any(width < 1 for width in self.hidden):
             raise SpecValidationError(f"hidden widths must be >= 1, got {list(self.hidden)}")
-        for name in ("iterations", "rollout_steps", "demo_count", "pretrain_batch", "probe_count"):
-            if getattr(self, name) < 1:
-                raise SpecValidationError(f"{name} must be >= 1, got {getattr(self, name)}")
+        for name, least in (("iterations", 1), ("rollout_steps", 1), ("demo_count", 1),
+                            ("pretrain_batch", 1), ("probe_count", 1), ("pretrain_steps", 0),
+                            ("arm_radius", 0), ("object_radius", 0), ("container_radius", 0)):
+            if getattr(self, name) < least:
+                raise SpecValidationError(f"{name} must be >= {least}, got {getattr(self, name)}")
+        if min(self.container_half_extents) < 0:
+            raise SpecValidationError(
+                f"container_half_extents must be >= 0, got {list(self.container_half_extents)}")
+        if min(self.grid) < 4:
+            raise SpecValidationError(f"grid must be at least 4x4, got {list(self.grid)}")
 
 
 def object_ids(config):
@@ -700,14 +707,6 @@ def run_online_loop(config: WorldConfig, spec: TaskSpec, bundle: ModelBundle,
         "metrics_version": METRICS_VERSION,
     }
     return MetricsSeries(list(METRIC_COLUMNS), rows, summary)
-
-
-def run_experiment(config: WorldConfig, loss_config: LossConfig, spec=None):
-    """Pretrain the reference policy and run the online loop once."""
-    if spec is None:
-        spec = build_task_spec(config)
-    bundle = pretrain_reference(config)
-    return run_online_loop(config, spec, bundle, loss_config)
 
 
 def sample_decoded_rollouts(config: WorldConfig, bundle: ModelBundle, count, spec: TaskSpec):

@@ -73,11 +73,13 @@ def formulas(atoms, max_leaves):
 
 
 FLOATS = st.floats(allow_nan=False, allow_infinity=False)
+NONNEGATIVE = st.floats(min_value=0.0, allow_infinity=False)
 POSITIVE = st.floats(min_value=1e-6, max_value=1e6)
 
 
-# World counts that must be at least 1.
+# World counts that must be at least 1, and world sizes that must be at least 0.
 POSITIVE_COUNTS = ("iterations", "rollout_steps", "demo_count", "pretrain_batch", "probe_count")
+RADII = ("arm_radius", "object_radius", "container_radius")
 
 
 @st.composite
@@ -88,15 +90,15 @@ def experiment_configs(draw):
         if f.type is int:
             world[f.name] = draw(st.integers(1 if f.name in POSITIVE_COUNTS else 0, 2**40))
         elif f.type is float:
-            world[f.name] = draw(FLOATS)
+            world[f.name] = draw(NONNEGATIVE if f.name in RADII else FLOATS)
     template = draw(st.sampled_from(simworld.TEMPLATES))
     world.update(
         template=template,
         horizon=draw(st.integers(8, 32)),
         group_size=draw(st.integers(2, 64)),
         n_objects=draw(st.integers(2 if template == "ordered_stack" else 1, 3)),
-        grid=(draw(st.integers(1, 256)), draw(st.integers(1, 256))),
-        container_half_extents=(draw(FLOATS), draw(FLOATS)),
+        grid=(draw(st.integers(4, 256)), draw(st.integers(4, 256))),
+        container_half_extents=(draw(NONNEGATIVE), draw(NONNEGATIVE)),
         hidden=tuple(draw(st.lists(st.integers(1, 512), max_size=3))),
         model_kind=draw(st.sampled_from(["linear", "mlp"])),
     )
@@ -110,7 +112,6 @@ def experiment_configs(draw):
         loss=loss,
         out_dir=draw(st.text(min_size=1)),
         spec_path=draw(st.none() | st.text(min_size=1)),
-        corrective_enabled=draw(st.booleans()),
     )
 
 
@@ -127,8 +128,8 @@ def task_specs(draw):
     ``EVALUATORS``, each clause's source is the printed text of a random formula, and
     the outer entity of an ``inside`` atom has a box (the first entity always has one)."""
     ids = draw(st.lists(IDENTIFIERS, min_size=1, max_size=4, unique=True))
-    boxes = [draw(st.tuples(FLOATS, FLOATS))] + [
-        draw(st.none() | st.tuples(FLOATS, FLOATS)) for _ in ids[1:]]
+    boxes = [draw(st.tuples(NONNEGATIVE, NONNEGATIVE))] + [
+        draw(st.none() | st.tuples(NONNEGATIVE, NONNEGATIVE)) for _ in ids[1:]]
     entities = [EntityDecl(eid, draw(st.sampled_from(ENTITY_KINDS)), box)
                 for eid, box in zip(ids, boxes)]
     boxed = [eid for eid, box in zip(ids, boxes) if box is not None]

@@ -104,10 +104,7 @@ class TestFileIO:
         cfg = fileio.load_experiment_config(workdir["experiment"])
         assert cfg.world.iterations == 8
         assert cfg.loss.lambda_cr == 1.0
-        effective = cfg.effective_loss_config()
-        assert effective.mask_enabled and effective.lambda_cr == 1.0
-        cfg.corrective_enabled = False
-        assert cfg.effective_loss_config().lambda_cr == 0.0
+        assert cfg.effective_loss_config() is cfg.loss
 
     def test_every_config_field_and_param_has_a_kind(self):
         # so no field or param can be added without a check at load
@@ -410,6 +407,16 @@ class TestMalformedInputs:
         ("world", "demo_count", 0, "demo_count must be >= 1, got 0"),
         ("world", "pretrain_batch", 0, "pretrain_batch must be >= 1, got 0"),
         ("world", "probe_count", -2, "probe_count must be >= 1, got -2"),
+        ("world", "pretrain_steps", -5, "pretrain_steps must be >= 0, got -5"),
+        ("world", "arm_radius", -0.9, "arm_radius must be >= 0, got -0.9"),
+        ("world", "object_radius", -0.7, "object_radius must be >= 0, got -0.7"),
+        ("world", "container_radius", -1.2, "container_radius must be >= 0, got -1.2"),
+        ("world", "container_half_extents", [-3, -3],
+         "container_half_extents must be >= 0, got [-3, -3]"),
+        ("world", "container_half_extents", [3.0, -0.5],
+         "container_half_extents must be >= 0, got [3.0, -0.5]"),
+        ("world", "grid", [3, 3], "grid must be at least 4x4, got [3, 3]"),
+        ("world", "grid", [24, 2], "grid must be at least 4x4, got [24, 2]"),
         ("loss", "beta", 0.0, "beta must be > 0"),
         ("loss", "beta", "1.0", "'loss.beta' must be a finite number, got '1.0'"),
         ("loss", "weight_scheme", 1, "'loss.weight_scheme' must be a string, got 1"),
@@ -458,6 +465,8 @@ class TestMalformedInputs:
          "{path}: entities[3]: 'half_extents' must be two finite numbers, got [1.0]"),
         ("entities", 3, "half_extents", ["a", "b"],
          "{path}: entities[3]: 'half_extents' must be two finite numbers, got ['a', 'b']"),
+        ("entities", 3, "half_extents", [3.0, -3.0],
+         "{path}: entities[3]: 'half_extents' must be >= 0, got [3.0, -3.0]"),
         ("predicates", 0, "arity", "2", "{path}: predicates[0]: 'arity' must be an integer, got '2'"),
         ("predicates", 0, "name", 1, "{path}: predicates[0]: 'name' must be a string, got 1"),
         ("predicates", 0, "evaluator", 2,
@@ -738,8 +747,7 @@ class TestCliExitCodes:
 
     @pytest.mark.parametrize("key,value,message", [
         ("corective_enabled", False, "unknown top-level key 'corective_enabled'"),
-        ("corrective_enabled", "false",
-         "'corrective_enabled' must be true or false, got 'false'"),
+        ("corrective_enabled", False, "unknown top-level key 'corrective_enabled'"),
         ("out_dir", 5, "'out_dir' must be a string, got 5"),
         ("spec_path", True, "'spec_path' must be a string, got True"),
     ])

@@ -9,8 +9,6 @@ from creflow.flow import (
     ModelBundle,
     interpolate,
     model_jacobian,
-    predict_x0,
-    sample_rollout,
     sample_rollout_group,
 )
 
@@ -63,25 +61,21 @@ class TestInterpolate:
             interpolate(np.zeros((2, 3)), np.zeros((2, 3)), np.full(3, 0.5))
 
 
-class TestPredictX0:
-    def test_exact_model_inverts(self):
+class TestCleanLatentPrediction:
+    """x_t - t v(x_t, t) recovers x0 under the exact velocity target eps - x0."""
+
+    def test_exact_velocity_inverts(self):
         rng = np.random.default_rng(1)
         x0 = rng.standard_normal(4)
         eps = rng.standard_normal(4)
-
-        class Exact:
-            def velocity_batch(self, xt, t, cond=None):
-                return np.broadcast_to(eps - x0, np.atleast_2d(xt).shape)[0] \
-                    if np.asarray(xt).ndim == 1 else np.broadcast_to(eps - x0, np.asarray(xt).shape)
-
         for t in (T_MIN, 0.4, 1.0):
             xt = interpolate(x0, eps, t)
-            assert np.allclose(predict_x0(Exact(), xt, t), x0, atol=1e-12)
+            assert np.allclose(xt - t * (eps - x0), x0, atol=1e-12)
 
     def test_zero_model_returns_xt(self):
         model = LinearVelocity(4)
         xt = np.arange(4.0)
-        assert np.array_equal(predict_x0(model, xt, 0.7), xt)
+        assert np.array_equal(xt - 0.7 * model.velocity_batch(xt, 0.7), xt)
 
 
 class PointMassVelocity:
@@ -116,7 +110,8 @@ class TestSampler:
         floor = T_MIN * np.linalg.norm(eps - target)
         errors = {}
         for steps in (8, 64):
-            x = sample_rollout(bundle, None, steps, np.random.default_rng(7))
+            x = sample_rollout_group(bundle, None, steps,
+                                     np.random.default_rng(7).standard_normal((1, 3)))[0]
             # analytic Euler recursion for dx/dt = (x - a)/t
             expected = eps.copy()
             dt = (1.0 - T_MIN) / steps
@@ -135,15 +130,15 @@ class TestSampler:
     def test_zero_model_returns_noise(self):
         bundle = ModelBundle.from_model(LinearVelocity(5))
         rng = np.random.default_rng(3)
-        x = sample_rollout(bundle, None, 16, rng)
+        x = sample_rollout_group(bundle, None, 16, rng.standard_normal((1, 5)))[0]
         assert np.allclose(x, np.random.default_rng(3).standard_normal(5))
 
     def test_deterministic_under_seed(self):
         rng = np.random.default_rng(11)
         model = LinearVelocity(4, rng=rng, scale=0.3)
         bundle = ModelBundle.from_model(model)
-        a = sample_rollout(bundle, None, 12, np.random.default_rng(5))
-        b = sample_rollout(bundle, None, 12, np.random.default_rng(5))
+        a = sample_rollout_group(bundle, None, 12, np.random.default_rng(5).standard_normal((1, 4)))
+        b = sample_rollout_group(bundle, None, 12, np.random.default_rng(5).standard_normal((1, 4)))
         assert np.array_equal(a, b)
 
     def test_group_matches_single(self):

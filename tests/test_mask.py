@@ -7,9 +7,9 @@ from hypothesis.extra import numpy as hnp
 from creflow import mask as mask_module
 from creflow import simworld
 from creflow.backend import sweep_disc_mask
-from creflow.errors import LayoutMismatch, ShapeMismatch
+from creflow.errors import LayoutMismatch
 from creflow.ltlf import Witness
-from creflow.mask import CreditMask, LatentLayout, apply_mask, build_group_mask
+from creflow.mask import CreditMask, LatentLayout, build_group_mask
 from creflow.monitor import Verdict, run_group_monitor, run_monitor
 from creflow.trace import (
     Atlas,
@@ -27,10 +27,11 @@ def make_verdict(reward, witness_frames, atlas_cells, horizon=6, grid=(8, 8), en
     masks = {entity: np.zeros(grid, bool)}
     for i, j in atlas_cells:
         masks[entity][i, j] = True
-    pairs = frozenset((entity, t) for t in witness_frames)
+    frames = np.zeros((1, horizon), bool)
+    frames[0, [t - 1 for t in witness_frames]] = True  # frames are 1-indexed
     return Verdict(
         reward=reward,
-        violations=[("k0", Witness(pairs))],
+        violations=[("k0", Witness([((entity,), frames)], 0))],
         atlas=Atlas(masks),
         horizon=horizon,
     )
@@ -178,25 +179,23 @@ class TestOneCallUnion:
             "atlas raster (8, 10) does not match layout grid (8, 8)")
 
 
-class TestApplyMask:
+class TestMaskFlat:
     def test_identity_and_zero(self):
         rng = np.random.default_rng(1)
         residual = rng.standard_normal(ENTITY_LAYOUT.dim)
         ones = CreditMask.ones(ENTITY_LAYOUT)
-        assert np.array_equal(apply_mask(ones, residual, ENTITY_LAYOUT), residual)
+        assert np.array_equal(residual * ones.flat(ENTITY_LAYOUT), residual)
         zeros = CreditMask.from_axes(np.zeros(6, bool), np.zeros(3, bool))
-        assert not apply_mask(zeros, residual, ENTITY_LAYOUT).any()
+        assert not (residual * zeros.flat(ENTITY_LAYOUT)).any()
 
     def test_single_site_broadcasts_channels(self):
         temporal = np.zeros(6, bool)
         temporal[2] = True
         spatial = np.zeros(3, bool)
         spatial[1] = True
-        mask = CreditMask.from_axes(temporal, spatial)
-        residual = np.ones(ENTITY_LAYOUT.tensor_shape())
-        out = apply_mask(mask, residual, ENTITY_LAYOUT)
+        out = CreditMask.from_axes(temporal, spatial).flat(ENTITY_LAYOUT)
         assert out.sum() == ENTITY_LAYOUT.channels
-        assert out[2, 1].tolist() == [1.0, 1.0]
+        assert out.reshape(ENTITY_LAYOUT.tensor_shape())[2, 1].tolist() == [1.0, 1.0]
 
     def test_idempotent(self):
         rng = np.random.default_rng(2)
@@ -204,19 +203,14 @@ class TestApplyMask:
         mask = CreditMask.from_axes(
             rng.integers(0, 2, 6).astype(bool), rng.integers(0, 2, 3).astype(bool)
         )
-        once = apply_mask(mask, residual, ENTITY_LAYOUT)
-        twice = apply_mask(mask, once, ENTITY_LAYOUT)
+        once = residual * mask.flat(ENTITY_LAYOUT)
+        twice = once * mask.flat(ENTITY_LAYOUT)
         assert np.array_equal(once, twice)
-
-    def test_shape_mismatch(self):
-        mask = CreditMask.ones(ENTITY_LAYOUT)
-        with pytest.raises(ShapeMismatch):
-            apply_mask(mask, np.ones(7), ENTITY_LAYOUT)
 
     def test_wrong_layout_for_mask(self):
         mask = CreditMask.ones(PIXEL_LAYOUT)
         with pytest.raises(LayoutMismatch):
-            apply_mask(mask, np.ones(ENTITY_LAYOUT.dim), ENTITY_LAYOUT)
+            mask.flat(ENTITY_LAYOUT)
 
 
 @st.composite
@@ -248,21 +242,10 @@ class TestMaskIdentities:
 
     @settings(max_examples=200, deadline=None)
     @given(masked_residuals())
-    def test_flat_and_tensor_residuals_agree(self, case):
-        layout, mask, residual = case
-        shaped = apply_mask(mask, residual, layout)
-        flat = apply_mask(mask, residual.ravel(), layout)
-        assert shaped.shape == layout.tensor_shape() and flat.shape == (layout.dim,)
-        assert shaped.ravel().tobytes() == flat.tobytes()
-        assert shaped.tobytes() == (residual * mask.full[:, :, None]).tobytes()
-
-    @settings(max_examples=200, deadline=None)
-    @given(masked_residuals())
     def test_ones_mask_is_identity(self, case):
         layout, _, residual = case
         ones = CreditMask.ones(layout)
-        assert apply_mask(ones, residual, layout).tobytes() == residual.tobytes()
-        assert apply_mask(ones, residual.ravel(), layout).tobytes() == residual.tobytes()
+        assert (residual.ravel() * ones.flat(layout)).tobytes() == residual.tobytes()
 
 
 @st.composite

@@ -17,7 +17,6 @@ from creflow.simworld import (
     decode_trace,
     latent_from_flat,
     pretrain_reference,
-    run_experiment,
     run_online_loop,
     sample_condition,
     scripted_demo,
@@ -235,8 +234,8 @@ class TestLoop:
         loss_config = LossConfig(beta=1.0, lambda_cr=1.0, lambda_kl=0.1)
         pretrained = pretrain_reference(config)
         theta = pretrained.current.get_params()
-        fresh = run_experiment(config, loss_config)
         spec = build_task_spec(config)
+        fresh = run_online_loop(config, spec, pretrain_reference(config), loss_config)
         for _ in range(2):
             series = run_online_loop(config, spec, pretrained.copy(), loss_config)
             assert series.rows == fresh.rows and series.summary == fresh.summary
@@ -303,12 +302,14 @@ class TestLoop:
     def test_other_templates_run(self, template):
         n_objects = 2 if template == "ordered_stack" else 1
         config = small_config(template=template, n_objects=n_objects, iterations=6)
-        series = run_experiment(config, LossConfig(lambda_cr=1.0))
+        series = run_online_loop(config, build_task_spec(config), pretrain_reference(config),
+                                 LossConfig(lambda_cr=1.0))
         assert len(series.rows) == 6
 
     def test_offmask_drift_nonnegative_and_finite(self):
         config = small_config(iterations=10)
-        series = run_experiment(config, LossConfig(lambda_cr=1.0))
+        series = run_online_loop(config, build_task_spec(config), pretrain_reference(config),
+                                 LossConfig(lambda_cr=1.0))
         for row in series.rows:
             assert np.isfinite(row["offmask_drift"]) and row["offmask_drift"] >= 0.0
 
