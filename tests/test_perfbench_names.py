@@ -4,7 +4,7 @@
 renamed public name would first show up when the benchmark runs. Each script
 is parsed, not imported: every ``from creflow... import X`` must resolve, and
 every ``<module>.<attr>`` must exist where ``<module>`` is a name the script
-bound to a creflow module by an import.
+bound to a creflow module by a ``from creflow... import``.
 """
 
 import ast
@@ -44,10 +44,6 @@ def missing_names(source, filename):
                     missing.append(f"from {node.module} import {alias.name}")
                 elif isinstance(target, types.ModuleType):
                     modules[alias.asname or alias.name] = target
-        elif isinstance(node, ast.Import):
-            for alias in node.names:
-                if alias.name.split(".")[0] == "creflow" and alias.asname:
-                    modules[alias.asname] = importlib.import_module(alias.name)
     for node in ast.walk(tree):
         if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
                 and node.value.id in modules and not hasattr(modules[node.value.id], node.attr)):
