@@ -78,7 +78,6 @@ def cmd_verify(args) -> int:
         raise CreflowError(
             f"unknown suite {args.suite!r}; choose from all, {', '.join(oracle.SUITES)}")
     report = oracle.run_suite(args.suite, args.seed)
-    report.seed = args.seed
     _emit(report.to_dict(), args.out)
     for check in report.checks:
         status = "PASS" if check.passed else "FAIL"

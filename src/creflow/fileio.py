@@ -423,10 +423,7 @@ def load_trace(path) -> TraceGroup:
             at = f"{where}[{eid!r}]"
             _mapping(state, at)
             positions.append(_field(state, "position", at, "two finite numbers"))
-            r = _field(state, "radius", at, "a finite number")
-            if r < 0:
-                raise SchemaError(f"{at}: 'radius' must be a finite number >= 0, got {r!r}")
-            radii.append(r)
+            radii.append(_field(state, "radius", at, "a finite number >= 0"))
             closed = _field(state, "gripper_closed", at, "true or false", None)
             grippers.append(-1 if closed is None else closed)
             cell = t, columns.setdefault(eid, len(columns))

@@ -135,10 +135,9 @@ def build_group_mask(verdicts, layout: LatentLayout, clause_entities=None) -> Cr
     The temporal axis unions witness frames over all rollouts (satisfied
     clauses contribute nothing). For pixel sites the spatial axis unions the
     entity atlases of all rollouts regardless of reward: given, assigned or
-    already-read atlases by their masks, and the discs of every atlas not yet
+    already-read atlases by their masks, and every disc of every atlas not yet
     built in one ``sweep_disc_mask`` call (which leaves those atlases
-    unbuilt), less each disc equal to the one before it. For entity sites it
-    selects the ids in ``clause_entities``.
+    unbuilt). For entity sites it selects the ids in ``clause_entities``.
     """
     if not verdicts:
         raise LayoutMismatch("need at least one verdict")
@@ -168,14 +167,8 @@ def build_group_mask(verdicts, layout: LatentLayout, clause_entities=None) -> Cr
                 positions.append(discs[0])
                 radii.append(discs[1])
         if positions:
-            # Entity by entity, frame by frame, an entity that stays put repeats
-            # its disc; equal discs give equal rasters, so drop the repeats.
             xy, r = np.concatenate(positions).reshape(-1, 2), np.concatenate(radii).reshape(-1)
-            x, y = xy[:, 0], xy[:, 1]
-            moved = np.ones(r.size, dtype=bool)
-            moved[1:] = (x[1:] != x[:-1]) | (y[1:] != y[:-1]) | (r[1:] != r[:-1])
-            keep = np.flatnonzero(moved)
-            spatial |= sweep_disc_mask(xy.take(keep, axis=0), r.take(keep), *layout.grid).ravel()
+            spatial |= sweep_disc_mask(xy, r, *layout.grid).ravel()
     else:
         if clause_entities is None:
             raise LayoutMismatch("entity-site masks need the clause-implicated entity ids")

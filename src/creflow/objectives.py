@@ -151,44 +151,6 @@ def loss_nft_credit_aware(group, bundle, batch, config):
                      feats, bundle.current.forward(feats))
 
 
-def _corrective_reflow_impl(group, bundle, batch, config, form, feats):
-    zeros = np.zeros(bundle.current.n_params)
-    xbar = group.positive_mean
-    neg = group.negatives
-    if xbar is None or neg.size == 0:
-        return 0.0, zeros
-    m = _mask_flat(group, config)
-    t = batch.t[neg]
-    xt = batch.xt[neg]
-    acts = bundle.current.forward(feats[neg])
-    v_theta = acts[-1]
-    n_neg = neg.size
-    if form == "x0":
-        xhat = xt - t[:, None] * v_theta
-        diff = (xhat - xbar[None, :]) * m
-        loss = float(np.sum(diff * diff) / n_neg)
-        adjoints = (-2.0 * t[:, None]) * diff * m / n_neg
-    elif form == "velocity":
-        target = (xt - xbar[None, :]) / t[:, None]
-        dv = (v_theta - target) * m
-        loss = float(np.sum((t * t)[:, None] * dv * dv) / n_neg)
-        adjoints = 2.0 * (t * t)[:, None] * dv * m / n_neg
-    else:
-        raise ValueError(f"unknown form {form!r}")
-    grad = bundle.current.vjp(acts, adjoints)
-    return loss, grad
-
-
-def loss_corrective_reflow(group, bundle, batch, config, form="x0"):
-    """Regress negatives' one-step x0 prediction toward the positive mean.
-
-    ``form`` selects the x0-space expression or the algebraically equal
-    velocity-space one t^2 ||M (v_theta - (x_t - mean)/t)||^2; the two are
-    implemented independently and agree to rounding.
-    """
-    return _corrective_reflow_impl(group, bundle, batch, config, form, _encode(bundle, batch))
-
-
 def corrective_weights(group: RolloutGroup, config: LossConfig):
     """Row-stochastic weights over positives for each negative rollout."""
     pos, neg = group.positives, group.negatives
@@ -204,28 +166,56 @@ def corrective_weights(group: RolloutGroup, config: LossConfig):
     return w / w.sum(axis=1, keepdims=True)
 
 
-def _corrective_weighted_impl(group, bundle, batch, config, feats):
-    zeros = np.zeros(bundle.current.n_params)
+def _corrective_impl(group, bundle, batch, config, feats, weighted=False, form="x0"):
+    """Corrective loss and gradient on the negatives' rows of ``feats``.
+
+    Each negative's x_hat = x_t - t v_theta regresses toward the positive mean,
+    loss ||M (x_hat - mean)||^2, or if ``weighted`` toward its barycenter under
+    ``corrective_weights``, loss sum_j w_ij ||M (x_hat - x_j)||^2; both take the
+    adjoint -2t M (x_hat - target) M / |N|. ``form="velocity"`` is the unweighted
+    loss in velocity space with its own adjoint, the x0 form's test reference.
+    """
     pos, neg = group.positives, group.negatives
     if pos.size == 0 or neg.size == 0:
-        return 0.0, zeros
+        return 0.0, np.zeros(bundle.current.n_params)
     m = _mask_flat(group, config)
-    w = corrective_weights(group, config)
-    t = batch.t[neg]
+    t = batch.t[neg][:, None]
     xt = batch.xt[neg]
     acts = bundle.current.forward(feats[neg])
-    xhat = xt - t[:, None] * acts[-1]
-    diff = (xhat[:, None, :] - group.rollouts[pos][None, :, :]) * m
-    loss = float(np.sum(w[:, :, None] * diff * diff) / neg.size)
-    barycenter = w @ group.rollouts[pos]
-    adjoints = (-2.0 * t[:, None]) * ((xhat - barycenter) * m) * m / neg.size
-    grad = bundle.current.vjp(acts, adjoints)
-    return loss, grad
+    if form == "velocity":
+        dv = (acts[-1] - (xt - group.positive_mean) / t) * m
+        loss = float(np.sum((t * t) * dv * dv) / neg.size)
+        adjoints = 2.0 * (t * t) * dv * m / neg.size
+    elif form == "x0":
+        xhat = xt - t * acts[-1]
+        if weighted:
+            w = corrective_weights(group, config)
+            xp = group.rollouts[pos]
+            each = (xhat[:, None, :] - xp) * m
+            loss = float(np.sum(w[:, :, None] * each * each) / neg.size)
+            diff = (xhat - w @ xp) * m
+        else:
+            diff = (xhat - group.positive_mean) * m
+            loss = float(np.sum(diff * diff) / neg.size)
+        adjoints = (-2.0 * t) * diff * m / neg.size
+    else:
+        raise ValueError(f"unknown form {form!r}")
+    return loss, bundle.current.vjp(acts, adjoints)
+
+
+def loss_corrective_reflow(group, bundle, batch, config, form="x0"):
+    """Regress negatives' one-step x0 prediction toward the positive mean.
+
+    ``form`` selects the x0-space expression or the algebraically equal
+    velocity-space one t^2 ||M (v_theta - (x_t - mean)/t)||^2; the two are
+    implemented independently and agree to rounding.
+    """
+    return _corrective_impl(group, bundle, batch, config, _encode(bundle, batch), form=form)
 
 
 def loss_corrective_weighted(group, bundle, batch, config):
     """Weighted-ERM corrective variant: per-negative weighted sum over positives."""
-    return _corrective_weighted_impl(group, bundle, batch, config, _encode(bundle, batch))
+    return _corrective_impl(group, bundle, batch, config, _encode(bundle, batch), weighted=True)
 
 
 def _kl_impl(bundle, batch, feats, current):
@@ -257,10 +247,8 @@ def loss_total(group, bundle, batch, config):
                             feats, current)
     parts = {"nft": total, "cr": 0.0, "kl": 0.0}
     if config.lambda_cr > 0:
-        if config.weight_scheme == "kernel":
-            cr_l, cr_g = _corrective_weighted_impl(group, bundle, batch, config, feats)
-        else:
-            cr_l, cr_g = _corrective_reflow_impl(group, bundle, batch, config, "x0", feats)
+        cr_l, cr_g = _corrective_impl(group, bundle, batch, config, feats,
+                                      weighted=config.weight_scheme == "kernel")
         parts["cr"] = cr_l
         total += config.lambda_cr * cr_l
         grad = grad + config.lambda_cr * cr_g

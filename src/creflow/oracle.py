@@ -165,13 +165,15 @@ class PopulationPoint:
     bar_v_plus: np.ndarray  # marginal-prototype velocity (xt - E+[x0]) / t
     bar_delta: np.ndarray  # bar_v_plus - v_old
 
+    def nft_optimum(self, beta):
+        """The branch objective's pointwise minimiser v_old + (2 alpha / beta) delta."""
+        return self.v_old + (2.0 * self.alpha / beta) * self.delta
 
-def population_point(world: DiscreteWorld, xt, t, require_two_sided=False) -> PopulationPoint:
+
+def population_point(world: DiscreteWorld, xt, t) -> PopulationPoint:
     """Enumerate posterior weights at (xt, t) and assemble all velocities."""
     xt = np.asarray(xt, dtype=np.float64)
     t = float(t)
-    if require_two_sided and not world.two_sided:
-        raise DegenerateWorld("two-sided query on a one-sided world")
     logw = backend.gauss_logweights_batch(world.x0s, world.log_probs, xt[None, :], t)[0]
     w = _softmax(logw)
     pos, neg = world.positives, world.negatives
@@ -306,48 +308,48 @@ def parabola_argmin(f, base, coords):
 # Closed-form optimum checks
 # --------------------------------------------------------------------------
 
-def verify_nft_optimum(world, grid, beta, report=None) -> VerifyReport:
-    """Numeric pointwise minimization of the branch objective vs the closed form."""
-    if report is None:
-        report = VerifyReport("nft", -1)
+def _optimum_deviations(world, grid, beta, mask_bits=None, rng=None):
+    """The worst |closed form - numeric minimiser| of the branch objective over
+    ``grid``, on the coordinates of ``mask_bits`` (all of them without a mask), and,
+    with a mask, the worst change of the masked objective under ten off-mask
+    perturbations of v_old drawn from ``rng`` at each point."""
     if not world.two_sided:
         raise DegenerateWorld("optimum check needs positives and negatives")
-    worst = 0.0
-    for xt, t in grid:
-        pp = population_point(world, xt, t)
-        closed = pp.v_old + (2.0 * pp.alpha / beta) * pp.delta
-        numeric = parabola_argmin(
-            population_nft_objective(world, pp, beta), pp.v_old, range(world.dim)
-        )
-        worst = max(worst, float(np.max(np.abs(closed - numeric))))
-    report.add("nft_optimum_max_deviation", worst < 1e-8, worst, 1e-8)
-    return report
-
-
-def verify_masked_optimum(world, grid, beta, mask_bits, rng, report=None) -> VerifyReport:
-    """On-mask match to the closed form plus off-mask flatness of the objective."""
-    if report is None:
-        report = VerifyReport("masked", -1)
-    mask_bits = np.asarray(mask_bits, dtype=bool)
-    on = np.nonzero(mask_bits)[0]
-    off = np.nonzero(~mask_bits)[0]
+    bits = np.ones(world.dim, bool) if mask_bits is None else np.asarray(mask_bits, dtype=bool)
+    on = np.nonzero(bits)[0]
+    off = np.nonzero(~bits)[0]
     worst_on = 0.0
     worst_flat = 0.0
     for xt, t in grid:
         pp = population_point(world, xt, t)
-        closed = pp.v_old + (2.0 * pp.alpha / beta) * pp.delta
         objective = population_nft_objective(world, pp, beta, mask_bits)
         if on.size:
             numeric = parabola_argmin(objective, pp.v_old, on)
-            worst_on = max(worst_on, float(np.max(np.abs(closed[on] - numeric[on]))))
-        # base, then base + p and base - p for ten off-mask perturbations p
-        pert = np.zeros((10, world.dim))
-        pert[:, off] = rng.standard_normal((10, off.size))
-        probes = np.tile(pp.v_old, (21, 1))
-        probes[1::2] += pert
-        probes[2::2] -= pert
-        values = objective(probes)
-        worst_flat = max(worst_flat, *np.abs(values[1:] - values[0]).tolist())
+            worst_on = max(worst_on, float(np.max(np.abs(pp.nft_optimum(beta)[on] - numeric[on]))))
+        if mask_bits is not None:
+            # base, then base + p and base - p for ten off-mask perturbations p
+            pert = np.zeros((10, world.dim))
+            pert[:, off] = rng.standard_normal((10, off.size))
+            probes = np.tile(pp.v_old, (21, 1))
+            probes[1::2] += pert
+            probes[2::2] -= pert
+            values = objective(probes)
+            worst_flat = max(worst_flat, *np.abs(values[1:] - values[0]).tolist())
+    return worst_on, worst_flat
+
+
+def verify_nft_optimum(world, grid, beta) -> VerifyReport:
+    """Numeric pointwise minimization of the branch objective vs the closed form."""
+    report = VerifyReport("nft", -1)
+    worst, _ = _optimum_deviations(world, grid, beta)
+    report.add("nft_optimum_max_deviation", worst < 1e-8, worst, 1e-8)
+    return report
+
+
+def verify_masked_optimum(world, grid, beta, mask_bits, rng) -> VerifyReport:
+    """On-mask match to the closed form plus off-mask flatness of the objective."""
+    report = VerifyReport("masked", -1)
+    worst_on, worst_flat = _optimum_deviations(world, grid, beta, mask_bits, rng)
     report.add("masked_on_mask_deviation", worst_on < 1e-8, worst_on, 1e-8)
     report.add("masked_off_mask_flatness", worst_flat < 1e-12, worst_flat, 1e-12)
     return report
@@ -402,11 +404,10 @@ def check_factored(world, mask_bits):
 
 
 def verify_reward_locality(
-    world, mask_bits, points, rng, mc_samples=100_000, check_construction=True, report=None
+    world, mask_bits, points, rng, mc_samples=100_000, check_construction=True
 ) -> VerifyReport:
     """Off-mask velocity equality plus the branch second-moment identities."""
-    if report is None:
-        report = VerifyReport("locality", -1)
+    report = VerifyReport("locality", -1)
     if not world.two_sided:
         raise DegenerateWorld("locality check needs positives and negatives")
     if mc_samples < 2:
@@ -496,9 +497,7 @@ def _weighted_moments(rows, counts, n):
     return mean, _count_sum(counts, dev) / (n - 1)
 
 
-def verify_corrective_target(
-    world, xt, t, group_sizes=(1, 4), mc_samples=100_000, rng=None, report=None
-) -> VerifyReport:
+def verify_corrective_target(world, xt, t, group_sizes, mc_samples, rng) -> VerifyReport:
     """Monte Carlo moments of the corrective velocity target vs enumeration.
 
     When the positive atoms all coincide (a world with one positive atom) the
@@ -514,8 +513,7 @@ def verify_corrective_target(
     ``InsufficientSamples`` for ``mc_samples < 2`` or a group size below 1,
     before any draw.
     """
-    if report is None:
-        report = VerifyReport("corrective", -1)
+    report = VerifyReport("corrective", -1)
     pos = world.positives
     if pos.size == 0:
         raise DegenerateWorld("corrective target needs positive atoms")
@@ -618,10 +616,9 @@ def probe_objective(probe, mu_nft, mu_cr, v_ref, vs):
     return q
 
 
-def verify_direction(world, probe: QuadraticProbe, grid, beta, report=None) -> VerifyReport:
+def verify_direction(world, probe: QuadraticProbe, grid, beta) -> VerifyReport:
     """Closed-form combined-update minimizer vs numeric quadratic solve."""
-    if report is None:
-        report = VerifyReport("direction", -1)
+    report = VerifyReport("direction", -1)
     if not world.two_sided:
         raise DegenerateWorld("direction check needs positives and negatives")
     on = np.nonzero(probe.mask_bits)[0]
@@ -634,7 +631,7 @@ def verify_direction(world, probe: QuadraticProbe, grid, beta, report=None) -> V
     label = f"a{probe.a:g}_b{probe.b:g}_g{probe.gamma:g}"
     for xt, t in grid:
         pp = population_point(world, xt, t)
-        mu_nft = pp.v_old + (2.0 * pp.alpha / beta) * pp.delta
+        mu_nft = pp.nft_optimum(beta)
         mu_cr = pp.bar_v_plus
         v_ref = pp.v_old if probe.v_ref is None else probe.v_ref
 
@@ -713,7 +710,6 @@ def verify_variance(
     rng,
     beta=1.0,
     lambda_cr=1.0,
-    report=None,
 ):
     """Monte Carlo branch-gradient covariances vs the exact decompositions.
 
@@ -727,8 +723,7 @@ def verify_variance(
     ``InsufficientSamples`` when fewer than two distinct t are at most 0.3 (the
     slope's fit), ``mc_samples < 2`` or ``group_size < 1``, before any draw.
     """
-    if report is None:
-        report = VerifyReport("variance", -1)
+    report = VerifyReport("variance", -1)
     if not world.two_sided:
         raise DegenerateWorld("variance check needs positives and negatives")
     t_grid = np.sort(np.asarray(t_grid, dtype=np.float64).reshape(-1))
@@ -751,8 +746,6 @@ def verify_variance(
     pos_cov = world.positive_cov()
 
     records = []
-    mc_nft_curve, mc_cr_curve = [], []
-    sigma_xi_terms, sigma0_terms = [], []
     for t in t_grid:
         pp = population_point(world, xt, t)
         jac = model_jacobian(model, xt, t)
@@ -793,10 +786,6 @@ def verify_variance(
                     f"relative se {se / trace:.3f}"
                 )
 
-        mc_nft_curve.append(trace_nft)
-        mc_cr_curve.append(trace_cr)
-        sigma_xi_terms.append(sig_xi)
-        sigma0_terms.append(sig0)
         records.append(
             {
                 "t": float(t),
@@ -809,15 +798,15 @@ def verify_variance(
             }
         )
 
-    mc_nft_curve = np.array(mc_nft_curve)
-    mc_cr_curve = np.array(mc_cr_curve)
+    mc_nft_curve = np.array([r["mc_nft"] for r in records])
+    mc_cr_curve = np.array([r["mc_cr"] for r in records])
 
     slope = float(
         np.polyfit(np.log(t_grid[sel]), np.log(mc_cr_curve[sel]), 1)[0]
     )
     report.add("variance_cr_slope", 1.8 <= slope <= 2.2, slope, 2.0, "target slope 2 +- 0.2")
 
-    floor_bound = 0.8 * 4.0 * beta**2 * (beta + 1.0) ** 2 * sigma_xi_terms[0]
+    floor_bound = 0.8 * 4.0 * beta**2 * (beta + 1.0) ** 2 * records[0]["sigma_xi_term"]
     floor_value = float(mc_nft_curve[0])
     report.add(
         "variance_nft_floor",
@@ -844,7 +833,8 @@ def verify_variance(
             beta
             * (beta + 1.0)
             / lambda_cr
-            * math.sqrt(group_size * sigma_xi_terms[k_near] / sigma0_terms[k_near])
+            * math.sqrt(group_size * records[k_near]["sigma_xi_term"]
+                        / records[k_near]["sigma0_term"])
         )
         ratio = t_emp / t_formula
         report.add(
@@ -924,28 +914,30 @@ def default_grid(world, rng, n_x=5, n_t=5):
     return grid
 
 
+def _joined(name, seed, reports) -> VerifyReport:
+    """Suite ``name``'s report at ``seed``: the checks of ``reports``, in order."""
+    return VerifyReport(name, seed, [check for report in reports for check in report.checks])
+
+
 def suite_nft(seed) -> VerifyReport:
-    report = VerifyReport("nft", seed)
     rng = np.random.default_rng((seed, 1))
     worlds = default_worlds(seed)
-    for world in worlds:
-        verify_nft_optimum(world, default_grid(world, rng), beta=1.0, report=report)
-    verify_nft_optimum(worlds[0], default_grid(worlds[0], rng), beta=4.0, report=report)
-    return report
+    reports = [verify_nft_optimum(world, default_grid(world, rng), beta=1.0) for world in worlds]
+    reports.append(verify_nft_optimum(worlds[0], default_grid(worlds[0], rng), beta=4.0))
+    return _joined("nft", seed, reports)
 
 
 def suite_masked(seed) -> VerifyReport:
-    report = VerifyReport("masked", seed)
     rng = np.random.default_rng((seed, 2))
+    reports = []
     for world in default_worlds(seed):
         mask = np.zeros(world.dim, bool)
         mask[: max(1, world.dim // 2)] = True
-        verify_masked_optimum(world, default_grid(world, rng), 1.0, mask, rng, report=report)
-    return report
+        reports.append(verify_masked_optimum(world, default_grid(world, rng), 1.0, mask, rng))
+    return _joined("masked", seed, reports)
 
 
 def suite_locality(seed, mc_samples=100_000) -> VerifyReport:
-    report = VerifyReport("locality", seed)
     rng = np.random.default_rng((seed, 3))
     world, mask_bits = make_factored_world(
         on_x0s=rng.standard_normal((3, 2)) * 2.0,
@@ -955,21 +947,19 @@ def suite_locality(seed, mc_samples=100_000) -> VerifyReport:
         off_probs=np.array([0.6, 0.4]),
     )
     points = default_grid(world, rng, n_x=3, n_t=3)
-    verify_reward_locality(world, mask_bits, points, rng, mc_samples, report=report)
-    return report
+    return _joined("locality", seed,
+                   [verify_reward_locality(world, mask_bits, points, rng, mc_samples)])
 
 
 def suite_corrective(seed, mc_samples=100_000) -> VerifyReport:
-    report = VerifyReport("corrective", seed)
     rng = np.random.default_rng((seed, 4))
     world = random_world(rng, 6, 3)
     xt = world.positive_mean() * 0.8
-    verify_corrective_target(world, xt, 0.5, (1, 4), mc_samples, rng, report=report)
-    return report
+    return _joined("corrective", seed,
+                   [verify_corrective_target(world, xt, 0.5, (1, 4), mc_samples, rng)])
 
 
 def suite_direction(seed) -> VerifyReport:
-    report = VerifyReport("direction", seed)
     rng = np.random.default_rng((seed, 5))
     world = random_world(rng, 4, 3)
     grid = default_grid(world, rng, n_x=3, n_t=3)
@@ -981,27 +971,24 @@ def suite_direction(seed) -> VerifyReport:
         (0.0, 0.5, 0.3),  # a = 0
         (2.5, 1.5, 0.7),
     ]
-    for a, b, g in sweeps:
-        probe = QuadraticProbe(a, b, g, mask)
-        verify_direction(world, probe, grid, beta=1.0, report=report)
+    reports = [verify_direction(world, QuadraticProbe(a, b, g, mask), grid, beta=1.0)
+               for a, b, g in sweeps]
     fixed_ref = rng.standard_normal(world.dim)
-    verify_direction(
-        world, QuadraticProbe(1.0, 1.0, 0.5, mask, v_ref=fixed_ref), grid, 1.0, report=report
-    )
-    return report
+    reports.append(
+        verify_direction(world, QuadraticProbe(1.0, 1.0, 0.5, mask, v_ref=fixed_ref), grid, 1.0))
+    return _joined("direction", seed, reports)
 
 
 def suite_variance(seed, mc_samples=100_000) -> tuple:
     from .flow import LinearVelocity
 
-    report = VerifyReport("variance", seed)
     rng = np.random.default_rng((seed, 6))
     world = random_world(rng, 4, 3, spread=2.5, min_pos=2)
     model = LinearVelocity(world.dim, cond_dim=0, rng=rng, scale=0.3)
     t_grid = np.geomspace(0.01, 0.6, 10)
     # lambda_cr sized so the covariance crossing falls in the collapsed-posterior
     # regime, where the reflection branch sits on its plug-in floor
-    _, var_report = verify_variance(
+    report, var_report = verify_variance(
         world,
         model,
         t_grid,
@@ -1011,9 +998,8 @@ def suite_variance(seed, mc_samples=100_000) -> tuple:
         rng=rng,
         beta=1.0,
         lambda_cr=3.0,
-        report=report,
     )
-    return report, var_report
+    return _joined("variance", seed, [report]), var_report
 
 
 SUITES = {
@@ -1028,11 +1014,5 @@ SUITES = {
 
 def run_suite(name, seed) -> VerifyReport:
     if name == "all":
-        combined = VerifyReport("all", seed)
-        for suite_name in SUITES:
-            sub = SUITES[suite_name](seed)
-            combined.checks.extend(sub.checks)
-        return combined
-    if name not in SUITES:
-        raise KeyError(name)
+        return _joined("all", seed, [suite(seed) for suite in SUITES.values()])
     return SUITES[name](seed)

@@ -115,9 +115,14 @@ class WorldConfig:
             raise SpecValidationError(f"hidden widths must be >= 1, got {list(self.hidden)}")
         for name, least in (("iterations", 1), ("rollout_steps", 1), ("demo_count", 1),
                             ("pretrain_batch", 1), ("probe_count", 1), ("pretrain_steps", 0),
-                            ("arm_radius", 0), ("object_radius", 0), ("container_radius", 0)):
+                            ("arm_radius", 0), ("object_radius", 0), ("container_radius", 0),
+                            ("grasp_distance", 0), ("move_speed", 0), ("learning_rate", 0),
+                            ("pretrain_lr", 0), ("demo_noise", 0)):
             if getattr(self, name) < least:
                 raise SpecValidationError(f"{name} must be >= {least}, got {getattr(self, name)}")
+        for name in ("fail_fraction", "ema_rate"):
+            if not 0 <= getattr(self, name) <= 1:
+                raise SpecValidationError(f"{name} must be in [0, 1], got {getattr(self, name)}")
         if min(self.container_half_extents) < 0:
             raise SpecValidationError(
                 f"container_half_extents must be >= 0, got {list(self.container_half_extents)}")

@@ -415,6 +415,7 @@ def _list_of(check, length=None):
 # of the kind must be -> its check, which takes no other type and coerces nothing.
 KINDS = {
     "a finite number": finite_number,
+    "a finite number >= 0": lambda v: finite_number(v) and v >= 0,
     "an integer": _integer,
     "a string": lambda v: type(v) is str,
     "true or false": lambda v: type(v) is bool,
@@ -435,10 +436,10 @@ def checked(value, kind, what, error):
 # (arity, {param: kind}, function of (group, entity ids, entity declarations,
 # **param values) giving an (N, T) Boolean array).
 EVALUATORS = {
-    "near": (2, {"distance": "a finite number"}, _near),
-    "grasp": (2, {"distance": "a finite number"}, _grasp),
+    "near": (2, {"distance": "a finite number >= 0"}, _near),
+    "grasp": (2, {"distance": "a finite number >= 0"}, _grasp),
     "inside": (2, {}, _inside),
-    "moving": (1, {"speed": "a finite number"}, _moving),
+    "moving": (1, {"speed": "a finite number >= 0"}, _moving),
     "flag": (1, {"flag": "a string"}, _flag),
 }
 

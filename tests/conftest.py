@@ -77,9 +77,10 @@ NONNEGATIVE = st.floats(min_value=0.0, allow_infinity=False)
 POSITIVE = st.floats(min_value=1e-6, max_value=1e6)
 
 
-# World counts that must be at least 1, and world sizes that must be at least 0.
+# World counts that must be at least 1, and world shares that must lie in [0, 1]; every
+# other world number must be at least 0.
 POSITIVE_COUNTS = ("iterations", "rollout_steps", "demo_count", "pretrain_batch", "probe_count")
-RADII = ("arm_radius", "object_radius", "container_radius")
+FRACTIONS = ("fail_fraction", "ema_rate")
 
 
 @st.composite
@@ -90,7 +91,7 @@ def experiment_configs(draw):
         if f.type is int:
             world[f.name] = draw(st.integers(1 if f.name in POSITIVE_COUNTS else 0, 2**40))
         elif f.type is float:
-            world[f.name] = draw(NONNEGATIVE if f.name in RADII else FLOATS)
+            world[f.name] = draw(st.floats(0.0, 1.0) if f.name in FRACTIONS else NONNEGATIVE)
     template = draw(st.sampled_from(simworld.TEMPLATES))
     world.update(
         template=template,
@@ -117,7 +118,7 @@ def experiment_configs(draw):
 
 # Values of each param kind an evaluator reads, keyed by kind (a key of ``trace.KINDS``).
 PARAM_VALUES = {
-    "a finite number": FLOATS | st.integers(-2**53, 2**53),
+    "a finite number >= 0": NONNEGATIVE | st.integers(0, 2**53),
     "a string": st.text(),
 }
 

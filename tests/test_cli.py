@@ -313,7 +313,7 @@ class TestMalformedTraceFiles:
         (_edits(_set(6, "arm_right", "radius", -1.0), _set(6, "arm_right", "position", None)),
          "frames[6]['arm_right']: 'position' must be two finite numbers, got None"),
         (_edits(_set(1, "arm_left", "gripper_closed", 0), _set(1, "arm_left", "radius", True)),
-         "frames[1]['arm_left']: 'radius' must be a finite number, got True"),
+         "frames[1]['arm_left']: 'radius' must be a finite number >= 0, got True"),
         (_edits(_set(2, "cube", "flags", []), _set(2, "cube", "gripper_closed", None)),
          "frames[2]['cube']: 'gripper_closed' must be true or false, got None"),
         (_edits(_set(0, "bin", "flags", {"full": "no"}), _int_entity_id),
@@ -417,6 +417,14 @@ class TestMalformedInputs:
          "container_half_extents must be >= 0, got [3.0, -0.5]"),
         ("world", "grid", [3, 3], "grid must be at least 4x4, got [3, 3]"),
         ("world", "grid", [24, 2], "grid must be at least 4x4, got [24, 2]"),
+        ("world", "grasp_distance", -1.8, "grasp_distance must be >= 0, got -1.8"),
+        ("world", "move_speed", -0.3, "move_speed must be >= 0, got -0.3"),
+        ("world", "learning_rate", -0.0003, "learning_rate must be >= 0, got -0.0003"),
+        ("world", "pretrain_lr", -0.02, "pretrain_lr must be >= 0, got -0.02"),
+        ("world", "demo_noise", -0.06, "demo_noise must be >= 0, got -0.06"),
+        ("world", "fail_fraction", 2.0, "fail_fraction must be in [0, 1], got 2.0"),
+        ("world", "fail_fraction", -0.5, "fail_fraction must be in [0, 1], got -0.5"),
+        ("world", "ema_rate", 5.0, "ema_rate must be in [0, 1], got 5.0"),
         ("loss", "beta", 0.0, "beta must be > 0"),
         ("loss", "beta", "1.0", "'loss.beta' must be a finite number, got '1.0'"),
         ("loss", "weight_scheme", 1, "'loss.weight_scheme' must be a string, got 1"),
@@ -472,7 +480,7 @@ class TestMalformedInputs:
         ("predicates", 0, "evaluator", 2,
          "{path}: predicates[0]: 'evaluator' must be a string, got 2"),
         ("predicates", 0, "params", {"distance": "far"},
-         "{path}: predicates[0]: predicate 'grasp' param 'distance' must be a finite number, "
+         "{path}: predicates[0]: predicate 'grasp' param 'distance' must be a finite number >= 0, "
          "got 'far'"),
         ("predicates", 0, "arity", 1,
          "{path}: predicates[0]: predicate 'grasp' has arity 1, but evaluator 'grasp' takes 2"),
@@ -498,23 +506,33 @@ class TestMalformedInputs:
          "{path}: predicates[0]: predicate 'grasp' has param 'since', "
          "which evaluator 'grasp' does not read"),
         ("predicates", 0, "params", {"distance": math.nan},
-         "{path}: predicates[0]: predicate 'grasp' param 'distance' must be a finite number, "
+         "{path}: predicates[0]: predicate 'grasp' param 'distance' must be a finite number >= 0, "
          "got nan"),
+        ("predicates", 0, "params", {"distance": -1.8},
+         "{path}: predicates[0]: predicate 'grasp' param 'distance' must be a finite number >= 0, "
+         "got -1.8"),
+        ("predicates", 3, None, {"name": "close", "arity": 2, "evaluator": "near",
+                                 "params": {"distance": -1.0}},
+         "{path}: predicates[3]: predicate 'close' param 'distance' must be a finite number >= 0, "
+         "got -1.0"),
+        ("predicates", 2, "params", {"speed": -0.5},
+         "{path}: predicates[2]: predicate 'moving' param 'speed' must be a finite number >= 0, "
+         "got -0.5"),
         ("predicates", 0, "params", {"distance": True},
-         "{path}: predicates[0]: predicate 'grasp' param 'distance' must be a finite number, "
+         "{path}: predicates[0]: predicate 'grasp' param 'distance' must be a finite number >= 0, "
          "got True"),
         ("predicates", 2, "params", {"speed": datetime.date(2001, 12, 14)},
-         "{path}: predicates[2]: predicate 'moving' param 'speed' must be a finite number, "
+         "{path}: predicates[2]: predicate 'moving' param 'speed' must be a finite number >= 0, "
          "got datetime.date(2001, 12, 14)"),
         ("predicates", 2, "params", {"speed": {"fast"}},
-         "{path}: predicates[2]: predicate 'moving' param 'speed' must be a finite number, "
+         "{path}: predicates[2]: predicate 'moving' param 'speed' must be a finite number >= 0, "
          "got {{'fast'}}"),
         ("predicates", 3, None, {"name": "full", "arity": 1, "evaluator": "flag",
                                  "params": {"flag": 1}},
          "{path}: predicates[3]: predicate 'full' param 'flag' must be a string, got 1"),
         ("predicates", 3, None, {"name": "close", "arity": 2, "evaluator": "near",
                                  "params": {"distance": "far"}},
-         "{path}: predicates[3]: predicate 'close' param 'distance' must be a finite number, "
+         "{path}: predicates[3]: predicate 'close' param 'distance' must be a finite number >= 0, "
          "got 'far'"),
         ("task_id", None, None, 5, "{path}: 'task_id' must be a string, got 5"),
         ("predicates", 3, None, {"name": "grasp", "arity": 2, "evaluator": "near",

@@ -136,7 +136,7 @@ class TestOneCallUnion:
                 union |= m
         assert np.array_equal(mask.spatial, union.ravel())
 
-    def test_repeated_discs_give_the_mask_of_the_distinct_ones(self, monkeypatch):
+    def test_pixel_mask_is_one_sweep_over_every_pending_disc(self, monkeypatch):
         spec = TaskSpec(task_id="toy", entities=[EntityDecl("cup", "object")],
                         predicates=[PredicateDecl("moving", 1, "moving", {"speed": 0.5})],
                         clauses=[ClauseDecl("k0", "G moving(cup)")],
@@ -150,15 +150,12 @@ class TestOneCallUnion:
             for row in rows]
         verdicts = [run_monitor(spec, trace) for trace in traces]
         discs = np.array([disc for row in rows for disc in row])
-        distinct = np.unique(discs, axis=0)
-        assert len(discs) == 18 and len(distinct) == 5
         sent = []
         monkeypatch.setattr(mask_module, "sweep_disc_mask",
-                            lambda xy, r, *grid: sent.append(len(r)) or sweep_disc_mask(xy, r, *grid))
+                            lambda xy, r, *grid: sent.append((xy, r)) or sweep_disc_mask(xy, r, *grid))
         mask = build_group_mask(verdicts, PIXEL_LAYOUT)
-        assert sent == [7]  # the 18 discs less each one equal to the disc before it
-        assert np.array_equal(mask.spatial,
-                              sweep_disc_mask(distinct[:, :2], distinct[:, 2], 8, 8).ravel())
+        assert len(sent) == 1  # one kernel call takes all 18 discs, repeats included
+        assert np.array_equal(sent[0][0], discs[:, :2]) and np.array_equal(sent[0][1], discs[:, 2])
         assert np.array_equal(mask.spatial, sweep_disc_mask(discs[:, :2], discs[:, 2], 8, 8).ravel())
 
     def test_lazy_atlas_on_another_grid_raises_like_given_one(self):

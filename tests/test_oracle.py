@@ -44,6 +44,8 @@ from creflow.oracle import (
     suite_variance,
     verify_corrective_target,
     verify_direction,
+    verify_masked_optimum,
+    verify_nft_optimum,
     verify_reward_locality,
     verify_variance,
 )
@@ -96,7 +98,7 @@ class TestPopulationPoint:
         assert np.allclose(pp.v_plus, pp.v_old)
         assert pp.v_minus is None
         with pytest.raises(DegenerateWorld):
-            population_point(world, np.zeros(2), 0.5, require_two_sided=True)
+            verify_nft_optimum(world, [(np.zeros(2), 0.5)], 1.0)
 
     def test_symmetric_two_atom_alpha_half(self):
         world = DiscreteWorld(
@@ -135,6 +137,21 @@ class TestPopulationPoint:
         pp = population_point(world, np.array([50.0, -40.0]), 0.01)
         assert np.all(np.isfinite(pp.v_old))
         assert 0.0 <= pp.alpha <= 1.0
+
+
+class TestOptimumChecks:
+    @pytest.mark.parametrize("rewards", [[0, 0, 0], [1, 1, 1]],
+                             ids=["all_negative", "all_positive"])
+    def test_one_sided_world_raises_before_any_draw(self, rewards):
+        rng = np.random.default_rng(0)
+        world = DiscreteWorld(rng.standard_normal((3, 2)), np.full(3, 1 / 3), np.array(rewards))
+        grid = [(np.zeros(2), 0.5)]
+        state = rng.bit_generator.state
+        with pytest.raises(DegenerateWorld, match="optimum check needs positives and negatives"):
+            verify_masked_optimum(world, grid, 1.0, [True, False], rng)
+        assert rng.bit_generator.state == state
+        with pytest.raises(DegenerateWorld, match="optimum check needs positives and negatives"):
+            verify_nft_optimum(world, grid, 1.0)
 
 
 class TestParabolaArgmin:
