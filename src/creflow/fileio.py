@@ -8,7 +8,7 @@ CSV with a versioned, append-only column set.
 YAML is written by one writer, ``_dump_plain_yaml``. It is read line by line
 when the text is in the block subset that writer produces, and by
 ``yaml.load`` otherwise; either way the document, and the error for a bad
-file, is ``yaml.load``'s.
+file, is ``yaml.load``'s. Loaders format an error's location only for a bad value.
 """
 
 import csv
@@ -70,9 +70,9 @@ _PLAIN_SCALAR_TYPES = (str, float, int, bool, type(None))
 # The line reader's subset: printable ASCII lines ``indent (- )? (key:)? (value)?``,
 # none starting with a ``---`` or ``...`` marker. A key holds no ``:``
 # unless single-quoted, and is followed by ``: value`` or the end of the line.
-_LINE = re.compile(r"^(?!(?:---|\.\.\.)(?: |$))( *)(- )?"
+_LINE = re.compile(r"(?!(?:---|\.\.\.)(?: |$))( *)(- )?"
                    r"(?:('[ -&(-~]*(?:''[ -&(-~]*)*'|[!-9;-~][ -9;-~]*):(?= [!-~]|$) ?)?"
-                   r"([!-~][ -~]*)?$", re.M)
+                   r"([!-~][ -~]*)?")
 # Each key and value is then one of these scalars (or a value ``{}`` or ``[]``).
 # A plain one starts with no indicator (a ``-`` only before a non-space) and
 # holds no ``": "``, no ``" #"`` and no trailing ``:`` or space; a quoted one
@@ -80,6 +80,9 @@ _LINE = re.compile(r"^(?!(?:---|\.\.\.)(?: |$))( *)(- )?"
 _SCALAR = re.compile(r"(?:(?![-?:,\[\]{}#&*!|>'\"%@`])[!-~]|-(?=[!-~]))"
                      r"[!-9;-~]*(?:(?: +(?!#):*|:+)[!-9;-~]+)*"
                      r"|'[ -&(-~]*(?:''[ -&(-~]*)*'")
+# ``represent_float``'s text for every finite float: YAML 1.1 resolves each such
+# text to a float, and ``construct_yaml_float`` gives ``float(text)`` for it.
+_DECIMAL = re.compile(r"-?[0-9]+\.[0-9]+(?:e[-+][0-9]+)?")
 _SIMPLE_KEY_MAX = 1024  # YAML reads a longer one-line key as an error
 _OUTSIDE = object()  # a scalar outside the subset
 
@@ -90,23 +93,29 @@ def _line_document(text, loader):
     The subset is the block style ``_dump_plain_yaml`` writes: lines of
     ``_LINE``, each ending in a newline, that make block mappings and block
     sequences (indented or not; an entry ``- key: value`` opens a mapping)
-    of ``_SCALAR`` keys and values. A plain scalar is resolved by
-    ``loader``'s implicit resolvers and converted by its constructor for
-    that tag, each distinct text once, and a quoted one is a string. A key
+    of ``_SCALAR`` keys and values. Each distinct line is matched once, and
+    each distinct scalar text converted once: a ``_DECIMAL`` text by
+    ``float``, any other plain one by ``loader``'s implicit resolvers and its
+    constructor for that tag; a quoted one is a string. A key
     that is not a string, a scalar of another tag, a ``key:`` with no block
     below it, an empty line or a lone ``-`` is outside the subset. A
     constructor's ValueError (for a bad ``0x_``) is raised.
     """
     if not (text.endswith("\n") and text.isascii()):
         return None
-    lines = _LINE.findall(text)
-    if len(lines) != text.count("\n") + 1:  # a line that does not match is skipped
-        return None
-    lines.pop()  # the empty match after the last newline
+    lines = text[:-1].split("\n")
+    parts = dict.fromkeys(lines)  # each distinct line -> its groups, matched once
+    for line in parts:
+        match = _LINE.fullmatch(line)
+        if match is None:
+            return None
+        parts[line] = match.groups()
     resolve, constructors = loader.resolve, loader.yaml_constructors
     node = ScalarNode(None, None)  # the constructors read a scalar's text from a node
 
     def scalar(text):
+        if _DECIMAL.fullmatch(text):
+            return float(text)
         if _SCALAR.fullmatch(text) is None:
             return _OUTSIDE
         if text[0] == "'":
@@ -122,7 +131,7 @@ def _line_document(text, loader):
     at, top = -1, root  # the innermost open collection and the column of its entries
     stack = []  # (column, collection) of the collections around it, outermost first
     pending = root, 0, -1  # (mapping, key, column) of a ``key:`` whose value starts below
-    for indent, dash, key, value in lines:
+    for indent, dash, key, value in map(parts.__getitem__, lines):
         column = len(indent)
         if pending is not None:  # this line starts the pending key's value
             mapping, name, above = pending
@@ -279,15 +288,19 @@ def _mapping(value, where):
 
 
 def _entries(doc, key, path):
-    """(where, entry) for the list under ``key``, every entry checked to be a mapping."""
+    """The list under ``key``, every entry checked to be a mapping (located only if not)."""
     entries = _key(doc, key, path)
     if not isinstance(entries, list):
         raise SchemaError(f"{path}: {key!r} must be a list, got {entries!r}")
-    out = []
     for i, entry in enumerate(entries):
-        where = f"{path}: {key}[{i}]"
-        out.append((where, _mapping(entry, where)))
-    return out
+        if not isinstance(entry, dict):
+            _mapping(entry, f"{path}: {key}[{i}]")
+    return entries
+
+
+def _located(doc, key, path):
+    """(where, entry) for each of the ``_entries`` under ``key``."""
+    return [(f"{path}: {key}[{i}]", entry) for i, entry in enumerate(_entries(doc, key, path))]
 
 
 def _key(entry, key, where):
@@ -353,10 +366,10 @@ def load_task_spec(path) -> TaskSpec:
     try:
         entities = [
             EntityDecl(_field(e, "id", where), _field(e, "kind", where), _half_extents(e, where))
-            for where, e in _entries(doc, "entities", path)
+            for where, e in _located(doc, "entities", path)
         ]
-        predicates = [_predicate(p, where) for where, p in _entries(doc, "predicates", path)]
-        clauses = [_clause(c, where) for where, c in _entries(doc, "clauses", path)]
+        predicates = [_predicate(p, where) for where, p in _located(doc, "predicates", path)]
+        clauses = [_clause(c, where) for where, c in _located(doc, "clauses", path)]
         condition = _condition(_key(doc, "condition", path), f"{path}: condition")
         task_id = _field(doc, "task_id", path)
     except (KeyError, TypeError, ValueError) as err:
@@ -408,30 +421,40 @@ def load_trace(path) -> TraceGroup:
     Every frame must be a mapping; then, frame by frame and entity by entity,
     the entity id must be a string and its state a mapping with a position, a
     radius >= 0, an optional gripper bit and a mapping of string flag names
-    to bits, checked in that order; none is coerced.
+    to bits, checked in that order; none is coerced. A location is formatted,
+    and the check repeated through ``_field``, only for a bad value.
     """
     doc = _load_yaml(path, "trace")
     horizon = _field(doc, "horizon", path, "an integer")
     grid = _field(doc, "grid", path, "two integers")
     entries = _entries(doc, "frames", path)
+    pair, nonnegative = KINDS["two finite numbers"], KINDS["a finite number >= 0"]
     columns, slots = {}, {}  # entity id -> column, flag name -> slot, by first appearance
     cells, positions, radii, grippers, flag_cells, flag_bits = [], [], [], [], [], []
-    for t, (where, frame) in enumerate(entries):
+    for t, frame in enumerate(entries):
         for eid, state in frame.items():
-            if type(eid) is not str:
+            if not (type(eid) is str and type(state) is dict and pair(state.get("position"))
+                    and nonnegative(state.get("radius"))
+                    and type(state.get("gripper_closed", False)) is bool
+                    and type(state.get("flags", {})) is dict):  # else raise the first error
+                where = f"{path}: frames[{t}]"
                 checked(eid, "a string", f"{where}: entity key", SchemaError)
-            at = f"{where}[{eid!r}]"
-            _mapping(state, at)
-            positions.append(_field(state, "position", at, "two finite numbers"))
-            radii.append(_field(state, "radius", at, "a finite number >= 0"))
-            closed = _field(state, "gripper_closed", at, "true or false", None)
+                at = f"{where}[{eid!r}]"
+                _mapping(state, at)
+                _field(state, "position", at, "two finite numbers")
+                _field(state, "radius", at, "a finite number >= 0")
+                _field(state, "gripper_closed", at, "true or false", None)
+                _mapping(state.get("flags", {}), f"{at}: flags")
+            positions.append(state["position"])
+            radii.append(state["radius"])
+            closed = state.get("gripper_closed")
             grippers.append(-1 if closed is None else closed)
             cell = t, columns.setdefault(eid, len(columns))
             cells.append(cell)
-            for name, value in _mapping(state.get("flags", {}), f"{at}: flags").items():
-                if type(name) is not str:
+            for name, value in state.get("flags", {}).items():
+                if type(name) is not str or type(value) is not bool:
+                    at = f"{path}: frames[{t}][{eid!r}]"
                     checked(name, "a string", f"{at}: flag key", SchemaError)
-                if type(value) is not bool:
                     checked(value, "true or false", f"{at}: flag {name!r}", SchemaError)
                 flag_cells.append(cell + (slots.setdefault(name, len(slots)),))
                 flag_bits.append(value)

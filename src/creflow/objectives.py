@@ -154,6 +154,8 @@ def loss_nft_credit_aware(group, bundle, batch, config):
 def corrective_weights(group: RolloutGroup, config: LossConfig):
     """Row-stochastic weights over positives for each negative rollout."""
     pos, neg = group.positives, group.negatives
+    if pos.size == 0:
+        raise EmptyGroup("a corrective weight needs at least one positive rollout")
     if config.weight_scheme == "uniform":
         return np.full((neg.size, pos.size), 1.0 / pos.size)
     m = _mask_flat(group, config)

@@ -210,6 +210,12 @@ def _set(frame, eid, key, value):
     return edit
 
 
+def _drop(frame, eid, key):
+    def edit(frames):
+        del frames[frame][eid][key]
+    return edit
+
+
 def _set_flag(frames):
     frames[2]["cube"]["flags"]["in_container"] = "false"
 
@@ -281,8 +287,15 @@ class TestMalformedTraceFiles:
          "frames[5]['bin']: 'radius' must be a finite number >= 0, got -0.5"),
         (_int_entity_id, "frames[0]: entity key must be a string, got 7"),
         (_int_flag_name, "frames[2]['cube']: flag key must be a string, got 1"),
+        (_drop(3, "cube", "position"), "frames[3]['cube']: missing key 'position'"),
+        (_drop(7, "bin", "radius"), "frames[7]['bin']: missing key 'radius'"),
+        (_set(2, "arm_left", "gripper_closed", None),
+         "frames[2]['arm_left']: 'gripper_closed' must be true or false, got None"),
+        (_set(6, "cube", "flags", None), "frames[6]['cube']: flags: expected a mapping, got None"),
+        (_set(1, "bin", "flags", ["a"]), "frames[1]['bin']: flags: expected a mapping, got ['a']"),
     ], ids=["gripper_string", "flag_string", "frame_not_mapping", "state_not_mapping",
-            "nan_position", "negative_radius", "int_entity_id", "int_flag_name"])
+            "nan_position", "negative_radius", "int_entity_id", "int_flag_name",
+            "missing_position", "missing_radius", "null_gripper", "null_flags", "list_flags"])
     def test_monitor_rejects(self, workdir, tmp_path, capsys, edit, message):
         path = str(tmp_path / "bad_trace.yaml")
         _edit_trace(workdir["clean"], path, edit)

@@ -208,6 +208,14 @@ class TestCorrective:
         w = corrective_weights(group, flat)
         assert np.allclose(w, 1.0 / 3.0, atol=1e-6)
 
+    @pytest.mark.parametrize("scheme", ["uniform", "kernel"])
+    def test_weights_need_a_positive(self, scheme):
+        group = make_group(8, n=3)
+        group.rewards = np.zeros(3, int)
+        config = LossConfig(beta=1.0, weight_scheme=scheme)
+        with pytest.raises(EmptyGroup, match="needs at least one positive rollout"):
+            corrective_weights(group, config)
+
 
 class TestKl:
     def test_zero_at_reference(self):

@@ -10,6 +10,7 @@ on PyYAML's libyaml classes and again on its pure-Python safe classes.
 import glob
 import math
 import os
+import re
 import tempfile
 
 import numpy as np
@@ -269,18 +270,18 @@ COORDINATES = (st.sampled_from([-0.0, 0.0, 1e-300, 1e300, 5e-324, 2.5e-310, 3.0,
 
 
 @st.composite
-def traces(draw):
-    """Groups of one over awkward ids, flag names and coordinates."""
+def traces(draw, names=NAMES):
+    """Groups of one over awkward ids, flag names (of ``names``) and coordinates."""
     horizon = draw(st.integers(1, 4))
     frames = []
     for _ in range(horizon):
-        ids = draw(st.lists(st.sampled_from(NAMES), unique=True, max_size=3))
+        ids = draw(st.lists(st.sampled_from(names), unique=True, max_size=3))
         frames.append({
             eid: EntityState(
                 position=np.array([draw(COORDINATES), draw(COORDINATES)]),
                 radius=draw(COORDINATES),
                 gripper_closed=draw(st.sampled_from([None, True, False])),
-                attribute_flags=draw(st.dictionaries(st.sampled_from(NAMES), st.booleans(),
+                attribute_flags=draw(st.dictionaries(st.sampled_from(names), st.booleans(),
                                                      max_size=3)),
             )
             for eid in ids
@@ -365,3 +366,55 @@ class TestSave:
     def test_other_values_raise_representer_error(self, platform, tmp_path, doc):
         with pytest.raises(yaml.representer.RepresenterError, match="cannot represent"):
             fileio._dump_plain_yaml(tmp_path / "doc.yaml", doc)
+
+
+# Plain texts close to the decimal form ``represent_float`` writes, each read as
+# yaml.load reads it: a string, a float through YAML 1.1's other float forms, or
+# a decimal text the shortcut converts (``007.5``, an overflow to inf).
+NEAR_DECIMALS = ["1e-05", "1.0e5", "1.0E+5", "+1.5", ".5", "1.", "1_000.5", "1:30.5", "007.5",
+                 ".inf", "-.nan", "1.0e+400", "-0.0"]
+# The form itself, written here independently of the reader's own pattern.
+WRITTEN_FLOAT = r"-?\d+\.\d+(e[-+]\d+)?"
+
+
+class TestDecimalFloats:
+    @PROPERTY
+    @given(value=st.sampled_from([-0.0, 0.0, 5e-324, -2.5e-310, 1e308, -1e308, 3.0, -7.0, 1e16,
+                                  1e17, 123456789.0, 1e-05])
+           | st.floats(allow_nan=False, allow_infinity=False))
+    def test_written_float_reads_back_with_its_repr(self, platform, tmp_path, value):
+        path = tmp_path / "doc.yaml"
+        fileio._dump_plain_yaml(path, {"x": [value]})
+        assert re.fullmatch(WRITTEN_FLOAT, path.read_text().split()[-1])
+        assert reads_lines(path)
+        with open(path) as fh:
+            got = fileio._read_yaml(fh)["x"][0]
+        assert type(got) is float and repr(got) == repr(value)
+
+    @pytest.mark.parametrize("text", NEAR_DECIMALS)
+    def test_near_decimal_reads_as_yaml_load(self, platform, tmp_path, text):
+        path = tmp_path / "doc.yaml"
+        path.write_text(f"- {text}\n")
+        assert reads_lines(path)
+        got, expected = read_both(path)
+        assert got[0] == expected[0] == "doc" and same(got[1], expected[1])
+        assert repr(got[1]) == repr(expected[1])
+
+    @PROPERTY
+    @given(trace=traces(names=[name for name in NAMES if name and name.isascii()]))
+    def test_saved_trace_resolves_no_decimal_float(self, platform, monkeypatch, trace):
+        resolved = []
+
+        class Loader(fileio.YamlLoader):
+            def resolve(self, kind, value, implicit):
+                resolved.append(value)
+                return super().resolve(kind, value, implicit)
+
+        with monkeypatch.context() as m, tempfile.TemporaryDirectory() as tmp:
+            m.setattr(fileio, "YamlLoader", Loader)  # undone after each example
+            path = os.path.join(tmp, "trace.yaml")
+            fileio.save_trace(path, trace)
+            with open(path) as fh:
+                doc = fileio._read_yaml(fh)
+        assert doc["horizon"] == trace.horizon and "kind" in resolved
+        assert not [text for text in resolved if re.fullmatch(WRITTEN_FLOAT, str(text))]
