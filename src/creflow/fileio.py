@@ -5,10 +5,13 @@ documents carrying ``schema_version`` and ``kind`` fields; reports (verdicts,
 mask dumps, verification results, training summaries) are JSON. Metrics are
 CSV with a versioned, append-only column set.
 
-YAML is written by one writer, ``_dump_plain_yaml``. It is read line by line
-when the text is in the block subset that writer produces, and by
-``yaml.load`` otherwise; either way the document, and the error for a bad
-file, is ``yaml.load``'s. Loaders format an error's location only for a bad value.
+Specs and configs are read by ``yaml.load`` and written by ``yaml.dump``. A
+trace file has one canonical text, the one ``yaml.dump`` writes for a trace
+whose names and numbers are plain: ``save_trace`` writes it line by line
+from the group's arrays, and ``load_trace`` reads it block by block into
+them. A trace outside that form is written by ``yaml.dump`` of its document
+and read by ``yaml.load`` and the document checks, which alone raise errors;
+both ways fill the arrays in one step, so groups and errors are the same.
 """
 
 import csv
@@ -20,17 +23,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 import yaml
-from yaml.events import (
-    DocumentEndEvent,
-    DocumentStartEvent,
-    MappingEndEvent,
-    MappingStartEvent,
-    ScalarEvent,
-    SequenceEndEvent,
-    SequenceStartEvent,
-)
 from yaml.nodes import ScalarNode
-from yaml.representer import RepresenterError
 
 from .errors import (
     CreflowError,
@@ -61,157 +54,10 @@ except ImportError:  # PyYAML built without libyaml
 SCHEMA_VERSION = 1
 
 
-# Plain documents hold mappings with string keys, lists, and scalars of these tags.
-_TAG = "tag:yaml.org,2002:"
-_STR, _MAP, _SEQ = _TAG + "str", _TAG + "map", _TAG + "seq"
-_PLAIN_SCALAR_TAGS = {_STR, _TAG + "float", _TAG + "int", _TAG + "bool", _TAG + "null"}
-_PLAIN_SCALAR_TYPES = (str, float, int, bool, type(None))
-
-# The line reader's subset: printable ASCII lines ``indent (- )? (key:)? (value)?``,
-# none starting with a ``---`` or ``...`` marker. A key holds no ``:``
-# unless single-quoted, and is followed by ``: value`` or the end of the line.
-_LINE = re.compile(r"(?!(?:---|\.\.\.)(?: |$))( *)(- )?"
-                   r"(?:('[ -&(-~]*(?:''[ -&(-~]*)*'|[!-9;-~][ -9;-~]*):(?= [!-~]|$) ?)?"
-                   r"([!-~][ -~]*)?")
-# Each key and value is then one of these scalars (or a value ``{}`` or ``[]``).
-# A plain one starts with no indicator (a ``-`` only before a non-space) and
-# holds no ``": "``, no ``" #"`` and no trailing ``:`` or space; a quoted one
-# is single-quoted, ``''`` its only escape.
-_SCALAR = re.compile(r"(?:(?![-?:,\[\]{}#&*!|>'\"%@`])[!-~]|-(?=[!-~]))"
-                     r"[!-9;-~]*(?:(?: +(?!#):*|:+)[!-9;-~]+)*"
-                     r"|'[ -&(-~]*(?:''[ -&(-~]*)*'")
-# ``represent_float``'s text for every finite float: YAML 1.1 resolves each such
-# text to a float, and ``construct_yaml_float`` gives ``float(text)`` for it.
-_DECIMAL = re.compile(r"-?[0-9]+\.[0-9]+(?:e[-+][0-9]+)?")
-_SIMPLE_KEY_MAX = 1024  # YAML reads a longer one-line key as an error
-_OUTSIDE = object()  # a scalar outside the subset
-
-
-def _line_document(text, loader):
-    """The document of ``text`` read line by line, or None if ``text`` is outside the subset.
-
-    The subset is the block style ``_dump_plain_yaml`` writes: lines of
-    ``_LINE``, each ending in a newline, that make block mappings and block
-    sequences (indented or not; an entry ``- key: value`` opens a mapping)
-    of ``_SCALAR`` keys and values. Each distinct line is matched once, and
-    each distinct scalar text converted once: a ``_DECIMAL`` text by
-    ``float``, any other plain one by ``loader``'s implicit resolvers and its
-    constructor for that tag; a quoted one is a string. A key
-    that is not a string, a scalar of another tag, a ``key:`` with no block
-    below it, an empty line or a lone ``-`` is outside the subset. A
-    constructor's ValueError (for a bad ``0x_``) is raised.
-    """
-    if not (text.endswith("\n") and text.isascii()):
-        return None
-    lines = text[:-1].split("\n")
-    parts = dict.fromkeys(lines)  # each distinct line -> its groups, matched once
-    for line in parts:
-        match = _LINE.fullmatch(line)
-        if match is None:
-            return None
-        parts[line] = match.groups()
-    resolve, constructors = loader.resolve, loader.yaml_constructors
-    node = ScalarNode(None, None)  # the constructors read a scalar's text from a node
-
-    def scalar(text):
-        if _DECIMAL.fullmatch(text):
-            return float(text)
-        if _SCALAR.fullmatch(text) is None:
-            return _OUTSIDE
-        if text[0] == "'":
-            return text[1:-1].replace("''", "'")
-        tag = resolve(ScalarNode, text, (True, False))
-        if tag not in _PLAIN_SCALAR_TAGS:
-            return _OUTSIDE
-        node.value = text
-        return constructors[tag](loader, node)
-
-    known, keys = {}, {}  # scalar text -> its value; key text -> its string
-    root = [None]
-    at, top = -1, root  # the innermost open collection and the column of its entries
-    stack = []  # (column, collection) of the collections around it, outermost first
-    pending = root, 0, -1  # (mapping, key, column) of a ``key:`` whose value starts below
-    for indent, dash, key, value in map(parts.__getitem__, lines):
-        column = len(indent)
-        if pending is not None:  # this line starts the pending key's value
-            mapping, name, above = pending
-            if column < above or column == above and not dash:
-                return None  # an empty value
-            stack.append((at, top))
-            at = column
-            top = mapping[name] = [] if dash else {}
-            pending = None
-        else:
-            while at > column:
-                at, top = stack.pop()
-            if at == column and not dash and type(top) is list:
-                at, top = stack.pop()  # a key ends an unindented sequence
-            if at != column:
-                return None
-        if dash:
-            if type(top) is not list or not (key or value):
-                return None
-            if key:  # ``- key:`` opens a mapping two columns in
-                stack.append((at, top))
-                at = column = column + 2
-                top.append({})
-                top = top[-1]
-        elif type(top) is not dict or not key:
-            return None
-        if value in known:
-            item = known[value]
-        elif value == "{}":
-            item = {}
-        elif value == "[]":
-            item = []
-        elif value:
-            item = known[value] = scalar(value)
-            if item is _OUTSIDE:
-                return None
-        if not key:
-            top.append(item)
-            continue
-        if key in keys:
-            name = keys[key]
-        else:
-            name = keys[key] = scalar(key) if len(key) <= _SIMPLE_KEY_MAX else None
-            if type(name) is not str:
-                return None
-        if value:
-            top[name] = item  # a repeated key keeps its last value
-        else:
-            pending = top, name, column
-    return None if pending is not None else root[0]
-
-
-def _read_yaml(fh):
-    """The document in ``fh``: read line by line if in the subset, else by ``yaml.load``.
-
-    ``_line_document`` reads the block subset ``_dump_plain_yaml`` writes;
-    any other text, an undecodable file, or a subset text with a scalar its
-    constructor rejects (``0x_``) is read by ``yaml.load(fh,
-    Loader=YamlLoader)``. Either way the document, and the error raised for
-    a bad file, is ``yaml.load``'s.
-    """
-    try:
-        text = fh.read()
-        loader = YamlLoader("")
-        try:
-            doc = _line_document(text, loader)
-        finally:
-            loader.dispose()
-    except ValueError:  # an undecodable file, or a scalar its constructor rejects
-        doc = None
-    if doc is not None:
-        return doc
-    fh.seek(0)
-    return yaml.load(fh, Loader=YamlLoader)
-
-
 def _load_yaml(path, kind):
     try:
         with open(path) as fh:
-            doc = _read_yaml(fh)
+            doc = yaml.load(fh, Loader=YamlLoader)
     except (yaml.YAMLError, UnicodeDecodeError) as err:
         raise SchemaError(f"{path}: malformed YAML: {err}") from err
     if not isinstance(doc, dict):
@@ -225,60 +71,9 @@ def _load_yaml(path, kind):
     return doc
 
 
-def _dump_plain_yaml(path, doc):
-    """Write a plain document as ``yaml.dump(doc, Dumper=YamlDumper, sort_keys=False)`` does.
-
-    Emits the serializer's events straight from ``doc``: scalar text from the
-    dumper's representers and implicit flags as its serializer sets them, each
-    distinct text resolved once and every scalar but a float represented once.
-    Plain means dicts, lists, str, int, float, bool and None, with no dict or
-    list met twice (``yaml.dump`` would write an alias); a value of another
-    type raises the RepresenterError ``yaml.dump`` raises for a value it cannot
-    represent.
-    """
+def _dump_yaml(path, doc):
     with open(path, "w") as fh:
-        dumper = YamlDumper(fh, default_flow_style=False, sort_keys=False)
-        represent, resolve, emit = dumper.yaml_representers, dumper.resolve, dumper.emit
-        resolved, scalars = {}, {}
-
-        def scalar(kind, value):
-            node = represent[kind](dumper, value)
-            tag, text = node.tag, node.value
-            if text not in resolved:
-                resolved[text] = resolve(ScalarNode, text, (True, False))
-            return ScalarEvent(None, tag, (tag == resolved[text], tag == _STR), text)
-
-        def add(value):
-            kind = type(value)
-            if kind is float:  # not cached: -0.0 == 0.0
-                emit(scalar(kind, value))
-            elif kind is dict:
-                emit(MappingStartEvent(None, _MAP, True, flow_style=False))
-                for key, item in value.items():
-                    add(key)
-                    add(item)
-                emit(MappingEndEvent())
-            elif kind is list:
-                emit(SequenceStartEvent(None, _SEQ, True, flow_style=False))
-                for item in value:
-                    add(item)
-                emit(SequenceEndEvent())
-            elif kind in _PLAIN_SCALAR_TYPES:
-                key = kind, value  # True == 1, so the type is part of the key
-                if key not in scalars:
-                    scalars[key] = scalar(kind, value)
-                emit(scalars[key])
-            else:
-                raise RepresenterError("cannot represent an object", value)
-
-        try:
-            dumper.open()
-            emit(DocumentStartEvent(explicit=False))
-            add(doc)
-            emit(DocumentEndEvent(explicit=False))
-            dumper.close()
-        finally:
-            dumper.dispose()
+        yaml.dump(doc, fh, Dumper=YamlDumper, sort_keys=False)
 
 
 def _mapping(value, where):
@@ -408,15 +203,119 @@ def save_task_spec(path, spec: TaskSpec):
             "layout": {k: list(v) for k, v in spec.condition.layout},
         },
     }
-    _dump_plain_yaml(path, doc)
+    _dump_yaml(path, doc)
 
 
 # --------------------------------------------------------------------------
 # Traces
 # --------------------------------------------------------------------------
 
-def load_trace(path) -> TraceGroup:
-    """A trace file as a group of one row, its arrays filled straight from the document.
+# A trace file's canonical text is the one ``yaml.dump`` writes for a trace in
+# which every frame holds an entity, every id and flag name is a ``_NAME`` the
+# resolver reads as a string, and every number is finite. After the header
+#
+#   schema_version: 1
+#   kind: trace
+#   horizon: 12
+#   grid:
+#   - 24
+#   - 24
+#   frames:
+#
+# each entity of each frame is one block, opened by ``- `` for a frame's first
+# entity and by two spaces for the others:
+#
+#   - cube:
+#       position:
+#       - 3.5
+#       - -1.0e-05
+#       radius: 0.7
+#       flags:
+#         in_container: false
+#       gripper_closed: true
+#
+# ``flags: {}`` stands for no flag set, and ``gripper_closed`` is left out for
+# an entity without a gripper.
+
+# PyYAML's pure-Python dumper writes a key of more than 122 characters as ``? key``
+# (libyaml's, one of more than 128)
+_NAME = r"[A-Za-z_][A-Za-z0-9_]{0,121}"
+_DECIMAL = r"-?[0-9]+\.[0-9]+(?:e[-+][0-9]+)?"  # represent_float's text for a finite float
+_COUNT = r"0|[1-9][0-9]*"
+_PLAIN_NAME = re.compile(_NAME)
+_TRACE_HEADER = re.compile(
+    rf"schema_version: {SCHEMA_VERSION}\nkind: trace\nhorizon: ({_COUNT})\n"
+    rf"grid:\n- ({_COUNT})\n- ({_COUNT})\nframes:\n")
+_ENTITY_BLOCK = re.compile(
+    rf"(- |  )({_NAME}):\n    position:\n    - ({_DECIMAL})\n    - ({_DECIMAL})\n"
+    rf"    radius: ({_DECIMAL})\n    flags:(?: \{{\}}\n|\n((?:      {_NAME}: (?:true|false)\n)+))"
+    r"(?:    gripper_closed: (true|false)\n)?")
+_FLAG = re.compile(rf"      ({_NAME}): (true|false)\n")
+_GRIPPER = {None: -1, "false": 0, "true": 1}
+
+
+def _plain_names(names):
+    """True if every name is a ``_NAME`` that ``YamlLoader``'s resolver reads as a string."""
+    if not all(type(name) is str and _PLAIN_NAME.fullmatch(name) for name in names):
+        return False
+    loader = YamlLoader("")
+    try:  # ``yes``, ``Null`` or ``ON`` read as a bool or null
+        return all(loader.resolve(ScalarNode, name, (True, False)) == "tag:yaml.org,2002:str"
+                   for name in names)
+    finally:
+        loader.dispose()
+
+
+def _number_text(value):
+    """``represent_float``'s text for a finite float."""
+    text = repr(value)
+    return text.replace("e", ".0e", 1) if "e" in text and "." not in text else text
+
+
+def _canonical_entries(text):
+    """``_trace_group``'s arguments (after the path) for a canonical text, else None.
+
+    The header is matched once and ``_ENTITY_BLOCK`` at successive offsets to
+    the end. A number is ``float(text)``: YAML 1.1 resolves every ``_DECIMAL``
+    text to a float, and ``construct_yaml_float`` gives exactly ``float(text)``
+    for it. Any other text, a repeated entity or flag, a name the resolver
+    does not read as a string, or a value the document checks reject gives
+    None, so ``yaml.load`` and those checks read it and raise the error.
+    """
+    header = _TRACE_HEADER.match(text)
+    if header is None:
+        return None
+    t, at, entries = -1, header.end(), []
+    for match in _ENTITY_BLOCK.finditer(text, at):
+        if match.start() != at:
+            return None
+        at = match.end()
+        dash, eid, x, y, r, flag_lines, closed = match.groups()
+        if dash == "- ":
+            t += 1
+        position, radius = [float(x), float(y)], float(r)
+        if not (-math.inf < position[0] < math.inf and -math.inf < position[1] < math.inf
+                and 0.0 <= radius < math.inf):
+            return None
+        flags = ()
+        if flag_lines:
+            flags = [(name, bit == "true") for name, bit in _FLAG.findall(flag_lines)]
+            if len(dict(flags)) < len(flags):
+                return None  # a repeated flag
+        entries.append((t, eid, position, radius, _GRIPPER[closed], flags))
+    if at < len(text) or not entries or entries[0][0] < 0:
+        return None  # text after the last block, no frame, or a frame without ``- ``
+    cells = {entry[:2] for entry in entries}
+    if len(cells) < len(entries):
+        return None  # a repeated entity in a frame
+    if not _plain_names({eid for _, eid in cells} | {name for e in entries for name, _ in e[5]}):
+        return None
+    horizon, rows, cols = map(int, header.groups())
+    return horizon, (rows, cols), t + 1, entries
+
+
+def _document_entries(path):
+    """``_trace_group``'s arguments (after the path) for any trace ``yaml.load`` reads.
 
     Every frame must be a mapping; then, frame by frame and entity by entity,
     the entity id must be a string and its state a mapping with a position, a
@@ -427,11 +326,10 @@ def load_trace(path) -> TraceGroup:
     doc = _load_yaml(path, "trace")
     horizon = _field(doc, "horizon", path, "an integer")
     grid = _field(doc, "grid", path, "two integers")
-    entries = _entries(doc, "frames", path)
+    frames = _entries(doc, "frames", path)
     pair, nonnegative = KINDS["two finite numbers"], KINDS["a finite number >= 0"]
-    columns, slots = {}, {}  # entity id -> column, flag name -> slot, by first appearance
-    cells, positions, radii, grippers, flag_cells, flag_bits = [], [], [], [], [], []
-    for t, frame in enumerate(entries):
+    entries = []
+    for t, frame in enumerate(frames):
         for eid, state in frame.items():
             if not (type(eid) is str and type(state) is dict and pair(state.get("position"))
                     and nonnegative(state.get("radius"))
@@ -445,26 +343,42 @@ def load_trace(path) -> TraceGroup:
                 _field(state, "radius", at, "a finite number >= 0")
                 _field(state, "gripper_closed", at, "true or false", None)
                 _mapping(state.get("flags", {}), f"{at}: flags")
-            positions.append(state["position"])
-            radii.append(state["radius"])
-            closed = state.get("gripper_closed")
-            grippers.append(-1 if closed is None else closed)
-            cell = t, columns.setdefault(eid, len(columns))
-            cells.append(cell)
-            for name, value in state.get("flags", {}).items():
+            flags = state.get("flags", {}).items()
+            for name, value in flags:
                 if type(name) is not str or type(value) is not bool:
                     at = f"{path}: frames[{t}][{eid!r}]"
                     checked(name, "a string", f"{at}: flag key", SchemaError)
                     checked(value, "true or false", f"{at}: flag {name!r}", SchemaError)
-                flag_cells.append(cell + (slots.setdefault(name, len(slots)),))
-                flag_bits.append(value)
-    shape = (1, len(entries), len(columns))
+            closed = state.get("gripper_closed")
+            entries.append((t, eid, state["position"], state["radius"],
+                            -1 if closed is None else closed, flags))
+    return horizon, tuple(grid), len(frames), entries
+
+
+def _trace_group(path, horizon, grid, frames, entries):
+    """The group of one row holding ``entries`` in file order.
+
+    Each entry is (frame, entity id, position, radius, gripper bit or -1,
+    (flag name, bit) pairs); entity columns and flag slots are numbered by
+    first appearance. A frame count or grid the group rejects is a
+    SchemaError naming the file.
+    """
+    columns, slots = {}, {}
+    cells, flag_cells, flag_bits = [], [], []
+    for t, eid, _, _, _, flags in entries:
+        cell = t, columns.setdefault(eid, len(columns))
+        cells.append(cell)
+        for name, bit in flags:
+            flag_cells.append(cell + (slots.setdefault(name, len(slots)),))
+            flag_bits.append(bit)
+    shape = (1, frames, len(columns))
     xy = np.zeros(shape + (2,))
     radius = np.zeros(shape)
     gripper = np.full(shape, -1, dtype=np.int8)
     flags = np.full(shape + (len(slots),), -1, dtype=np.int8)
     present = np.zeros(shape, dtype=bool)
-    if cells:
+    if entries:
+        _, _, positions, radii, grippers, _ = zip(*entries)
         t, e = np.array(cells).T
         present[0, t, e] = True
         xy[0, t, e] = np.array(positions, dtype=float)
@@ -474,13 +388,65 @@ def load_trace(path) -> TraceGroup:
         t, e, k = np.array(flag_cells).T
         flags[0, t, e, k] = flag_bits
     try:
-        return TraceGroup(horizon, tuple(grid), tuple(columns), xy, radius, gripper,
-                          tuple(slots), flags, present)
+        return TraceGroup(horizon, grid, tuple(columns), xy, radius, gripper, tuple(slots),
+                          flags, present)
     except (HorizonMismatch, SpecValidationError) as err:
         raise SchemaError(f"{path}: {err}") from err
 
 
+def load_trace(path) -> TraceGroup:
+    """A trace file as a group of one row: its canonical text read block by block
+    into the arrays, any other text by ``yaml.load`` and the document checks."""
+    try:
+        with open(path) as fh:
+            read = _canonical_entries(fh.read())
+    except UnicodeDecodeError:  # reported by yaml.load's path
+        read = None
+    return _trace_group(path, *(read or _document_entries(path)))
+
+
+def _canonical_text(trace):
+    """The canonical text of a group of one row, or None if it is outside the form."""
+    present = trace.single().present[0]
+    xy, radius = trace.xy[0], trace.radius[0]
+    if not (type(trace.horizon) is int and all(type(n) is int for n in trace.grid)
+            and present.any(axis=1).all() and np.isfinite(xy[present]).all()
+            and np.isfinite(radius[present]).all()
+            and _plain_names(trace.entity_ids + trace.flag_names)):
+        return None
+    rows, cols = trace.grid
+    lines = [f"schema_version: {SCHEMA_VERSION}\nkind: trace\nhorizon: {trace.horizon}\n"
+             f"grid:\n- {rows}\n- {cols}\nframes:\n"]
+    xy, radius, present = xy.tolist(), radius.tolist(), present.tolist()
+    grippers, flags = trace.gripper[0].tolist(), trace.flags[0].tolist()
+    for t, frame in enumerate(present):
+        dash = "- "
+        for e, eid in enumerate(trace.entity_ids):
+            if not frame[e]:
+                continue
+            x, y = xy[t][e]
+            set_flags = "".join(f"      {name}: {'true' if bit else 'false'}\n"
+                                for name, bit in zip(trace.flag_names, flags[t][e]) if bit >= 0)
+            lines.append(f"{dash}{eid}:\n    position:\n    - {_number_text(x)}\n"
+                         f"    - {_number_text(y)}\n    radius: {_number_text(radius[t][e])}\n"
+                         + (f"    flags:\n{set_flags}" if set_flags else "    flags: {}\n"))
+            if grippers[t][e] >= 0:
+                lines.append(f"    gripper_closed: {'true' if grippers[t][e] else 'false'}\n")
+            dash = "  "
+    return "".join(lines)
+
+
 def save_trace(path, trace: TraceGroup):
+    """Write a group of one row: its canonical text, or else ``yaml.dump`` of its document."""
+    text = _canonical_text(trace)
+    if text is None:
+        _dump_yaml(path, _trace_document(trace))
+        return
+    with open(path, "w") as fh:
+        fh.write(text)
+
+
+def _trace_document(trace):
     frames = []
     for frame in trace.frames:
         frame_doc = {}
@@ -494,14 +460,13 @@ def save_trace(path, trace: TraceGroup):
                 entry["gripper_closed"] = bool(state.gripper_closed)
             frame_doc[eid] = entry
         frames.append(frame_doc)
-    doc = {
+    return {
         "schema_version": SCHEMA_VERSION,
         "kind": "trace",
         "horizon": trace.horizon,
         "grid": list(trace.grid),
         "frames": frames,
     }
-    _dump_plain_yaml(path, doc)
 
 
 # --------------------------------------------------------------------------
@@ -590,7 +555,7 @@ def save_experiment_config(path, cfg: ExperimentConfig):
         "world": world_config_dict(cfg.world),
         "loss": vars(cfg.loss).copy(),
     }
-    _dump_plain_yaml(path, doc)
+    _dump_yaml(path, doc)
 
 
 # What a training run writes next to metrics.csv and summary.json.

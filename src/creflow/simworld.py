@@ -392,8 +392,7 @@ def _homes(config):
 def _segment(path, start, end, t0, t1):
     """Linear waypoints filled into path rows t0..t1 inclusive (0-indexed)."""
     steps = t1 - t0
-    for k in range(steps + 1):
-        path[t0 + k] = start + (end - start) * (k / max(steps, 1))
+    path[t0:t1 + 1] = start + (end - start) * (np.arange(steps + 1) / max(steps, 1))[:, None]
 
 
 def _outside_box_offset(half_extents, rng, margin_lo=1.0, margin_hi=3.0):

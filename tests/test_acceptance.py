@@ -221,7 +221,7 @@ def test_10_end_to_end_learning():
         summaries = {}
         for label, cfg in (("creflow", creflow_cfg), ("vanilla", vanilla_cfg)):
             series = simworld.run_online_loop(world, simworld.build_task_spec(world),
-                                              pretrained.copy(), cfg.effective_loss_config())
+                                              pretrained.copy(), cfg.loss)
             summaries[label] = series.summary
         c, v = summaries["creflow"], summaries["vanilla"]
         gains.append(c["last_window_success"] - c["first_window_success"])

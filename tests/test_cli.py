@@ -260,11 +260,12 @@ def _error_text(load, path):
 
 @pytest.fixture
 def errors_as_yaml_load(monkeypatch):
-    """Each spec, trace or config loaded fails as it does when read by ``yaml.load``."""
+    """Each spec, trace or config loaded fails as it does with the canonical trace reader
+    off, when ``yaml.load`` and the document checks read every file."""
     def checked(load):
         def load_and_compare(path):
             with monkeypatch.context() as m:
-                m.setattr(fileio, "_read_yaml", lambda fh: yaml.load(fh, Loader=fileio.YamlLoader))
+                m.setattr(fileio, "_canonical_entries", lambda text: None)
                 expected = _error_text(load, path)
             assert _error_text(load, path) == expected
             return load(path)
