@@ -58,7 +58,8 @@ def _load_yaml(path, kind):
     try:
         with open(path) as fh:
             doc = yaml.load(fh, Loader=YamlLoader)
-    except (yaml.YAMLError, UnicodeDecodeError) as err:
+    # ValueError: not UTF-8, or an int or date text with no value (``0x_``, ``2001-13-45``)
+    except (yaml.YAMLError, ValueError) as err:
         raise SchemaError(f"{path}: malformed YAML: {err}") from err
     if not isinstance(doc, dict):
         raise SchemaError(f"{path}: expected a mapping at top level")

@@ -360,6 +360,15 @@ class TestMalformedTraceFiles:
         assert main(["monitor", "--spec", workdir["spec"], "--trace", str(path)]) == 2
         assert capsys.readouterr().err.startswith(f"error: {path}: malformed YAML: ")
 
+    def test_int_with_no_value(self, workdir, tmp_path, capsys):
+        with open(workdir["clean"]) as fh:
+            text = fh.read()
+        path = tmp_path / "hex.yaml"
+        path.write_text(text.replace("horizon: 12", "horizon: 0x_"))
+        assert main(["monitor", "--spec", workdir["spec"], "--trace", str(path)]) == 2
+        assert capsys.readouterr().err == (f"error: {path}: malformed YAML: "
+                                           "invalid literal for int() with base 16: ''\n")
+
 
 def _config_with_clause(workdir, tmp_path, clause, predicate=None):
     """(config, spec) paths: the workdir experiment on its spec plus ``clause`` (and
@@ -453,6 +462,15 @@ class TestMalformedInputs:
         path.write_text(yaml.safe_dump(doc, sort_keys=False))
         assert main(["train", "--config", str(path), "--dry-run"]) == 2
         assert capsys.readouterr().err == f"error: {path}: {message}\n"
+
+    def test_experiment_date_with_no_value(self, workdir, tmp_path, capsys):
+        with open(workdir["experiment"]) as fh:
+            text = fh.read()
+        path = tmp_path / "dated.yaml"
+        path.write_text(text.replace("out_dir:", "note: 2001-13-45\nout_dir:", 1))
+        assert main(["train", "--config", str(path), "--dry-run"]) == 2
+        assert capsys.readouterr().err == (f"error: {path}: malformed YAML: "
+                                           "month must be in 1..12\n")
 
     @pytest.mark.parametrize("key,field,message", [
         ("entities", "id", "entities[0]: missing key 'id'"),

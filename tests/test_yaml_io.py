@@ -5,8 +5,10 @@ text through ``yaml.load`` and the document checks. Every group it returns and
 every error it raises must be the one that second path gives alone (the
 canonical reader switched off). Every byte ``save_trace`` writes must be what
 ``yaml.dump(doc, Dumper=YamlDumper, sort_keys=False)`` writes for the trace's
-document, assembled here from ``trace.frames``. Each test runs on PyYAML's
-libyaml classes and again on its pure-Python safe classes.
+document, assembled here from ``trace.frames``. Specs, configs and traces
+outside the canonical text are read by ``yaml.load``: any text, well-formed YAML
+or not, loads or raises a ``SchemaError`` naming the file. Each test runs on
+PyYAML's libyaml classes and again on its pure-Python safe classes.
 """
 
 import math
@@ -22,6 +24,7 @@ from hypothesis import strategies as st
 
 from creflow import fileio, simworld
 from creflow.cli import main
+from creflow.errors import SchemaError
 from creflow.trace import EntityState, TraceGroup
 
 CONFIGS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "configs")
@@ -411,3 +414,106 @@ class TestCanonicalTraffic:
             path = tmp_path / f"{i}.yaml"
             fileio.save_trace(path, trace)
             assert same_trace(fileio.load_trace(path), trace)
+
+
+LONG_KEY = "k" * 1024  # YAML's longest one-line key
+
+# YAML texts, valid or not: key, scalar, collection and layout forms that
+# ``yaml.load`` reads otherwise than a plain reading of the text suggests, and
+# each way it can fail (a parse error, an undefined alias, a scalar with no value).
+YAML_TEXTS = {
+    "duplicate_keys": "a: 1\nb: 2\na: 3\n",
+    "numbers": "- 1e3\n- 1_000\n- 0x1F\n- 0o17\n- 010\n- 0b101\n- 1:30\n- 190:20:30.15\n"
+               "- -0.0\n- +1.5e+3\n- 1_0.5\n- 1.\n- .5\n- 1e-300\n",
+    "specials": "- .inf\n- -.inf\n- .NaN\n- -.nan\n- ~\n- null\n- Null\n- ''\n",
+    "booleans": "- yes\n- No\n- on\n- OFF\n- y\n- True\n- FALSE\n",
+    "strings": "- 1.2.3\n- 12e\n- .\n- -x\n- a:b\n- a#b\n- a :b\n- x, y\n- f[1]\n- a  b\n"
+               "- -- x\n- ---\n- =x\n- a'b\n- a\"b\n",
+    "quoted": "'yes': 'it''s'\n'': ''''\n'a: b': '- x'\n' #': ' x '\n",
+    "quoted_merge_key": "'<<': 1\n",
+    "empty_collections": "a: {}\nb: []\nc:\n- {}\n- []\n",
+    "unindented_sequences": "a:\n- 1\n- b:\n  - 2\n  c: 3\n- 4\nd: 5\n",
+    "indented_sequences": "a:\n   - 1\n   - x\nb:\n     - c: 1\n       d:\n        - 2\n",
+    "nested_mappings": "a:\n b:\n     c: 1\n d: 2\ne:\n  - f:\n       g: h\n    i: j\n",
+    "root_sequence": "- a: 1\n  b: 2\n- c\n",
+    "root_indented": "  a: 1\n  b:\n  - 2\n",
+    "document_marker_keys": "---: 1\n...: 2\n",
+    "long_key": f"{LONG_KEY}: 1\n",
+    "trace": "schema_version: 1\nkind: trace\nframes:\n- cube:\n    position:\n    - 0.5\n"
+             "    - -1.0\n    flags:\n      'yes': true\n",
+    "flow": "a: [1, 'x', {b: c, d: [true, ~]}, [], {}]\nb: {e: [1.5, -2]}\n",
+    "double_quoted": "a: \"1\"\nb: \"\\t\"\n",
+    "block_scalars": "e: |\n  block\n  text\nf: >\n  folded\n",
+    "multi_line_plain": "a: b\n  c\n",
+    "multi_line_quoted": "a: 'b\n  c'\n",
+    "non_ascii": "- é\n",
+    "lone_dash": "- 1\n-\n",
+    "lone_dash_space": "- 1\n- \n",
+    "nested_dash": "- - 1\n  - 2\n",
+    "empty_value": "a:\nb: 1\n",
+    "empty_value_last": "a: 1\nb:\n",
+    "empty_value_space": "a: \n",
+    "comment_line": "# c\na: 1\n",
+    "comment_after": "a: 1 # c\n",
+    "trailing_space": "a: 1 \n",
+    "trailing_space_after_key": "a: \n  b: 1\n",
+    "tab": "a:\n\t- 1\n",
+    "tab_value": "a:\t1\n",
+    "blank_line": "a: 1\n\nb: 2\n",
+    "no_final_newline": "a: 1",
+    "empty": "",
+    "empty_document": "---\n",
+    "explicit_start": "---\na: 1\n",
+    "explicit_end": "--- a\n...\n",
+    "document_start_key": "--- a: 1\n",
+    "two_documents": "a: 1\n---\nb: 2\n",
+    "scalar": "5\n",
+    "int_key": "1: a\n",
+    "null_key": "~: a\n",
+    "bool_key": "yes: 1\n",
+    "float_key": "-0.0: a\n",
+    "anchor_alias": "a: &x [1, 2]\nb: *x\n",
+    "merge_key": "base: &b {k: 1}\nderived:\n  <<: *b\n  j: 2\n",
+    "merge_key_plain": "<<: {k: 1}\n",
+    "explicit_float": "a: !!float \"1\"\n",
+    "explicit_str": "a: !!str 1\n",
+    "nonspecific_tag": "a: ! 1\n",
+    "timestamp": "a: 2001-12-14\n",
+    "bad_date": "a: 2001-13-45\n",
+    "value_key": "=: 1\n",
+    "value": "a: =\n",
+    "sequence_key": "? [a]\n: 1\n",
+    "too_long_key": f"{LONG_KEY}k: 1\n",
+    "unclosed_flow": "schema_version: 1\nkind: trace\nframes: [\n",
+    "bad_indent": "a:\n  b: 1\n c: 2\n",
+    "deeper_after_value": "a: 1\n  b: 2\n",
+    "key_after_sequence": "a:\n  - 1\n  b: 2\n",
+    "sequence_after_value": "a: 1\n- 2\n",
+    "two_values": "a: b: c\n",
+    "undefined_alias": "a: *nowhere\n",
+    "binary": "a: !!binary aGk=\n",
+    "bad_int": "a: 0x_\n",
+    "bad_int_then_bad_syntax": "a: 0b_\nb: [\n",
+    "bad_int_then_undefined_alias": "a: 0x_\nb: *x\n",
+}
+
+LOADERS = {"task_spec": fileio.load_task_spec, "experiment": fileio.load_experiment_config,
+           "trace": fileio.load_trace}
+
+
+class TestYamlInputs:
+    @pytest.mark.parametrize("name", sorted(YAML_TEXTS))
+    def test_text_loads_or_raises_schema_error(self, platform, monkeypatch, tmp_path, name):
+        """Each text, as it is and after a valid header, read as a spec, a config or a
+        trace: it loads or raises a SchemaError naming the file, never another error."""
+        path = tmp_path / "doc.yaml"
+        for kind, load in LOADERS.items():
+            for text in (YAML_TEXTS[name], f"schema_version: 1\nkind: {kind}\n" + YAML_TEXTS[name]):
+                path.write_text(text)
+                try:
+                    load(path)
+                except SchemaError as err:
+                    assert str(err).startswith(f"{path}: "), (kind, text)
+                if kind == "trace":
+                    got, expected = load_both(path, monkeypatch)
+                    assert got == expected
