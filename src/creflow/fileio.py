@@ -7,11 +7,14 @@ CSV with a versioned, append-only column set.
 
 Specs and configs are read by ``yaml.load`` and written by ``yaml.dump``. A
 trace file has one canonical text, the one ``yaml.dump`` writes for a trace
-whose names and numbers are plain: ``save_trace`` writes it line by line
-from the group's arrays, and ``load_trace`` reads it block by block into
-them. A trace outside that form is written by ``yaml.dump`` of its document
-and read by ``yaml.load`` and the document checks, which alone raise errors;
-both ways fill the arrays in one step, so groups and errors are the same.
+whose names and numbers are plain. Both ways a trace passes through its
+entries, its one per-cell form: ``save_trace`` writes the canonical text line
+by line from ``TraceGroup.entries()``, and ``load_trace`` reads it block by
+block into entries for ``TraceGroup.from_entries``. A trace outside that form
+is written by ``yaml.dump`` of the document built from its entries and read
+by ``yaml.load`` and the document checks, which alone raise errors; both
+readers hand their entries to ``from_entries``, so groups and errors are the
+same.
 """
 
 import csv
@@ -36,7 +39,6 @@ from .mask import CreditMask, LatentLayout
 from .objectives import LossConfig
 from .simworld import METRIC_COLUMNS, METRICS_VERSION, MetricsSeries, WorldConfig
 from .trace import (
-    KINDS,
     ClauseDecl,
     EntityDecl,
     PredicateDecl,
@@ -84,19 +86,15 @@ def _mapping(value, where):
 
 
 def _entries(doc, key, path):
-    """The list under ``key``, every entry checked to be a mapping (located only if not)."""
+    """(where, entry) for each entry of the list under ``key``, every entry checked to be
+    a mapping."""
     entries = _key(doc, key, path)
     if not isinstance(entries, list):
         raise SchemaError(f"{path}: {key!r} must be a list, got {entries!r}")
-    for i, entry in enumerate(entries):
-        if not isinstance(entry, dict):
-            _mapping(entry, f"{path}: {key}[{i}]")
-    return entries
-
-
-def _located(doc, key, path):
-    """(where, entry) for each of the ``_entries`` under ``key``."""
-    return [(f"{path}: {key}[{i}]", entry) for i, entry in enumerate(_entries(doc, key, path))]
+    located = [(f"{path}: {key}[{i}]", entry) for i, entry in enumerate(entries)]
+    for where, entry in located:
+        _mapping(entry, where)
+    return located
 
 
 def _key(entry, key, where):
@@ -112,9 +110,7 @@ def _field(entry, key, where, kind="a string", default=_REQUIRED):
     """``entry[key]``, of ``kind`` (a string unless given); ``default`` if absent and given."""
     if key not in entry and default is not _REQUIRED:
         return default
-    value = _key(entry, key, where)
-    # the message is formatted only for a bad value: traces check thousands of good ones
-    return value if KINDS[kind](value) else checked(value, kind, f"{where}: {key!r}", SchemaError)
+    return checked(_key(entry, key, where), kind, f"{where}: {key!r}", SchemaError)
 
 
 # --------------------------------------------------------------------------
@@ -162,10 +158,10 @@ def load_task_spec(path) -> TaskSpec:
     try:
         entities = [
             EntityDecl(_field(e, "id", where), _field(e, "kind", where), _half_extents(e, where))
-            for where, e in _located(doc, "entities", path)
+            for where, e in _entries(doc, "entities", path)
         ]
-        predicates = [_predicate(p, where) for where, p in _located(doc, "predicates", path)]
-        clauses = [_clause(c, where) for where, c in _located(doc, "clauses", path)]
+        predicates = [_predicate(p, where) for where, p in _entries(doc, "predicates", path)]
+        clauses = [_clause(c, where) for where, c in _entries(doc, "clauses", path)]
         condition = _condition(_key(doc, "condition", path), f"{path}: condition")
         task_id = _field(doc, "task_id", path)
     except (KeyError, TypeError, ValueError) as err:
@@ -274,7 +270,7 @@ def _number_text(value):
 
 
 def _canonical_entries(text):
-    """``_trace_group``'s arguments (after the path) for a canonical text, else None.
+    """``TraceGroup.from_entries``'s arguments for a canonical text, else None.
 
     The header is matched once and ``_ENTITY_BLOCK`` at successive offsets to
     the end. A number is ``float(text)``: YAML 1.1 resolves every ``_DECIMAL``
@@ -316,158 +312,88 @@ def _canonical_entries(text):
 
 
 def _document_entries(path):
-    """``_trace_group``'s arguments (after the path) for any trace ``yaml.load`` reads.
+    """``TraceGroup.from_entries``'s arguments for any trace ``yaml.load`` reads.
 
     Every frame must be a mapping; then, frame by frame and entity by entity,
     the entity id must be a string and its state a mapping with a position, a
     radius >= 0, an optional gripper bit and a mapping of string flag names
-    to bits, checked in that order; none is coerced. A location is formatted,
-    and the check repeated through ``_field``, only for a bad value.
+    to bits, checked in that order; none is coerced.
     """
     doc = _load_yaml(path, "trace")
     horizon = _field(doc, "horizon", path, "an integer")
     grid = _field(doc, "grid", path, "two integers")
     frames = _entries(doc, "frames", path)
-    pair, nonnegative = KINDS["two finite numbers"], KINDS["a finite number >= 0"]
     entries = []
-    for t, frame in enumerate(frames):
+    for t, (where, frame) in enumerate(frames):
         for eid, state in frame.items():
-            if not (type(eid) is str and type(state) is dict and pair(state.get("position"))
-                    and nonnegative(state.get("radius"))
-                    and type(state.get("gripper_closed", False)) is bool
-                    and type(state.get("flags", {})) is dict):  # else raise the first error
-                where = f"{path}: frames[{t}]"
-                checked(eid, "a string", f"{where}: entity key", SchemaError)
-                at = f"{where}[{eid!r}]"
-                _mapping(state, at)
-                _field(state, "position", at, "two finite numbers")
-                _field(state, "radius", at, "a finite number >= 0")
-                _field(state, "gripper_closed", at, "true or false", None)
-                _mapping(state.get("flags", {}), f"{at}: flags")
-            flags = state.get("flags", {}).items()
+            checked(eid, "a string", f"{where}: entity key", SchemaError)
+            at = f"{where}[{eid!r}]"
+            _mapping(state, at)
+            position = _field(state, "position", at, "two finite numbers")
+            radius = _field(state, "radius", at, "a finite number >= 0")
+            closed = _field(state, "gripper_closed", at, "true or false", -1)
+            flags = _mapping(state.get("flags", {}), f"{at}: flags").items()
             for name, value in flags:
-                if type(name) is not str or type(value) is not bool:
-                    at = f"{path}: frames[{t}][{eid!r}]"
-                    checked(name, "a string", f"{at}: flag key", SchemaError)
-                    checked(value, "true or false", f"{at}: flag {name!r}", SchemaError)
-            closed = state.get("gripper_closed")
-            entries.append((t, eid, state["position"], state["radius"],
-                            -1 if closed is None else closed, flags))
+                checked(name, "a string", f"{at}: flag key", SchemaError)
+                checked(value, "true or false", f"{at}: flag {name!r}", SchemaError)
+            entries.append((t, eid, position, radius, closed, flags))
     return horizon, tuple(grid), len(frames), entries
-
-
-def _trace_group(path, horizon, grid, frames, entries):
-    """The group of one row holding ``entries`` in file order.
-
-    Each entry is (frame, entity id, position, radius, gripper bit or -1,
-    (flag name, bit) pairs); entity columns and flag slots are numbered by
-    first appearance. A frame count or grid the group rejects is a
-    SchemaError naming the file.
-    """
-    columns, slots = {}, {}
-    cells, flag_cells, flag_bits = [], [], []
-    for t, eid, _, _, _, flags in entries:
-        cell = t, columns.setdefault(eid, len(columns))
-        cells.append(cell)
-        for name, bit in flags:
-            flag_cells.append(cell + (slots.setdefault(name, len(slots)),))
-            flag_bits.append(bit)
-    shape = (1, frames, len(columns))
-    xy = np.zeros(shape + (2,))
-    radius = np.zeros(shape)
-    gripper = np.full(shape, -1, dtype=np.int8)
-    flags = np.full(shape + (len(slots),), -1, dtype=np.int8)
-    present = np.zeros(shape, dtype=bool)
-    if entries:
-        _, _, positions, radii, grippers, _ = zip(*entries)
-        t, e = np.array(cells).T
-        present[0, t, e] = True
-        xy[0, t, e] = np.array(positions, dtype=float)
-        radius[0, t, e] = np.array(radii, dtype=float)
-        gripper[0, t, e] = grippers
-    if flag_cells:
-        t, e, k = np.array(flag_cells).T
-        flags[0, t, e, k] = flag_bits
-    try:
-        return TraceGroup(horizon, grid, tuple(columns), xy, radius, gripper, tuple(slots),
-                          flags, present)
-    except (HorizonMismatch, SpecValidationError) as err:
-        raise SchemaError(f"{path}: {err}") from err
 
 
 def load_trace(path) -> TraceGroup:
     """A trace file as a group of one row: its canonical text read block by block
-    into the arrays, any other text by ``yaml.load`` and the document checks."""
+    into entries, any other text by ``yaml.load`` and the document checks."""
     try:
         with open(path) as fh:
             read = _canonical_entries(fh.read())
     except UnicodeDecodeError:  # reported by yaml.load's path
         read = None
-    return _trace_group(path, *(read or _document_entries(path)))
+    args = read or _document_entries(path)
+    try:
+        return TraceGroup.from_entries(*args)
+    except (HorizonMismatch, SpecValidationError) as err:  # a frame count or grid it rejects
+        raise SchemaError(f"{path}: {err}") from err
 
 
-def _canonical_text(trace):
-    """The canonical text of a group of one row, or None if it is outside the form."""
-    present = trace.single().present[0]
-    xy, radius = trace.xy[0], trace.radius[0]
+def _canonical_text(trace, entries):
+    """The canonical text of a group of one row and its ``entries()``, or None if the
+    group is outside the form."""
+    present = trace.present[0]
     if not (type(trace.horizon) is int and all(type(n) is int for n in trace.grid)
-            and present.any(axis=1).all() and np.isfinite(xy[present]).all()
-            and np.isfinite(radius[present]).all()
+            and present.any(axis=1).all() and np.isfinite(trace.xy[0][present]).all()
+            and np.isfinite(trace.radius[0][present]).all()
             and _plain_names(trace.entity_ids + trace.flag_names)):
         return None
     rows, cols = trace.grid
     lines = [f"schema_version: {SCHEMA_VERSION}\nkind: trace\nhorizon: {trace.horizon}\n"
              f"grid:\n- {rows}\n- {cols}\nframes:\n"]
-    xy, radius, present = xy.tolist(), radius.tolist(), present.tolist()
-    grippers, flags = trace.gripper[0].tolist(), trace.flags[0].tolist()
-    for t, frame in enumerate(present):
-        dash = "- "
-        for e, eid in enumerate(trace.entity_ids):
-            if not frame[e]:
-                continue
-            x, y = xy[t][e]
-            set_flags = "".join(f"      {name}: {'true' if bit else 'false'}\n"
-                                for name, bit in zip(trace.flag_names, flags[t][e]) if bit >= 0)
-            lines.append(f"{dash}{eid}:\n    position:\n    - {_number_text(x)}\n"
-                         f"    - {_number_text(y)}\n    radius: {_number_text(radius[t][e])}\n"
-                         + (f"    flags:\n{set_flags}" if set_flags else "    flags: {}\n"))
-            if grippers[t][e] >= 0:
-                lines.append(f"    gripper_closed: {'true' if grippers[t][e] else 'false'}\n")
-            dash = "  "
+    frame = None
+    for t, eid, (x, y), radius, closed, flags in entries:
+        set_flags = "".join(f"      {name}: {'true' if bit else 'false'}\n" for name, bit in flags)
+        lines.append(f"{'  ' if t == frame else '- '}{eid}:\n    position:\n"
+                     f"    - {_number_text(x)}\n    - {_number_text(y)}\n"
+                     f"    radius: {_number_text(radius)}\n"
+                     + (f"    flags:\n{set_flags}" if set_flags else "    flags: {}\n"))
+        if closed >= 0:
+            lines.append(f"    gripper_closed: {'true' if closed else 'false'}\n")
+        frame = t
     return "".join(lines)
 
 
 def save_trace(path, trace: TraceGroup):
     """Write a group of one row: its canonical text, or else ``yaml.dump`` of its document."""
-    text = _canonical_text(trace)
-    if text is None:
-        _dump_yaml(path, _trace_document(trace))
+    entries = trace.entries()
+    text = _canonical_text(trace, entries)
+    if text is not None:
+        with open(path, "w") as fh:
+            fh.write(text)
         return
-    with open(path, "w") as fh:
-        fh.write(text)
-
-
-def _trace_document(trace):
-    frames = []
-    for frame in trace.frames:
-        frame_doc = {}
-        for eid, state in frame.items():
-            entry = {
-                "position": [float(state.position[0]), float(state.position[1])],
-                "radius": float(state.radius),
-                "flags": {k: bool(v) for k, v in state.attribute_flags.items()},
-            }
-            if state.gripper_closed is not None:
-                entry["gripper_closed"] = bool(state.gripper_closed)
-            frame_doc[eid] = entry
-        frames.append(frame_doc)
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "trace",
-        "horizon": trace.horizon,
-        "grid": list(trace.grid),
-        "frames": frames,
-    }
+    frames = [{} for _ in range(trace.horizon)]
+    for t, eid, position, radius, closed, flags in entries:
+        frames[t][eid] = {"position": position, "radius": radius, "flags": dict(flags),
+                          **({} if closed < 0 else {"gripper_closed": closed > 0})}
+    _dump_yaml(path, {"schema_version": SCHEMA_VERSION, "kind": "trace",
+                      "horizon": trace.horizon, "grid": list(trace.grid), "frames": frames})
 
 
 # --------------------------------------------------------------------------
@@ -536,8 +462,6 @@ def load_experiment_config(path) -> ExperimentConfig:
     spec_path = _field(doc, "spec_path", path, default=None)
     _key(doc, "world", path)
     world_args = _config_section(doc, "world", WorldConfig, path)
-    if world_args.get("seed", 0) < 0:
-        raise SchemaError(f"{path}: 'world.seed' must be >= 0, got {world_args['seed']}")
     loss_args = _config_section(doc, "loss", LossConfig, path)
     try:
         world = WorldConfig(**world_args)

@@ -113,11 +113,11 @@ class WorldConfig:
                 f"model_kind must be 'linear' or 'mlp', got {self.model_kind!r}")
         if any(width < 1 for width in self.hidden):
             raise SpecValidationError(f"hidden widths must be >= 1, got {list(self.hidden)}")
-        for name, least in (("iterations", 1), ("rollout_steps", 1), ("demo_count", 1),
-                            ("pretrain_batch", 1), ("probe_count", 1), ("pretrain_steps", 0),
-                            ("arm_radius", 0), ("object_radius", 0), ("container_radius", 0),
-                            ("grasp_distance", 0), ("move_speed", 0), ("learning_rate", 0),
-                            ("pretrain_lr", 0), ("demo_noise", 0)):
+        for name, least in (("seed", 0), ("iterations", 1), ("rollout_steps", 1),
+                            ("demo_count", 1), ("pretrain_batch", 1), ("probe_count", 1),
+                            ("pretrain_steps", 0), ("arm_radius", 0), ("object_radius", 0),
+                            ("container_radius", 0), ("grasp_distance", 0), ("move_speed", 0),
+                            ("learning_rate", 0), ("pretrain_lr", 0), ("demo_noise", 0)):
             if getattr(self, name) < least:
                 raise SpecValidationError(f"{name} must be >= {least}, got {getattr(self, name)}")
         for name in ("fail_fraction", "ema_rate"):

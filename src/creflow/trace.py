@@ -1,7 +1,10 @@
 """Task specifications, per-entity state traces, predicate streams, atlases.
 
 Traces are arrays: a TraceGroup holds N traces' positions, radii, gripper
-bits and flags, and a single trace is a TraceGroup of one row. Predicates
+bits and flags, and a single trace is a TraceGroup of one row. Cell by cell,
+a trace is a list of entries (frame, entity id, position, radius, gripper
+bit or -1, (flag name, bit) pairs): ``TraceGroup.from_entries`` builds the
+arrays from them and ``TraceGroup.entries`` reads them back. Predicates
 are evaluated on ground-truth geometric state, one (N, T) Boolean array per
 atom over a whole group. The built-in evaluators, one row each of
 ``EVALUATORS`` (arity, params, function), are ``near`` (distance
@@ -204,8 +207,8 @@ class TraceGroup:
     from a frame, an entity without a gripper, a flag not set on an entity)
     are marked in ``present`` and by -1 in ``gripper`` and ``flags``; they
     raise when a predicate or the monitor reads them. A single trace is a
-    group of one row; ``frames`` and ``positions`` read that row
-    and raise ShapeMismatch on any other row count.
+    group of one row; ``entries()``, ``frames`` and ``positions`` read that
+    row and raise ShapeMismatch on any other row count.
     """
 
     horizon: int
@@ -231,30 +234,52 @@ class TraceGroup:
         self._complete = {eid for eid, ok in zip(self.entity_ids, everywhere) if ok}
 
     @classmethod
-    def from_frames(cls, horizon, frames, grid):
-        """A group of one trace from per-frame dicts of entity id -> EntityState."""
-        ids = tuple(dict.fromkeys(eid for frame in frames for eid in frame))
-        names = tuple(dict.fromkeys(
-            k for frame in frames for s in frame.values() for k in s.attribute_flags))
-        columns = {eid: e for e, eid in enumerate(ids)}
-        slots = {name: k for k, name in enumerate(names)}
-        shape = (1, len(frames), len(ids))
+    def from_entries(cls, horizon, grid, frames, entries):
+        """The group of one row of ``frames`` frames holding ``entries``.
+
+        Each entry is (frame, entity id, position, radius, gripper bit or -1,
+        (flag name, bit) pairs); entity columns and flag slots are numbered by
+        first appearance.
+        """
+        columns, slots = {}, {}
+        cells, flag_cells, flag_bits = [], [], []
+        for t, eid, _, _, _, flags in entries:
+            cell = t, columns.setdefault(eid, len(columns))
+            cells.append(cell)
+            for name, bit in flags:
+                flag_cells.append(cell + (slots.setdefault(name, len(slots)),))
+                flag_bits.append(bit)
+        shape = (1, frames, len(columns))
         xy = np.zeros(shape + (2,))
         radius = np.zeros(shape)
         gripper = np.full(shape, -1, dtype=np.int8)
-        flags = np.full(shape + (len(names),), -1, dtype=np.int8)
+        flags = np.full(shape + (len(slots),), -1, dtype=np.int8)
         present = np.zeros(shape, dtype=bool)
-        for t, frame in enumerate(frames):
-            for eid, s in frame.items():
-                e = columns[eid]
-                present[0, t, e] = True
-                xy[0, t, e] = s.position
-                radius[0, t, e] = s.radius
-                if s.gripper_closed is not None:
-                    gripper[0, t, e] = bool(s.gripper_closed)
-                for name, value in s.attribute_flags.items():
-                    flags[0, t, e, slots[name]] = bool(value)
-        return cls(horizon, grid, ids, xy, radius, gripper, names, flags, present)
+        if entries:
+            _, _, positions, radii, grippers, _ = zip(*entries)
+            t, e = np.array(cells).T
+            present[0, t, e] = True
+            xy[0, t, e] = np.array(positions, dtype=float)
+            radius[0, t, e] = np.array(radii, dtype=float)
+            gripper[0, t, e] = grippers
+        if flag_cells:
+            t, e, k = np.array(flag_cells).T
+            flags[0, t, e, k] = flag_bits
+        return cls(horizon, grid, tuple(columns), xy, radius, gripper, tuple(slots), flags,
+                   present)
+
+    @classmethod
+    def from_frames(cls, horizon, frames, grid):
+        """A group of one trace from per-frame dicts of entity id -> EntityState."""
+        columns = {eid: e for e, eid in enumerate(dict.fromkeys(
+            eid for frame in frames for eid in frame))}
+        entries = [
+            (t, eid, s.position, s.radius,
+             -1 if s.gripper_closed is None else bool(s.gripper_closed),
+             [(name, bool(bit)) for name, bit in s.attribute_flags.items()])
+            for t, frame in enumerate(frames)
+            for eid, s in sorted(frame.items(), key=lambda item: columns[item[0]])]
+        return cls.from_entries(horizon, grid, len(frames), entries)
 
     def __len__(self):
         return self.xy.shape[0]
@@ -288,27 +313,25 @@ class TraceGroup:
             raise ShapeMismatch(f"a trace is a group of one row, got {len(self)}")
         return self
 
+    def entries(self):
+        """The inverse of ``from_entries`` for a group of one row: its entries
+        frame by frame, column by column, with plain floats and Boolean flag bits."""
+        t, e = np.nonzero(self.single().present[0])
+        xy, radius = self.xy[0, t, e].tolist(), self.radius[0, t, e].tolist()
+        gripper, flags = self.gripper[0, t, e].tolist(), self.flags[0, t, e].tolist()
+        ids, names = self.entity_ids, self.flag_names
+        return [(frame, ids[column], position, r, closed,
+                 [(name, bit > 0) for name, bit in zip(names, bits) if bit >= 0])
+                for frame, column, position, r, closed, bits
+                in zip(t.tolist(), e.tolist(), xy, radius, gripper, flags)]
+
     @property
     def frames(self):
-        """Per frame: entity id -> EntityState, built from the arrays on each read."""
-        self.single()
-        present, xy, radius = self.present[0].tolist(), self.xy[0], self.radius[0].tolist()
-        gripper, flags = self.gripper[0].tolist(), self.flags[0].tolist()
-        frames = []
-        for t in range(self.horizon):
-            frame = {}
-            for e, eid in enumerate(self.entity_ids):
-                if not present[t][e]:
-                    continue
-                closed = gripper[t][e]
-                frame[eid] = EntityState(
-                    position=xy[t, e],
-                    radius=radius[t][e],
-                    gripper_closed=None if closed < 0 else bool(closed),
-                    attribute_flags={name: bool(v) for name, v in zip(self.flag_names, flags[t][e])
-                                     if v >= 0},
-                )
-            frames.append(frame)
+        """Per frame: entity id -> EntityState, built from ``entries()`` on each read."""
+        frames = [{} for _ in range(self.horizon)]
+        for t, eid, position, radius, closed, flags in self.entries():
+            frames[t][eid] = EntityState(np.array(position), radius,
+                                         None if closed < 0 else closed > 0, dict(flags))
         return frames
 
     def positions(self, entity_id) -> np.ndarray:
@@ -335,7 +358,7 @@ def _first_frame(bad):
     return int(bad.any(axis=0).argmax()) + 1
 
 
-def _near(group, args, entities, distance):
+def _near(group, args, spec, distance):
     p1, p2 = (group.xy[:, :, group.column(eid)] for eid in args)
     return _length(p1 - p2) <= distance
 
@@ -347,17 +370,16 @@ def _box(outer, outer_decl, error):
     return outer_decl.half_extents
 
 
-def _inside(group, args, entities):
+def _inside(group, args, spec):
     inner, outer = args
-    if entities is None:
+    if spec is None:
         raise UnknownEvaluator("'inside' needs entity declarations")
-    outer_decl = entities[outer] if not isinstance(entities, TaskSpec) else entities.entity(outer)
-    hx, hy = _box(outer, outer_decl, MissingAttribute)
+    hx, hy = _box(outer, spec.entity(outer), MissingAttribute)
     delta = np.abs(group.xy[:, :, group.column(inner)] - group.xy[:, :, group.column(outer)])
     return (delta[..., 0] <= hx) & (delta[..., 1] <= hy)
 
 
-def _grasp(group, args, entities, distance):
+def _grasp(group, args, spec, distance):
     arm, obj = args
     a, o = group.column(arm), group.column(obj)
     closed = group.gripper[:, :, a]
@@ -367,7 +389,7 @@ def _grasp(group, args, entities, distance):
     return (_length(group.xy[:, :, a] - group.xy[:, :, o]) <= distance) & (closed > 0)
 
 
-def _flag(group, args, entities, flag):
+def _flag(group, args, spec, flag):
     (eid,) = args
     e = group._columns.get(eid)
     if e is None:
@@ -385,7 +407,7 @@ def _flag(group, args, entities, flag):
     return values > 0
 
 
-def _moving(group, args, entities, speed):
+def _moving(group, args, spec, speed):
     (eid,) = args
     pos = group.xy[:, :, group.column(eid)]
     if group.horizon == 1:
@@ -433,7 +455,7 @@ def checked(value, kind, what, error):
 
 
 # The built-in evaluators, each the one definition of its predicates: name ->
-# (arity, {param: kind}, function of (group, entity ids, entity declarations,
+# (arity, {param: kind}, function of (group, entity ids, TaskSpec or None,
 # **param values) giving an (N, T) Boolean array).
 EVALUATORS = {
     "near": (2, {"distance": "a finite number >= 0"}, _near),
@@ -444,20 +466,21 @@ EVALUATORS = {
 }
 
 
-def eval_group_predicate(decl: PredicateDecl, group: TraceGroup, atom: ltlf.Atom, entities=None):
+def eval_group_predicate(decl: PredicateDecl, group: TraceGroup, atom: ltlf.Atom,
+                         spec: TaskSpec = None):
     """Evaluate one entity-grounded predicate on every row: an (N, T) Boolean array.
 
-    ``entities`` maps entity id to EntityDecl and is required by evaluators
-    that read declaration-level geometry (``inside``).
+    ``spec`` declares the entities; evaluators that read declaration-level
+    geometry (``inside``) require it.
     """
     if len(atom.args) != decl.arity:
         raise SpecValidationError(f"atom {atom} does not match arity {decl.arity}")
-    return EVALUATORS[decl.evaluator][2](group, atom.args, entities, **decl.values)
+    return EVALUATORS[decl.evaluator][2](group, atom.args, spec, **decl.values)
 
 
-def eval_predicate(decl: PredicateDecl, trace: TraceGroup, atom: ltlf.Atom, entities=None):
+def eval_predicate(decl: PredicateDecl, trace: TraceGroup, atom: ltlf.Atom, spec: TaskSpec = None):
     """Evaluate one entity-grounded predicate on one trace: a length-T Boolean stream."""
-    return eval_group_predicate(decl, trace.single(), atom, entities)[0]
+    return eval_group_predicate(decl, trace.single(), atom, spec)[0]
 
 
 def build_atlas(trace: TraceGroup, entity_ids) -> Atlas:

@@ -419,7 +419,7 @@ class TestMalformedInputs:
         ("world", "hidden", 64, "'world.hidden' must be a list of integers, got 64"),
         ("world", "model_kind", None, "'world.model_kind' must be a string, got None"),
         ("world", "sed", 0, "unknown key 'sed' under 'world:'"),
-        ("world", "seed", -1, "'world.seed' must be >= 0, got -1"),
+        ("world", "seed", -1, "seed must be >= 0, got -1"),
         ("world", "horizon", 40, "horizon must be in [8, 32]"),
         ("world", "group_size", 1, "group size must be >= 2"),
         ("world", "model_kind", "lnear", "model_kind must be 'linear' or 'mlp', got 'lnear'"),

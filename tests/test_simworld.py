@@ -52,6 +52,12 @@ class TestConfig:
         with pytest.raises(SpecValidationError):
             WorldConfig(template="juggling")
 
+    def test_seed_must_be_nonnegative(self):
+        # numpy's seeding would reject it later with a bare ValueError
+        with pytest.raises(SpecValidationError, match="seed must be >= 0, got -1"):
+            WorldConfig(seed=-1)
+        assert WorldConfig(seed=0).seed == 0
+
     def test_ordered_stack_needs_two_objects(self):
         with pytest.raises(SpecValidationError, match="ordered_stack needs n_objects >= 2"):
             WorldConfig(template="ordered_stack", n_objects=1)

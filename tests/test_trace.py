@@ -51,6 +51,10 @@ ENTITIES = {
     "cup": EntityDecl("cup", "object"),
     "box": EntityDecl("box", "container", half_extents=(1.5, 1.0)),
 }
+INSIDE = PredicateDecl("inside", 2, "inside", {})
+INSIDE_SPEC = TaskSpec(task_id="toy", entities=list(ENTITIES.values()), predicates=[INSIDE],
+                       clauses=[ClauseDecl("c", "F inside(cup, box)")],
+                       condition=make_condition("toy", {"cup": (1.0, 1.0)}))
 
 
 class TestPredicates:
@@ -109,16 +113,14 @@ class TestPredicates:
                 }
             )
         trace = TraceGroup.from_frames(4, frames, (16, 16))
-        decl = PredicateDecl("inside", 2, "inside", {})
-        stream = eval_predicate(decl, trace, Atom("inside", ("cup", "box")), ENTITIES)
+        stream = eval_predicate(INSIDE, trace, Atom("inside", ("cup", "box")), INSIDE_SPEC)
         # |dx| <= 1.5 at t=0,1,2 (dx = -1, 0, 1); t=3 gives dx=2
         assert stream.astype(int).tolist() == [1, 1, 1, 0]
 
     def test_inside_all_false_when_far(self):
         frames = [{"cup": state(0, 0), "box": state(10, 10)} for _ in range(4)]
         trace = TraceGroup.from_frames(4, frames, (16, 16))
-        decl = PredicateDecl("inside", 2, "inside", {})
-        stream = eval_predicate(decl, trace, Atom("inside", ("cup", "box")), ENTITIES)
+        stream = eval_predicate(INSIDE, trace, Atom("inside", ("cup", "box")), INSIDE_SPEC)
         assert not stream.any()
 
     def test_flag_and_missing_flag(self):
@@ -163,6 +165,20 @@ class TestArrays:
                 assert np.array_equal(s.position, v.position) and s.radius == v.radius
                 assert s.gripper_closed == v.gripper_closed
                 assert s.attribute_flags == v.attribute_flags
+
+    def test_entries_rebuild_the_group(self):
+        frames = [{"a": state(0, 0), "b": state(1, 1, closed=True)},
+                  {"b": state(2, 2, flags={"x": True}), "a": state(3, 3, flags={"y": False})},
+                  {"b": state(4, 4, closed=False)}]
+        trace = TraceGroup.from_frames(3, frames, (8, 8))
+        # columns and flags are numbered in entry order: frame by frame, column by column
+        assert trace.entity_ids == ("a", "b") and trace.flag_names == ("y", "x")
+        assert [entry[:2] for entry in trace.entries()] == [(0, "a"), (0, "b"), (1, "a"),
+                                                             (1, "b"), (2, "b")]
+        again = TraceGroup.from_entries(3, (8, 8), 3, trace.entries())
+        assert (again.entity_ids, again.flag_names) == (trace.entity_ids, trace.flag_names)
+        for name in ("xy", "radius", "gripper", "flags", "present"):
+            assert np.array_equal(getattr(again, name), getattr(trace, name)), name
 
     def test_absent_entity_named_at_its_frame(self):
         frames = [{"cup": state(0, 0), "box": state(1, 1)}, {"cup": state(0, 0), "box": state(1, 1)},
