@@ -8,6 +8,7 @@ All randomness flows from --seed; CREFLOW_LOG sets the logging level.
 """
 
 import argparse
+import dataclasses
 import json
 import logging
 import os
@@ -68,6 +69,7 @@ def cmd_mask(args) -> int:
 
 
 def _check_seed(seed):
+    """The ``--seed`` flag's own message; a config's seed is checked by ``WorldConfig``."""
     if seed is not None and seed < 0:
         raise CreflowError(f"--seed must be >= 0, got {seed}")
 
@@ -92,7 +94,7 @@ def cmd_train(args) -> int:
     _check_seed(args.seed)
     cfg = fileio.load_experiment_config(args.config)
     if args.seed is not None:
-        cfg.world.seed = args.seed
+        cfg.world = dataclasses.replace(cfg.world, seed=args.seed)
     if args.out_dir:
         cfg.out_dir = args.out_dir
     if cfg.spec_path:
@@ -110,9 +112,8 @@ def cmd_train(args) -> int:
         series = simworld.run_online_loop(cfg.world, spec, bundle, cfg.loss)
     except NonFiniteLoss as err:
         dump_path = os.path.join(cfg.out_dir, "diagnostic_dump.json")
-        fileio.write_json(
-            dump_path, {"error": str(err), "world": fileio.world_config_dict(cfg.world)}
-        )
+        fileio.write_json(dump_path, {"error": str(err),
+                                      "world": fileio.world_config_dict(cfg.world), **err.state})
         print(f"error: {err} (diagnostics: {dump_path})", file=sys.stderr)
         return EXIT_FAIL
     csv_path = os.path.join(cfg.out_dir, "metrics.csv")

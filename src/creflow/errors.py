@@ -82,4 +82,11 @@ class InsufficientSamples(CreflowError):
 
 
 class NonFiniteLoss(CreflowError):
-    pass
+    """Training met a non-finite rollout or loss. ``state`` is the loop's state at that
+    iteration, made only when this is raised: the iteration, the metric rows written
+    before it, the group's rewards and the parameter and gradient norms (None where
+    not computed yet or not finite); ``creflow train`` writes it to its diagnostic dump."""
+
+    def __init__(self, message, state):
+        super().__init__(message)
+        self.state = state

@@ -7,14 +7,15 @@ CSV with a versioned, append-only column set.
 
 Specs and configs are read by ``yaml.load`` and written by ``yaml.dump``. A
 trace file has one canonical text, the one ``yaml.dump`` writes for a trace
-whose names and numbers are plain. Both ways a trace passes through its
-entries, its one per-cell form: ``save_trace`` writes the canonical text line
-by line from ``TraceGroup.entries()``, and ``load_trace`` reads it block by
-block into entries for ``TraceGroup.from_entries``. A trace outside that form
-is written by ``yaml.dump`` of the document built from its entries and read
-by ``yaml.load`` and the document checks, which alone raise errors; both
-readers hand their entries to ``from_entries``, so groups and errors are the
-same.
+whose names and numbers are plain. Both ways a trace passes through its cell
+columns, its one per-cell form (parallel columns of frame, entity id, x, y,
+radius, gripper bit and flag pairs): ``save_trace`` writes the canonical text
+line by line from ``TraceGroup.cells()``, and ``load_trace`` matches it block
+by block, then converts and checks the blocks' fields column by column for
+``TraceGroup.from_cells``. A trace outside that form is written by
+``yaml.dump`` of the document built from its cells and read by ``yaml.load``
+and the document checks, which alone raise errors; both readers hand their
+columns to ``from_cells``, so groups and errors are the same.
 """
 
 import csv
@@ -23,6 +24,7 @@ import math
 import os
 import re
 from dataclasses import dataclass, fields, replace
+from itertools import accumulate
 
 import numpy as np
 import yaml
@@ -44,6 +46,7 @@ from .trace import (
     PredicateDecl,
     TaskSpec,
     TraceGroup,
+    cell_columns,
     checked,
     make_condition,
 )
@@ -243,12 +246,12 @@ _PLAIN_NAME = re.compile(_NAME)
 _TRACE_HEADER = re.compile(
     rf"schema_version: {SCHEMA_VERSION}\nkind: trace\nhorizon: ({_COUNT})\n"
     rf"grid:\n- ({_COUNT})\n- ({_COUNT})\nframes:\n")
-_ENTITY_BLOCK = re.compile(
-    rf"(- |  )({_NAME}):\n    position:\n    - ({_DECIMAL})\n    - ({_DECIMAL})\n"
+_ENTITY_BLOCK = re.compile(  # the whole block is group 1
+    rf"((- |  )({_NAME}):\n    position:\n    - ({_DECIMAL})\n    - ({_DECIMAL})\n"
     rf"    radius: ({_DECIMAL})\n    flags:(?: \{{\}}\n|\n((?:      {_NAME}: (?:true|false)\n)+))"
-    r"(?:    gripper_closed: (true|false)\n)?")
+    r"(?:    gripper_closed: (true|false)\n)?)")
 _FLAG = re.compile(rf"      ({_NAME}): (true|false)\n")
-_GRIPPER = {None: -1, "false": 0, "true": 1}
+_GRIPPER = {"": -1, "false": 0, "true": 1}
 
 
 def _plain_names(names):
@@ -269,50 +272,49 @@ def _number_text(value):
     return text.replace("e", ".0e", 1) if "e" in text and "." not in text else text
 
 
-def _canonical_entries(text):
-    """``TraceGroup.from_entries``'s arguments for a canonical text, else None.
+def _canonical_cells(text):
+    """``TraceGroup.from_cells``'s arguments for a canonical text, else None.
 
-    The header is matched once and ``_ENTITY_BLOCK`` at successive offsets to
-    the end. A number is ``float(text)``: YAML 1.1 resolves every ``_DECIMAL``
-    text to a float, and ``construct_yaml_float`` gives exactly ``float(text)``
-    for it. Any other text, a repeated entity or flag, a name the resolver
-    does not read as a string, or a value the document checks reject gives
-    None, so ``yaml.load`` and those checks read it and raise the error.
+    The header is matched once and ``_ENTITY_BLOCK`` found in one pass over
+    the rest, which the blocks must tile: they do not overlap, so they leave
+    no text between or after them exactly when their lengths add up to the
+    rest's. The blocks' fields are then converted and checked column by
+    column, and each distinct flag text is parsed once. A number is
+    ``float(text)``: YAML 1.1 resolves every ``_DECIMAL`` text to a float, and
+    ``construct_yaml_float`` gives exactly ``float(text)`` for it. Any other
+    text, a repeated entity or flag, a name the resolver does not read as a
+    string, or a value the document checks reject gives None, so ``yaml.load``
+    and those checks read it and raise the error.
     """
     header = _TRACE_HEADER.match(text)
     if header is None:
         return None
-    t, at, entries = -1, header.end(), []
-    for match in _ENTITY_BLOCK.finditer(text, at):
-        if match.start() != at:
-            return None
-        at = match.end()
-        dash, eid, x, y, r, flag_lines, closed = match.groups()
-        if dash == "- ":
-            t += 1
-        position, radius = [float(x), float(y)], float(r)
-        if not (-math.inf < position[0] < math.inf and -math.inf < position[1] < math.inf
-                and 0.0 <= radius < math.inf):
-            return None
-        flags = ()
-        if flag_lines:
-            flags = [(name, bit == "true") for name, bit in _FLAG.findall(flag_lines)]
-            if len(dict(flags)) < len(flags):
-                return None  # a repeated flag
-        entries.append((t, eid, position, radius, _GRIPPER[closed], flags))
-    if at < len(text) or not entries or entries[0][0] < 0:
-        return None  # text after the last block, no frame, or a frame without ``- ``
-    cells = {entry[:2] for entry in entries}
-    if len(cells) < len(entries):
+    blocks = _ENTITY_BLOCK.findall(text, header.end())
+    if not blocks:
+        return None
+    whole, dashes, eids, x, y, radii, flag_texts, closed = zip(*blocks)
+    if sum(map(len, whole)) != len(text) - header.end() or dashes[0] != "- ":
+        return None  # text between or after the blocks, or a frame without ``- ``
+    t = list(accumulate(map("- ".__eq__, dashes), initial=-1))[1:]
+    x, y, radii = list(map(float, x)), list(map(float, y)), list(map(float, radii))
+    if not (-math.inf < min(x) and max(x) < math.inf and -math.inf < min(y)
+            and max(y) < math.inf and 0.0 <= min(radii) and max(radii) < math.inf):
+        return None
+    if len(set(zip(t, eids))) < len(eids):
         return None  # a repeated entity in a frame
-    if not _plain_names({eid for _, eid in cells} | {name for e in entries for name, _ in e[5]}):
+    parsed = {lines: tuple((name, bit == "true") for name, bit in _FLAG.findall(lines))
+              for lines in set(flag_texts)}
+    if any(len(dict(pairs)) < len(pairs) for pairs in parsed.values()):
+        return None  # a repeated flag
+    if not _plain_names(set(eids).union(name for pairs in parsed.values() for name, _ in pairs)):
         return None
     horizon, rows, cols = map(int, header.groups())
-    return horizon, (rows, cols), t + 1, entries
+    return horizon, (rows, cols), t[-1] + 1, (
+        t, eids, x, y, radii, [_GRIPPER[c] for c in closed], [parsed[f] for f in flag_texts])
 
 
-def _document_entries(path):
-    """``TraceGroup.from_entries``'s arguments for any trace ``yaml.load`` reads.
+def _document_cells(path):
+    """``TraceGroup.from_cells``'s arguments for any trace ``yaml.load`` reads.
 
     Every frame must be a mapping; then, frame by frame and entity by entity,
     the entity id must be a string and its state a mapping with a position, a
@@ -323,7 +325,7 @@ def _document_entries(path):
     horizon = _field(doc, "horizon", path, "an integer")
     grid = _field(doc, "grid", path, "two integers")
     frames = _entries(doc, "frames", path)
-    entries = []
+    cells = []
     for t, (where, frame) in enumerate(frames):
         for eid, state in frame.items():
             checked(eid, "a string", f"{where}: entity key", SchemaError)
@@ -332,31 +334,31 @@ def _document_entries(path):
             position = _field(state, "position", at, "two finite numbers")
             radius = _field(state, "radius", at, "a finite number >= 0")
             closed = _field(state, "gripper_closed", at, "true or false", -1)
-            flags = _mapping(state.get("flags", {}), f"{at}: flags").items()
+            flags = tuple(_mapping(state.get("flags", {}), f"{at}: flags").items())
             for name, value in flags:
                 checked(name, "a string", f"{at}: flag key", SchemaError)
                 checked(value, "true or false", f"{at}: flag {name!r}", SchemaError)
-            entries.append((t, eid, position, radius, closed, flags))
-    return horizon, tuple(grid), len(frames), entries
+            cells.append((t, eid, *position, radius, closed, flags))
+    return horizon, tuple(grid), len(frames), cell_columns(cells)
 
 
 def load_trace(path) -> TraceGroup:
     """A trace file as a group of one row: its canonical text read block by block
-    into entries, any other text by ``yaml.load`` and the document checks."""
+    into cell columns, any other text by ``yaml.load`` and the document checks."""
     try:
         with open(path) as fh:
-            read = _canonical_entries(fh.read())
+            read = _canonical_cells(fh.read())
     except UnicodeDecodeError:  # reported by yaml.load's path
         read = None
-    args = read or _document_entries(path)
+    args = read or _document_cells(path)
     try:
-        return TraceGroup.from_entries(*args)
+        return TraceGroup.from_cells(*args)
     except (HorizonMismatch, SpecValidationError) as err:  # a frame count or grid it rejects
         raise SchemaError(f"{path}: {err}") from err
 
 
-def _canonical_text(trace, entries):
-    """The canonical text of a group of one row and its ``entries()``, or None if the
+def _canonical_text(trace, cells):
+    """The canonical text of a group of one row and its ``cells()``, or None if the
     group is outside the form."""
     present = trace.present[0]
     if not (type(trace.horizon) is int and all(type(n) is int for n in trace.grid)
@@ -368,7 +370,7 @@ def _canonical_text(trace, entries):
     lines = [f"schema_version: {SCHEMA_VERSION}\nkind: trace\nhorizon: {trace.horizon}\n"
              f"grid:\n- {rows}\n- {cols}\nframes:\n"]
     frame = None
-    for t, eid, (x, y), radius, closed, flags in entries:
+    for t, eid, x, y, radius, closed, flags in zip(*cells):
         set_flags = "".join(f"      {name}: {'true' if bit else 'false'}\n" for name, bit in flags)
         lines.append(f"{'  ' if t == frame else '- '}{eid}:\n    position:\n"
                      f"    - {_number_text(x)}\n    - {_number_text(y)}\n"
@@ -382,15 +384,15 @@ def _canonical_text(trace, entries):
 
 def save_trace(path, trace: TraceGroup):
     """Write a group of one row: its canonical text, or else ``yaml.dump`` of its document."""
-    entries = trace.entries()
-    text = _canonical_text(trace, entries)
+    cells = trace.cells()
+    text = _canonical_text(trace, cells)
     if text is not None:
         with open(path, "w") as fh:
             fh.write(text)
         return
     frames = [{} for _ in range(trace.horizon)]
-    for t, eid, position, radius, closed, flags in entries:
-        frames[t][eid] = {"position": position, "radius": radius, "flags": dict(flags),
+    for t, eid, x, y, radius, closed, flags in zip(*cells):
+        frames[t][eid] = {"position": [x, y], "radius": radius, "flags": dict(flags),
                           **({} if closed < 0 else {"gripper_closed": closed > 0})}
     _dump_yaml(path, {"schema_version": SCHEMA_VERSION, "kind": "trace",
                       "horizon": trace.horizon, "grid": list(trace.grid), "frames": frames})

@@ -611,6 +611,23 @@ def _success_window(rows, tail):
     return float(np.mean(vals[:k])), float(np.mean(vals[-k:]))
 
 
+def _norm(v):
+    """The Euclidean norm of ``v``; None if ``v`` is None or the norm is not finite."""
+    if v is None:
+        return None
+    with np.errstate(over="ignore", invalid="ignore"):
+        norm = float(np.linalg.norm(v))
+    return norm if math.isfinite(norm) else None
+
+
+def _diverged(message, iteration, rows, params, rewards=None, grad=None):
+    """A NonFiniteLoss carrying the loop's state at ``iteration`` for the diagnostic dump."""
+    return NonFiniteLoss(message, {
+        "iteration": iteration, "rows": rows,
+        "rewards": None if rewards is None else rewards.tolist(),
+        "param_norm": _norm(params), "grad_norm": _norm(grad)})
+
+
 def run_online_loop(config: WorldConfig, spec: TaskSpec, bundle: ModelBundle,
                     loss_config: LossConfig) -> MetricsSeries:
     """Rollout, monitor, mask, and update for config.iterations steps.
@@ -655,9 +672,9 @@ def run_online_loop(config: WorldConfig, spec: TaskSpec, bundle: ModelBundle,
         with np.errstate(over="ignore", invalid="ignore"):
             x0s = sample_rollout_group(bundle, embed, config.rollout_steps, eps)
         if not np.all(np.isfinite(x0s)):
-            raise NonFiniteLoss(
-                f"behavior policy produced non-finite rollouts at iteration {iteration}"
-            )
+            raise _diverged(
+                f"behavior policy produced non-finite rollouts at iteration {iteration}",
+                iteration, rows, bundle.current.params)
 
         verdicts = run_group_monitor(spec, decode(x0s, condition))
         rewards = np.array([v.reward for v in verdicts])
@@ -677,9 +694,8 @@ def run_online_loop(config: WorldConfig, spec: TaskSpec, bundle: ModelBundle,
         with np.errstate(over="ignore", invalid="ignore"):
             total, grad, parts = loss_total(group, bundle, batch, loss_config)
         if not (np.isfinite(total) and np.all(np.isfinite(grad))):
-            raise NonFiniteLoss(
-                f"non-finite loss at iteration {iteration}: total={total}"
-            )
+            raise _diverged(f"non-finite loss at iteration {iteration}: total={total}",
+                            iteration, rows, bundle.current.params, rewards, grad)
         bundle.current.params -= config.learning_rate * grad
         bundle.ema_sync()
 

@@ -2,15 +2,15 @@
 
 Traces are arrays: a TraceGroup holds N traces' positions, radii, gripper
 bits and flags, and a single trace is a TraceGroup of one row. Cell by cell,
-a trace is a list of entries (frame, entity id, position, radius, gripper
-bit or -1, (flag name, bit) pairs): ``TraceGroup.from_entries`` builds the
-arrays from them and ``TraceGroup.entries`` reads them back. Predicates
-are evaluated on ground-truth geometric state, one (N, T) Boolean array per
-atom over a whole group. The built-in evaluators, one row each of
-``EVALUATORS`` (arity, params, function), are ``near`` (distance
-threshold), ``inside`` (axis-aligned box attached to a container entity),
-``grasp`` (near + closed gripper), ``flag`` (boolean attribute) and
-``moving`` (frame-to-frame displacement). Each entity also has a
+a trace is seven parallel columns (frame, entity id, x, y, radius, gripper
+bit or -1, (flag name, bit) pairs): ``TraceGroup.from_cells`` fills each
+array from them in one assignment and ``TraceGroup.cells`` reads them
+back. Predicates are evaluated on ground-truth geometric state, one (N, T)
+Boolean array per atom over a whole group. The built-in evaluators, one
+row each of ``EVALUATORS`` (arity, params, function), are ``near``
+(distance threshold), ``inside`` (axis-aligned box attached to a container
+entity), ``grasp`` (near + closed gripper), ``flag`` (boolean attribute)
+and ``moving`` (frame-to-frame displacement). Each entity also has a
 swept-disc raster on the trace grid; the union over frames forms its atlas
 mask.
 """
@@ -189,6 +189,11 @@ def _first_repeat(names):
     return None
 
 
+def cell_columns(cells):
+    """Per-cell tuples as the seven columns ``TraceGroup.from_cells`` takes."""
+    return tuple(zip(*cells)) or ((),) * 7
+
+
 @dataclass
 class EntityState:
     """One entity at one frame: the per-frame form traces are built from and viewed as."""
@@ -207,7 +212,7 @@ class TraceGroup:
     from a frame, an entity without a gripper, a flag not set on an entity)
     are marked in ``present`` and by -1 in ``gripper`` and ``flags``; they
     raise when a predicate or the monitor reads them. A single trace is a
-    group of one row; ``entries()``, ``frames`` and ``positions`` read that
+    group of one row; ``cells()``, ``frames`` and ``positions`` read that
     row and raise ShapeMismatch on any other row count.
     """
 
@@ -234,37 +239,37 @@ class TraceGroup:
         self._complete = {eid for eid, ok in zip(self.entity_ids, everywhere) if ok}
 
     @classmethod
-    def from_entries(cls, horizon, grid, frames, entries):
-        """The group of one row of ``frames`` frames holding ``entries``.
+    def from_cells(cls, horizon, grid, frames, cells):
+        """The group of one row of ``frames`` frames holding ``cells``.
 
-        Each entry is (frame, entity id, position, radius, gripper bit or -1,
-        (flag name, bit) pairs); entity columns and flag slots are numbered by
-        first appearance.
+        ``cells`` is seven parallel columns, one item per cell: frame, entity
+        id, x, y, radius, gripper bit or -1, and a tuple of (flag name, bit)
+        pairs. Entity columns and flag slots are numbered by first appearance;
+        each array is filled by one indexed assignment.
         """
-        columns, slots = {}, {}
-        cells, flag_cells, flag_bits = [], [], []
-        for t, eid, _, _, _, flags in entries:
-            cell = t, columns.setdefault(eid, len(columns))
-            cells.append(cell)
-            for name, bit in flags:
-                flag_cells.append(cell + (slots.setdefault(name, len(slots)),))
-                flag_bits.append(bit)
+        t, eids, x, y, radii, grippers, flag_pairs = cells
+        columns = {eid: e for e, eid in enumerate(dict.fromkeys(eids))}
+        kinds = {pairs: k for k, pairs in enumerate(dict.fromkeys(flag_pairs))}
+        # a name first appears in the first distinct pairs that hold it
+        slots = {name: k for k, name in enumerate(dict.fromkeys(
+            name for pairs in kinds for name, _ in pairs))}
+        rows = np.full((len(kinds), len(slots)), -1, dtype=np.int8)  # one per distinct pairs
+        for pairs, k in kinds.items():
+            for name, bit in pairs:
+                rows[k, slots[name]] = bit
         shape = (1, frames, len(columns))
         xy = np.zeros(shape + (2,))
         radius = np.zeros(shape)
         gripper = np.full(shape, -1, dtype=np.int8)
         flags = np.full(shape + (len(slots),), -1, dtype=np.int8)
         present = np.zeros(shape, dtype=bool)
-        if entries:
-            _, _, positions, radii, grippers, _ = zip(*entries)
-            t, e = np.array(cells).T
-            present[0, t, e] = True
-            xy[0, t, e] = np.array(positions, dtype=float)
-            radius[0, t, e] = np.array(radii, dtype=float)
-            gripper[0, t, e] = grippers
-        if flag_cells:
-            t, e, k = np.array(flag_cells).T
-            flags[0, t, e, k] = flag_bits
+        e = np.fromiter(map(columns.__getitem__, eids), np.intp, len(eids))
+        cell = 0, np.array(t, np.intp), e
+        present[cell] = True
+        xy[cell] = np.array((x, y), dtype=float).T
+        radius[cell] = np.array(radii, dtype=float)
+        gripper[cell] = grippers
+        flags[cell] = rows[[kinds[pairs] for pairs in flag_pairs]]
         return cls(horizon, grid, tuple(columns), xy, radius, gripper, tuple(slots), flags,
                    present)
 
@@ -273,13 +278,13 @@ class TraceGroup:
         """A group of one trace from per-frame dicts of entity id -> EntityState."""
         columns = {eid: e for e, eid in enumerate(dict.fromkeys(
             eid for frame in frames for eid in frame))}
-        entries = [
-            (t, eid, s.position, s.radius,
+        cells = [
+            (t, eid, *s.position, s.radius,
              -1 if s.gripper_closed is None else bool(s.gripper_closed),
-             [(name, bool(bit)) for name, bit in s.attribute_flags.items()])
+             tuple((name, bool(bit)) for name, bit in s.attribute_flags.items()))
             for t, frame in enumerate(frames)
             for eid, s in sorted(frame.items(), key=lambda item: columns[item[0]])]
-        return cls.from_entries(horizon, grid, len(frames), entries)
+        return cls.from_cells(horizon, grid, len(frames), cell_columns(cells))
 
     def __len__(self):
         return self.xy.shape[0]
@@ -313,24 +318,24 @@ class TraceGroup:
             raise ShapeMismatch(f"a trace is a group of one row, got {len(self)}")
         return self
 
-    def entries(self):
-        """The inverse of ``from_entries`` for a group of one row: its entries
-        frame by frame, column by column, with plain floats and Boolean flag bits."""
+    def cells(self):
+        """The inverse of ``from_cells`` for a group of one row: its cells frame by
+        frame, column by column, as columns of plain values and Boolean flag bits."""
         t, e = np.nonzero(self.single().present[0])
-        xy, radius = self.xy[0, t, e].tolist(), self.radius[0, t, e].tolist()
-        gripper, flags = self.gripper[0, t, e].tolist(), self.flags[0, t, e].tolist()
-        ids, names = self.entity_ids, self.flag_names
-        return [(frame, ids[column], position, r, closed,
-                 [(name, bit > 0) for name, bit in zip(names, bits) if bit >= 0])
-                for frame, column, position, r, closed, bits
-                in zip(t.tolist(), e.tolist(), xy, radius, gripper, flags)]
+        x, y = self.xy[0, t, e].T.tolist()
+        bits = list(map(tuple, self.flags[0, t, e].tolist()))
+        pairs = {row: tuple((name, bit > 0) for name, bit in zip(self.flag_names, row) if bit >= 0)
+                 for row in set(bits)}
+        return (t.tolist(), [self.entity_ids[c] for c in e.tolist()], x, y,
+                self.radius[0, t, e].tolist(), self.gripper[0, t, e].tolist(),
+                [pairs[row] for row in bits])
 
     @property
     def frames(self):
-        """Per frame: entity id -> EntityState, built from ``entries()`` on each read."""
+        """Per frame: entity id -> EntityState, built from ``cells()`` on each read."""
         frames = [{} for _ in range(self.horizon)]
-        for t, eid, position, radius, closed, flags in self.entries():
-            frames[t][eid] = EntityState(np.array(position), radius,
+        for t, eid, x, y, radius, closed, flags in zip(*self.cells()):
+            frames[t][eid] = EntityState(np.array([x, y]), radius,
                                          None if closed < 0 else closed > 0, dict(flags))
         return frames
 

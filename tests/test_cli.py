@@ -13,7 +13,7 @@ import yaml
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from creflow import fileio, simworld
+from creflow import cli, fileio, simworld
 from creflow.cli import main
 from creflow.errors import SchemaError
 from creflow.objectives import LossConfig
@@ -265,7 +265,7 @@ def errors_as_yaml_load(monkeypatch):
     def checked(load):
         def load_and_compare(path):
             with monkeypatch.context() as m:
-                m.setattr(fileio, "_canonical_entries", lambda text: None)
+                m.setattr(fileio, "_canonical_cells", lambda text: None)
                 expected = _error_text(load, path)
             assert _error_text(load, path) == expected
             return load(path)
@@ -717,6 +717,11 @@ class TestMalformedInputs:
         assert main(["train", "--config", workdir["experiment"], "--seed", "-1", "--dry-run"]) == 2
         assert capsys.readouterr().err == "error: --seed must be >= 0, got -1\n"
 
+    def test_train_seed_goes_through_the_world_check(self, workdir, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "_check_seed", lambda seed: None)  # the flag's own message off
+        assert main(["train", "--config", workdir["experiment"], "--seed", "-1", "--dry-run"]) == 2
+        assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
+
 
 class TestCliExitCodes:
     def test_monitor_pass(self, workdir, capsys):
@@ -886,7 +891,18 @@ class TestCliExitCodes:
         path = str(workdir["root"] / "diverging.yaml")
         fileio.save_experiment_config(path, cfg)
         assert main(["train", "--config", path]) == 1
-        assert os.path.exists(os.path.join(cfg.out_dir, "diagnostic_dump.json"))
+        with open(os.path.join(cfg.out_dir, "diagnostic_dump.json")) as fh:
+            dump = json.load(fh)
+        assert set(dump) == {"error", "world", "iteration", "rows", "rewards", "param_norm",
+                             "grad_norm"}
+        assert f"at iteration {dump['iteration']}" in dump["error"]
+        assert dump["world"]["learning_rate"] == 50.0
+        assert [row["iteration"] for row in dump["rows"]] == list(range(dump["iteration"]))
+        assert all(set(row) == set(simworld.METRIC_COLUMNS) for row in dump["rows"])
+        assert set(dump["rewards"] or []) <= {0, 1}
+        for key in ("param_norm", "grad_norm"):
+            assert dump[key] is None or math.isfinite(dump[key]) and dump[key] >= 0
+        assert not os.path.exists(os.path.join(cfg.out_dir, "metrics.csv"))
 
 
 class TestConsoleScript:

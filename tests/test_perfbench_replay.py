@@ -1,9 +1,12 @@
-"""The benchmark's replay check holds for a saved and loaded trace and sees one changed cell.
+"""The benchmark's replay checks hold on its whole pool after a file round trip, and
+``traces_equal`` sees one changed cell.
 
 ``perfbench/test_smoke.py`` is outside the Tier-1 test paths, yet the
-``replay_pixel`` workload checks every trace it loads against the one it saved
-with ``workloads.traces_equal``, which reads ``TraceGroup.frames``. The script
-is imported here as it is, with no bytecode written next to it.
+``replay_pixel`` workload counts a failed operation whenever a trace it loads
+differs from the one it saved (``workloads.traces_equal``, which reads
+``TraceGroup.frames``), or a group's rewards or mask bits differ from the
+independent oracle's and the recorded ones. The script is imported here as it
+is, with no bytecode written next to it.
 """
 
 import dataclasses
@@ -14,7 +17,8 @@ import sys
 import numpy as np
 import pytest
 
-from creflow import fileio
+from creflow import fileio, simworld
+from creflow.mask import LatentLayout
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
 
@@ -66,3 +70,23 @@ def test_traces_equal_sees_one_changed_cell(workloads, replay_trace, tmp_path, n
     path = tmp_path / "trace.yaml"
     fileio.save_trace(path, replay_trace)
     assert not workloads.traces_equal(fileio.load_trace(path), edited(replay_trace, name, edit))
+
+
+def test_replay_pool_checks_hold_after_a_file_round_trip(workloads, tmp_path):
+    world = workloads.replay_world()
+    spec = simworld.build_task_spec(world)
+    layout = LatentLayout.pixel(world.horizon, world.grid)
+    groups = workloads.load_reference()["replay"]["groups"]
+    assert len(groups) == 32
+    for gid, recorded in groups.items():
+        loaded = []
+        for i, trace in enumerate(workloads.replay_group_traces(world, int(gid))):
+            path = tmp_path / f"group{gid}-{i}.yaml"
+            fileio.save_trace(path, trace)
+            loaded.append(fileio.load_trace(path))
+            assert workloads.traces_equal(loaded[-1], trace), path.name
+        verdicts, group_mask = workloads.score_group(spec, layout, loaded)
+        rewards = [v.reward for v in verdicts]
+        assert rewards == [workloads.bruteforce_reward(spec, t) for t in loaded], gid
+        assert rewards == recorded["rewards"], gid
+        assert workloads.mask_fingerprint(group_mask) == recorded["mask"], gid

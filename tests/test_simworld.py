@@ -4,6 +4,7 @@ import re
 import numpy as np
 import pytest
 
+from creflow import simworld
 from creflow.errors import NonFiniteLoss, SpecValidationError
 from creflow.monitor import run_monitor
 from creflow.objectives import LossConfig
@@ -301,8 +302,32 @@ class TestLoop:
     def test_non_finite_abort(self):
         config = small_config(iterations=40, learning_rate=50.0)
         spec = build_task_spec(config)
-        with pytest.raises(NonFiniteLoss):
+        with pytest.raises(NonFiniteLoss) as caught:
             run_online_loop(config, spec, pretrain_reference(config), LossConfig(lambda_cr=1.0))
+        state = caught.value.state
+        assert f"at iteration {state['iteration']}" in str(caught.value)
+        assert [row["iteration"] for row in state["rows"]] == list(range(state["iteration"]))
+
+    @pytest.mark.parametrize("total,grad_value", [(np.nan, 2.0), (1.0, np.inf)],
+                             ids=["nan_total", "inf_gradient"])
+    def test_non_finite_loss_carries_rewards_and_norms(self, monkeypatch, total, grad_value):
+        config = small_config(iterations=3)
+        bundle = pretrain_reference(config)
+        params = bundle.current.get_params()
+
+        def loss_total(group, bundle, batch, loss_config):
+            return total, np.full(bundle.current.n_params, grad_value), {}
+
+        monkeypatch.setattr(simworld, "loss_total", loss_total)
+        with pytest.raises(NonFiniteLoss, match="non-finite loss at iteration 0") as caught:
+            run_online_loop(config, build_task_spec(config), bundle, LossConfig())
+        state = caught.value.state
+        assert state["iteration"] == 0 and state["rows"] == []
+        assert len(state["rewards"]) == config.group_size and set(state["rewards"]) <= {0, 1}
+        assert state["param_norm"] == float(np.linalg.norm(params))
+        finite = np.isfinite(grad_value)  # a norm that is not finite is None
+        assert state["grad_norm"] == (pytest.approx(grad_value * np.sqrt(params.size))
+                                      if finite else None)
 
     @pytest.mark.parametrize("template", ["ordered_stack", "persist_hold"])
     def test_other_templates_run(self, template):

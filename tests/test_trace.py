@@ -166,16 +166,16 @@ class TestArrays:
                 assert s.gripper_closed == v.gripper_closed
                 assert s.attribute_flags == v.attribute_flags
 
-    def test_entries_rebuild_the_group(self):
+    def test_cells_rebuild_the_group(self):
         frames = [{"a": state(0, 0), "b": state(1, 1, closed=True)},
                   {"b": state(2, 2, flags={"x": True}), "a": state(3, 3, flags={"y": False})},
                   {"b": state(4, 4, closed=False)}]
         trace = TraceGroup.from_frames(3, frames, (8, 8))
-        # columns and flags are numbered in entry order: frame by frame, column by column
+        # columns and flags are numbered in cell order: frame by frame, column by column
         assert trace.entity_ids == ("a", "b") and trace.flag_names == ("y", "x")
-        assert [entry[:2] for entry in trace.entries()] == [(0, "a"), (0, "b"), (1, "a"),
-                                                             (1, "b"), (2, "b")]
-        again = TraceGroup.from_entries(3, (8, 8), 3, trace.entries())
+        t, eids = trace.cells()[:2]
+        assert list(zip(t, eids)) == [(0, "a"), (0, "b"), (1, "a"), (1, "b"), (2, "b")]
+        again = TraceGroup.from_cells(3, (8, 8), 3, trace.cells())
         assert (again.entity_ids, again.flag_names) == (trace.entity_ids, trace.flag_names)
         for name in ("xy", "radius", "gripper", "flags", "present"):
             assert np.array_equal(getattr(again, name), getattr(trace, name)), name

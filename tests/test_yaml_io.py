@@ -60,14 +60,14 @@ def load_both(path, monkeypatch):
     """(``outcome`` of ``path``, its ``outcome`` with the canonical reader off)."""
     got = outcome(path)
     with monkeypatch.context() as m:
-        m.setattr(fileio, "_canonical_entries", lambda text: None)
+        m.setattr(fileio, "_canonical_cells", lambda text: None)
         return got, outcome(path)
 
 
 def reads_canonical(path):
     """True if the canonical reader reads the file; False if ``yaml.load`` does."""
     with open(path) as fh:
-        return fileio._canonical_entries(fh.read()) is not None
+        return fileio._canonical_cells(fh.read()) is not None
 
 
 def trace_document(trace):
@@ -248,6 +248,44 @@ def write(path, text):
     return path
 
 
+def block(eid, x, flags=(), closed=None, opens_frame=False):
+    """One entity block of the canonical text, with (name, bit) flag pairs in order."""
+    flag_lines = "".join(f"      {name}: {'true' if bit else 'false'}\n" for name, bit in flags)
+    return (f"{'- ' if opens_frame else '  '}{eid}:\n    position:\n    - {x}\n    - 1.0\n"
+            f"    radius: 0.5\n" + (f"    flags:\n{flag_lines}" if flags else "    flags: {}\n")
+            + ("" if closed is None else f"    gripper_closed: {'true' if closed else 'false'}\n"))
+
+
+def canonical_text(frames):
+    """The canonical text of frames, each a list of ``block`` argument tuples."""
+    return ("schema_version: 1\nkind: trace\nhorizon: %d\ngrid:\n- 8\n- 8\nframes:\n"
+            % len(frames) + "".join(block(*cell, opens_frame=i == 0)
+                                    for frame in frames for i, cell in enumerate(frame)))
+
+
+ARM = ("arm", "0.5")
+# Canonical texts whose entity columns and flag slots a column-wise fill could number
+# in another order: (frames, the entity ids and flag names numbered by first appearance).
+ORDERINGS = {
+    "entity_first_seen_in_frame_3": (
+        [[ARM], [ARM], [ARM, ("cube", "2.0")], [("cube", "2.5"), ARM]], ("arm", "cube"), ()),
+    "entity_absent_from_a_middle_frame": (
+        [[("cube", "2.0"), ARM], [ARM], [ARM, ("cube", "3.0")]], ("cube", "arm"), ()),
+    "flag_subsets_and_orders": (
+        [[("cube", "2.0", [("b", True)]), ARM],
+         [("cube", "2.0", [("a", False), ("b", False)]), ("arm", "0.5", [("c", True)])],
+         [("cube", "2.0", [("c", False), ("a", True)])]],
+        ("cube", "arm"), ("b", "a", "c")),
+    "flag_set_on_a_later_entity_first": (
+        [[ARM, ("cube", "2.0", [("y", True), ("x", False)])], [("arm", "0.5", [("x", True)])]],
+        ("arm", "cube"), ("y", "x")),
+    "gripper_on_some_frames": (
+        [[("arm", "0.5", (), True), ("cube", "2.0")], [ARM, ("cube", "2.0")],
+         [("cube", "2.0"), ("arm", "0.5", (), False)]],
+        ("arm", "cube"), ()),
+}
+
+
 class TestCanonicalReader:
     def test_hand_written_text_is_canonical(self, platform, monkeypatch, tmp_path):
         path = write(tmp_path / "trace.yaml", CANONICAL)
@@ -256,6 +294,16 @@ class TestCanonicalReader:
         assert got == expected and got[0] == "group"
         fileio.save_trace(tmp_path / "again.yaml", fileio.load_trace(path))
         assert (tmp_path / "again.yaml").read_text() == CANONICAL
+
+    @pytest.mark.parametrize("name", sorted(ORDERINGS))
+    def test_first_appearance_numbering(self, platform, monkeypatch, tmp_path, name):
+        frames, entity_ids, flag_names = ORDERINGS[name]
+        path = write(tmp_path / "trace.yaml", canonical_text(frames))
+        assert reads_canonical(path)
+        got, expected = load_both(path, monkeypatch)
+        assert got == expected and got[0] == "group"
+        group = fileio.load_trace(path)
+        assert (group.entity_ids, group.flag_names) == (entity_ids, flag_names)
 
     @pytest.mark.parametrize("name", sorted(NEAR_MISSES))
     def test_near_miss_loads_as_yaml_load(self, platform, monkeypatch, tmp_path, name):
