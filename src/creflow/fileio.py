@@ -469,7 +469,7 @@ def load_experiment_config(path) -> ExperimentConfig:
         world = WorldConfig(**world_args)
         loss = LossConfig(**loss_args)
         return ExperimentConfig(world=world, loss=loss, out_dir=out_dir, spec_path=spec_path)
-    except (SpecValidationError, ValueError) as err:  # a WorldConfig or LossConfig range check
+    except SpecValidationError as err:  # a WorldConfig or LossConfig range check
         raise SchemaError(f"{path}: {err}") from err
 
 

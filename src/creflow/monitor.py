@@ -4,7 +4,6 @@ A rollout group is scored as one set of arrays; scoring one trace is the
 same code on a group of one.
 """
 
-from . import ltlf
 from .errors import CreflowError
 from .trace import Atlas, TaskSpec, TraceGroup, build_atlas, eval_group_predicate
 
@@ -48,12 +47,6 @@ class Verdict:
         cols = [group.column(eid) for eid in entity_ids]
         return (group.xy[row].take(cols, axis=1).swapaxes(0, 1),
                 group.radius[row].take(cols, axis=1).T, group.grid)
-
-    def witness(self, clause_id) -> ltlf.Witness:
-        for cid, w in self.violations:
-            if cid == clause_id:
-                return w
-        raise KeyError(clause_id)
 
 
 def run_group_monitor(spec: TaskSpec, group: TraceGroup) -> list:

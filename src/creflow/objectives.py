@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import EmptyGroup, LayoutMismatch
+from .errors import EmptyGroup, LayoutMismatch, SpecValidationError
 from .flow import T_MIN, ModelBundle, interpolate
 from .mask import CreditMask, LatentLayout
 
@@ -30,13 +30,13 @@ class LossConfig:
 
     def __post_init__(self):
         if self.beta <= 0:
-            raise ValueError("beta must be > 0")
+            raise SpecValidationError("beta must be > 0")
         if self.lambda_cr < 0 or self.lambda_kl < 0:
-            raise ValueError("loss weights must be >= 0")
+            raise SpecValidationError("loss weights must be >= 0")
         if self.weight_scheme not in WEIGHT_SCHEMES:
-            raise ValueError(f"weight_scheme must be one of {WEIGHT_SCHEMES}")
+            raise SpecValidationError(f"weight_scheme must be one of {WEIGHT_SCHEMES}")
         if self.weight_scheme == "kernel" and self.kernel_tau <= 0:
-            raise ValueError("kernel bandwidth must be > 0")
+            raise SpecValidationError("kernel bandwidth must be > 0")
 
 
 @dataclass

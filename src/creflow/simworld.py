@@ -4,9 +4,9 @@ Rollout latents are (T, sites, 2) tensors: one site per task entity plus a
 reserved row whose two channels carry the arms' gripper scalars (>0 means
 closed). Decoding reads arm positions directly; objects follow the nearest
 grasping arm while the grasp condition holds and stay put otherwise, and the
-container is static at its layout position. A rollout group is decoded at
-once into a TraceGroup. World coordinates are an affine
-rescale of latent units so that latents live at unit scale.
+container is static at its layout position. ``RolloutDecoder`` decodes every
+latent, sampled or scripted, a group at a time into a TraceGroup. World
+coordinates are an affine rescale of latent units so latents live at unit scale.
 
 The reference policy is pretrained by plain flow matching on scripted
 demonstrations (a mix of successful and perturbed-failing trajectories), so
@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NonFiniteLoss, SpecValidationError
+from .errors import NonFiniteLoss, ShapeMismatch, SpecValidationError
 from .flow import (
     T_MIN,
     LinearVelocity,
@@ -31,7 +31,7 @@ from .flow import (
     sample_rollout_group,
 )
 from .mask import LatentLayout, build_group_mask
-from .monitor import run_group_monitor, run_monitor
+from .monitor import run_group_monitor
 from .objectives import (
     LossConfig,
     RolloutGroup,
@@ -167,8 +167,7 @@ def check_spec_matches_world(spec, config):
             "task spec entities do not match the world config: "
             f"missing {sorted(world - declared)}, extra {sorted(declared - world)}")
     condition = sample_condition(config, np.random.default_rng((config.seed, 505)))
-    decoder = RolloutDecoder(config)
-    run_group_monitor(spec, decoder(np.zeros((1,) + decoder.latent_shape), condition))
+    run_group_monitor(spec, RolloutDecoder(config)(np.zeros(world_layout(config).dim), [condition]))
 
 
 def site_ids(config):
@@ -213,7 +212,7 @@ def _grasp_any(obj):
     return f"(grasp(arm_left, {obj}) | grasp(arm_right, {obj}))"
 
 
-def build_task_spec(config, condition=None) -> TaskSpec:
+def build_task_spec(config) -> TaskSpec:
     """Instantiate the template's entities, predicates and clauses."""
     cont = container_id(config)
     objs = object_ids(config)
@@ -247,8 +246,7 @@ def build_task_spec(config, condition=None) -> TaskSpec:
         clause("avoid_zone", f"G !inside({obj}, {cont})")
         instruction = f"hold the {obj} and keep it out of the {cont}"
 
-    if condition is None:
-        condition = sample_condition(config, np.random.default_rng(config.seed))
+    condition = sample_condition(config, np.random.default_rng(config.seed))
     return TaskSpec(
         task_id=config.template,
         entities=world_entities(config),
@@ -289,7 +287,7 @@ def latent_from_flat(flat, config) -> np.ndarray:
 
 
 def _carry(arm_xy, closed, start, reach):
-    """Object paths (N, T, objects, 2) from starts (objects, 2) or (N, objects, 2).
+    """Object paths (N, T, objects, 2) from per-row starts (N, objects, 2).
 
     An object moves with an arm iff the grasp condition (near + closed) held
     at the previous frame and the gripper stays closed; distances are measured
@@ -322,7 +320,7 @@ def _carry(arm_xy, closed, start, reach):
 
 
 class RolloutDecoder:
-    """Lifts rollout latents to traces; the site layout is resolved once."""
+    """Lifts every latent (rollout or demo) to a trace; the site layout is resolved once."""
 
     def __init__(self, config: WorldConfig):
         self.config = config
@@ -330,30 +328,29 @@ class RolloutDecoder:
         self.latent_shape = world_layout(config).tensor_shape()
         self.arm_sites = [sites.index(arm) for arm in ARMS]
         self.aux_site = sites.index(AUX_SITE)
-        self.objects = object_ids(config)
-        self.container = container_id(config)
         self.entity_ids = tuple(e.id for e in world_entities(config))
-        self.radius = np.array(
-            [config.arm_radius] * len(ARMS)
-            + [config.object_radius] * len(self.objects)
-            + [config.container_radius]
-        )
+        self.placed = self.entity_ids[len(ARMS):]  # the objects, then the container
+        self.radius = np.array([config.arm_radius] * len(ARMS)
+                               + [config.object_radius] * (len(self.placed) - 1)
+                               + [config.container_radius])
 
-    def __call__(self, latents, condition) -> TraceGroup:
-        """Decode N latents (flat (N, D) or (N, T, sites, 2)) into a TraceGroup."""
+    def __call__(self, latents, conditions) -> TraceGroup:
+        """Decode N latents (flat (N, D) or (N, T, sites, 2)) into a TraceGroup under one
+        condition for the whole group or one per row; any other count raises ShapeMismatch."""
         config = self.config
         z = np.asarray(latents, dtype=np.float64).reshape((-1,) + self.latent_shape)
         n, t_count = z.shape[:2]
+        if len(conditions) not in (1, n):
+            raise ShapeMismatch(f"{len(conditions)} conditions for {n} latents: give 1 or {n}")
+        layout = np.broadcast_to([[c.position(eid) for eid in self.placed] for c in conditions],
+                                 (n, len(self.placed), 2))  # per row: object starts, container
         arm_xy = latent_to_world(z[:, :, self.arm_sites, :], config)  # (N, T, arms, 2)
         closed = z[:, :, self.aux_site, :] > 0.0  # channel k is arm k's gripper
-        start = np.array([condition.position(oid) for oid in self.objects])
-        obj_xy = _carry(arm_xy, closed, start, config.grasp_distance)
-        cont_xy = np.broadcast_to(condition.position(self.container), (n, t_count, 1, 2))
-        hx, hy = config.container_half_extents
-        delta = np.abs(obj_xy - cont_xy)
-        inside = (delta[..., 0] <= hx) & (delta[..., 1] <= hy)
+        obj_xy = _carry(arm_xy, closed, layout[:, :-1], config.grasp_distance)
+        cont_xy = np.broadcast_to(layout[:, None, -1:], (n, t_count, 1, 2))
+        inside = np.all(np.abs(obj_xy - cont_xy) <= config.container_half_extents, axis=-1)
 
-        arms, objs = len(ARMS), len(self.objects)
+        arms, objs = len(ARMS), obj_xy.shape[2]
         shape = (n, t_count, len(self.entity_ids))
         gripper = np.full(shape, -1, dtype=np.int8)
         gripper[:, :, :arms] = closed
@@ -374,7 +371,7 @@ class RolloutDecoder:
 
 def decode_trace(latent, config: WorldConfig, condition) -> TraceGroup:
     """Deterministically lift one (T, sites, 2) latent to a trace (a group of one row)."""
-    return RolloutDecoder(config)(latent, condition).single()
+    return RolloutDecoder(config)(latent, [condition]).single()
 
 
 # --------------------------------------------------------------------------
@@ -427,7 +424,7 @@ def _script_demo(config, condition, rng):
     """Arm and gripper rows of one demo latent, and its noise, drawn from rng.
 
     Perturbed variants fail the task on purpose. Object and container rows
-    are left for ``_finish_demos``, which decodes many scripts at once.
+    are left for ``_finish_demos``, which decodes many scripts as one group.
     """
     t_count = config.horizon
     sites = site_ids(config)
@@ -500,21 +497,13 @@ def _script_demo(config, condition, rng):
 
 
 def _finish_demos(config, conditions, scripts):
-    """Flat demo latents (N, D) from scripts: objects decoded at once, noise added.
+    """Flat demo latents (N, D) from scripts, one condition each, with noise added.
 
-    Object rows hold the objects' decoded paths, so the latents are
-    self-consistent; the container row holds its fixed position.
-    """
+    The scripts decode as one group, and the decoded object and container paths
+    fill their rows (site e is entity column e), so the latents are self-consistent."""
     z = np.stack([script for script, _ in scripts])
-    decode = RolloutDecoder(config)
-    sites = site_ids(config)
-    start = np.array([[c.position(oid) for oid in decode.objects] for c in conditions])
-    arm_xy = latent_to_world(z[:, :, decode.arm_sites, :], config)
-    obj_xy = _carry(arm_xy, z[:, :, decode.aux_site, :] > 0.0, start, config.grasp_distance)
-    for k, oid in enumerate(decode.objects):
-        z[:, :, sites.index(oid), :] = world_to_latent(obj_xy[:, :, k], config)
-    cont = np.array([c.position(decode.container) for c in conditions])
-    z[:, :, sites.index(decode.container), :] = world_to_latent(cont[:, None, :], config)
+    xy = RolloutDecoder(config)(z, conditions).xy[:, :, len(ARMS):]
+    z[:, :, len(ARMS):len(ARMS) + xy.shape[2]] = world_to_latent(xy, config)
     z += np.stack([noise for _, noise in scripts])
     return z.reshape(len(scripts), -1)
 
@@ -567,10 +556,9 @@ def make_model(config, rng):
     return MLPVelocity(layout.dim, condition_dim(config), config.hidden, rng=rng)
 
 
-def pretrain_reference(config, rng=None) -> ModelBundle:
+def pretrain_reference(config) -> ModelBundle:
     """Flow-match a fresh model on scripted demos; bundle clones it three ways."""
-    if rng is None:
-        rng = np.random.default_rng((config.seed, 101))
+    rng = np.random.default_rng((config.seed, 101))
     conditions, scripts = [], []
     for _ in range(config.demo_count):
         condition = sample_condition(config, rng)
@@ -648,9 +636,8 @@ def run_online_loop(config: WorldConfig, spec: TaskSpec, bundle: ModelBundle,
     probe_conditions = [sample_condition(config, probe_rng) for _ in range(config.probe_count)]
     probe_embeds = np.array([condition_embedding(config, c) for c in probe_conditions])
     probe_eps = probe_rng.standard_normal((config.probe_count, dim))
-    probe_x0 = np.array(
-        [scripted_demo(config, c, probe_rng) for c in probe_conditions]
-    )
+    probe_x0 = _finish_demos(config, probe_conditions,
+                             [_script_demo(config, c, probe_rng) for c in probe_conditions])
     probe_t = probe_rng.uniform(0.05, 0.95, size=config.probe_count)
     probe_feats = bundle.current.encode(
         interpolate(probe_x0, probe_eps, probe_t), probe_t, probe_embeds
@@ -676,7 +663,7 @@ def run_online_loop(config: WorldConfig, spec: TaskSpec, bundle: ModelBundle,
                 f"behavior policy produced non-finite rollouts at iteration {iteration}",
                 iteration, rows, bundle.current.params)
 
-        verdicts = run_group_monitor(spec, decode(x0s, condition))
+        verdicts = run_group_monitor(spec, decode(x0s, [condition]))
         rewards = np.array([v.reward for v in verdicts])
 
         group_mask = build_group_mask(verdicts, layout, clause_entities)
@@ -730,16 +717,17 @@ def run_online_loop(config: WorldConfig, spec: TaskSpec, bundle: ModelBundle,
 
 
 def sample_decoded_rollouts(config: WorldConfig, bundle: ModelBundle, count, spec: TaskSpec):
-    """Fresh rollouts from the behavior policy, decoded and scored under ``spec``."""
+    """(one-row trace, reward) for ``count`` fresh rollouts of the behavior policy.
+
+    Each is integrated alone, so its bits cannot depend on how a batched product
+    is split; all are then decoded and scored under ``spec`` as one group."""
     rng = np.random.default_rng((config.seed, 404))
-    decode = RolloutDecoder(config)
-    out = []
+    conditions, x0s = [], []
     for _ in range(count):
-        condition = sample_condition(config, rng)
-        embed = condition_embedding(config, condition)
+        conditions.append(sample_condition(config, rng))
+        embed = condition_embedding(config, conditions[-1])
         eps = rng.standard_normal((1, world_layout(config).dim))
         with np.errstate(over="ignore", invalid="ignore"):
-            x0s = sample_rollout_group(bundle, embed, config.rollout_steps, eps)
-        trace = decode(x0s, condition)
-        out.append((trace, run_monitor(spec, trace).reward))
-    return out
+            x0s.append(sample_rollout_group(bundle, embed, config.rollout_steps, eps))
+    group = RolloutDecoder(config)(np.concatenate(x0s), conditions)
+    return [(group.row(i), v.reward) for i, v in enumerate(run_group_monitor(spec, group))]

@@ -4,9 +4,12 @@ Each training case trains a shortened copy of a shipped config at seed 0 and
 compares the sha256 of its metrics.csv with a constant recorded before the
 model evaluation path was restructured, and that of its summary.json with
 one recorded while the configs still carried a top-level
-``corrective_enabled`` switch beside ``loss.lambda_cr``. A refactor that
-changes any bit of pretraining, sampling, scoring, the update or the
-summary shows up here.
+``corrective_enabled`` switch beside ``loss.lambda_cr``. The ``creflow``
+case also dumps eight rollouts of the trained policy (``--dump-traces 8``)
+and hashes the trace files' sorted names and bytes, recorded while those
+rollouts were still decoded and scored one at a time. A refactor that
+changes any bit of pretraining, sampling, decoding, scoring, the update or
+the summary shows up here.
 
 The verify cases hash the sorted-key JSON of ``run_suite("all", seed)``
 (seed 28's ``variance_crossing`` check fails), and the variance-curve cases
@@ -60,35 +63,45 @@ CONFIGS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__)
 SHORT_RUN = {"iterations": 5, "pretrain_steps": 200, "demo_count": 64}
 
 
-@pytest.mark.parametrize("config,world,digest,summary_digest", [
+@pytest.mark.parametrize("config,world,digest,summary_digest,traces_digest", [
     ("creflow.yaml", {},
      "269e36c7c58ef8a0d24794afa77f9729d6d89606ad8a9ebb041c13d5a71375a9",
-     "5ea90d5d76cd7348b6d788030067869d7b9fe887f55c7795826cb106f6a6f05a"),
+     "5ea90d5d76cd7348b6d788030067869d7b9fe887f55c7795826cb106f6a6f05a",
+     "7ff0bb769be611b78a811742aafe69330ab003a0762ee0d1e402383035619966"),
     ("vanilla_nft.yaml", {},
      "a88264dffd1589657b296fae915120e581001345a64703b8210f6e28e3c88339",
-     "c766f0bb2491d7d6c4249f05a8ace20fb4c1403bd189efdabcfc2ffaa01ccc3e"),
+     "c766f0bb2491d7d6c4249f05a8ace20fb4c1403bd189efdabcfc2ffaa01ccc3e", None),
     ("creflow.yaml", {"model_kind": "mlp"},
      "9b6d73bbeedc6dacdfa912c60f6d3431744530e699e8fed6a4c992691f324eb1",
-     "328e2b8e4fc2a0de225c27e540bf6227a6585dacfe5020345f24976ae6546daf"),
+     "328e2b8e4fc2a0de225c27e540bf6227a6585dacfe5020345f24976ae6546daf", None),
     ("mask_only.yaml", {},
      "95d769a9059dbd81f1d639a40668b3576397d919c1a6dcdcb2e5e960acc33364",
-     "589176790107d5f905ae35ec52e999f0d2e0dcbe24477bca1d11bc1daf7cdcbc"),
+     "589176790107d5f905ae35ec52e999f0d2e0dcbe24477bca1d11bc1daf7cdcbc", None),
     ("corrective_only.yaml", {},
      "d2f54488be6c013976ff6bef49ed84602a55ecc9d6c9842b551034edefb8ff65",
-     "c4990ceac9d52bd25c7c3a5c768e805de6acfc761c766a030aa57966a2274a3a"),
+     "c4990ceac9d52bd25c7c3a5c768e805de6acfc761c766a030aa57966a2274a3a", None),
 ], ids=["creflow", "vanilla_nft", "creflow_mlp", "mask_only", "corrective_only"])
-def test_short_train_metrics_are_pinned(tmp_path, capsys, config, world, digest, summary_digest):
+def test_short_train_metrics_are_pinned(tmp_path, capsys, config, world, digest, summary_digest,
+                                        traces_digest):
     with open(os.path.join(CONFIGS, config)) as fh:
         doc = yaml.safe_load(fh)
     doc["world"].update(SHORT_RUN, **world)
     doc["out_dir"] = str(tmp_path / "out")
     path = tmp_path / "config.yaml"
     path.write_text(yaml.safe_dump(doc))
-    assert main(["train", "--config", str(path), "--seed", "0"]) == 0
+    dump = ["--dump-traces", "8"] if traces_digest else []
+    assert main(["train", "--config", str(path), "--seed", "0", *dump]) == 0
     capsys.readouterr()
     for name, pinned in (("metrics.csv", digest), ("summary.json", summary_digest)):
         with open(tmp_path / "out" / name, "rb") as fh:
             assert hashlib.sha256(fh.read()).hexdigest() == pinned, name
+    if traces_digest:
+        trace_dir = tmp_path / "out" / "traces"
+        h = hashlib.sha256()
+        for name in sorted(os.listdir(trace_dir)):
+            h.update(name.encode() + b"\n")
+            h.update((trace_dir / name).read_bytes())
+        assert h.hexdigest() == traces_digest
 
 
 @pytest.mark.parametrize("seed,digest", [
@@ -166,7 +179,7 @@ def template_group(template, n_objects, gid, clauses):
     rng = np.random.default_rng((11, gid))
     condition = simworld.sample_condition(world, rng)
     demos = np.stack([simworld.scripted_demo(world, condition, rng) for _ in range(8)])
-    return world, spec, run_group_monitor(spec, simworld.RolloutDecoder(world)(demos, condition))
+    return world, spec, run_group_monitor(spec, simworld.RolloutDecoder(world)(demos, [condition]))
 
 
 # Clauses of the OTHER family, so their witnesses come from the polarity rule.

@@ -112,7 +112,7 @@ def decoded_verdicts(draw):
     demos = np.stack([simworld.scripted_demo(world, condition, rng) for _ in range(4)])
     demos += draw(st.floats(0.0, 0.5)) * rng.standard_normal(demos.shape)
     verdicts = run_group_monitor(simworld.build_task_spec(world),
-                                 simworld.RolloutDecoder(world)(demos, condition))
+                                 simworld.RolloutDecoder(world)(demos, [condition]))
     modes = draw(st.lists(st.sampled_from(["lazy", "given", "read"]), min_size=4, max_size=4))
     for v, mode in zip(verdicts, modes):
         if mode == "given":

@@ -62,7 +62,7 @@ class TestMonitor:
         trace = toy_trace([(4, 4), (9, 9), (4, 4), (4, 4), (9, 9), (4, 4)])
         verdict = run_monitor(spec, trace)
         assert verdict.reward == 0
-        assert verdict.witness("k0").frames() == [2, 5]
+        assert dict(verdict.violations)["k0"].frames() == [2, 5]
 
     def test_empty_spec_rejected(self):
         with pytest.raises(SpecValidationError):
@@ -161,7 +161,7 @@ class TestGroupScoring:
         for _ in range(3):
             cond = simworld.sample_condition(config, rng)
             latents = np.stack([simworld.scripted_demo(config, cond, rng) for _ in range(8)])
-            verdicts = run_group_monitor(spec, decode(latents, cond))
+            verdicts = run_group_monitor(spec, decode(latents, [cond]))
             for z, verdict in zip(latents, verdicts):
                 alone = simworld.decode_trace(simworld.latent_from_flat(z, config), config, cond)
                 assert same_verdict(verdict, run_monitor(spec, alone))
@@ -248,7 +248,7 @@ class TestPositionStreams:
         rng = np.random.default_rng(3)
         condition = simworld.sample_condition(world, rng)
         demos = np.stack([simworld.scripted_demo(world, condition, rng) for _ in range(4)])
-        group = simworld.RolloutDecoder(world)(demos, condition)
+        group = simworld.RolloutDecoder(world)(demos, [condition])
         hashed = []
         atom_hash = ltlf.Atom.__hash__
         monkeypatch.setattr(ltlf.Atom, "__hash__",

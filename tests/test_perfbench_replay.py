@@ -1,12 +1,15 @@
-"""The benchmark's replay checks hold on its whole pool after a file round trip, and
-``traces_equal`` sees one changed cell.
+"""The benchmark's replay checks hold on its whole pool after a file round trip,
+``traces_equal`` sees one changed cell, and full-size training runs give the
+recorded metric rows.
 
 ``perfbench/test_smoke.py`` is outside the Tier-1 test paths, yet the
 ``replay_pixel`` workload counts a failed operation whenever a trace it loads
 differs from the one it saved (``workloads.traces_equal``, which reads
 ``TraceGroup.frames``), or a group's rewards or mask bits differ from the
-independent oracle's and the recorded ones. The script is imported here as it
-is, with no bytecode written next to it.
+independent oracle's and the recorded ones; the ``train_pick_place``
+workload counts one whenever a run's rows differ from the digest recorded for
+its seed at the benchmark's size (300 iterations, full pretraining). The
+script is imported here as it is, with no bytecode written next to it.
 """
 
 import dataclasses
@@ -90,3 +93,13 @@ def test_replay_pool_checks_hold_after_a_file_round_trip(workloads, tmp_path):
         assert rewards == [workloads.bruteforce_reward(spec, t) for t in loaded], gid
         assert rewards == recorded["rewards"], gid
         assert workloads.mask_fingerprint(group_mask) == recorded["mask"], gid
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_full_size_train_rows_match_the_reference(workloads, seed):
+    cfg = fileio.load_experiment_config(workloads.TRAIN_CONFIG)
+    world = dataclasses.replace(cfg.world, seed=seed,
+                                iterations=workloads.Sizes().train_iterations)
+    _, _, rows = workloads.train_job(world, simworld.build_task_spec(world), cfg.loss)
+    recorded = workloads.load_reference()["train"]["seeds"][str(seed)][str(world.iterations)]
+    assert workloads.rows_digest(rows) == recorded

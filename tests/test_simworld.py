@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from creflow import simworld
-from creflow.errors import NonFiniteLoss, SpecValidationError
+from creflow.errors import NonFiniteLoss, ShapeMismatch, SpecValidationError
+from creflow.flow import sample_rollout_group
 from creflow.monitor import run_monitor
 from creflow.objectives import LossConfig
 from creflow.simworld import (
@@ -20,6 +21,7 @@ from creflow.simworld import (
     pretrain_reference,
     run_online_loop,
     sample_condition,
+    sample_decoded_rollouts,
     scripted_demo,
     _finish_demos,
     _script_demo,
@@ -150,7 +152,7 @@ class TestDecode:
                                        np.tile(sweep_right[3], (4, 1))]),
             "blink": np.tile([12.0, 12.0], (8, 1)),
         }
-        group = RolloutDecoder(config)(np.stack([tie, release, blink]), cond)
+        group = RolloutDecoder(config)(np.stack([tie, release, blink]), [cond])
         for i, (name, z) in enumerate(zip(expected, (tie, release, blink))):
             alone = decode_trace(latent_from_flat(z, config), config, cond)
             assert np.array_equal(group.row(i).positions("cube"), expected[name]), name
@@ -198,7 +200,7 @@ class TestDecode:
         # arms wander over the objects' band with grippers that often stay closed
         latents = 0.4 * rng.standard_normal((32,) + world_layout(config).tensor_shape())
         latents[:, :, list(site_ids(config)).index(AUX_SITE)] += 0.5
-        group = RolloutDecoder(config)(latents, cond)
+        group = RolloutDecoder(config)(latents, [cond])
         moved = 0
         for i, z in enumerate(latents):
             trace = group.row(i)
@@ -210,13 +212,60 @@ class TestDecode:
                 moved += int(not np.array_equal(expected, expected[:1].repeat(16, axis=0)))
         assert moved > 10  # the rule was exercised, not only the resting branch
 
+    def test_per_row_conditions_equal_one_row_calls(self):
+        config = WorldConfig(template="ordered_stack", n_objects=3, horizon=16, grid=(12, 12))
+        rng = np.random.default_rng(11)
+        conditions = [sample_condition(config, rng) for _ in range(6)]
+        assert len({c.layout for c in conditions}) == 6
+        latents = 0.4 * rng.standard_normal((6,) + world_layout(config).tensor_shape())
+        latents[:, :, list(site_ids(config)).index(AUX_SITE)] += 0.5
+        decode = RolloutDecoder(config)
+        group = decode(latents, conditions)
+        rows = [decode(z[None], [c]) for z, c in zip(latents, conditions)]
+        for name in ("xy", "radius", "gripper", "flags", "present"):
+            assert np.array_equal(getattr(group, name),
+                                  np.concatenate([getattr(r, name) for r in rows])), name
+        assert (group.entity_ids, group.flag_names) == (rows[0].entity_ids, rows[0].flag_names)
+
+    @pytest.mark.parametrize("count", [0, 2, 5])
+    def test_condition_count_must_be_one_or_the_row_count(self, count):
+        config = WorldConfig(template="pick_place", horizon=8, grid=(24, 24))
+        conditions = [sample_condition(config, np.random.default_rng(0))] * count
+        latents = np.zeros((4,) + world_layout(config).tensor_shape())
+        with pytest.raises(ShapeMismatch, match=f"^{count} conditions for 4 latents: give 1 or 4$"):
+            RolloutDecoder(config)(latents, conditions)
+
+    def test_sampled_rollouts_equal_one_at_a_time(self):
+        def one_at_a_time(config, bundle, count, spec):
+            # the rollouts decoded and scored one by one
+            rng = np.random.default_rng((config.seed, 404))
+            out = []
+            for _ in range(count):
+                condition = sample_condition(config, rng)
+                embed = condition_embedding(config, condition)
+                eps = rng.standard_normal((1, world_layout(config).dim))
+                x0s = sample_rollout_group(bundle, embed, config.rollout_steps, eps)
+                trace = decode_trace(latent_from_flat(x0s[0], config), config, condition)
+                out.append((trace, run_monitor(spec, trace).reward))
+            return out
+
+        config = small_config()
+        spec = build_task_spec(config)
+        bundle = pretrain_reference(config)
+        got = sample_decoded_rollouts(config, bundle, 8, spec)
+        want = one_at_a_time(config, bundle, 8, spec)
+        assert [reward for _, reward in got] == [reward for _, reward in want]
+        assert 0 < sum(reward for _, reward in got) < 8  # both rewards were compared
+        for (trace, _), (expected, _) in zip(got, want):
+            assert len(trace) == 1
+            for name in ("xy", "radius", "gripper", "flags", "present"):
+                assert np.array_equal(getattr(trace, name), getattr(expected, name)), name
+
     def test_rollouts_always_monitorable(self):
         config = small_config()
         spec = build_task_spec(config)
         bundle = pretrain_reference(config)
         rng = np.random.default_rng(5)
-        from creflow.flow import sample_rollout_group
-
         cond = sample_condition(config, rng)
         embed = condition_embedding(config, cond)
         eps = rng.standard_normal((6, world_layout(config).dim))
