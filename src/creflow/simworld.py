@@ -8,7 +8,9 @@ container is static at its layout position. ``RolloutDecoder`` decodes every
 latent, sampled or scripted, a group at a time into a TraceGroup. World
 coordinates are an affine rescale of latent units so latents live at unit scale.
 
-The reference policy is pretrained by plain flow matching on scripted
+Each task template is one row of ``TEMPLATES``; the task spec, the condition's
+instruction, the config's limits and the objects a demo script moves are read
+from it. The reference policy is pretrained by plain flow matching on scripted
 demonstrations (a mix of successful and perturbed-failing trajectories), so
 the initial monitor success fraction sits mid-range and groups are mixed.
 The online loop then alternates rollout sampling, monitoring, group-mask
@@ -17,6 +19,7 @@ construction and one gradient step on the combined objective.
 
 import logging
 import math
+from collections import OrderedDict
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -49,7 +52,6 @@ from .trace import (
 
 log = logging.getLogger(__name__)
 
-TEMPLATES = ("pick_place", "ordered_stack", "persist_hold")
 AUX_SITE = "grip_aux"
 ARMS = ("arm_left", "arm_right")
 LATENT_SCALE = 6.0
@@ -65,6 +67,57 @@ METRIC_COLUMNS = [
     "offmask_drift",
 ]
 METRICS_VERSION = 1
+
+
+@dataclass(frozen=True)
+class Template:
+    """A task template as data; a world takes the first n_objects of ``objects``.
+
+    The instruction names each of the first ``named`` objects once, the clauses
+    constrain exactly those, and the rest are distractors. Patterns are
+    str.format strings over {o[k]} (object k), {c} (the container) and {held[k]}
+    (either arm grasps object k); ``min_horizon`` is the shortest horizon the
+    demo script fits in.
+    """
+
+    objects: tuple
+    container: str
+    instruction: str
+    clauses: tuple  # (id, formula) pattern pairs
+    min_horizon: int
+
+    @property
+    def named(self):
+        return self.instruction.count("{o[")
+
+    def fill(self, pattern):
+        held = ["(" + " | ".join(f"grasp({arm}, {o})" for arm in ARMS) + ")" for o in self.objects]
+        return pattern.format(o=self.objects, c=self.container, held=held)
+
+
+# Ordered, so iterating gives the names in one-hot order and hypothesis can sample them.
+TEMPLATES = OrderedDict(
+    pick_place=Template(
+        ("cube", "cube_b", "cube_c"), "bin", "put the {o[0]} into the {c}", (
+            ("terminal_{o[0]}", "F G inside({o[0]}, {c})"),
+            ("causal_{o[0]}", "G (moving({o[0]}) -> {held[0]})"),
+            ("order_{o[0]}", "!inside({o[0]}, {c}) U {held[0]}"),
+        ), min_horizon=8),
+    ordered_stack=Template(
+        ("cube_a", "cube_b", "cube_c"), "pad", "stack {o[0]} then {o[1]} on the {c}", (
+            ("order_pair", "!inside({o[1]}, {c}) U inside({o[0]}, {c})"),
+            ("terminal_{o[0]}", "F G inside({o[0]}, {c})"),
+            ("causal_{o[0]}", "G (moving({o[0]}) -> {held[0]})"),
+            ("terminal_{o[1]}", "F G inside({o[1]}, {c})"),
+            ("causal_{o[1]}", "G (moving({o[1]}) -> {held[1]})"),
+        ), min_horizon=12),
+    persist_hold=Template(
+        ("orb", "orb_b", "orb_c"), "bin", "hold the {o[0]} and keep it out of the {c}", (
+            ("hold_to_end", "F G {held[0]}"),
+            ("no_unaided_motion", "G (!moving({o[0]}) | {held[0]})"),
+            ("avoid_zone", "G !inside({o[0]}, {c})"),
+        ), min_horizon=9),
+)
 
 
 @dataclass
@@ -102,12 +155,13 @@ class WorldConfig:
             raise SpecValidationError("horizon must be in [8, 32]")
         if self.group_size < 2:
             raise SpecValidationError("group size must be >= 2")
-        if not 1 <= self.n_objects <= 3:
-            raise SpecValidationError("n_objects must be in [1, 3]")
-        if self.template == "ordered_stack" and self.n_objects < 2:
-            raise SpecValidationError(
-                f"ordered_stack needs n_objects >= 2, got {self.n_objects}"
-            )
+        row = TEMPLATES[self.template]
+        if not 1 <= self.n_objects <= len(row.objects):
+            raise SpecValidationError(f"n_objects must be in [1, {len(row.objects)}]")
+        for name, least in (("n_objects", row.named), ("horizon", row.min_horizon)):
+            if getattr(self, name) < least:
+                raise SpecValidationError(
+                    f"{self.template} needs {name} >= {least}, got {getattr(self, name)}")
         if self.model_kind not in ("linear", "mlp"):
             raise SpecValidationError(
                 f"model_kind must be 'linear' or 'mlp', got {self.model_kind!r}")
@@ -130,26 +184,11 @@ class WorldConfig:
             raise SpecValidationError(f"grid must be at least 4x4, got {list(self.grid)}")
 
 
-def object_ids(config):
-    if config.template == "pick_place":
-        base = ["cube", "cube_b", "cube_c"]
-    elif config.template == "ordered_stack":
-        base = ["cube_a", "cube_b", "cube_c"]
-    else:
-        base = ["orb", "orb_b", "orb_c"]
-    return base[: config.n_objects]
-
-
-def container_id(config):
-    return {"pick_place": "bin", "ordered_stack": "pad", "persist_hold": "bin"}[config.template]
-
-
 def world_entities(config):
+    row = TEMPLATES[config.template]
     ents = [EntityDecl(arm, "arm") for arm in ARMS]
-    ents += [EntityDecl(oid, "object") for oid in object_ids(config)]
-    ents.append(
-        EntityDecl(container_id(config), "container", tuple(config.container_half_extents))
-    )
+    ents += [EntityDecl(oid, "object") for oid in row.objects[:config.n_objects]]
+    ents.append(EntityDecl(row.container, "container", tuple(config.container_half_extents)))
     return ents
 
 
@@ -192,11 +231,10 @@ def world_to_latent(p, config):
 
 
 def condition_embedding(config, condition):
-    one_hot = np.zeros(len(TEMPLATES))
-    one_hot[TEMPLATES.index(config.template)] = 1.0
-    coords = []
-    for eid in object_ids(config) + [container_id(config)]:
-        coords.append(world_to_latent(condition.position(eid), config))
+    row = TEMPLATES[config.template]
+    one_hot = np.eye(len(TEMPLATES))[list(TEMPLATES).index(config.template)]
+    coords = [world_to_latent(condition.position(eid), config)
+              for eid in row.objects[:config.n_objects] + (row.container,)]
     return np.concatenate([one_hot, *coords])
 
 
@@ -208,73 +246,41 @@ def condition_dim(config):
 # Task specs
 # --------------------------------------------------------------------------
 
-def _grasp_any(obj):
-    return f"(grasp(arm_left, {obj}) | grasp(arm_right, {obj}))"
-
-
 def build_task_spec(config) -> TaskSpec:
-    """Instantiate the template's entities, predicates and clauses."""
-    cont = container_id(config)
-    objs = object_ids(config)
+    """The template's entities, predicates and filled-in clauses."""
+    row = TEMPLATES[config.template]
     predicates = [
         PredicateDecl("grasp", 2, "grasp", {"distance": config.grasp_distance}),
         PredicateDecl("inside", 2, "inside", {}),
         PredicateDecl("moving", 1, "moving", {"speed": config.move_speed}),
     ]
-    clauses = []
-
-    def clause(cid, src):
-        clauses.append(ClauseDecl(cid, src))
-
-    if config.template == "pick_place":
-        for obj in objs:
-            clause(f"terminal_{obj}", f"F G inside({obj}, {cont})")
-            clause(f"causal_{obj}", f"G (moving({obj}) -> {_grasp_any(obj)})")
-            clause(f"order_{obj}", f"!inside({obj}, {cont}) U {_grasp_any(obj)}")
-        instruction = f"put the {objs[0]} into the {cont}"
-    elif config.template == "ordered_stack":
-        first, second = objs[0], objs[1]
-        clause("order_pair", f"!inside({second}, {cont}) U inside({first}, {cont})")
-        for obj in objs[:2]:
-            clause(f"terminal_{obj}", f"F G inside({obj}, {cont})")
-            clause(f"causal_{obj}", f"G (moving({obj}) -> {_grasp_any(obj)})")
-        instruction = f"stack {first} then {second} on the {cont}"
-    else:
-        obj = objs[0]
-        clause("hold_to_end", f"F G {_grasp_any(obj)}")
-        clause("no_unaided_motion", f"G (!moving({obj}) | {_grasp_any(obj)})")
-        clause("avoid_zone", f"G !inside({obj}, {cont})")
-        instruction = f"hold the {obj} and keep it out of the {cont}"
-
-    condition = sample_condition(config, np.random.default_rng(config.seed))
     return TaskSpec(
         task_id=config.template,
         entities=world_entities(config),
         predicates=predicates,
-        clauses=clauses,
-        condition=make_condition(instruction, dict(condition.layout)),
+        clauses=[ClauseDecl(row.fill(cid), row.fill(src)) for cid, src in row.clauses],
+        condition=sample_condition(config, np.random.default_rng(config.seed)),
     )
 
 
 def sample_condition(config, rng):
-    """Random initial layout: objects on the left band, container on the right."""
+    """The template's instruction and a random initial layout: objects on the
+    left band, container on the right."""
+    row = TEMPLATES[config.template]
     h, w = config.grid
     layout = {}
-    placed = []
-    for oid in object_ids(config):
+    for oid in row.objects[:config.n_objects]:
         for _ in range(64):
             pos = np.array(
                 [rng.uniform(0.18 * w, 0.42 * w), rng.uniform(0.28 * h, 0.72 * h)]
             )
-            if all(np.linalg.norm(pos - q) >= 2.5 for q in placed):
+            if all(np.linalg.norm(pos - q) >= 2.5 for q in layout.values()):
                 break
-        placed.append(pos)
         layout[oid] = pos
-    layout[container_id(config)] = np.array(
+    layout[row.container] = np.array(
         [rng.uniform(0.60 * w, 0.80 * w), rng.uniform(0.30 * h, 0.70 * h)]
     )
-    instruction = f"{config.template} episode"
-    return make_condition(instruction, layout)
+    return make_condition(row.fill(row.instruction), layout)
 
 
 # --------------------------------------------------------------------------
@@ -430,44 +436,38 @@ def _script_demo(config, condition, rng):
     sites = site_ids(config)
     z = np.zeros((t_count, len(sites), 2))
     homes = _homes(config)
-    cont = container_id(config)
-    cont_pos = condition.position(cont)
+    row = TEMPLATES[config.template]
+    moved = row.objects[:row.named]  # the distractors stay put
+    cont_pos = condition.position(row.container)
     failing = rng.uniform() < config.fail_fraction
     mode = rng.choice(["miss", "no_grasp"]) if failing else "clean"
 
     closed_left = np.zeros(t_count, dtype=bool)
     if config.template == "persist_hold":
-        obj = object_ids(config)[0]
-        pickup = condition.position(obj)
+        pickup = condition.position(moved[0])
         t_grab = 4
         if mode == "miss":
             # carry into the forbidden zone
-            path = _script_arm(config, pickup, cont_pos, t_grab, 9)
+            arm_left = _script_arm(config, pickup, cont_pos, t_grab, 9)
             closed_left[t_grab - 1 :] = True
         elif mode == "no_grasp":
             # let go midway: open gripper and drift home
-            path = _script_arm(config, pickup, pickup, t_grab, 8)
+            arm_left = _script_arm(config, pickup, pickup, t_grab, 8)
             closed_left[t_grab - 1 : 8] = True
-            _segment(path, pickup, homes["arm_left"], 8, t_count - 1)
+            _segment(arm_left, pickup, homes["arm_left"], 8, t_count - 1)
         else:
-            path = np.empty((t_count, 2))
-            _segment(path, homes["arm_left"], pickup, 0, t_grab - 1)
-            path[t_grab - 1 :] = pickup
+            arm_left = np.empty((t_count, 2))
+            _segment(arm_left, homes["arm_left"], pickup, 0, t_grab - 1)
+            arm_left[t_grab - 1 :] = pickup
             closed_left[t_grab - 1 :] = True
-        arm_left = path
-        arm_right = np.repeat(homes["arm_right"][None, :], t_count, axis=0)
     else:
-        objs = object_ids(config)
-        arm_left = None
-        arm_right = np.repeat(homes["arm_right"][None, :], t_count, axis=0)
-        order = objs[:2] if config.template == "ordered_stack" else objs[:1]
         if config.template == "ordered_stack" and mode == "no_grasp":
-            order = order[::-1]  # wrong order: second object placed first
+            moved = moved[::-1]  # wrong order: second object placed first
         t_grab, span = 4, 5
-        for k, obj in enumerate(order):
+        for k, obj in enumerate(moved):
             pickup = condition.position(obj)
             target = cont_pos.copy()
-            if mode == "miss" and k == len(order) - 1:
+            if mode == "miss" and k == len(moved) - 1:
                 target = cont_pos + _outside_box_offset(
                     config.container_half_extents, rng
                 )
@@ -481,16 +481,15 @@ def _script_demo(config, condition, rng):
                 pickup = pickup + gap * normal * rng.choice([-1.0, 1.0])
             grab = t_grab + k * span
             place = grab + 3
+            seg = _script_arm(config, pickup, target, grab, place)
             if k == 0:
-                arm_left = _script_arm(config, pickup, target, grab, place)
-                closed_left[grab - 1 : place + 1] = True
-            else:
-                seg = _script_arm(config, pickup, target, grab, place)
+                arm_left = seg
+            else:  # the next carry takes over one frame before it reaches its object
                 arm_left[grab - 2 :] = seg[grab - 2 :]
-                closed_left[grab - 1 : min(place + 1, t_count)] = True
+            closed_left[grab - 1 : place + 1] = True
 
-    for arm, path in (("arm_left", arm_left), ("arm_right", arm_right)):
-        z[:, sites.index(arm), :] = world_to_latent(path, config)
+    z[:, sites.index("arm_left"), :] = world_to_latent(arm_left, config)
+    z[:, sites.index("arm_right"), :] = world_to_latent(homes["arm_right"], config)  # stays home
     z[:, sites.index(AUX_SITE), 0] = np.where(closed_left, 0.8, -0.8)
     z[:, sites.index(AUX_SITE), 1] = -0.8
     return z, config.demo_noise * rng.standard_normal(z.shape)

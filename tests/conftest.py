@@ -93,11 +93,12 @@ def experiment_configs(draw):
         elif f.type is float:
             world[f.name] = draw(st.floats(0.0, 1.0) if f.name in FRACTIONS else NONNEGATIVE)
     template = draw(st.sampled_from(simworld.TEMPLATES))
+    row = simworld.TEMPLATES[template]  # its demo script and instruction set the minimums
     world.update(
         template=template,
-        horizon=draw(st.integers(8, 32)),
+        horizon=draw(st.integers(row.min_horizon, 32)),
         group_size=draw(st.integers(2, 64)),
-        n_objects=draw(st.integers(2 if template == "ordered_stack" else 1, 3)),
+        n_objects=draw(st.integers(row.named, 3)),
         grid=(draw(st.integers(4, 256)), draw(st.integers(4, 256))),
         container_half_extents=(draw(NONNEGATIVE), draw(NONNEGATIVE)),
         hidden=tuple(draw(st.lists(st.integers(1, 512), max_size=3))),

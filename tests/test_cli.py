@@ -421,6 +421,7 @@ class TestMalformedInputs:
         ("world", "sed", 0, "unknown key 'sed' under 'world:'"),
         ("world", "seed", -1, "seed must be >= 0, got -1"),
         ("world", "horizon", 40, "horizon must be in [8, 32]"),
+        ("world", "template", "ordered_stack", "ordered_stack needs n_objects >= 2, got 1"),
         ("world", "group_size", 1, "group size must be >= 2"),
         ("world", "model_kind", "lnear", "model_kind must be 'linear' or 'mlp', got 'lnear'"),
         ("world", "hidden", [0], "hidden widths must be >= 1, got [0]"),
@@ -462,6 +463,30 @@ class TestMalformedInputs:
         path.write_text(yaml.safe_dump(doc, sort_keys=False))
         assert main(["train", "--config", str(path), "--dry-run"]) == 2
         assert capsys.readouterr().err == f"error: {path}: {message}\n"
+
+    # Horizons in [8, 32] that the template's demo script does not fit in: these
+    # change the template too, so they cannot be rows of the one-key table above.
+    @pytest.mark.parametrize("flags", [["--dry-run"], []], ids=["dry_run", "run"])
+    @pytest.mark.parametrize("template,n_objects,horizon,least", [
+        ("ordered_stack", 2, 8, 12),
+        ("ordered_stack", 3, 9, 12),
+        ("ordered_stack", 2, 10, 12),
+        ("ordered_stack", 2, 11, 12),
+        ("persist_hold", 1, 8, 9),
+    ])
+    def test_horizon_shorter_than_the_demo_script(self, workdir, tmp_path, capsys, flags,
+                                                   template, n_objects, horizon, least):
+        with open(workdir["experiment"]) as fh:
+            doc = yaml.safe_load(fh)
+        doc["world"].update(template=template, n_objects=n_objects, horizon=horizon)
+        del doc["spec_path"]  # the spec is built from the world
+        doc["out_dir"] = str(tmp_path / "out")
+        path = tmp_path / "short.yaml"
+        path.write_text(yaml.safe_dump(doc, sort_keys=False))
+        assert main(["train", "--config", str(path), *flags]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {path}: {template} needs horizon >= {least}, got {horizon}\n")
+        assert os.listdir(tmp_path) == ["short.yaml"]
 
     def test_experiment_date_with_no_value(self, workdir, tmp_path, capsys):
         with open(workdir["experiment"]) as fh:

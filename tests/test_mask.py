@@ -105,7 +105,7 @@ def decoded_verdicts(draw):
     """Verdicts of a decoded group whose atlases are left lazy, given, or read."""
     template = draw(st.sampled_from(simworld.TEMPLATES))
     world = simworld.WorldConfig(template=template,
-                                 n_objects=2 if template == "ordered_stack" else 1,
+                                 n_objects=simworld.TEMPLATES[template].named,
                                  grid=(draw(st.integers(4, 16)), draw(st.integers(4, 16))))
     rng = np.random.default_rng(draw(st.integers(0, 2**16)))
     condition = simworld.sample_condition(world, rng)

@@ -152,7 +152,7 @@ class TestGroupScoring:
     @pytest.mark.parametrize("template", simworld.TEMPLATES)
     def test_group_equals_each_rollout_alone(self, template):
         config = simworld.WorldConfig(
-            template=template, n_objects=2 if template == "ordered_stack" else 1, seed=0
+            template=template, n_objects=simworld.TEMPLATES[template].named, seed=0
         )
         spec = simworld.build_task_spec(config)
         decode = simworld.RolloutDecoder(config)

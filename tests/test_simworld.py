@@ -1,3 +1,4 @@
+import hashlib
 import logging
 import re
 
@@ -7,7 +8,8 @@ import pytest
 from creflow import simworld
 from creflow.errors import NonFiniteLoss, ShapeMismatch, SpecValidationError
 from creflow.flow import sample_rollout_group
-from creflow.monitor import run_monitor
+from creflow.fileio import save_task_spec
+from creflow.monitor import run_group_monitor, run_monitor
 from creflow.objectives import LossConfig
 from creflow.simworld import (
     AUX_SITE,
@@ -61,10 +63,70 @@ class TestConfig:
             WorldConfig(seed=-1)
         assert WorldConfig(seed=0).seed == 0
 
-    def test_ordered_stack_needs_two_objects(self):
-        with pytest.raises(SpecValidationError, match="ordered_stack needs n_objects >= 2"):
-            WorldConfig(template="ordered_stack", n_objects=1)
-        assert WorldConfig(template="ordered_stack", n_objects=2).n_objects == 2
+
+# Every valid (template, n_objects) pair: at least the objects the instruction names.
+TEMPLATE_PAIRS = [(t, n) for t in simworld.TEMPLATES
+                  for n in range(simworld.TEMPLATES[t].named, 4)]
+
+
+class TestTemplates:
+    @pytest.mark.parametrize("template", simworld.TEMPLATES)
+    def test_needs_the_objects_its_instruction_names(self, template):
+        named = simworld.TEMPLATES[template].named
+        message = (f"{template} needs n_objects >= {named}" if named > 1
+                   else r"n_objects must be in \[1, 3\]")
+        with pytest.raises(SpecValidationError, match=message):
+            WorldConfig(template=template, n_objects=named - 1)
+        assert WorldConfig(template=template, n_objects=named).n_objects == named
+
+    @pytest.mark.parametrize("template", simworld.TEMPLATES)
+    def test_min_horizon_is_the_shortest_the_demo_script_fits(self, template):
+        row = simworld.TEMPLATES[template]
+        least = row.min_horizon
+        config = WorldConfig(template=template, n_objects=row.named, horizon=least,
+                             fail_fraction=0.5)
+        rng = np.random.default_rng(7)
+        for _ in range(200):  # every failure mode is drawn
+            _script_demo(config, sample_condition(config, rng), rng)
+        if least > 8:  # [8, 32] is the range for every template
+            with pytest.raises(SpecValidationError,
+                               match=f"{template} needs horizon >= {least}, got {least - 1}"):
+                WorldConfig(template=template, n_objects=row.named, horizon=least - 1)
+            config.horizon = least - 1  # past the check: the script no longer fits
+            with pytest.raises(ValueError, match="could not broadcast"):
+                for _ in range(200):
+                    _script_demo(config, sample_condition(config, rng), rng)
+
+    # sha256 of save_task_spec at the defaults. Recorded before the templates
+    # became one table; the pick_place pairs with 2 and 3 objects were
+    # re-recorded when their clauses stopped naming the distractors.
+    @pytest.mark.parametrize("template,n_objects,digest", [
+        ("pick_place", 1, "812b6b9a72f32b76c2606c52a71b53943529c8958ea66de57f9b1860754c9a6e"),
+        ("pick_place", 2, "15390ef7427e5b37180a4b6a5f3d3bbc0557584037e99e3bc4491d9552aed2dc"),
+        ("pick_place", 3, "01da175f6aabe653942de45b891c36803f4249f90ca11f25adae8d0d0104bde7"),
+        ("ordered_stack", 2, "9d03a85547b0def5815f283e6124a99eb9c0f532e8688863dab3fd9ff8fc8991"),
+        ("ordered_stack", 3, "1a6c5b8b61f3c659f5af27b32f9137b8d2eab5f521176c5ad86595d3576a4588"),
+        ("persist_hold", 1, "2366a3694b0f8b2b6e09862b92588d6b042102dd888caf71d5b76bd718e01d5b"),
+        ("persist_hold", 2, "e9bef7b24d0af0f2588402a9535ec1e4edbdc8464f9170e48b0c65b8c4bfe9ad"),
+        ("persist_hold", 3, "36fbd2f75639600de8555cc1fe737aece3b023c9f6d2e21f008ce485c11f482c"),
+    ])
+    def test_task_spec_bytes_are_pinned(self, tmp_path, template, n_objects, digest):
+        path = tmp_path / "spec.yaml"
+        save_task_spec(str(path), build_task_spec(WorldConfig(template=template,
+                                                              n_objects=n_objects)))
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("template,n_objects", TEMPLATE_PAIRS)
+    def test_clean_demos_satisfy_their_spec(self, template, n_objects):
+        config = WorldConfig(template=template, n_objects=n_objects, fail_fraction=0.0,
+                             demo_noise=0.0)
+        rng = np.random.default_rng(8)
+        conditions = [sample_condition(config, rng) for _ in range(64)]
+        demos = _finish_demos(config, conditions,
+                              [_script_demo(config, c, rng) for c in conditions])
+        verdicts = run_group_monitor(build_task_spec(config),
+                                     RolloutDecoder(config)(demos, conditions))
+        assert [dict(v.violations) for v in verdicts if v.reward != 1] == []
 
 
 class TestDecode:
@@ -97,9 +159,9 @@ class TestDecode:
             for eid in a.frames[t]:
                 assert np.array_equal(a.frames[t][eid].position, b.frames[t][eid].position)
 
-    @pytest.mark.parametrize("template", ["pick_place", "ordered_stack", "persist_hold"])
+    @pytest.mark.parametrize("template", simworld.TEMPLATES)
     def test_clean_demos_succeed_perturbed_fail(self, template):
-        n_objects = 2 if template == "ordered_stack" else 1
+        n_objects = simworld.TEMPLATES[template].named
         config = WorldConfig(template=template, n_objects=n_objects, seed=0,
                              fail_fraction=0.0, demo_noise=0.0)
         spec = build_task_spec(config)
@@ -380,7 +442,7 @@ class TestLoop:
 
     @pytest.mark.parametrize("template", ["ordered_stack", "persist_hold"])
     def test_other_templates_run(self, template):
-        n_objects = 2 if template == "ordered_stack" else 1
+        n_objects = simworld.TEMPLATES[template].named
         config = small_config(template=template, n_objects=n_objects, iterations=6)
         series = run_online_loop(config, build_task_spec(config), pretrain_reference(config),
                                  LossConfig(lambda_cr=1.0))
@@ -411,9 +473,9 @@ class TestPretrain:
             assert np.array_equal(params, ref)
         assert (opt.m, opt.v, params) == buffers  # updated in place
 
-    @pytest.mark.parametrize("template", ["pick_place", "ordered_stack", "persist_hold"])
+    @pytest.mark.parametrize("template", simworld.TEMPLATES)
     def test_demo_batch_equals_one_at_a_time(self, template):
-        config = small_config(template=template, n_objects=2 if template == "ordered_stack" else 1)
+        config = small_config(template=template, n_objects=simworld.TEMPLATES[template].named)
         rng_a, rng_b = np.random.default_rng(9), np.random.default_rng(9)
         conditions, scripts, one_by_one = [], [], []
         for _ in range(12):
