@@ -419,27 +419,10 @@ LOSS_ONLY_KEYS = ("mask_enabled", "weight_scheme")
 EXPERIMENT_KEYS = ("schema_version", "kind") + tuple(f.name for f in fields(ExperimentConfig))
 
 
-# The kind of each config field: by its annotated type, or by name for a tuple.
-_FIELD_KINDS = {
-    int: "an integer",
-    float: "a finite number",
-    str: "a string",
-    bool: "true or false",
-    "grid": "two integers",
-    "container_half_extents": "two finite numbers",
-    "hidden": "a list of integers",
-}
-
-
-def _field_kind(f) -> str:
-    """The kind (a key of ``trace.KINDS``) a config dataclass field ``f`` holds."""
-    return _FIELD_KINDS[f.name if f.type is tuple else f.type]
-
-
 def _config_section(doc, key, cls, path):
     """Keyword arguments for ``cls`` from the ``key:`` mapping; every key known, every value typed."""
     section = _mapping(doc.get(key, {}), f"{path}: {key}")
-    kinds = {f.name: _field_kind(f) for f in fields(cls)}
+    kinds = {f.name: f.metadata["kind"] for f in fields(cls)}
     for name, value in section.items():
         if name not in kinds:
             raise SchemaError(f"{path}: unknown key {name!r} under '{key}:'")
@@ -460,15 +443,14 @@ def load_experiment_config(path) -> ExperimentConfig:
     for key in doc:
         if key not in EXPERIMENT_KEYS:
             raise SchemaError(f"{path}: unknown top-level key {key!r}")
-    out_dir = _field(doc, "out_dir", path, default="out")
-    spec_path = _field(doc, "spec_path", path, default=None)
+    paths = {key: _field(doc, key, path) for key in ("out_dir", "spec_path") if key in doc}
     _key(doc, "world", path)
     world_args = _config_section(doc, "world", WorldConfig, path)
     loss_args = _config_section(doc, "loss", LossConfig, path)
     try:
         world = WorldConfig(**world_args)
         loss = LossConfig(**loss_args)
-        return ExperimentConfig(world=world, loss=loss, out_dir=out_dir, spec_path=spec_path)
+        return ExperimentConfig(world=world, loss=loss, **paths)
     except SpecValidationError as err:  # a WorldConfig or LossConfig range check
         raise SchemaError(f"{path}: {err}") from err
 

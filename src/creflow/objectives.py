@@ -15,26 +15,24 @@ import numpy as np
 from .errors import EmptyGroup, LayoutMismatch, SpecValidationError
 from .flow import T_MIN, ModelBundle, interpolate
 from .mask import CreditMask, LatentLayout
-
-WEIGHT_SCHEMES = ("uniform", "kernel")
+from .trace import check_settings, setting
 
 
 @dataclass
 class LossConfig:
-    beta: float = 1.0
-    lambda_cr: float = 0.5
-    lambda_kl: float = 0.1
-    weight_scheme: str = "uniform"
-    kernel_tau: float = 1.0
-    mask_enabled: bool = True
+    """Fields declared as in ``WorldConfig``; the strict bounds are checked by hand."""
+
+    beta: float = setting(1.0, "a finite number")
+    lambda_cr: float = setting(0.5, "a finite number", least=0)
+    lambda_kl: float = setting(0.1, "a finite number", least=0)
+    weight_scheme: str = setting("uniform", "a string", choices=("uniform", "kernel"))
+    kernel_tau: float = setting(1.0, "a finite number")
+    mask_enabled: bool = setting(True, "true or false")
 
     def __post_init__(self):
+        check_settings(self)
         if self.beta <= 0:
             raise SpecValidationError("beta must be > 0")
-        if self.lambda_cr < 0 or self.lambda_kl < 0:
-            raise SpecValidationError("loss weights must be >= 0")
-        if self.weight_scheme not in WEIGHT_SCHEMES:
-            raise SpecValidationError(f"weight_scheme must be one of {WEIGHT_SCHEMES}")
         if self.weight_scheme == "kernel" and self.kernel_tau <= 0:
             raise SpecValidationError("kernel bandwidth must be > 0")
 

@@ -47,7 +47,9 @@ from .trace import (
     PredicateDecl,
     TaskSpec,
     TraceGroup,
+    check_settings,
     make_condition,
+    setting,
 )
 
 log = logging.getLogger(__name__)
@@ -122,66 +124,52 @@ TEMPLATES = OrderedDict(
 
 @dataclass
 class WorldConfig:
-    template: str = "pick_place"
-    horizon: int = 12
-    grid: tuple = (24, 24)
-    n_objects: int = 1
-    arm_radius: float = 0.9
-    object_radius: float = 0.7
-    container_radius: float = 1.2
-    container_half_extents: tuple = (3.0, 3.0)
-    grasp_distance: float = 1.8
-    move_speed: float = 0.3
-    group_size: int = 8
-    iterations: int = 300
-    seed: int = 0
-    rollout_steps: int = 16
-    model_kind: str = "linear"
-    hidden: tuple = (64,)
-    learning_rate: float = 3e-4
-    ema_rate: float = 1.0
-    demo_count: int = 384
-    demo_noise: float = 0.06
-    fail_fraction: float = 0.5
-    pretrain_steps: int = 1500
-    pretrain_lr: float = 0.02
-    pretrain_batch: int = 32
-    probe_count: int = 16
+    """Each field's default, kind, bounds and choices are declared on it (``setting``);
+    ``__post_init__`` adds the checks that read more than one field."""
+
+    template: str = setting("pick_place", "a string", choices=tuple(TEMPLATES))
+    horizon: int = setting(12, "an integer", least=8, most=32)
+    grid: tuple = setting((24, 24), "two integers", least=4)
+    n_objects: int = setting(1, "an integer", least=1)
+    arm_radius: float = setting(0.9, "a finite number", least=0)
+    object_radius: float = setting(0.7, "a finite number", least=0)
+    container_radius: float = setting(1.2, "a finite number", least=0)
+    container_half_extents: tuple = setting((3.0, 3.0), "two finite numbers", least=0)
+    grasp_distance: float = setting(1.8, "a finite number", least=0)
+    move_speed: float = setting(0.3, "a finite number", least=0)
+    group_size: int = setting(8, "an integer", least=2)
+    iterations: int = setting(300, "an integer", least=1)
+    seed: int = setting(0, "an integer", least=0)
+    rollout_steps: int = setting(16, "an integer", least=1)
+    model_kind: str = setting("linear", "a string", choices=("linear", "mlp"))
+    hidden: tuple = setting((64,), "a list of integers", least=1)
+    learning_rate: float = setting(3e-4, "a finite number", least=0)
+    ema_rate: float = setting(1.0, "a finite number", least=0, most=1)
+    demo_count: int = setting(384, "an integer", least=1)
+    demo_noise: float = setting(0.06, "a finite number", least=0)
+    fail_fraction: float = setting(0.5, "a finite number", least=0, most=1)
+    pretrain_steps: int = setting(1500, "an integer", least=0)
+    pretrain_lr: float = setting(0.02, "a finite number", least=0)
+    pretrain_batch: int = setting(32, "an integer", least=1)
+    probe_count: int = setting(16, "an integer", least=1)
 
     def __post_init__(self):
-        if self.template not in TEMPLATES:
-            raise SpecValidationError(f"unknown template {self.template!r}")
-        if not 8 <= self.horizon <= 32:
-            raise SpecValidationError("horizon must be in [8, 32]")
-        if self.group_size < 2:
-            raise SpecValidationError("group size must be >= 2")
+        check_settings(self)
         row = TEMPLATES[self.template]
-        if not 1 <= self.n_objects <= len(row.objects):
-            raise SpecValidationError(f"n_objects must be in [1, {len(row.objects)}]")
         for name, least in (("n_objects", row.named), ("horizon", row.min_horizon)):
             if getattr(self, name) < least:
                 raise SpecValidationError(
                     f"{self.template} needs {name} >= {least}, got {getattr(self, name)}")
-        if self.model_kind not in ("linear", "mlp"):
+        if self.n_objects > len(row.objects):
             raise SpecValidationError(
-                f"model_kind must be 'linear' or 'mlp', got {self.model_kind!r}")
-        if any(width < 1 for width in self.hidden):
-            raise SpecValidationError(f"hidden widths must be >= 1, got {list(self.hidden)}")
-        for name, least in (("seed", 0), ("iterations", 1), ("rollout_steps", 1),
-                            ("demo_count", 1), ("pretrain_batch", 1), ("probe_count", 1),
-                            ("pretrain_steps", 0), ("arm_radius", 0), ("object_radius", 0),
-                            ("container_radius", 0), ("grasp_distance", 0), ("move_speed", 0),
-                            ("learning_rate", 0), ("pretrain_lr", 0), ("demo_noise", 0)):
-            if getattr(self, name) < least:
-                raise SpecValidationError(f"{name} must be >= {least}, got {getattr(self, name)}")
-        for name in ("fail_fraction", "ema_rate"):
-            if not 0 <= getattr(self, name) <= 1:
-                raise SpecValidationError(f"{name} must be in [0, 1], got {getattr(self, name)}")
-        if min(self.container_half_extents) < 0:
+                f"{self.template} needs n_objects <= {len(row.objects)}, got {self.n_objects}")
+        # Objects start at x <= 0.42 W and the container at x >= 0.60 W (sample_condition),
+        # so the container box reaches the objects' band unless 0.18 W exceeds its half-width.
+        width, half_width = self.grid[1], self.container_half_extents[0]
+        if 0.18 * width <= half_width:
             raise SpecValidationError(
-                f"container_half_extents must be >= 0, got {list(self.container_half_extents)}")
-        if min(self.grid) < 4:
-            raise SpecValidationError(f"grid must be at least 4x4, got {list(self.grid)}")
+                f"grid width {width} is too narrow for container_half_extents[0] {half_width}: "
+                f"needs 0.18 * width > {half_width}")
 
 
 def world_entities(config):

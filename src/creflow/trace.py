@@ -16,7 +16,7 @@ mask.
 """
 
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -457,6 +457,30 @@ def checked(value, kind, what, error):
     if not KINDS[kind](value):
         raise error(f"{what} must be {kind}, got {value!r}")
     return value
+
+
+def setting(default, kind, least=None, most=None, choices=None):
+    """A config dataclass field declared once: its default, its ``kind`` (a key of
+    KINDS, checked at load), the inclusive bounds each of its items lies in and the
+    values it may take (``check_settings`` applies both)."""
+    return field(default=default,
+                 metadata={"kind": kind, "least": least, "most": most, "choices": choices})
+
+
+def check_settings(config):
+    """SpecValidationError at the first field of ``config``, in field order, whose
+    value is not one of its choices or has an item outside its bounds."""
+    for f in fields(config):
+        rule, value = f.metadata, getattr(config, f.name)
+        if rule["choices"] is not None and value not in rule["choices"]:
+            raise SpecValidationError(
+                f"{f.name} must be one of {rule['choices']}, got {value!r}")
+        least, most = rule["least"], rule["most"]
+        for item in value if type(value) is tuple else (value,):
+            if (least is not None and item < least) or (most is not None and item > most):
+                bound = f">= {least}" if most is None else f"in [{least}, {most}]"
+                shown = list(value) if type(value) is tuple else value
+                raise SpecValidationError(f"{f.name} must be {bound}, got {shown!r}")
 
 
 # The built-in evaluators, each the one definition of its predicates: name ->

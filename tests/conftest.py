@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from creflow import fileio, ltlf, simworld
 from creflow.flow import LinearVelocity, MLPVelocity, ModelBundle
 from creflow.mask import CreditMask, LatentLayout
-from creflow.objectives import WEIGHT_SCHEMES, LossConfig, RolloutGroup, draw_sample_batch
+from creflow.objectives import LossConfig, RolloutGroup, draw_sample_batch
 from creflow.trace import (
     ENTITY_KINDS,
     EVALUATORS,
@@ -77,41 +77,46 @@ NONNEGATIVE = st.floats(min_value=0.0, allow_infinity=False)
 POSITIVE = st.floats(min_value=1e-6, max_value=1e6)
 
 
-# World counts that must be at least 1, and world shares that must lie in [0, 1]; every
-# other world number must be at least 0.
-POSITIVE_COUNTS = ("iterations", "rollout_steps", "demo_count", "pretrain_batch", "probe_count")
-FRACTIONS = ("fail_fraction", "ema_rate")
+def declared(f):
+    """Values of config field ``f`` of its declared kind, inside its declared bounds or
+    choices (``trace.setting``)."""
+    rule = f.metadata
+    if rule["choices"] is not None:
+        return st.sampled_from(rule["choices"])
+    least, most = rule["least"], rule["most"]
+    integers = st.integers(least, 2**40 if most is None else most)
+    numbers = st.floats(least, most, allow_nan=False, allow_infinity=False)
+    return {
+        "an integer": integers,
+        "a finite number": numbers,
+        "true or false": st.booleans(),
+        "two integers": st.tuples(integers, integers),
+        "two finite numbers": st.tuples(numbers, numbers),
+        "a list of integers": st.lists(integers, max_size=3).map(tuple),
+    }[rule["kind"]]
 
 
 @st.composite
 def experiment_configs(draw):
-    """Valid experiment configs; every world field drawn, constrained ones in range."""
-    world = {}
-    for f in fields(simworld.WorldConfig):
-        if f.type is int:
-            world[f.name] = draw(st.integers(1 if f.name in POSITIVE_COUNTS else 0, 2**40))
-        elif f.type is float:
-            world[f.name] = draw(st.floats(0.0, 1.0) if f.name in FRACTIONS else NONNEGATIVE)
-    template = draw(st.sampled_from(simworld.TEMPLATES))
-    row = simworld.TEMPLATES[template]  # its demo script and instruction set the minimums
-    world.update(
-        template=template,
-        horizon=draw(st.integers(row.min_horizon, 32)),
-        group_size=draw(st.integers(2, 64)),
-        n_objects=draw(st.integers(row.named, 3)),
-        grid=(draw(st.integers(4, 256)), draw(st.integers(4, 256))),
-        container_half_extents=(draw(NONNEGATIVE), draw(NONNEGATIVE)),
-        hidden=tuple(draw(st.lists(st.integers(1, 512), max_size=3))),
-        model_kind=draw(st.sampled_from(["linear", "mlp"])),
-    )
-    loss = LossConfig(
-        beta=draw(POSITIVE), lambda_cr=draw(st.floats(0.0, 1e6)),
-        lambda_kl=draw(st.floats(0.0, 1e6)), weight_scheme=draw(st.sampled_from(WEIGHT_SCHEMES)),
-        kernel_tau=draw(POSITIVE), mask_enabled=draw(st.booleans()),
-    )
+    """Valid experiment configs: each field drawn from its declaration, then each value
+    that a cross-field or strict check bounds drawn again within that check."""
+    declarations = {f.name: f for f in fields(simworld.WorldConfig)}
+    world = {name: draw(declared(f)) for name, f in declarations.items()}
+    row = simworld.TEMPLATES[world["template"]]
+    # the template's demo script, instruction and object list bound these
+    most_horizon = declarations["horizon"].metadata["most"]
+    world.update(horizon=draw(st.integers(row.min_horizon, most_horizon)),
+                 n_objects=draw(st.integers(row.named, len(row.objects))))
+    # the container box must stay off the objects' band: 0.18 * width > its half-width
+    world["container_half_extents"] = (
+        draw(st.floats(0.0, 0.18 * world["grid"][1], exclude_max=True)),
+        world["container_half_extents"][1])
+    loss = {f.name: draw(declared(f)) for f in fields(LossConfig)}
+    # strict bounds, which no declaration holds: beta > 0, and kernel_tau > 0 under kernel
+    loss.update(beta=draw(POSITIVE), kernel_tau=draw(POSITIVE))
     return fileio.ExperimentConfig(
         world=simworld.WorldConfig(**world),
-        loss=loss,
+        loss=LossConfig(**loss),
         out_dir=draw(st.text(min_size=1)),
         spec_path=draw(st.none() | st.text(min_size=1)),
     )

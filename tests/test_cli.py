@@ -110,7 +110,7 @@ class TestFileIO:
         # so no field or param can be added without a check at load
         for cls in (simworld.WorldConfig, LossConfig):
             for f in fields(cls):
-                assert fileio._field_kind(f) in KINDS, f.name
+                assert f.metadata["kind"] in KINDS, f.name
         for _, kinds, _ in EVALUATORS.values():
             assert set(kinds.values()) <= set(KINDS)
 
@@ -420,12 +420,13 @@ class TestMalformedInputs:
         ("world", "model_kind", None, "'world.model_kind' must be a string, got None"),
         ("world", "sed", 0, "unknown key 'sed' under 'world:'"),
         ("world", "seed", -1, "seed must be >= 0, got -1"),
-        ("world", "horizon", 40, "horizon must be in [8, 32]"),
+        ("world", "horizon", 40, "horizon must be in [8, 32], got 40"),
         ("world", "template", "ordered_stack", "ordered_stack needs n_objects >= 2, got 1"),
-        ("world", "group_size", 1, "group size must be >= 2"),
-        ("world", "model_kind", "lnear", "model_kind must be 'linear' or 'mlp', got 'lnear'"),
-        ("world", "hidden", [0], "hidden widths must be >= 1, got [0]"),
-        ("world", "hidden", [64, -3], "hidden widths must be >= 1, got [64, -3]"),
+        ("world", "group_size", 1, "group_size must be >= 2, got 1"),
+        ("world", "model_kind", "lnear",
+         "model_kind must be one of ('linear', 'mlp'), got 'lnear'"),
+        ("world", "hidden", [0], "hidden must be >= 1, got [0]"),
+        ("world", "hidden", [64, -3], "hidden must be >= 1, got [64, -3]"),
         ("world", "iterations", 0, "iterations must be >= 1, got 0"),
         ("world", "rollout_steps", 0, "rollout_steps must be >= 1, got 0"),
         ("world", "demo_count", 0, "demo_count must be >= 1, got 0"),
@@ -439,8 +440,12 @@ class TestMalformedInputs:
          "container_half_extents must be >= 0, got [-3, -3]"),
         ("world", "container_half_extents", [3.0, -0.5],
          "container_half_extents must be >= 0, got [3.0, -0.5]"),
-        ("world", "grid", [3, 3], "grid must be at least 4x4, got [3, 3]"),
-        ("world", "grid", [24, 2], "grid must be at least 4x4, got [24, 2]"),
+        ("world", "grid", [3, 3], "grid must be >= 4, got [3, 3]"),
+        ("world", "grid", [24, 2], "grid must be >= 4, got [24, 2]"),
+        ("world", "grid", [12, 12],
+         "grid width 12 is too narrow for container_half_extents[0] 3.0: needs 0.18 * width > 3.0"),
+        ("world", "container_half_extents", [5.0, 3.0],
+         "grid width 24 is too narrow for container_half_extents[0] 5.0: needs 0.18 * width > 5.0"),
         ("world", "grasp_distance", -1.8, "grasp_distance must be >= 0, got -1.8"),
         ("world", "move_speed", -0.3, "move_speed must be >= 0, got -0.3"),
         ("world", "learning_rate", -0.0003, "learning_rate must be >= 0, got -0.0003"),
@@ -453,12 +458,22 @@ class TestMalformedInputs:
         ("loss", "beta", "1.0", "'loss.beta' must be a finite number, got '1.0'"),
         ("loss", "weight_scheme", 1, "'loss.weight_scheme' must be a string, got 1"),
         ("loss", "mask_enabled", "false", "'loss.mask_enabled' must be true or false, got 'false'"),
+        ("loss", "lambda_cr", -1, "lambda_cr must be >= 0, got -1"),
+        ("loss", "lambda_kl", -1, "lambda_kl must be >= 0, got -1"),
+        ("loss", "weight_scheme", "gauss",
+         "weight_scheme must be one of ('uniform', 'kernel'), got 'gauss'"),
+        ("loss", None, {"weight_scheme": "kernel", "kernel_tau": 0},
+         "kernel bandwidth must be > 0"),
+        ("world", "template", "pick",
+         "template must be one of ('pick_place', 'ordered_stack', 'persist_hold'), got 'pick'"),
+        ("world", "n_objects", 4, "pick_place needs n_objects <= 3, got 4"),
     ])
     def test_experiment_value_types(self, workdir, tmp_path, capsys, section, key, value,
                                     message):
+        # a row without a key sets every key of its mapping value
         with open(workdir["experiment"]) as fh:
             doc = yaml.safe_load(fh)
-        doc[section][key] = value
+        doc[section].update(value if key is None else {key: value})
         path = tmp_path / "typed.yaml"
         path.write_text(yaml.safe_dump(doc, sort_keys=False))
         assert main(["train", "--config", str(path), "--dry-run"]) == 2
@@ -487,6 +502,22 @@ class TestMalformedInputs:
         assert capsys.readouterr().err == (
             f"error: {path}: {template} needs horizon >= {least}, got {horizon}\n")
         assert os.listdir(tmp_path) == ["short.yaml"]
+
+    # Grids on which an object can start inside the container box (see sample_condition).
+    @pytest.mark.parametrize("flags", [["--dry-run"], []], ids=["dry_run", "run"])
+    @pytest.mark.parametrize("grid", [[4, 4], [24, 16]])
+    def test_grid_too_narrow_for_the_container(self, workdir, tmp_path, capsys, flags, grid):
+        with open(workdir["experiment"]) as fh:
+            doc = yaml.safe_load(fh)
+        doc["world"]["grid"] = grid
+        doc["out_dir"] = str(tmp_path / "out")
+        path = tmp_path / "narrow.yaml"
+        path.write_text(yaml.safe_dump(doc, sort_keys=False))
+        assert main(["train", "--config", str(path), *flags]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {path}: grid width {grid[1]} is too narrow for container_half_extents[0] "
+            "3.0: needs 0.18 * width > 3.0\n")
+        assert os.listdir(tmp_path) == ["narrow.yaml"]
 
     def test_experiment_date_with_no_value(self, workdir, tmp_path, capsys):
         with open(workdir["experiment"]) as fh:

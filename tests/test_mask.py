@@ -104,9 +104,11 @@ class TestBuildGroupMask:
 def decoded_verdicts(draw):
     """Verdicts of a decoded group whose atlases are left lazy, given, or read."""
     template = draw(st.sampled_from(simworld.TEMPLATES))
+    grid = (draw(st.integers(4, 16)), draw(st.integers(4, 16)))
+    half = draw(st.floats(0.0, 0.18 * grid[1], exclude_max=True))  # a box the grid can hold
     world = simworld.WorldConfig(template=template,
                                  n_objects=simworld.TEMPLATES[template].named,
-                                 grid=(draw(st.integers(4, 16)), draw(st.integers(4, 16))))
+                                 grid=grid, container_half_extents=(half, half))
     rng = np.random.default_rng(draw(st.integers(0, 2**16)))
     condition = simworld.sample_condition(world, rng)
     demos = np.stack([simworld.scripted_demo(world, condition, rng) for _ in range(4)])

@@ -64,6 +64,14 @@ class TestConfig:
         assert WorldConfig(seed=0).seed == 0
 
 
+def accepted(**world):
+    """The WorldConfig of these settings, or None if it rejects them."""
+    try:
+        return WorldConfig(**world)
+    except SpecValidationError:
+        return None
+
+
 # Every valid (template, n_objects) pair: at least the objects the instruction names.
 TEMPLATE_PAIRS = [(t, n) for t in simworld.TEMPLATES
                   for n in range(simworld.TEMPLATES[t].named, 4)]
@@ -74,7 +82,7 @@ class TestTemplates:
     def test_needs_the_objects_its_instruction_names(self, template):
         named = simworld.TEMPLATES[template].named
         message = (f"{template} needs n_objects >= {named}" if named > 1
-                   else r"n_objects must be in \[1, 3\]")
+                   else "n_objects must be >= 1, got 0")
         with pytest.raises(SpecValidationError, match=message):
             WorldConfig(template=template, n_objects=named - 1)
         assert WorldConfig(template=template, n_objects=named).n_objects == named
@@ -116,17 +124,21 @@ class TestTemplates:
                                                               n_objects=n_objects)))
         assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
+    # on the default grid and on the narrowest square grid the config accepts, where the
+    # container box comes closest to the objects' band
     @pytest.mark.parametrize("template,n_objects", TEMPLATE_PAIRS)
     def test_clean_demos_satisfy_their_spec(self, template, n_objects):
-        config = WorldConfig(template=template, n_objects=n_objects, fail_fraction=0.0,
-                             demo_noise=0.0)
-        rng = np.random.default_rng(8)
-        conditions = [sample_condition(config, rng) for _ in range(64)]
-        demos = _finish_demos(config, conditions,
-                              [_script_demo(config, c, rng) for c in conditions])
-        verdicts = run_group_monitor(build_task_spec(config),
-                                     RolloutDecoder(config)(demos, conditions))
-        assert [dict(v.violations) for v in verdicts if v.reward != 1] == []
+        world = dict(template=template, n_objects=n_objects, fail_fraction=0.0, demo_noise=0.0)
+        narrowest = next(c for w in range(4, 65) if (c := accepted(grid=(w, w), **world)))
+        assert narrowest.grid == (17, 17)  # 0.18 * 17 > 3.0, the default box's half-width
+        for config in (WorldConfig(**world), narrowest):
+            rng = np.random.default_rng(8)
+            conditions = [sample_condition(config, rng) for _ in range(64)]
+            demos = _finish_demos(config, conditions,
+                                  [_script_demo(config, c, rng) for c in conditions])
+            verdicts = run_group_monitor(build_task_spec(config),
+                                         RolloutDecoder(config)(demos, conditions))
+            assert [dict(v.violations) for v in verdicts if v.reward != 1] == [], config.grid
 
 
 class TestDecode:
@@ -256,7 +268,8 @@ class TestDecode:
                 path.append(arm_pos[t, carrier] if carrier is not None else path[t - 1])
             return np.array(path)
 
-        config = WorldConfig(template="ordered_stack", n_objects=3, horizon=16, grid=(12, 12))
+        config = WorldConfig(template="ordered_stack", n_objects=3, horizon=16, grid=(12, 12),
+                             container_half_extents=(2.0, 2.0))
         cond = sample_condition(config, np.random.default_rng(6))
         rng = np.random.default_rng(7)
         # arms wander over the objects' band with grippers that often stay closed
@@ -275,7 +288,8 @@ class TestDecode:
         assert moved > 10  # the rule was exercised, not only the resting branch
 
     def test_per_row_conditions_equal_one_row_calls(self):
-        config = WorldConfig(template="ordered_stack", n_objects=3, horizon=16, grid=(12, 12))
+        config = WorldConfig(template="ordered_stack", n_objects=3, horizon=16, grid=(12, 12),
+                             container_half_extents=(2.0, 2.0))
         rng = np.random.default_rng(11)
         conditions = [sample_condition(config, rng) for _ in range(6)]
         assert len({c.layout for c in conditions}) == 6
