@@ -54,6 +54,11 @@ def _kahan_sum(values):
     return total
 
 
+# Elements per block of a Monte Carlo pass: a block's uniforms, or its rows of
+# group draws, stay small while only the full-size result is kept.
+_BLOCK = 1 << 15
+
+
 def draw_categorical(rng, p, size):
     """``rng.choice(len(p), size=size, p=p)`` for 1-D float64 weights ``p``: the same
     checks on ``p``, the same uniforms and the same int64 indices.
@@ -64,6 +69,11 @@ def draw_categorical(rng, p, size):
     entry (1.0) never is, so counting ``u`` against ``cdf[:-1]`` gives it; for the
     few atoms of an oracle world a comparison pass per entry is several times
     faster than the binary search.
+
+    The uniforms are drawn and counted ``_BLOCK`` at a time, in C order, and each
+    block's counts are written into the int64 output: ``Generator.random`` fills
+    element by element, so the blocks read the same stream as one ``random(size)``
+    call, and only the indices are kept at full size.
     """
     p_sum = _kahan_sum(p.tolist())
     if math.isnan(p_sum):
@@ -75,11 +85,17 @@ def draw_categorical(rng, p, size):
                          "for more information.")
     cdf = p.cumsum()
     cdf /= cdf[-1]
-    u = rng.random(size)
-    count = np.zeros(u.shape, np.min_scalar_type(p.size - 1))
-    for edge in cdf[:-1]:
-        count += u >= edge
-    return count.astype(np.int64)
+    out = np.empty(size, np.int64)
+    flat = out.reshape(-1)
+    count = np.empty(min(_BLOCK, flat.size), np.min_scalar_type(p.size - 1))
+    for start in range(0, flat.size, _BLOCK):
+        u = rng.random(min(_BLOCK, flat.size - start))
+        block = count[:u.size]
+        block.fill(0)
+        for edge in cdf[:-1]:
+            block += u >= edge
+        flat[start:start + u.size] = block
+    return out
 
 
 # --------------------------------------------------------------------------
@@ -449,6 +465,7 @@ def verify_reward_locality(
         summand = (in_branch * off_sq)[draw_categorical(rng, pp.w, mc_samples)]
         mc = float(summand.mean())
         se = float(summand.std(ddof=1) / math.sqrt(mc_samples))
+        del summand
         dev = abs(mc - exact)
         tol = 3.0 * se + 1e-20
         report.add(
@@ -471,12 +488,18 @@ def _positive_group_means(atoms, k):
 
     When there are no more combinations (``P**m``) than draws, the rows are
     the means of every combination and the counts how many draws made each;
-    otherwise the rows are the draws' own means, each counted once.
+    otherwise the rows are the draws' own means, each counted once, taken
+    ``atoms[k].mean(axis=1)`` a block of about ``_BLOCK`` draws at a time (each
+    row's reduction is the same at any block size).
     """
     n, m = k.shape
     shape = (atoms.shape[0],) * m
     if atoms.shape[0] ** m > n:
-        return atoms[k].mean(axis=1), np.ones(n)
+        rows = np.empty((n, atoms.shape[1]))
+        step = max(1, _BLOCK // m)
+        for start in range(0, n, step):
+            rows[start:start + step] = atoms[k[start:start + step]].mean(axis=1)
+        return rows, np.ones(n)
     combos = np.indices(shape).reshape(m, -1).T
     counts = np.bincount(np.ravel_multi_index(k.T, shape), minlength=combos.shape[0])
     return atoms[combos].mean(axis=1), counts
@@ -536,7 +559,9 @@ def verify_corrective_target(world, xt, t, group_sizes, mc_samples, rng) -> Veri
     for m in group_sizes:
         k = draw_categorical(rng, world.positive_weights, (mc_samples, m))
         means, counts = _positive_group_means(atoms, k)
+        del k  # each sample array dies once its statistic is taken
         z = (xt - means) / t
+        del means
         if deterministic:
             dev = float(np.max(np.abs(z[counts > 0] - bar_v)))
             tol = 1e-12 * max(1.0, float(np.max(np.abs(bar_v))))
@@ -544,6 +569,7 @@ def verify_corrective_target(world, xt, t, group_sizes, mc_samples, rng) -> Veri
                        "zero positive covariance: max |z - bar_v| over all samples")
             continue
         mean_z, var_z = _weighted_moments(z, counts, mc_samples)
+        del z, counts
         se = np.sqrt(var_z) / math.sqrt(mc_samples)
         dev = np.abs(mean_z - bar_v)
         ok = bool(np.all(dev <= 3.0 * se + 1e-15))
@@ -681,13 +707,20 @@ class VarianceReport:
 
 def _trace_cov(jac_gram, residuals, counts, n):
     """Sample trace covariance of J^T r, and its standard error, over ``n`` samples
-    that take row ``residuals[i]`` ``counts[i]`` times (centred in place).
+    that take row ``residuals[i]`` ``counts[i]`` times (centred in place, a column
+    at a time).
 
     The trace is the mean of the centred quadratic forms r^T (J J^T) r, scaled
-    to ddof=1.
+    to ddof=1. The forms are taken over about ``_BLOCK`` elements of rows at a
+    time, never fewer, so the product with J J^T is never full-size; each row's
+    form has the bits it has in one pass over all rows.
     """
-    residuals -= _count_sum(counts, residuals) / n
-    quad = np.einsum("ij,ij->i", residuals @ jac_gram, residuals)
+    for column, mean in zip(residuals.T, _count_sum(counts, residuals) / n):
+        column -= mean
+    quad = np.empty(residuals.shape[0])
+    parts = max(1, residuals.size // _BLOCK)
+    for rows, out in zip(np.array_split(residuals, parts), np.array_split(quad, parts)):
+        np.einsum("ij,ij->i", rows @ jac_gram, rows, out=out)
     mean, var = _weighted_moments(quad, counts, n)
     return float(mean * n / (n - 1)), math.sqrt(var / n)
 
@@ -697,7 +730,29 @@ def _corrective_trace_cov(world, rng, n, m, jac_gram, xt, t, v_theta):
     over groups of ``m`` positives drawn by mass."""
     k = draw_categorical(rng, world.positive_weights, (n, m))
     means, counts = _positive_group_means(world.x0s[world.positives], k)
+    del k
     return _trace_cov(jac_gram, v_theta - (xt - means) / t, counts, n)
+
+
+def _reflection_trace_cov(world, rng, n, jac_gram, pp, v_theta, sigma_xi, beta):
+    """``_trace_cov`` of ``n`` reflection residuals at ``pp``: a posterior draw plus
+    injected plug-in noise xi,
+    ``v_theta - (((beta+1)/beta) (v_old + xi) - v_atom / beta)``.
+
+    The residuals are built a column at a time, each pass with one scalar, so the
+    (n, d) noise draw is the only sample array of that size.
+    """
+    scaled_targets = (pp.xt[None, :] - world.x0s) / pp.t / beta  # v_atom / beta per atom
+    idx = draw_categorical(rng, pp.w, n)
+    res = rng.standard_normal((n, world.dim))
+    for j, column in enumerate(res.T):
+        column *= sigma_xi
+        column += pp.v_old[j]
+        column *= (beta + 1.0) / beta
+        column -= scaled_targets[idx, j]
+        np.subtract(v_theta[j], column, out=column)
+    del idx
+    return _trace_cov(jac_gram, res, np.ones(n), n)
 
 
 def verify_variance(
@@ -741,7 +796,6 @@ def verify_variance(
     if group_size < 1:
         raise InsufficientSamples(
             f"group_size={group_size}: a corrective group needs at least 1 positive")
-    d = world.dim
     xt = world.positive_mean() * 0.9
     pos_cov = world.positive_cov()
 
@@ -758,17 +812,9 @@ def verify_variance(
         exact_nft = 4.0 * beta**2 * float(np.sum(cov_x0 * gram)) + 4.0 * beta**2 * (beta + 1.0) ** 2 * sig_xi
         exact_cr = 4.0 * lambda_cr**2 * t * t * sig0 / group_size
 
-        # reflection-branch samples: posterior draw + injected plug-in noise,
-        # v_theta - (((beta+1)/beta) (v_old + xi) - v_atom / beta)
-        scaled_targets = (xt[None, :] - world.x0s) / t / beta  # v_atom / beta per atom
-        idx = draw_categorical(rng, pp.w, mc_samples)
-        res = rng.standard_normal((mc_samples, d))
-        res *= sigma_xi
-        res += pp.v_old
-        res *= (beta + 1.0) / beta
-        res -= np.take(scaled_targets, idx, axis=0)
-        np.subtract(v_theta, res, out=res)
-        trace_nft, se_nft = _trace_cov(gram, res, np.ones(mc_samples), mc_samples)
+        # reflection-branch samples: posterior draw + injected plug-in noise
+        trace_nft, se_nft = _reflection_trace_cov(world, rng, mc_samples, gram, pp, v_theta,
+                                                  sigma_xi, beta)
         trace_nft *= 4.0 * beta**4
         se_nft *= 4.0 * beta**4
 

@@ -469,17 +469,20 @@ def setting(default, kind, least=None, most=None, choices=None):
 
 def check_settings(config):
     """SpecValidationError at the first field of ``config``, in field order, whose
-    value is not one of its choices or has an item outside its bounds."""
+    value is not of its kind, is not one of its choices or has an item outside its
+    bounds. A tuple is checked as the list its kind names (the loader turns each
+    list into a tuple), so its items are checked, and NaN is no finite number."""
     for f in fields(config):
         rule, value = f.metadata, getattr(config, f.name)
+        shown = list(value) if type(value) is tuple else value
+        checked(shown, rule["kind"], f.name, SpecValidationError)
         if rule["choices"] is not None and value not in rule["choices"]:
             raise SpecValidationError(
                 f"{f.name} must be one of {rule['choices']}, got {value!r}")
         least, most = rule["least"], rule["most"]
-        for item in value if type(value) is tuple else (value,):
+        for item in shown if type(shown) is list else (shown,):
             if (least is not None and item < least) or (most is not None and item > most):
                 bound = f">= {least}" if most is None else f"in [{least}, {most}]"
-                shown = list(value) if type(value) is tuple else value
                 raise SpecValidationError(f"{f.name} must be {bound}, got {shown!r}")
 
 

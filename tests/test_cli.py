@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from creflow import cli, fileio, simworld
 from creflow.cli import main
-from creflow.errors import SchemaError
+from creflow.errors import SchemaError, SpecValidationError
 from creflow.objectives import LossConfig
 from creflow.trace import EVALUATORS, KINDS, EntityState, TraceGroup
 
@@ -113,6 +113,28 @@ class TestFileIO:
                 assert f.metadata["kind"] in KINDS, f.name
         for _, kinds, _ in EVALUATORS.values():
             assert set(kinds.values()) <= set(KINDS)
+
+    @pytest.mark.parametrize("cls,name,value", [
+        *[(cls, f.name, math.nan) for cls in (simworld.WorldConfig, LossConfig)
+          for f in fields(cls) if f.metadata["kind"] == "a finite number"],
+        (simworld.WorldConfig, "container_half_extents", (3.0, math.nan)),
+        (simworld.WorldConfig, "demo_noise", math.inf),
+        (simworld.WorldConfig, "horizon", "12"),
+        (simworld.WorldConfig, "seed", True),
+        (simworld.WorldConfig, "grid", (24.0, 24)),
+        (simworld.WorldConfig, "grid", (24, 24, 24)),
+        (simworld.WorldConfig, "hidden", (64, "8")),
+        (simworld.WorldConfig, "template", 3),
+        (LossConfig, "beta", "1"),
+        (LossConfig, "mask_enabled", 1),
+    ])
+    def test_config_in_code_rejects_a_value_not_of_its_kind(self, cls, name, value):
+        # the loader checks each value's kind; a config built in code gets the same check
+        kind = next(f.metadata["kind"] for f in fields(cls) if f.name == name)
+        shown = list(value) if isinstance(value, tuple) else value
+        with pytest.raises(SpecValidationError) as raised:
+            cls(**{name: value})
+        assert str(raised.value) == f"{name} must be {kind}, got {shown!r}"
 
 
 class TestExperimentFileRoundTrip:

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from creflow.errors import (
 )
 from creflow.flow import LinearVelocity
 from creflow.oracle import (
+    _BLOCK,
     DiscreteWorld,
     _corrective_trace_cov,
     _positive_group_means,
@@ -258,7 +260,10 @@ class TestHoistedArithmetic:
 # Weight lists of 1-8 atoms; zero weights give tied cdf entries.
 WEIGHTS = st.lists(st.sampled_from([0.0, 0.0, 1e-300, 1e-12, 0.3, 1.0, 7.0]) | st.floats(0.0, 10.0),
                    min_size=1, max_size=8).filter(lambda w: sum(w) > 0)
-SIZES = st.integers(0, 40) | st.tuples(st.integers(0, 12), st.integers(0, 12))
+SIZES = (st.integers(0, 40) | st.tuples(st.integers(0, 12), st.integers(0, 12))
+         # sizes whose uniforms span several of the draw's blocks, or end on a boundary
+         | st.sampled_from([_BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 7, (_BLOCK // 3 + 1, 4),
+                            (2, _BLOCK + 5)]))
 # Ways to spoil a normalised p: NaN, a negative or infinite entry, or a sum moved
 # across the sqrt(eps) tolerance (1.49e-8).
 SPOILERS = st.sampled_from([
@@ -483,6 +488,23 @@ class TestCorrectiveTable:
         assert same_bits(rows[code], atoms[k[:, :6]].mean(axis=1))
         assert counts.sum() == 1000 and counts[0] >= 4
 
+    @pytest.mark.parametrize("n_pos,m,n,d", [
+        (3, 12, 10_000, 2),  # several blocks of draws
+        (2, 20, 5000, 1),  # one coordinate: numpy sums each row's 20 atoms pairwise
+        (4, 9, 200_000, 3),  # 4**9 > 200,000: dozens of blocks, the last one short
+        (2, 64, 5000, 3),  # a block of 512 draws
+        (5, 3, 100, 4),  # one block
+    ])
+    def test_row_per_draw_means_match_numpy_bit_for_bit(self, n_pos, m, n, d):
+        rng = np.random.default_rng((n_pos, m, n, d, 19))
+        atoms = rng.standard_normal((n_pos, d)) * rng.uniform(0.01, 100.0, (n_pos, 1))
+        atoms[0] = -0.0
+        k = rng.integers(0, n_pos, (n, m))
+        k[:3] = 0
+        rows, counts = _positive_group_means(atoms, k)
+        assert same_bits(rows, atoms[k].mean(axis=1))
+        assert np.array_equal(counts, np.ones(n))
+
 
 class TestTableStatistics:
     """The statistics taken once per combination, weighted by count, are those of the gathered rows."""
@@ -570,6 +592,22 @@ class TestSuites:
         assert report.suite == "nft"
         with pytest.raises(KeyError):
             run_suite("bogus", 0)
+
+    # At the suites' 100,000 draws a float64 vector is 0.76 MiB. The variance
+    # suite keeps one (N, 3) residual array and three vectors (the counts, the
+    # quadratic forms and their deviations); the corrective suite one (N, 4)
+    # index array and the draws' combination codes. The slack covers the
+    # blocks and the small arrays.
+    @pytest.mark.parametrize("suite,vectors", [(suite_variance, 6), (suite_corrective, 5)])
+    def test_monte_carlo_working_set(self, suite, vectors):
+        suite(0)
+        tracemalloc.start()
+        try:
+            suite(0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= vectors * 8 * 100_000 + 2**19
 
 
 class TestLocality:
