@@ -490,7 +490,7 @@ class TestCorrectiveTable:
 
     @pytest.mark.parametrize("n_pos,m,n,d", [
         (3, 12, 10_000, 2),  # several blocks of draws
-        (2, 20, 5000, 1),  # one coordinate: numpy sums each row's 20 atoms pairwise
+        (2, 20, 5000, 1),  # one coordinate: numpy sums each row's 20 draws pairwise
         (4, 9, 200_000, 3),  # 4**9 > 200,000: dozens of blocks, the last one short
         (2, 64, 5000, 3),  # a block of 512 draws
         (5, 3, 100, 4),  # one block
