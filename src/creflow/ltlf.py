@@ -183,9 +183,6 @@ class Witness:
     def frames(self):
         return sorted({t for _, t in self.pairs})
 
-    def entities(self):
-        return sorted({e for e, _ in self.pairs})
-
 
 EMPTY_WITNESS = Witness((), 0)
 

@@ -166,51 +166,42 @@ def corrective_weights(group: RolloutGroup, config: LossConfig):
     return w / w.sum(axis=1, keepdims=True)
 
 
-def _corrective_impl(group, bundle, batch, config, feats, weighted=False, form="x0"):
+def _corrective_impl(group, bundle, batch, config, feats, weighted=False):
     """Corrective loss and gradient on the negatives' rows of ``feats``.
 
     Each negative's x_hat = x_t - t v_theta regresses toward the positive mean,
     loss ||M (x_hat - mean)||^2, or if ``weighted`` toward its barycenter under
     ``corrective_weights``, loss sum_j w_ij ||M (x_hat - x_j)||^2; both take the
-    adjoint -2t M (x_hat - target) M / |N|. ``form="velocity"`` is the unweighted
-    loss in velocity space with its own adjoint, the x0 form's test reference.
+    adjoint -2t M (x_hat - target) M / |N|.
     """
     pos, neg = group.positives, group.negatives
     if pos.size == 0 or neg.size == 0:
         return 0.0, np.zeros(bundle.current.n_params)
     m = _mask_flat(group, config)
     t = batch.t[neg][:, None]
-    xt = batch.xt[neg]
     acts = bundle.current.forward(feats[neg])
-    if form == "velocity":
-        dv = (acts[-1] - (xt - group.positive_mean) / t) * m
-        loss = float(np.sum((t * t) * dv * dv) / neg.size)
-        adjoints = 2.0 * (t * t) * dv * m / neg.size
-    elif form == "x0":
-        xhat = xt - t * acts[-1]
-        if weighted:
-            w = corrective_weights(group, config)
-            xp = group.rollouts[pos]
-            each = (xhat[:, None, :] - xp) * m
-            loss = float(np.sum(w[:, :, None] * each * each) / neg.size)
-            diff = (xhat - w @ xp) * m
-        else:
-            diff = (xhat - group.positive_mean) * m
-            loss = float(np.sum(diff * diff) / neg.size)
-        adjoints = (-2.0 * t) * diff * m / neg.size
+    xhat = batch.xt[neg] - t * acts[-1]
+    if weighted:
+        w = corrective_weights(group, config)
+        xp = group.rollouts[pos]
+        each = (xhat[:, None, :] - xp) * m
+        loss = float(np.sum(w[:, :, None] * each * each) / neg.size)
+        diff = (xhat - w @ xp) * m
     else:
-        raise ValueError(f"unknown form {form!r}")
+        diff = (xhat - group.positive_mean) * m
+        loss = float(np.sum(diff * diff) / neg.size)
+    adjoints = (-2.0 * t) * diff * m / neg.size
     return loss, bundle.current.vjp(acts, adjoints)
 
 
-def loss_corrective_reflow(group, bundle, batch, config, form="x0"):
+def loss_corrective_reflow(group, bundle, batch, config):
     """Regress negatives' one-step x0 prediction toward the positive mean.
 
-    ``form`` selects the x0-space expression or the algebraically equal
-    velocity-space one t^2 ||M (v_theta - (x_t - mean)/t)||^2; the two are
-    implemented independently and agree to rounding.
+    The velocity-space form t^2 ||M (v_theta - (x_t - mean)/t)||^2 is
+    algebraically equal; ``tests/test_objectives.py`` implements it on its own
+    as this function's reference.
     """
-    return _corrective_impl(group, bundle, batch, config, _encode(bundle, batch), form=form)
+    return _corrective_impl(group, bundle, batch, config, _encode(bundle, batch))
 
 
 def loss_corrective_weighted(group, bundle, batch, config):

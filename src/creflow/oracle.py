@@ -419,9 +419,7 @@ def check_factored(world, mask_bits):
             )
 
 
-def verify_reward_locality(
-    world, mask_bits, points, rng, mc_samples=100_000, check_construction=True
-) -> VerifyReport:
+def verify_reward_locality(world, mask_bits, points, rng, mc_samples=100_000) -> VerifyReport:
     """Off-mask velocity equality plus the branch second-moment identities."""
     report = VerifyReport("locality", -1)
     if not world.two_sided:
@@ -429,8 +427,7 @@ def verify_reward_locality(
     if mc_samples < 2:
         raise InsufficientSamples(
             f"mc_samples={mc_samples}: a sample variance needs at least 2 draws")
-    if check_construction:
-        check_factored(world, mask_bits)
+    check_factored(world, mask_bits)
     mask_bits = np.asarray(mask_bits, dtype=bool)
     off = ~mask_bits
 
@@ -799,8 +796,9 @@ def verify_variance(
     xt = world.positive_mean() * 0.9
     pos_cov = world.positive_cov()
 
+    mid = len(t_grid) // 2
     records = []
-    for t in t_grid:
+    for i, t in enumerate(t_grid):
         pp = population_point(world, xt, t)
         jac = model_jacobian(model, xt, t)
         gram = jac @ jac.T
@@ -823,6 +821,8 @@ def verify_variance(
                                                 v_theta)
         trace_cr *= 4.0 * lambda_cr**2 * t**4
         se_cr *= 4.0 * lambda_cr**2 * t**4
+        if i == mid:
+            gram_mid, v_mid = gram, v_theta
 
         # the loosest decision margin below is 20%; wider CIs cannot resolve it
         for trace, se, name in ((trace_nft, se_nft, "nft"), (trace_cr, se_cr, "cr")):
@@ -892,13 +892,10 @@ def verify_variance(
         )
 
     # doubling the positive count halves the corrective covariance
-    t_mid = float(t_grid[len(t_grid) // 2])
-    jac = model_jacobian(model, xt, t_mid)
-    gram_mid = jac @ jac.T
-    v_theta = model.velocity_batch(xt, t_mid)
+    t_mid = float(t_grid[mid])
     traces_by_m = {}
     for m in (group_size, 2 * group_size):
-        trace, _ = _corrective_trace_cov(world, rng, mc_samples, m, gram_mid, xt, t_mid, v_theta)
+        trace, _ = _corrective_trace_cov(world, rng, mc_samples, m, gram_mid, xt, t_mid, v_mid)
         traces_by_m[m] = trace * 4.0 * lambda_cr**2 * t_mid**4
     shrink = traces_by_m[group_size] / traces_by_m[2 * group_size]
     report.add(

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import logging
 import re
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 
 from creflow import simworld
-from creflow.errors import NonFiniteLoss, ShapeMismatch, SpecValidationError
+from creflow.errors import MissingAttribute, NonFiniteLoss, ShapeMismatch, SpecValidationError
 from creflow.flow import sample_rollout_group
 from creflow.fileio import save_task_spec
 from creflow.monitor import run_group_monitor, run_monitor
@@ -31,7 +32,7 @@ from creflow.simworld import (
     world_layout,
     world_to_latent,
 )
-from creflow.trace import make_condition
+from creflow.trace import ClauseDecl, PredicateDecl, make_condition
 
 
 def small_config(**overrides):
@@ -351,6 +352,30 @@ class TestDecode:
 
 
 class TestLoop:
+    @pytest.mark.parametrize("world_objects,spec_objects,missing,extra", [
+        (2, 1, ["cube_b"], []),
+        (1, 2, [], ["cube_b"]),
+    ], ids=["spec_lacks_entity", "spec_has_extra_entity"])
+    def test_rejects_spec_of_another_world(self, world_objects, spec_objects, missing, extra):
+        config = small_config(n_objects=world_objects)
+        spec = build_task_spec(small_config(n_objects=spec_objects))
+        message = ("task spec entities do not match the world config: "
+                   f"missing {missing}, extra {extra}")
+        with pytest.raises(SpecValidationError, match=f"^{re.escape(message)}$"):
+            run_online_loop(config, spec, pretrain_reference(config), LossConfig())
+
+    def test_rejects_flag_the_world_never_sets(self):
+        config = small_config()
+        spec = build_task_spec(config)
+        spec = dataclasses.replace(
+            spec,
+            predicates=spec.predicates + (PredicateDecl("full", 1, "flag", {"flag": "full"}),),
+            clauses=spec.clauses + (ClauseDecl("cube_never_full", "G !full(cube)"),),
+        )
+        message = "clause 'cube_never_full': flag 'full' absent on 'cube' at frame 1"
+        with pytest.raises(MissingAttribute, match=f"^{re.escape(message)}$"):
+            run_online_loop(config, spec, pretrain_reference(config), LossConfig())
+
     def test_metrics_deterministic(self):
         config = small_config()
         spec = build_task_spec(config)
