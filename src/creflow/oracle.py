@@ -6,9 +6,10 @@ velocities of the full/positive/negative components, the posterior positive
 mass alpha, marginal positive moments -- is an exact finite sum. The
 ``verify_*`` operations check the closed-form optima, locality identities,
 corrective-target moments, update-direction formulas and gradient-variance
-decompositions against independent numeric computations (coordinate-wise
-quadratic minimization by 3-point parabola fits, and seeded Monte Carlo with
-3-sigma confidence intervals).
+decompositions against independent numeric computations: 3-point parabola
+fits, exact weighted sums over the atoms (locality second moments) or over the
+table of positive-atom combinations (corrective-target moments) at float
+tolerances, and, for the gradient variance alone, seeded Monte Carlo.
 """
 
 import math
@@ -419,14 +420,13 @@ def check_factored(world, mask_bits):
             )
 
 
-def verify_reward_locality(world, mask_bits, points, rng, mc_samples=100_000) -> VerifyReport:
-    """Off-mask velocity equality plus the branch second-moment identities."""
+def verify_reward_locality(world, mask_bits, points) -> VerifyReport:
+    """Off-mask velocity equality plus the branch second-moment identities, each
+    second moment taken exactly as the posterior-weighted sum of its per-atom
+    summands and checked against the closed form at 1e-10 relative."""
     report = VerifyReport("locality", -1)
     if not world.two_sided:
         raise DegenerateWorld("locality check needs positives and negatives")
-    if mc_samples < 2:
-        raise InsufficientSamples(
-            f"mc_samples={mc_samples}: a sample variance needs at least 2 draws")
     check_factored(world, mask_bits)
     mask_bits = np.asarray(mask_bits, dtype=bool)
     off = ~mask_bits
@@ -457,27 +457,25 @@ def verify_reward_locality(world, mask_bits, points, rng, mc_samples=100_000) ->
         centered = (targets[sel] - mean_v)[:, off]
         exact = alpha_mass * float(np.sum(wsel * np.sum(centered * centered, axis=1)))
 
-        # each posterior draw contributes its atom's summand
         in_branch = (world.rewards == (1 if branch == "pos" else 0)).astype(np.float64)
-        summand = (in_branch * off_sq)[draw_categorical(rng, pp.w, mc_samples)]
-        mc = float(summand.mean())
-        se = float(summand.std(ddof=1) / math.sqrt(mc_samples))
-        del summand
-        dev = abs(mc - exact)
-        tol = 3.0 * se + 1e-20
-        report.add(
-            f"locality_second_moment_{branch}",
-            dev <= tol,
-            dev,
-            tol,
-            f"mc={mc:.6g} exact={exact:.6g}",
-        )
+        total = float(_count_sum(pp.w, in_branch * off_sq))
+        dev = abs(total - exact)
+        tol = 1e-10 * exact
+        report.add(f"locality_second_moment_{branch}", dev <= tol, dev, tol,
+                   f"sum={total:.6g} exact={exact:.6g}")
     return report
 
 
 # --------------------------------------------------------------------------
 # Corrective target
 # --------------------------------------------------------------------------
+
+def _combination_table(atoms, m):
+    """``(combos, means)``: every ordered group of ``m`` of the ``P`` rows of ``atoms``,
+    as the (P**m, m) indices of ``np.indices`` in C order, and each group's mean."""
+    combos = np.indices((atoms.shape[0],) * m).reshape(m, -1).T
+    return combos, atoms[combos].mean(axis=1)
+
 
 def _positive_group_means(atoms, k):
     """``(rows, counts)``: the group means of the (n, m) positive draws ``k``, as rows
@@ -497,9 +495,9 @@ def _positive_group_means(atoms, k):
         for start in range(0, n, step):
             rows[start:start + step] = atoms[k[start:start + step]].mean(axis=1)
         return rows, np.ones(n)
-    combos = np.indices(shape).reshape(m, -1).T
+    combos, rows = _combination_table(atoms, m)
     counts = np.bincount(np.ravel_multi_index(k.T, shape), minlength=combos.shape[0])
-    return atoms[combos].mean(axis=1), counts
+    return rows, counts
 
 
 def _count_sum(counts, rows):
@@ -517,21 +515,29 @@ def _weighted_moments(rows, counts, n):
     return mean, _count_sum(counts, dev) / (n - 1)
 
 
-def verify_corrective_target(world, xt, t, group_sizes, mc_samples, rng) -> VerifyReport:
-    """Monte Carlo moments of the corrective velocity target vs enumeration.
+# The most group indices (combinations x group size) an exact corrective table
+# holds: 8 MiB of int64.
+_MAX_TABLE = 1 << 20
+
+
+def verify_corrective_target(world, xt, t, group_sizes) -> VerifyReport:
+    """Exact moments of the corrective velocity target vs the closed forms.
+
+    A group of ``m`` positives is one of the ``P**m`` combinations of the ``P``
+    positive atoms, with the product of its atoms' positive weights as its
+    probability. The target z = (xt - group mean) / t is taken once per
+    combination, so its mean and trace covariance are exact weighted sums over
+    that table. The mean is checked against bar_v at ``1e-12 * max(1, |bar_v|)``;
+    the trace covariance against tr(Sigma+) / (m t^2), and the ratio of the first
+    two group sizes' traces against m1 / m0, at 1e-10 relative.
 
     When the positive atoms all coincide (a world with one positive atom) the
-    positive covariance is zero and the target is deterministic: the mean is
-    then checked sample by sample at float tolerance, and the shrinkage ratio,
-    a ratio of two roundoff traces, is reported as not applicable.
+    positive covariance is zero and every trace is roundoff: the trace checks
+    are left out and the shrinkage ratio is reported as not applicable.
 
-    Each draw picks one of at most ``P**m`` combinations of the ``P`` positive
-    atoms, so the sample moments are count-weighted moments over those
-    combinations' targets.
-
-    Raises ``TOutOfRange`` for a t outside [T_MIN, 1], and
-    ``InsufficientSamples`` for ``mc_samples < 2`` or a group size below 1,
-    before any draw.
+    Raises ``TOutOfRange`` for a t outside [T_MIN, 1], ``InsufficientSamples``
+    for a group size below 1, and ``ValueError`` for a group size whose table
+    is too large to enumerate, before any table is built.
     """
     report = VerifyReport("corrective", -1)
     pos = world.positives
@@ -540,61 +546,49 @@ def verify_corrective_target(world, xt, t, group_sizes, mc_samples, rng) -> Veri
     t = float(t)
     if not T_MIN <= t <= 1.0:
         raise TOutOfRange(f"corrective t={t:g} outside [{T_MIN}, 1]")
-    if mc_samples < 2:
-        raise InsufficientSamples(
-            f"mc_samples={mc_samples}: a sample variance needs at least 2 draws")
-    if any(m < 1 for m in group_sizes):
-        raise InsufficientSamples(
-            f"group_sizes={tuple(group_sizes)}: a corrective group needs at least 1 positive")
+    for m in map(int, group_sizes):
+        if m < 1:
+            raise InsufficientSamples(
+                f"group_sizes={tuple(group_sizes)}: a corrective group needs at least 1 positive")
+        if pos.size**m * m > _MAX_TABLE:
+            raise ValueError(
+                f"corrective groups of m={m} from P={pos.size} positive atoms make "
+                f"{pos.size**m} combinations, too many to enumerate")
     xt = np.asarray(xt, dtype=np.float64)
     bar_v = (xt - world.positive_mean()) / t
+    mean_tol = 1e-12 * max(1.0, float(np.max(np.abs(bar_v))))
     cov_trace = float(np.trace(world.positive_cov()))
     deterministic = bool(np.all(world.x0s[pos] == world.x0s[pos[0]]))
 
-    atoms = world.x0s[pos]
     traces = {}
     for m in group_sizes:
-        k = draw_categorical(rng, world.positive_weights, (mc_samples, m))
-        means, counts = _positive_group_means(atoms, k)
-        del k  # each sample array dies once its statistic is taken
+        combos, means = _combination_table(world.x0s[pos], m)
+        prob = np.prod(world.positive_weights[combos], axis=1)
         z = (xt - means) / t
-        del means
+        mean_z = _count_sum(prob, z)
+        dev = float(np.max(np.abs(mean_z - bar_v)))
+        report.add(f"corrective_mean_unbiased_m{m}", dev <= mean_tol, dev, mean_tol)
         if deterministic:
-            dev = float(np.max(np.abs(z[counts > 0] - bar_v)))
-            tol = 1e-12 * max(1.0, float(np.max(np.abs(bar_v))))
-            report.add(f"corrective_mean_unbiased_m{m}", dev <= tol, dev, tol,
-                       "zero positive covariance: max |z - bar_v| over all samples")
             continue
-        mean_z, var_z = _weighted_moments(z, counts, mc_samples)
-        del z, counts
-        se = np.sqrt(var_z) / math.sqrt(mc_samples)
-        dev = np.abs(mean_z - bar_v)
-        ok = bool(np.all(dev <= 3.0 * se + 1e-15))
-        report.add(
-            f"corrective_mean_unbiased_m{m}",
-            ok,
-            float(np.max(dev)),
-            float(np.max(3.0 * se)),
-        )
-        mc_trace = float(np.sum(var_z))
+        z -= mean_z
+        traces[m] = float(_count_sum(prob, np.sum(z * z, axis=1)))
         exact_trace = cov_trace / (m * t * t)
-        traces[m] = mc_trace
         if exact_trace > 0:
-            rel = abs(mc_trace - exact_trace) / exact_trace
+            rel = abs(traces[m] - exact_trace) / exact_trace
             report.add(
-                f"corrective_trace_cov_m{m}", rel < 0.05, rel, 0.05,
-                f"mc={mc_trace:.6g} exact={exact_trace:.6g}",
+                f"corrective_trace_cov_m{m}", rel < 1e-10, rel, 1e-10,
+                f"table={traces[m]:.6g} exact={exact_trace:.6g}",
             )
 
     if len(group_sizes) >= 2 and deterministic:
-        report.add("corrective_shrinkage_ratio", True, float("nan"), 0.05,
+        report.add("corrective_shrinkage_ratio", True, float("nan"), 1e-10,
                    "not applicable: zero positive covariance, both traces are roundoff")
     elif len(group_sizes) >= 2 and traces[group_sizes[0]] > 0:
         m0, m1 = group_sizes[0], group_sizes[1]
         ratio = traces[m0] / traces[m1]
         expected = m1 / m0
         rel = abs(ratio - expected) / expected
-        report.add("corrective_shrinkage_ratio", rel < 0.05, rel, 0.05,
+        report.add("corrective_shrinkage_ratio", rel < 1e-10, rel, 1e-10,
                    f"ratio={ratio:.4g} expected={expected}")
 
     # boundary: at t=1 the conditional and marginal positive means coincide
@@ -980,7 +974,7 @@ def suite_masked(seed) -> VerifyReport:
     return _joined("masked", seed, reports)
 
 
-def suite_locality(seed, mc_samples=100_000) -> VerifyReport:
+def suite_locality(seed) -> VerifyReport:
     rng = np.random.default_rng((seed, 3))
     world, mask_bits = make_factored_world(
         on_x0s=rng.standard_normal((3, 2)) * 2.0,
@@ -991,15 +985,15 @@ def suite_locality(seed, mc_samples=100_000) -> VerifyReport:
     )
     points = default_grid(world, rng, n_x=3, n_t=3)
     return _joined("locality", seed,
-                   [verify_reward_locality(world, mask_bits, points, rng, mc_samples)])
+                   [verify_reward_locality(world, mask_bits, points)])
 
 
-def suite_corrective(seed, mc_samples=100_000) -> VerifyReport:
+def suite_corrective(seed) -> VerifyReport:
     rng = np.random.default_rng((seed, 4))
     world = random_world(rng, 6, 3)
     xt = world.positive_mean() * 0.8
     return _joined("corrective", seed,
-                   [verify_corrective_target(world, xt, 0.5, (1, 4), mc_samples, rng)])
+                   [verify_corrective_target(world, xt, 0.5, (1, 4))])
 
 
 def suite_direction(seed) -> VerifyReport:

@@ -72,25 +72,27 @@ def test_02_masked_optimum():
 
 def test_03_reward_locality():
     start = time.perf_counter()
-    rep = oracle.suite_locality(SEED, mc_samples=100_000)
+    rep = oracle.suite_locality(SEED)
     gap = [c for c in rep.checks if "velocity_gap" in c.name][0]
+    moment = max(c.value / c.tolerance for c in rep.checks if "second_moment" in c.name)
     report(
         "03 reward-locality",
         rep.passed,
-        f"off-mask gap {gap.value:.2e} < 1e-10, second moments within 3 sigma "
-        f"at 1e5 samples, {timed(start)}",
+        f"off-mask gap {gap.value:.2e} < 1e-10, exact second moments off by "
+        f"{moment * 1e-10:.2e} < 1e-10 relative, {timed(start)}",
     )
 
 
 def test_04_corrective_target():
     start = time.perf_counter()
-    rep = oracle.suite_corrective(SEED, mc_samples=100_000)
+    rep = oracle.suite_corrective(SEED)
+    mean = max(c.value for c in rep.checks if "mean_unbiased" in c.name)
     ratio = [c for c in rep.checks if "shrinkage" in c.name][0]
     report(
         "04 corrective-target",
         rep.passed,
-        f"mean within 3 sigma, |P|=1 vs 4 covariance ratio off by "
-        f"{ratio.value * 100:.2f}% < 5%, {timed(start)}",
+        f"exact mean off by {mean:.2e} <= 1e-12 max(1, |bar_v|), |P|=1 vs 4 covariance "
+        f"ratio off by {ratio.value:.2e} < 1e-10 relative, {timed(start)}",
     )
 
 

@@ -842,13 +842,16 @@ class TestCliExitCodes:
     def test_verify_unknown_suite(self, capsys):
         assert main(["verify", "--suite", "nonsense"]) == 2
 
-    def test_verify_nft(self, tmp_path, capsys):
+    # corrective seed 72 is one whose mean a 3-sigma Monte Carlo check at 1e5
+    # draws rejects by chance; the exact check over the atom table passes it
+    @pytest.mark.parametrize("suite,seed", [("nft", 3), ("corrective", 72)])
+    def test_verify_passing_suite(self, tmp_path, capsys, suite, seed):
         out = str(tmp_path / "report.json")
-        code = main(["verify", "--suite", "nft", "--seed", "3", "--out", out])
+        code = main(["verify", "--suite", suite, "--seed", str(seed), "--out", out])
         assert code == 0
         with open(out) as fh:
             payload = json.load(fh)
-        assert payload["passed"] and payload["suite"] == "nft"
+        assert payload["passed"] and payload["suite"] == suite
 
     def test_verify_report_is_strict_json(self, tmp_path, capsys):
         # seed 63's variance curves never cross, so t* is NaN: it is written as null

@@ -1,3 +1,4 @@
+import itertools
 import math
 import os
 import subprocess
@@ -528,37 +529,40 @@ class TestTableStatistics:
         assert_close(var, gathered.var(axis=0, ddof=1))
         assert_close(_trace_cov(gram, table.copy(), counts, n), reference_trace_cov(gram, gathered))
 
-    @pytest.mark.parametrize("n_pos,m,n", [
-        (2, 2, 1000),  # table of 4 rows
-        (3, 4, 100),  # table of 81 rows, some never drawn
-        (3, 6, 1000),  # table of 729 rows
-        (3, 12, 1000),  # 3**12 > 1000: a row per draw
-        (1, 4, 10),  # one positive atom
+    @pytest.mark.parametrize("n_pos,m", [
+        (2, 2),  # table of 4 rows
+        (3, 4),  # table of 81 rows
+        (3, 6),  # table of 729 rows
+        (5, 4),  # table of 625 rows, the largest a corrective suite world makes
+        (1, 4),  # one positive atom: a table of one row
     ])
-    def test_corrective_statistics_match_per_row(self, n_pos, m, n):
-        # verify_corrective_target's reported values against numpy on the drawn targets
-        rng = np.random.default_rng((n_pos, m, n, 22))
+    def test_corrective_statistics_match_per_row(self, n_pos, m):
+        # verify_corrective_target's reported values against the combinations
+        # enumerated one by one, with their probabilities, and summed by math.fsum
+        rng = np.random.default_rng((n_pos, m, 22))
         world = positive_world(n_pos, rng)
         xt, t = rng.standard_normal(3), 0.37
-        ours, theirs = np.random.default_rng(23), np.random.default_rng(23)
-        report = verify_corrective_target(world, xt, t, (m,), n, rng=ours)
-        checks = {c.name: c for c in report.checks}
-        k = draw_categorical(theirs, world.positive_weights, (n, m))
-        z = (xt - world.x0s[world.positives][k].mean(axis=1)) / t
+        checks = {c.name: c for c in verify_corrective_target(world, xt, t, (m,)).checks}
+        atoms, w = world.x0s[world.positives], world.positive_weights
+        probs, z = [], []
+        for combo in itertools.product(range(n_pos), repeat=m):
+            probs.append(math.prod(w[list(combo)].tolist()))
+            z.append((xt - atoms[list(combo)].mean(axis=0)) / t)
+        z = np.array(z)
+        mean = np.array([math.fsum(np.multiply(probs, column)) for column in z.T])
         bar_v = (xt - world.positive_mean()) / t
         scale = 1e-12 * max(1.0, float(np.max(np.abs(bar_v))))
         mean_check = checks[f"corrective_mean_unbiased_m{m}"]
+        assert mean_check.passed and mean_check.tolerance == scale
+        assert abs(mean_check.value - float(np.max(np.abs(mean - bar_v)))) <= scale
         if n_pos == 1:
-            assert mean_check.value == float(np.max(np.abs(z - bar_v)))
             assert f"corrective_trace_cov_m{m}" not in checks
-        else:
-            assert abs(mean_check.value - float(np.max(np.abs(z.mean(axis=0) - bar_v)))) <= scale
-            se = z.std(axis=0, ddof=1) / math.sqrt(n)
-            assert_close(mean_check.tolerance, float(np.max(3.0 * se)))
-            exact = float(np.trace(world.positive_cov())) / (m * t * t)
-            rel = abs(float(np.sum(z.var(axis=0, ddof=1))) - exact) / exact
-            assert abs(checks[f"corrective_trace_cov_m{m}"].value - rel) <= 1e-12
-        assert ours.random() == theirs.random()
+            return
+        trace = math.fsum(np.multiply(probs, np.sum((z - mean) ** 2, axis=1)))
+        exact = float(np.trace(world.positive_cov())) / (m * t * t)
+        trace_check = checks[f"corrective_trace_cov_m{m}"]
+        assert trace_check.passed and trace_check.tolerance == 1e-10
+        assert abs(trace_check.value - abs(trace - exact) / exact) <= 1e-12
 
 
 class TestSuites:
@@ -570,13 +574,11 @@ class TestSuites:
         report = suite_masked(0)
         assert report.passed
 
-    def test_locality_suite(self):
-        report = suite_locality(0, mc_samples=20_000)
-        assert report.passed
-
-    def test_corrective_suite(self):
-        report = suite_corrective(0, mc_samples=20_000)
-        assert report.passed
+    @pytest.mark.parametrize("suite", [suite_corrective, suite_locality])
+    def test_exact_suites_pass_on_every_seed(self, suite):
+        failed = [(seed, c.name) for seed in range(200) for c in suite(seed).checks
+                  if not c.passed]
+        assert failed == []
 
     def test_direction_suite(self):
         report = suite_direction(0)
@@ -593,36 +595,43 @@ class TestSuites:
         with pytest.raises(KeyError):
             run_suite("bogus", 0)
 
-    # At the suites' 100,000 draws a float64 vector is 0.76 MiB. The variance
-    # suite keeps one (N, 3) residual array and three vectors (the counts, the
-    # quadratic forms and their deviations); the corrective suite one (N, 4)
-    # index array and the draws' combination codes. The slack covers the
-    # blocks and the small arrays.
-    @pytest.mark.parametrize("suite,vectors", [(suite_variance, 6), (suite_corrective, 5)])
-    def test_monte_carlo_working_set(self, suite, vectors):
-        suite(0)
+    @staticmethod
+    def traced_peak(suite, seed):
+        suite(seed)
         tracemalloc.start()
         try:
-            suite(0)
-            peak = tracemalloc.get_traced_memory()[1]
+            suite(seed)
+            return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= vectors * 8 * 100_000 + 2**19
+
+    # At the variance suite's 100,000 draws a float64 vector is 0.76 MiB. It
+    # keeps one (N, 3) residual array and three vectors (the counts, the
+    # quadratic forms and their deviations). The slack covers the blocks and
+    # the small arrays.
+    def test_monte_carlo_working_set(self):
+        assert self.traced_peak(suite_variance, 0) <= 6 * 8 * 100_000 + 2**19
+
+    # The exact suites hold the atoms and the combination table (at most 625
+    # rows of group size 4), never an array per sample: less than a third of
+    # one 100,000-sample vector. Corrective seed 13 has P = 5, the largest table.
+    @pytest.mark.parametrize("suite", [suite_corrective, suite_locality])
+    def test_exact_suites_working_set(self, suite):
+        assert self.traced_peak(suite, 13) <= 2**18
 
 
 class TestLocality:
-    @pytest.mark.parametrize("mc_samples", [0, 1])
-    def test_rejects_fewer_than_two_samples_before_any_draw(self, mc_samples):
+    def test_no_off_mask_coordinates_give_zero_second_moments(self):
         rng = np.random.default_rng(14)
         world, mask_bits = make_factored_world(
-            on_x0s=rng.standard_normal((2, 1)), on_probs=np.array([0.5, 0.5]),
-            on_rewards=np.array([1, 0]), off_x0s=rng.standard_normal((2, 1)),
-            off_probs=np.array([0.3, 0.7]),
+            on_x0s=rng.standard_normal((2, 2)), on_probs=np.array([0.5, 0.5]),
+            on_rewards=np.array([1, 0]), off_x0s=np.zeros((1, 0)), off_probs=np.array([1.0]),
         )
-        state = rng.bit_generator.state
-        with pytest.raises(InsufficientSamples, match=f"mc_samples={mc_samples}: a sample"):
-            verify_reward_locality(world, mask_bits, [(np.zeros(2), 0.5)], rng, mc_samples)
-        assert rng.bit_generator.state == state
+        report = verify_reward_locality(world, mask_bits, [(np.zeros(2), 0.5)])
+        assert report.passed
+        for check in report.checks:
+            assert check.value == 0.0
+            assert check.tolerance == (1e-10 if "gap" in check.name else 0.0)
 
     def test_factored_world_self_test(self):
         rng = np.random.default_rng(5)
@@ -635,23 +644,25 @@ class TestLocality:
         )
         check_factored(world, mask_bits)
 
-    def test_non_factored_detected_and_reports_gap(self, monkeypatch):
+    @pytest.mark.parametrize("x0s,rewards", [
+        ([[1.0, 5.0], [-1.0, -5.0]], [1, 0]),
+        ([[1.0, 5.0], [1.5, 3.0], [-1.0, -5.0], [-1.5, -2.0]], [1, 1, 0, 0]),
+    ], ids=["one_atom_per_class", "two_atoms_per_class"])
+    def test_non_factored_detected_and_reports_gap(self, monkeypatch, x0s, rewards):
         # off-mask coordinate correlates with reward: not factored
-        world = DiscreteWorld(
-            np.array([[1.0, 5.0], [-1.0, -5.0]]),
-            np.array([0.5, 0.5]),
-            np.array([1, 0]),
-        )
+        world = DiscreteWorld(np.array(x0s), np.full(len(rewards), 1 / len(rewards)),
+                              np.array(rewards))
         mask_bits = np.array([True, False])
         with pytest.raises(ConstructionViolated):
             check_factored(world, mask_bits)
         monkeypatch.setattr(oracle, "check_factored", lambda world, mask_bits: None)
-        rng = np.random.default_rng(6)
-        report = verify_reward_locality(
-            world, mask_bits, [(np.array([0.1, 0.0]), 0.5)], rng, mc_samples=2_000,
-        )
-        gap = [c for c in report.checks if c.name == "locality_off_mask_velocity_gap"][0]
-        assert gap.value > 1e-3  # negative control: the gap is real
+        report = verify_reward_locality(world, mask_bits, [(np.array([0.1, 0.0]), 0.5)])
+        checks = {c.name: c for c in report.checks}
+        # negative controls: the gap is real, and the branch means differ off-mask,
+        # so neither branch's second moment about v_old is its spread about its mean
+        assert checks["locality_off_mask_velocity_gap"].value > 1e-3
+        assert not checks["locality_second_moment_pos"].passed
+        assert not checks["locality_second_moment_neg"].passed
 
 
 class TestCorrectiveTarget:
@@ -659,19 +670,23 @@ class TestCorrectiveTarget:
         ({"t": 0.0}, TOutOfRange, r"t=0 outside \[0.001, 1\]"),
         ({"t": math.nan}, TOutOfRange, r"t=nan outside \[0.001, 1\]"),
         ({"t": 1.5}, TOutOfRange, r"t=1.5 outside \[0.001, 1\]"),
-        ({"mc_samples": 0}, InsufficientSamples, "mc_samples=0: a sample variance needs"),
-        ({"mc_samples": 1}, InsufficientSamples, "mc_samples=1: a sample variance needs"),
         ({"group_sizes": (0, 4)}, InsufficientSamples, r"group_sizes=\(0, 4\): a corrective"),
-    ], ids=["t_zero", "t_nan", "t_above_one", "no_sample", "one_sample", "empty_group"])
-    def test_rejects_inputs_it_cannot_evaluate_before_any_draw(self, bad, error, message):
-        rng = np.random.default_rng(13)
-        world = random_world(rng, 6, 3)
-        args = {"xt": world.positive_mean() * 0.8, "t": 0.5, "group_sizes": (1, 4),
-                "mc_samples": 2_000, **bad}
-        state = rng.bit_generator.state
+        # 5**8 * 8 group indices is over the 2**20 limit; 5**7 * 7 is under it
+        ({"group_sizes": (1, 8)}, ValueError,
+         "groups of m=8 from P=5 positive atoms make 390625 combinations, too many"),
+        ({"group_sizes": (7, 40)}, ValueError,
+         "groups of m=40 from P=5 positive atoms make 9094947017729282379150390625 comb"),
+    ], ids=["t_zero", "t_nan", "t_above_one", "empty_group", "table_over_limit",
+            "table_of_huge_count"])
+    def test_rejects_inputs_it_cannot_evaluate_before_any_table(self, monkeypatch, bad, error,
+                                                               message):
+        world = random_world(np.random.default_rng(13), 6, 3)  # P = 5
+        args = {"xt": world.positive_mean() * 0.8, "t": 0.5, "group_sizes": (1, 4), **bad}
+        built = []
+        monkeypatch.setattr(oracle, "_combination_table", lambda *a: built.append(a))
         with pytest.raises(error, match=message):
-            verify_corrective_target(world, rng=rng, **args)
-        assert rng.bit_generator.state == state
+            verify_corrective_target(world, **args)
+        assert built == []
 
     def test_single_positive_atom_deterministic(self):
         world = DiscreteWorld(
@@ -679,10 +694,7 @@ class TestCorrectiveTarget:
             np.array([0.4, 0.6]),
             np.array([1, 0]),
         )
-        rng = np.random.default_rng(7)
-        report = verify_corrective_target(
-            world, np.array([0.5, 0.5]), 0.5, group_sizes=(1,), mc_samples=2_000, rng=rng
-        )
+        report = verify_corrective_target(world, np.array([0.5, 0.5]), 0.5, group_sizes=(1,))
         mean_check = [c for c in report.checks if "mean_unbiased" in c.name][0]
         assert mean_check.passed and mean_check.value < 1e-12
 
@@ -692,10 +704,7 @@ class TestCorrectiveTarget:
     ], ids=["one_positive", "coinciding_positives"])
     def test_zero_covariance_checked_at_float_tolerance(self, x0s, rewards):
         world = DiscreteWorld(np.array(x0s), np.array([0.3, 0.3, 0.4]), np.array(rewards))
-        report = verify_corrective_target(
-            world, np.array([0.5, 0.5]), 0.5, (1, 4), mc_samples=3_000,
-            rng=np.random.default_rng(8),
-        )
+        report = verify_corrective_target(world, np.array([0.5, 0.5]), 0.5, (1, 4))
         assert report.passed
         checks = {c.name: c for c in report.checks}
         for m in (1, 4):
@@ -705,16 +714,13 @@ class TestCorrectiveTarget:
         ratio = checks["corrective_shrinkage_ratio"]
         assert math.isnan(ratio.value) and ratio.detail.startswith("not applicable")
 
-    def test_spread_positives_keep_the_monte_carlo_checks(self):
+    def test_spread_positives_keep_the_trace_checks(self):
         world = DiscreteWorld(
             np.array([[2.0, 0.5], [0.0, 1.0], [1.0, -1.0]]),
             np.array([0.3, 0.3, 0.4]),
             np.array([1, 0, 1]),
         )
-        report = verify_corrective_target(
-            world, np.array([0.5, 0.5]), 0.5, (1, 4), mc_samples=20_000,
-            rng=np.random.default_rng(9),
-        )
+        report = verify_corrective_target(world, np.array([0.5, 0.5]), 0.5, (1, 4))
         checks = {c.name: c for c in report.checks}
         assert {"corrective_trace_cov_m1", "corrective_trace_cov_m4"} <= checks.keys()
         assert math.isfinite(checks["corrective_shrinkage_ratio"].value)
@@ -722,8 +728,35 @@ class TestCorrectiveTarget:
 
     @pytest.mark.parametrize("seed", [9, 37, 54])
     def test_single_positive_suite_worlds_pass(self, seed):
-        report = suite_corrective(seed, mc_samples=20_000)
+        report = suite_corrective(seed)
         assert report.passed, [c.to_dict() for c in report.checks if not c.passed]
+
+    # The mutants below are wrong forms of the identities; each must fail a check.
+    def test_group_mean_spread_growing_with_m_fails(self, monkeypatch):
+        # group means whose deviations from the positive mean are scaled by m: the
+        # trace covariance is then m tr(Sigma+) / t^2 in place of tr(Sigma+) / (m t^2)
+        world = random_world(np.random.default_rng((1, 4)), 6, 3)
+        centre, table = world.positive_mean(), oracle._combination_table
+
+        def grown(atoms, m):
+            combos, means = table(atoms, m)
+            return combos, centre + (means - centre) * m
+
+        monkeypatch.setattr(oracle, "_combination_table", grown)
+        checks = {c.name: c for c in verify_corrective_target(world, centre * 0.8, 0.5,
+                                                              (1, 4)).checks}
+        assert checks["corrective_trace_cov_m1"].passed
+        assert not checks["corrective_trace_cov_m4"].passed
+        assert not checks["corrective_shrinkage_ratio"].passed
+
+    def test_positive_mean_with_uniform_weights_fails(self, monkeypatch):
+        world = random_world(np.random.default_rng((1, 4)), 6, 3)
+        xt = world.positive_mean() * 0.8
+        monkeypatch.setattr(DiscreteWorld, "positive_mean",
+                            lambda self: self.x0s[self.positives].mean(axis=0))
+        checks = {c.name: c for c in verify_corrective_target(world, xt, 0.5, (1, 4)).checks}
+        assert not checks["corrective_mean_unbiased_m1"].passed
+        assert not checks["corrective_mean_unbiased_m4"].passed
 
 
 class TestDirection:
