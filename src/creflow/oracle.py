@@ -8,8 +8,10 @@ mass alpha, marginal positive moments -- is an exact finite sum. The
 corrective-target moments, update-direction formulas and gradient-variance
 decompositions against independent numeric computations: 3-point parabola
 fits, exact weighted sums over the atoms (locality second moments) or over the
-table of positive-atom combinations (corrective-target moments) at float
-tolerances, and, for the gradient variance alone, seeded Monte Carlo.
+table of positive-atom combinations (corrective-target moments and the
+corrective branch of the gradient variance) at float tolerances, and, for the
+gradient variance's reflection branch alone, whose continuous noise xi no
+table holds, seeded Monte Carlo.
 """
 
 import math
@@ -55,8 +57,9 @@ def _kahan_sum(values):
     return total
 
 
-# Elements per block of a Monte Carlo pass: a block's uniforms, or its rows of
-# group draws, stay small while only the full-size result is kept.
+# Elements per block of a Monte Carlo pass: a block's uniforms, or the product
+# of a block of residual rows with J J^T, stay small while only the full-size
+# result is kept.
 _BLOCK = 1 << 15
 
 
@@ -470,54 +473,34 @@ def verify_reward_locality(world, mask_bits, points) -> VerifyReport:
 # Corrective target
 # --------------------------------------------------------------------------
 
-def _combination_table(atoms, m):
-    """``(combos, means)``: every ordered group of ``m`` of the ``P`` rows of ``atoms``,
-    as the (P**m, m) indices of ``np.indices`` in C order, and each group's mean."""
-    combos = np.indices((atoms.shape[0],) * m).reshape(m, -1).T
-    return combos, atoms[combos].mean(axis=1)
-
-
-def _positive_group_means(atoms, k):
-    """``(rows, counts)``: the group means of the (n, m) positive draws ``k``, as rows
-    each taken ``counts[i]`` times.
-
-    When there are no more combinations (``P**m``) than draws, the rows are
-    the means of every combination and the counts how many draws made each;
-    otherwise the rows are the draws' own means, each counted once, taken
-    ``atoms[k].mean(axis=1)`` a block of about ``_BLOCK`` draws at a time (each
-    row's reduction is the same at any block size).
-    """
-    n, m = k.shape
-    shape = (atoms.shape[0],) * m
-    if atoms.shape[0] ** m > n:
-        rows = np.empty((n, atoms.shape[1]))
-        step = max(1, _BLOCK // m)
-        for start in range(0, n, step):
-            rows[start:start + step] = atoms[k[start:start + step]].mean(axis=1)
-        return rows, np.ones(n)
-    combos, rows = _combination_table(atoms, m)
-    counts = np.bincount(np.ravel_multi_index(k.T, shape), minlength=combos.shape[0])
-    return rows, counts
-
-
-def _count_sum(counts, rows):
-    """``counts @ rows`` in einsum's own loop: a BLAS dot product splits a long sum
+def _count_sum(weights, rows):
+    """``weights @ rows`` in einsum's own loop: a BLAS dot product splits a long sum
     among its threads, so its bits would depend on the BLAS thread count."""
-    return np.einsum("i,i...->...", counts, rows)
-
-
-def _weighted_moments(rows, counts, n):
-    """Sample mean and ddof=1 variance, per column, of ``n`` samples that take row
-    ``rows[i]`` ``counts[i]`` times."""
-    mean = _count_sum(counts, rows) / n
-    dev = rows - mean
-    dev *= dev
-    return mean, _count_sum(counts, dev) / (n - 1)
+    return np.einsum("i,i...->...", weights, rows)
 
 
 # The most group indices (combinations x group size) an exact corrective table
 # holds: 8 MiB of int64.
 _MAX_TABLE = 1 << 20
+
+
+def _check_table_size(world, m):
+    """Raise ``ValueError`` when the table of groups of ``m`` positives would hold
+    more than ``_MAX_TABLE`` indices."""
+    n_pos, m = world.positives.size, int(m)
+    if n_pos**m * m > _MAX_TABLE:
+        raise ValueError(
+            f"corrective groups of m={m} from P={n_pos} positive atoms make "
+            f"{n_pos**m} combinations, too many to enumerate")
+
+
+def _positive_groups(world, m):
+    """``(prob, means)`` over every ordered group of ``m`` of the ``P`` positive
+    atoms, in the C order of ``np.indices((P,) * m)``: the group's probability (the
+    product of its atoms' positive weights) and its mean."""
+    pos = world.positives
+    combos = np.indices((pos.size,) * m).reshape(m, -1).T
+    return np.prod(world.positive_weights[combos], axis=1), world.x0s[pos][combos].mean(axis=1)
 
 
 def verify_corrective_target(world, xt, t, group_sizes) -> VerifyReport:
@@ -550,10 +533,7 @@ def verify_corrective_target(world, xt, t, group_sizes) -> VerifyReport:
         if m < 1:
             raise InsufficientSamples(
                 f"group_sizes={tuple(group_sizes)}: a corrective group needs at least 1 positive")
-        if pos.size**m * m > _MAX_TABLE:
-            raise ValueError(
-                f"corrective groups of m={m} from P={pos.size} positive atoms make "
-                f"{pos.size**m} combinations, too many to enumerate")
+        _check_table_size(world, m)
     xt = np.asarray(xt, dtype=np.float64)
     bar_v = (xt - world.positive_mean()) / t
     mean_tol = 1e-12 * max(1.0, float(np.max(np.abs(bar_v))))
@@ -562,8 +542,7 @@ def verify_corrective_target(world, xt, t, group_sizes) -> VerifyReport:
 
     traces = {}
     for m in group_sizes:
-        combos, means = _combination_table(world.x0s[pos], m)
-        prob = np.prod(world.positive_weights[combos], axis=1)
+        prob, means = _positive_groups(world, m)
         z = (xt - means) / t
         mean_z = _count_sum(prob, z)
         dev = float(np.max(np.abs(mean_z - bar_v)))
@@ -696,33 +675,33 @@ class VarianceReport:
     shrink_ratio: float
 
 
-def _trace_cov(jac_gram, residuals, counts, n):
-    """Sample trace covariance of J^T r, and its standard error, over ``n`` samples
-    that take row ``residuals[i]`` ``counts[i]`` times (centred in place, a column
-    at a time).
+def _trace_cov(jac_gram, residuals):
+    """Sample trace covariance of J^T r over the rows r of ``residuals``, and its
+    standard error (the rows are centred in place, a column at a time).
 
-    The trace is the mean of the centred quadratic forms r^T (J J^T) r, scaled
-    to ddof=1. The forms are taken over about ``_BLOCK`` elements of rows at a
-    time, never fewer, so the product with J J^T is never full-size; each row's
-    form has the bits it has in one pass over all rows.
+    The trace is the ddof=1 mean of the centred quadratic forms r^T (J J^T) r.
+    The forms are taken over about ``_BLOCK`` elements of rows at a time, never
+    fewer, so the product with J J^T is never full-size; each row's form has the
+    bits it has in one pass over all rows.
     """
-    for column, mean in zip(residuals.T, _count_sum(counts, residuals) / n):
+    n = residuals.shape[0]
+    for column, mean in zip(residuals.T, np.einsum("ij->j", residuals) / n):
         column -= mean
-    quad = np.empty(residuals.shape[0])
+    quad = np.empty(n)
     parts = max(1, residuals.size // _BLOCK)
     for rows, out in zip(np.array_split(residuals, parts), np.array_split(quad, parts)):
         np.einsum("ij,ij->i", rows @ jac_gram, rows, out=out)
-    mean, var = _weighted_moments(quad, counts, n)
-    return float(mean * n / (n - 1)), math.sqrt(var / n)
+    return float(quad.sum() / (n - 1)), math.sqrt(quad.var(ddof=1) / n)
 
 
-def _corrective_trace_cov(world, rng, n, m, jac_gram, xt, t, v_theta):
-    """``_trace_cov`` of ``n`` corrective residuals ``v_theta - (xt - group mean) / t``
-    over groups of ``m`` positives drawn by mass."""
-    k = draw_categorical(rng, world.positive_weights, (n, m))
-    means, counts = _positive_group_means(world.x0s[world.positives], k)
-    del k
-    return _trace_cov(jac_gram, v_theta - (xt - means) / t, counts, n)
+def _corrective_trace_cov(world, m, jac_gram, xt, t, v_theta):
+    """Exact trace covariance of J^T r over the corrective residuals
+    ``r = v_theta - (xt - group mean) / t`` of every group of ``m`` positives,
+    each weighted by its probability."""
+    prob, means = _positive_groups(world, m)
+    res = v_theta - (xt - means) / t
+    res -= _count_sum(prob, res)
+    return float(_count_sum(prob, np.einsum("ij,ij->i", res @ jac_gram, res)))
 
 
 def _reflection_trace_cov(world, rng, n, jac_gram, pp, v_theta, sigma_xi, beta):
@@ -743,7 +722,7 @@ def _reflection_trace_cov(world, rng, n, jac_gram, pp, v_theta, sigma_xi, beta):
         column -= scaled_targets[idx, j]
         np.subtract(v_theta[j], column, out=column)
     del idx
-    return _trace_cov(jac_gram, res, np.ones(n), n)
+    return _trace_cov(jac_gram, res)
 
 
 def verify_variance(
@@ -757,17 +736,22 @@ def verify_variance(
     beta=1.0,
     lambda_cr=1.0,
 ):
-    """Monte Carlo branch-gradient covariances vs the exact decompositions.
+    """Branch-gradient trace covariances vs the exact decompositions.
 
+    The reflection branch's covariance is a Monte Carlo estimate over
+    ``mc_samples`` posterior draws, each with injected plug-in noise xi. The
+    corrective branch's is exact: a probability-weighted sum over the table of
+    groups of ``group_size`` positives that ``verify_corrective_target`` uses.
     Checks, at the point 0.9 x the positive mean: the corrective branch's
     log-log slope over t <= 0.3, the reflection branch's plug-in noise floor
-    at small t, the crossing point against the threshold formula, and the
-    within-group shrinkage of the corrective covariance. Returns
-    (VerifyReport, VarianceReport).
+    at small t, the crossing point against the threshold formula, and that
+    doubling the group size halves the corrective covariance, at 1e-10
+    relative. Returns (VerifyReport, VarianceReport).
 
-    Raises ``TOutOfRange`` for a t outside [T_MIN, 1], and
-    ``InsufficientSamples`` when fewer than two distinct t are at most 0.3 (the
-    slope's fit), ``mc_samples < 2`` or ``group_size < 1``, before any draw.
+    Raises ``TOutOfRange`` for a t outside [T_MIN, 1], ``InsufficientSamples``
+    when fewer than two distinct t are at most 0.3 (the slope's fit),
+    ``mc_samples < 2`` or ``group_size < 1``, and ``ValueError`` for a group
+    size whose doubled table is too large to enumerate, before any draw.
     """
     report = VerifyReport("variance", -1)
     if not world.two_sided:
@@ -787,6 +771,7 @@ def verify_variance(
     if group_size < 1:
         raise InsufficientSamples(
             f"group_size={group_size}: a corrective group needs at least 1 positive")
+    _check_table_size(world, 2 * group_size)
     xt = world.positive_mean() * 0.9
     pos_cov = world.positive_cov()
 
@@ -809,28 +794,26 @@ def verify_variance(
                                                   sigma_xi, beta)
         trace_nft *= 4.0 * beta**4
         se_nft *= 4.0 * beta**4
-
-        # corrective-branch samples: within-group positive means
-        trace_cr, se_cr = _corrective_trace_cov(world, rng, mc_samples, group_size, gram, xt, t,
-                                                v_theta)
-        trace_cr *= 4.0 * lambda_cr**2 * t**4
-        se_cr *= 4.0 * lambda_cr**2 * t**4
-        if i == mid:
-            gram_mid, v_mid = gram, v_theta
-
         # the loosest decision margin below is 20%; wider CIs cannot resolve it
-        for trace, se, name in ((trace_nft, se_nft, "nft"), (trace_cr, se_cr, "cr")):
-            if trace > 0 and se / trace > 0.25:
-                raise InsufficientSamples(
-                    f"{name} trace-covariance CI too wide at t={t:g}: "
-                    f"relative se {se / trace:.3f}"
-                )
+        if trace_nft > 0 and se_nft / trace_nft > 0.25:
+            raise InsufficientSamples(
+                f"nft trace-covariance CI too wide at t={t:g}: "
+                f"relative se {se_nft / trace_nft:.3f}"
+            )
+
+        # corrective branch: exact over the table of within-group positive means
+        trace_cr = _corrective_trace_cov(world, group_size, gram, xt, t, v_theta)
+        if i == mid:
+            # doubling the positive count halves the corrective covariance
+            shrink = trace_cr / _corrective_trace_cov(world, 2 * group_size, gram, xt, t,
+                                                      v_theta)
+        trace_cr *= 4.0 * lambda_cr**2 * t**4
 
         records.append(
             {
                 "t": float(t),
                 "mc_nft": trace_nft,
-                "mc_cr": trace_cr,
+                "table_cr": trace_cr,
                 "exact_nft": exact_nft,
                 "exact_cr": exact_cr,
                 "sigma_xi_term": sig_xi,
@@ -839,10 +822,10 @@ def verify_variance(
         )
 
     mc_nft_curve = np.array([r["mc_nft"] for r in records])
-    mc_cr_curve = np.array([r["mc_cr"] for r in records])
+    table_cr_curve = np.array([r["table_cr"] for r in records])
 
     slope = float(
-        np.polyfit(np.log(t_grid[sel]), np.log(mc_cr_curve[sel]), 1)[0]
+        np.polyfit(np.log(t_grid[sel]), np.log(table_cr_curve[sel]), 1)[0]
     )
     report.add("variance_cr_slope", 1.8 <= slope <= 2.2, slope, 2.0, "target slope 2 +- 0.2")
 
@@ -856,7 +839,7 @@ def verify_variance(
         "reflection-branch covariance floor at smallest t",
     )
 
-    diff = mc_cr_curve - mc_nft_curve
+    diff = table_cr_curve - mc_nft_curve
     t_emp = float("nan")
     for k in range(len(t_grid) - 1):
         if diff[k] < 0 <= diff[k + 1] or diff[k] <= 0 < diff[k + 1]:
@@ -885,20 +868,9 @@ def verify_variance(
             f"empirical t*={t_emp:.4g}, formula t*={t_formula:.4g}",
         )
 
-    # doubling the positive count halves the corrective covariance
-    t_mid = float(t_grid[mid])
-    traces_by_m = {}
-    for m in (group_size, 2 * group_size):
-        trace, _ = _corrective_trace_cov(world, rng, mc_samples, m, gram_mid, xt, t_mid, v_mid)
-        traces_by_m[m] = trace * 4.0 * lambda_cr**2 * t_mid**4
-    shrink = traces_by_m[group_size] / traces_by_m[2 * group_size]
-    report.add(
-        "variance_group_shrinkage",
-        abs(shrink - 2.0) / 2.0 < 0.05,
-        shrink,
-        2.0,
-        "covariance ratio when doubling the positive count",
-    )
+    rel = abs(shrink - 2.0) / 2.0
+    report.add("variance_group_shrinkage", rel < 1e-10, rel, 1e-10,
+               f"ratio={shrink:.4g} expected=2")
 
     var_report = VarianceReport(
         records=records,
@@ -1016,7 +988,7 @@ def suite_direction(seed) -> VerifyReport:
     return _joined("direction", seed, reports)
 
 
-def suite_variance(seed, mc_samples=100_000) -> tuple:
+def suite_variance(seed) -> tuple:
     from .flow import LinearVelocity
 
     rng = np.random.default_rng((seed, 6))
@@ -1031,7 +1003,7 @@ def suite_variance(seed, mc_samples=100_000) -> tuple:
         t_grid,
         sigma_xi=0.1,
         group_size=2,
-        mc_samples=mc_samples,
+        mc_samples=100_000,
         rng=rng,
         beta=1.0,
         lambda_cr=3.0,

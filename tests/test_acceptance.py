@@ -110,13 +110,15 @@ def test_05_update_direction():
 
 def test_06_gradient_variance():
     start = time.perf_counter()
-    rep, var = oracle.suite_variance(SEED, mc_samples=100_000)
+    rep, var = oracle.suite_variance(SEED)
+    shrink = [c for c in rep.checks if c.name == "variance_group_shrinkage"][0]
     report(
         "06 gradient-variance",
         rep.passed,
         f"slope {var.slope:.3f} in [1.8,2.2], floor {var.floor_value:.3g} >= "
         f"{var.floor_bound:.3g}, crossing {var.t_star_empirical:.3g} vs formula "
-        f"{var.t_star_formula:.3g}, shrink {var.shrink_ratio:.3f}, {timed(start)}",
+        f"{var.t_star_formula:.3g}, exact shrink {var.shrink_ratio:.3f} off 2 by "
+        f"{shrink.value:.2e} < 1e-10 relative, {timed(start)}",
     )
 
 

@@ -24,10 +24,8 @@ from creflow.oracle import (
     _BLOCK,
     DiscreteWorld,
     _corrective_trace_cov,
-    _positive_group_means,
     _softmax,
     _trace_cov,
-    _weighted_moments,
     QuadraticProbe,
     check_factored,
     default_grid,
@@ -364,45 +362,8 @@ def assert_close(got, expected):
     np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-20)
 
 
-GROUP_DRAWS = pytest.mark.parametrize("n_pos,m,n", [
-    (2, 2, 1000),  # table of 4 rows
-    (3, 4, 100),  # table of 81 rows, most never drawn
-    (3, 6, 1000),  # table of 729 rows, some never drawn
-    (3, 12, 1000),  # 3**12 > 1000: a row per draw
-    (2, 1, 2),  # two draws
-    (1, 4, 10),  # one positive atom: a table of one row
-])
-
-
-class TestWeightedMoments:
-    """Count-weighted moments over the combination table are numpy's on the drawn rows."""
-
-    @GROUP_DRAWS
-    def test_group_mean_moments_match_drawn_rows(self, n_pos, m, n):
-        rng = np.random.default_rng((n_pos, m, n, 21))
-        world = positive_world(n_pos, rng)
-        atoms = world.x0s[world.positives]
-        k = draw_categorical(rng, world.positive_weights, (n, m))
-        rows, counts = _positive_group_means(atoms, k)
-        assert rows.shape == (min(n_pos**m, n), 3)
-        assert counts.sum() == n
-        drawn = atoms[k].mean(axis=1)
-        mean, var = _weighted_moments(rows, counts, n)
-        assert_close(mean, drawn.mean(axis=0))
-        assert_close(var, drawn.var(axis=0, ddof=1))
-
-    @GROUP_DRAWS
-    def test_corrective_trace_cov_matches_drawn_rows(self, n_pos, m, n):
-        rng = np.random.default_rng((n_pos, m, n, 22))
-        world = positive_world(n_pos, rng)
-        xt, t, v_theta = rng.standard_normal(3), 0.37, rng.standard_normal(3)
-        gram = jacobian_gram(rng)
-        ours, theirs = np.random.default_rng(23), np.random.default_rng(23)
-        k = draw_categorical(theirs, world.positive_weights, (n, m))
-        res = v_theta - (xt - world.x0s[world.positives][k].mean(axis=1)) / t
-        got = _corrective_trace_cov(world, ours, n, m, gram, xt, t, v_theta)
-        assert_close(got, reference_trace_cov(gram, res))
-        assert ours.random() == theirs.random()
+class TestTraceCov:
+    """The reflection branch's trace covariance is numpy's on the sample rows."""
 
     @pytest.mark.parametrize("n", [2, 1000, 100_000])
     def test_reflection_trace_cov_matches_numpy(self, n):
@@ -410,7 +371,7 @@ class TestWeightedMoments:
         res = rng.standard_normal((n, 3)) * rng.uniform(0.01, 100.0, 3) + rng.standard_normal(3)
         gram = jacobian_gram(rng)
         expected = reference_trace_cov(gram, res)
-        assert_close(_trace_cov(gram, res, np.ones(n), n), expected)
+        assert_close(_trace_cov(gram, res), expected)
 
     def test_trace_cov_does_not_depend_on_the_blas_thread_count(self):
         # a BLAS dot product splits a long sum among its threads, so its bits
@@ -418,7 +379,7 @@ class TestWeightedMoments:
         code = ("import numpy as np\n"
                 "from creflow.oracle import _trace_cov\n"
                 "res = np.random.default_rng(25).standard_normal((100_000, 3)) + 1.0\n"
-                "print(repr(_trace_cov(np.diag([1.0, 2.0, 3.0]), res, np.ones(100_000), 100_000)))")
+                "print(repr(_trace_cov(np.diag([1.0, 2.0, 3.0]), res)))")
 
         def run(threads):
             env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(creflow.__file__)),
@@ -430,104 +391,9 @@ class TestWeightedMoments:
         assert run("1") == run("2")
 
 
-def draw_codes(k, n_atoms):
-    """The row of ``_positive_group_means``'s output that each draw of ``k`` takes."""
-    n, m = k.shape
-    if n_atoms**m > n:
-        return np.arange(n)
-    return np.ravel_multi_index(k.T, (n_atoms,) * m)
-
-
-def corrective_residuals(x0s, idx, xt, t, v_theta, mask):
-    """The per-row corrective residual written out: ``(v_theta - (xt - mean) / t) * mask``."""
-    res = v_theta - (xt - x0s[idx].mean(axis=1)) / t
-    return res if mask is None else res * mask
-
-
-class TestCorrectiveTable:
-    """The table rows a draw takes are its own group mean, bit for bit, counted once per draw."""
-
-    @pytest.mark.parametrize("n_pos,m,n", [
-        (2, 2, 1000),  # full table, 4 rows
-        (3, 4, 1000),  # full table, 81 rows
-        (3, 12, 1000),  # 3**12 > 1000: no table, a row per draw
-        (2, 64, 5000),  # 2**64 combinations: no table
-        (5, 3, 4),  # more combinations than draws: no table
-        (1, 5, 10),  # one positive atom: a table of one row
-    ])
-    @pytest.mark.parametrize("masked", [False, True])
-    def test_table_residuals_match_per_row(self, n_pos, m, n, masked):
-        rng = np.random.default_rng((n_pos, m, n, 16))
-        x0s = rng.standard_normal((n_pos + 2, 3)) * rng.uniform(0.01, 100.0, (n_pos + 2, 1))
-        x0s[0] = -0.0
-        probs = rng.uniform(0.5, 1.5, n_pos + 2)
-        world = DiscreteWorld(x0s, probs / probs.sum(), [1] * n_pos + [0, 0])
-        xt, t, v_theta = rng.standard_normal(3), 0.37, rng.standard_normal(3)
-        mask = np.array([1.0, 0.0, 1.0]) if masked else None
-        pos = world.positives
-        k = draw_categorical(np.random.default_rng(17), world.positive_weights, (n, m))
-        rows, counts = _positive_group_means(x0s[pos], k)
-        res = v_theta - (xt - rows) / t
-        if mask is not None:
-            res *= mask
-        code = draw_codes(k, pos.size)
-        assert same_bits(res[code], corrective_residuals(x0s, pos[k], xt, t, v_theta, mask))
-        assert np.array_equal(counts, np.bincount(code, minlength=rows.shape[0]))
-
-    def test_table_only_when_no_more_combinations_than_rows(self):
-        rng = np.random.default_rng(18)
-        atoms = rng.standard_normal((3, 2)) * rng.uniform(0.01, 100.0, (3, 1))
-        atoms[0] = -0.0  # a group of this atom alone averages to -0.0
-        k = rng.integers(0, 3, (1000, 12))
-        k[:4] = 0
-        rows, counts = _positive_group_means(atoms, k)  # 3**12 combinations: a row per draw
-        assert same_bits(rows, atoms[k].mean(axis=1))
-        assert np.array_equal(counts, np.ones(1000))
-        rows, counts = _positive_group_means(atoms, k[:, :6])  # 3**6: one row per combination
-        assert rows.shape == (729, 2)
-        code = np.ravel_multi_index(k[:, :6].T, (3,) * 6)
-        assert same_bits(rows[code], atoms[k[:, :6]].mean(axis=1))
-        assert counts.sum() == 1000 and counts[0] >= 4
-
-    @pytest.mark.parametrize("n_pos,m,n,d", [
-        (3, 12, 10_000, 2),  # several blocks of draws
-        (2, 20, 5000, 1),  # one coordinate: numpy sums each row's 20 draws pairwise
-        (4, 9, 200_000, 3),  # 4**9 > 200,000: dozens of blocks, the last one short
-        (2, 64, 5000, 3),  # a block of 512 draws
-        (5, 3, 100, 4),  # one block
-    ])
-    def test_row_per_draw_means_match_numpy_bit_for_bit(self, n_pos, m, n, d):
-        rng = np.random.default_rng((n_pos, m, n, d, 19))
-        atoms = rng.standard_normal((n_pos, d)) * rng.uniform(0.01, 100.0, (n_pos, 1))
-        atoms[0] = -0.0
-        k = rng.integers(0, n_pos, (n, m))
-        k[:3] = 0
-        rows, counts = _positive_group_means(atoms, k)
-        assert same_bits(rows, atoms[k].mean(axis=1))
-        assert np.array_equal(counts, np.ones(n))
-
-
 class TestTableStatistics:
-    """The statistics taken once per combination, weighted by count, are those of the gathered rows."""
-
-    @pytest.mark.parametrize("n_rows,n,used", [
-        (4, 1000, 4),  # every combination drawn
-        (81, 1000, 81),
-        (81, 1000, 7),  # most combinations never drawn
-        (729, 5000, 300),
-        (9, 2, 9),  # two draws
-    ])
-    def test_table_statistics_match_gathered_rows(self, n_rows, n, used):
-        rng = np.random.default_rng((n_rows, n, used, 21))
-        table = rng.standard_normal((n_rows, 3)) * rng.uniform(0.01, 100.0, (n_rows, 1))
-        gram = jacobian_gram(rng)
-        code = rng.choice(n_rows, used, replace=False)[rng.integers(0, used, n)]
-        counts = np.bincount(code, minlength=n_rows)
-        gathered = table[code]
-        mean, var = _weighted_moments(table, counts, n)
-        assert_close(mean, gathered.mean(axis=0))
-        assert_close(var, gathered.var(axis=0, ddof=1))
-        assert_close(_trace_cov(gram, table.copy(), counts, n), reference_trace_cov(gram, gathered))
+    """The statistics taken once per combination, weighted by probability, are those of
+    the combinations enumerated one by one."""
 
     @pytest.mark.parametrize("n_pos,m", [
         (2, 2),  # table of 4 rows
@@ -537,11 +403,13 @@ class TestTableStatistics:
         (1, 4),  # one positive atom: a table of one row
     ])
     def test_corrective_statistics_match_per_row(self, n_pos, m):
-        # verify_corrective_target's reported values against the combinations
-        # enumerated one by one, with their probabilities, and summed by math.fsum
+        # verify_corrective_target's reported values, and the variance suite's
+        # corrective trace, against the combinations enumerated one by one, with
+        # their probabilities, and summed by math.fsum
         rng = np.random.default_rng((n_pos, m, 22))
         world = positive_world(n_pos, rng)
-        xt, t = rng.standard_normal(3), 0.37
+        xt, t, v_theta = rng.standard_normal(3), 0.37, rng.standard_normal(3)
+        gram = jacobian_gram(rng)
         checks = {c.name: c for c in verify_corrective_target(world, xt, t, (m,)).checks}
         atoms, w = world.x0s[world.positives], world.positive_weights
         probs, z = [], []
@@ -550,6 +418,9 @@ class TestTableStatistics:
             z.append((xt - atoms[list(combo)].mean(axis=0)) / t)
         z = np.array(z)
         mean = np.array([math.fsum(np.multiply(probs, column)) for column in z.T])
+        centred = z - mean
+        quad = math.fsum(np.multiply(probs, np.sum((centred @ gram) * centred, axis=1)))
+        assert_close(_corrective_trace_cov(world, m, gram, xt, t, v_theta), quad)
         bar_v = (xt - world.positive_mean()) / t
         scale = 1e-12 * max(1.0, float(np.max(np.abs(bar_v))))
         mean_check = checks[f"corrective_mean_unbiased_m{m}"]
@@ -558,7 +429,7 @@ class TestTableStatistics:
         if n_pos == 1:
             assert f"corrective_trace_cov_m{m}" not in checks
             return
-        trace = math.fsum(np.multiply(probs, np.sum((z - mean) ** 2, axis=1)))
+        trace = math.fsum(np.multiply(probs, np.sum(centred**2, axis=1)))
         exact = float(np.trace(world.positive_cov())) / (m * t * t)
         trace_check = checks[f"corrective_trace_cov_m{m}"]
         assert trace_check.passed and trace_check.tolerance == 1e-10
@@ -585,7 +456,7 @@ class TestSuites:
         assert report.passed
 
     def test_variance_suite(self):
-        report, var_report = suite_variance(0, mc_samples=20_000)
+        report, var_report = suite_variance(0)
         assert report.passed, [c.to_dict() for c in report.checks if not c.passed]
         assert 1.8 <= var_report.slope <= 2.2
 
@@ -606,11 +477,10 @@ class TestSuites:
             tracemalloc.stop()
 
     # At the variance suite's 100,000 draws a float64 vector is 0.76 MiB. It
-    # keeps one (N, 3) residual array and three vectors (the counts, the
-    # quadratic forms and their deviations). The slack covers the blocks and
-    # the small arrays.
+    # keeps one (N, 3) residual array and two vectors (the quadratic forms and
+    # their deviations). The slack covers the blocks and the small arrays.
     def test_monte_carlo_working_set(self):
-        assert self.traced_peak(suite_variance, 0) <= 6 * 8 * 100_000 + 2**19
+        assert self.traced_peak(suite_variance, 0) <= 5 * 8 * 100_000 + 2**19
 
     # The exact suites hold the atoms and the combination table (at most 625
     # rows of group size 4), never an array per sample: less than a third of
@@ -683,7 +553,7 @@ class TestCorrectiveTarget:
         world = random_world(np.random.default_rng(13), 6, 3)  # P = 5
         args = {"xt": world.positive_mean() * 0.8, "t": 0.5, "group_sizes": (1, 4), **bad}
         built = []
-        monkeypatch.setattr(oracle, "_combination_table", lambda *a: built.append(a))
+        monkeypatch.setattr(oracle, "_positive_groups", lambda *a: built.append(a))
         with pytest.raises(error, match=message):
             verify_corrective_target(world, **args)
         assert built == []
@@ -736,13 +606,13 @@ class TestCorrectiveTarget:
         # group means whose deviations from the positive mean are scaled by m: the
         # trace covariance is then m tr(Sigma+) / t^2 in place of tr(Sigma+) / (m t^2)
         world = random_world(np.random.default_rng((1, 4)), 6, 3)
-        centre, table = world.positive_mean(), oracle._combination_table
+        centre, table = world.positive_mean(), oracle._positive_groups
 
-        def grown(atoms, m):
-            combos, means = table(atoms, m)
-            return combos, centre + (means - centre) * m
+        def grown(world, m):
+            prob, means = table(world, m)
+            return prob, centre + (means - centre) * m
 
-        monkeypatch.setattr(oracle, "_combination_table", grown)
+        monkeypatch.setattr(oracle, "_positive_groups", grown)
         checks = {c.name: c for c in verify_corrective_target(world, centre * 0.8, 0.5,
                                                               (1, 4)).checks}
         assert checks["corrective_trace_cov_m1"].passed
@@ -798,8 +668,14 @@ class TestVariance:
         ({"t_grid": [0.01, 0.1, 1.5]}, TOutOfRange, r"t=1.5 outside \[0.001, 1\]"),
         ({"mc_samples": 1}, InsufficientSamples, "mc_samples=1: a sample covariance needs"),
         ({"group_size": 0}, InsufficientSamples, "group_size=0: a corrective group needs"),
+        # the shrinkage check doubles the group: 3**12 * 12 group indices is over the
+        # 2**20 limit; 3**10 * 10 is under it
+        ({"group_size": 6}, ValueError,
+         "groups of m=12 from P=3 positive atoms make 531441 combinations, too many"),
+        ({"group_size": 30}, ValueError,
+         "groups of m=60 from P=3 positive atoms make 42391158275216203514294433201 comb"),
     ], ids=["no_t_for_slope", "one_t_for_slope", "t_zero", "t_above_one", "one_sample",
-            "empty_group"])
+            "empty_group", "table_over_limit", "table_of_huge_count"])
     def test_rejects_inputs_it_cannot_evaluate_before_any_draw(self, bad, error, message):
         rng = np.random.default_rng(12)
         world = random_world(rng, 4, 3, spread=2.5, min_pos=2)
@@ -811,14 +687,40 @@ class TestVariance:
             verify_variance(world, model, rng=rng, **args)
         assert rng.bit_generator.state == state
 
-    def test_exact_matches_mc_loosely(self):
+    @staticmethod
+    def variance_run():
         rng = np.random.default_rng(11)
         world = random_world(rng, 4, 3, spread=2.5, min_pos=2)
         model = LinearVelocity(world.dim, rng=rng, scale=0.3)
-        report, var_report = verify_variance(
-            world, model, np.geomspace(0.01, 0.6, 8), sigma_xi=0.1,
-            group_size=2, mc_samples=40_000, rng=rng, lambda_cr=3.0,
-        )
+        return verify_variance(world, model, np.geomspace(0.01, 0.6, 8), sigma_xi=0.1,
+                               group_size=2, mc_samples=40_000, rng=rng, lambda_cr=3.0)
+
+    def test_exact_matches_mc_loosely(self):
+        _, var_report = self.variance_run()
         for rec in var_report.records:
-            assert abs(rec["mc_cr"] - rec["exact_cr"]) < 0.12 * max(rec["exact_cr"], 1e-12)
+            assert abs(rec["table_cr"] - rec["exact_cr"]) <= 1e-10 * rec["exact_cr"]
             assert abs(rec["mc_nft"] - rec["exact_nft"]) < 0.2 * rec["exact_nft"]
+
+    # The mutants below are wrong forms of the corrective branch; each must fail.
+    def test_corrective_trace_growing_with_m_fails(self, monkeypatch):
+        # a trace scaled by m in place of 1/m: doubling the group doubles it
+        table_trace = oracle._corrective_trace_cov
+        monkeypatch.setattr(oracle, "_corrective_trace_cov",
+                            lambda world, m, *a: table_trace(world, m, *a) * m * m)
+        report, var_report = self.variance_run()
+        checks = {c.name: c for c in report.checks}
+        assert not checks["variance_group_shrinkage"].passed
+        assert abs(var_report.shrink_ratio - 0.5) < 1e-10
+
+    def test_uniformly_weighted_table_fails(self, monkeypatch):
+        # every group of positives equally likely, in place of by positive weight
+        table = oracle._positive_groups
+
+        def uniform(world, m):
+            prob, means = table(world, m)
+            return np.full(prob.size, 1.0 / prob.size), means
+
+        monkeypatch.setattr(oracle, "_positive_groups", uniform)
+        _, var_report = self.variance_run()
+        for rec in var_report.records:
+            assert abs(rec["table_cr"] - rec["exact_cr"]) > 1e-3 * rec["exact_cr"]
