@@ -435,6 +435,73 @@ class TestTableStatistics:
         assert trace_check.passed and trace_check.tolerance == 1e-10
         assert abs(trace_check.value - abs(trace - exact) / exact) <= 1e-12
 
+    @pytest.mark.parametrize("n_pos,m,t", [
+        (2, 1, 0.01),
+        (2, 4, 0.37),
+        (3, 2, 1.0),
+        (3, 5, 0.05),
+        (5, 3, 0.6),
+        (4, 4, 0.001),
+    ])
+    def test_corrective_trace_cov_is_the_closed_form(self, n_pos, m, t):
+        # the group mean's covariance is Sigma+ / m whatever xt and v_theta are, so
+        # the trace of J^T r is tr(Sigma+ J J^T) / (m t^2)
+        rng = np.random.default_rng((n_pos, m, 28))
+        world = positive_world(n_pos, rng)
+        gram = jacobian_gram(rng)
+        exact = float(np.sum(world.positive_cov() * gram)) / (m * t * t)
+        for scale in (0.0, 10.0):
+            xt, v_theta = scale * rng.standard_normal(3), scale * rng.standard_normal(3)
+            got = _corrective_trace_cov(world, m, gram, xt, t, v_theta)
+            assert abs(got - exact) <= 1e-10 * exact
+
+
+class TestPositiveGroups:
+    """The table holds every ordered group of positives once, in ``itertools.product``
+    order, with the group's own mean bit for bit and the product of its weights."""
+
+    @pytest.mark.parametrize("n_pos,m", [
+        (1, 5),  # one positive atom: a table of one row
+        (2, 1),  # groups of one: the atoms themselves
+        (4, 1),
+        (2, 2),
+        (5, 3),
+        (3, 4),
+        (3, 6),
+        (2, 10),
+    ])
+    def test_rows_match_each_combination(self, n_pos, m):
+        rng = np.random.default_rng((n_pos, m, 26))
+        x0s = rng.standard_normal((n_pos + 2, 3)) * rng.uniform(0.01, 100.0, (n_pos + 2, 1))
+        x0s[0] = -0.0  # a group of this atom alone averages to -0.0
+        probs = rng.uniform(0.5, 1.5, n_pos + 2)
+        world = DiscreteWorld(x0s, probs / probs.sum(), [1] * n_pos + [0, 0])
+        prob, means = oracle._positive_groups(world, m)
+        atoms, w = x0s[:n_pos], world.positive_weights
+        combos = [list(combo) for combo in itertools.product(range(n_pos), repeat=m)]
+        assert same_bits(means, np.array([atoms[combo].mean(axis=0) for combo in combos]))
+        assert_close(prob, [math.prod(w[combo].tolist()) for combo in combos])
+        assert abs(math.fsum(prob) - 1.0) <= 1e-14
+
+    @pytest.mark.parametrize("n_pos,m,fits", [
+        (2, 16, True),  # 2**16 * 16 = 2**20 group indices: at the limit
+        (2, 17, False),
+        (3, 10, True),
+        (3, 11, False),
+        (4, 8, True),
+        (4, 9, False),
+        (5, 7, True),
+        (5, 8, False),
+    ])
+    def test_table_size_check_at_the_limit(self, n_pos, m, fits):
+        world = positive_world(n_pos, np.random.default_rng(27))
+        if fits:
+            oracle._check_table_size(world, m)
+            return
+        with pytest.raises(ValueError, match=f"groups of m={m} from P={n_pos} positive atoms "
+                                             f"make {n_pos**m} combinations, too many"):
+            oracle._check_table_size(world, m)
+
 
 class TestSuites:
     def test_nft_suite(self):
@@ -700,6 +767,38 @@ class TestVariance:
         for rec in var_report.records:
             assert abs(rec["table_cr"] - rec["exact_cr"]) <= 1e-10 * rec["exact_cr"]
             assert abs(rec["mc_nft"] - rec["exact_nft"]) < 0.2 * rec["exact_nft"]
+
+    @staticmethod
+    def reflection_draws(group_size):
+        rng = np.random.default_rng(11)
+        world = random_world(rng, 4, 3, spread=2.5, min_pos=2)
+        model = LinearVelocity(world.dim, rng=rng, scale=0.3)
+        _, var_report = verify_variance(world, model, np.geomspace(0.01, 0.6, 8), sigma_xi=0.1,
+                                        group_size=group_size, mc_samples=4_000, rng=rng)
+        return [rec["mc_nft"] for rec in var_report.records], rng.bit_generator.state
+
+    @pytest.mark.parametrize("group_size", [1, 3, 4])
+    def test_group_size_moves_no_draw(self, group_size):
+        # only the reflection branch draws, so the group size changes neither its
+        # samples nor the rng state left behind
+        assert self.reflection_draws(group_size) == self.reflection_draws(2)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_corrective_checks_hold_on_random_worlds(self, seed):
+        # the corrective curve and the shrinkage ratio read no draw
+        rng = np.random.default_rng((seed, 29))
+        world = random_world(rng, 5, 3, spread=2.5, min_pos=2)
+        model = LinearVelocity(world.dim, rng=rng, scale=0.3)
+        group_size = 1 + seed % 3
+        report, var_report = verify_variance(world, model, np.geomspace(0.01, 0.6, 8),
+                                             sigma_xi=0.1, group_size=group_size,
+                                             mc_samples=4_000, rng=rng)
+        checks = {c.name: c for c in report.checks}
+        assert checks["variance_cr_slope"].passed
+        assert checks["variance_group_shrinkage"].passed
+        assert abs(var_report.shrink_ratio - 2.0) <= 2e-10
+        for rec in var_report.records:
+            assert abs(rec["table_cr"] - rec["exact_cr"]) <= 1e-10 * rec["exact_cr"]
 
     # The mutants below are wrong forms of the corrective branch; each must fail.
     def test_corrective_trace_growing_with_m_fails(self, monkeypatch):
